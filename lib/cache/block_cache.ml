@@ -40,6 +40,10 @@ type backend = {
     file:File.t -> index:int -> bytes:int -> reason:clean_reason -> unit;
 }
 
+(* A resident block is also its own node in the cache's LRU list: [prev]
+   and [next] link it into a circular list through the cache's sentinel,
+   least recently used first, so a touch or an eviction is a few pointer
+   swaps and allocates nothing. *)
 type block = {
   b_file : File.t;
   b_index : int;
@@ -48,15 +52,21 @@ type block = {
   mutable last_write : float;
   mutable last_ref : float;
   mutable dirty_high : int;  (* writeback extent, from the block start *)
+  mutable prev : block;  (* towards the LRU end *)
+  mutable next : block;  (* towards the MRU end *)
 }
 
-module Key = struct
-  type t = int * int
+(* Int-keyed tables that hash with [Hashtbl.hash], exactly as the generic
+   [Hashtbl] does, so every bucket layout (and with it the order in which
+   [clean_file] and [tick] write back) is the generic table's.  Only the
+   key comparison changes: an int test instead of polymorphic compare. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal (a1, a2) (b1, b2) = a1 = b1 && a2 = b2
+  let equal = Int.equal
 
   let hash = Hashtbl.hash
-end
+end)
 
 (* Process-wide cache metrics, aggregated over every block cache in the
    process (client and server caches alike). *)
@@ -79,8 +89,6 @@ let m_writeback_bytes = Dfs_obs.Metrics.counter "sim.cache.writeback_bytes"
 let m_evictions = Dfs_obs.Metrics.counter "sim.cache.evictions"
 
 let m_dirty_age = Dfs_obs.Metrics.histogram "sim.cache.dirty_age_s"
-
-module L = Dfs_util.Lru.Make (Key)
 
 type class_stats = {
   mutable read_ops : int;
@@ -144,9 +152,10 @@ let replace_index = function Replace_for_block -> 0 | Replace_to_vm -> 1
 type t = {
   cfg : config;
   backend : backend;
-  lru : block L.t;
-  files : (int, (int, block) Hashtbl.t) Hashtbl.t;
-  dirty_files : (int, dirty_info) Hashtbl.t;
+  lru : block;  (* sentinel: [lru.next] is the LRU block, [lru.prev] the MRU *)
+  mutable resident : int;  (* blocks linked into [lru] *)
+  files : block Itbl.t Itbl.t;  (* file id -> block index -> block *)
+  dirty_files : dirty_info Itbl.t;
   mutable capacity : int;
   mutable dirty_count : int;
   stats : stats;
@@ -159,12 +168,26 @@ let create ?(config = default_config) backend =
      same (mutable) [Stats.t] values, so both views always agree. *)
   let cleaning_stats = Array.init 5 (fun _ -> Dfs_util.Stats.create ()) in
   let replacement_stats = Array.init 2 (fun _ -> Dfs_util.Stats.create ()) in
+  let rec sentinel =
+    {
+      b_file = File.of_int 0;
+      b_index = -1;
+      dirty = false;
+      dirtied_at = 0.0;
+      last_write = 0.0;
+      last_ref = 0.0;
+      dirty_high = 0;
+      prev = sentinel;
+      next = sentinel;
+    }
+  in
   {
     cfg = config;
     backend;
-    lru = L.create ();
-    files = Hashtbl.create 256;
-    dirty_files = Hashtbl.create 64;
+    lru = sentinel;
+    resident = 0;
+    files = Itbl.create 256;
+    dirty_files = Itbl.create 64;
     capacity = max 1 config.capacity_blocks;
     dirty_count = 0;
     stats =
@@ -192,7 +215,7 @@ let config t = t.cfg
 
 let capacity t = t.capacity
 
-let size t = L.length t.lru
+let size t = t.resident
 
 let resident_bytes t = size t * t.cfg.block_size
 
@@ -206,33 +229,38 @@ let dirty_blocks t = t.dirty_count
    writeback, so this must only run once the cache will see no further
    reads or writes. *)
 let drop_contents t =
-  L.clear t.lru;
-  Hashtbl.reset t.files;
-  Hashtbl.reset t.dirty_files;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru;
+  t.resident <- 0;
+  Itbl.reset t.files;
+  Itbl.reset t.dirty_files;
   t.dirty_count <- 0
 
 (* -- internal bookkeeping ------------------------------------------------ *)
 
-let file_tbl t file =
-  let fid = File.to_int file in
-  match Hashtbl.find_opt t.files fid with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.replace t.files fid tbl;
-    tbl
+let unlink b =
+  b.prev.next <- b.next;
+  b.next.prev <- b.prev
+
+(* Link [b] at the MRU end, just before the sentinel. *)
+let link_mru t b =
+  let s = t.lru in
+  b.prev <- s.prev;
+  b.next <- s;
+  s.prev.next <- b;
+  s.prev <- b
 
 let note_dirty t b =
   if not b.dirty then begin
     b.dirty <- true;
     t.dirty_count <- t.dirty_count + 1;
     let fid = File.to_int b.b_file in
-    match Hashtbl.find_opt t.dirty_files fid with
-    | Some info ->
+    match Itbl.find t.dirty_files fid with
+    | info ->
       info.dn <- info.dn + 1;
       if b.dirtied_at < info.earliest then info.earliest <- b.dirtied_at
-    | None ->
-      Hashtbl.replace t.dirty_files fid { dn = 1; earliest = b.dirtied_at }
+    | exception Not_found ->
+      Itbl.replace t.dirty_files fid { dn = 1; earliest = b.dirtied_at }
   end
 
 let note_clean t b =
@@ -241,10 +269,9 @@ let note_clean t b =
     b.dirty_high <- 0;
     t.dirty_count <- t.dirty_count - 1;
     let fid = File.to_int b.b_file in
-    match Hashtbl.find_opt t.dirty_files fid with
-    | Some info when info.dn > 1 -> info.dn <- info.dn - 1
-    | Some _ -> Hashtbl.remove t.dirty_files fid
-    | None -> assert false
+    let info = Itbl.find t.dirty_files fid in
+    if info.dn > 1 then info.dn <- info.dn - 1
+    else Itbl.remove t.dirty_files fid
   end
 
 let cleaning_stat t reason = t.cleaning_stats.(clean_index reason)
@@ -272,6 +299,14 @@ let clean_block t ~now b ~reason =
     note_clean t b
   end
 
+(* Remove [b] from its file's table, and the table itself once empty (a
+   file's next block gets a fresh 16-bucket table). *)
+let unindex t b =
+  let fid = File.to_int b.b_file in
+  let tbl = Itbl.find t.files fid in
+  Itbl.remove tbl b.b_index;
+  if Itbl.length tbl = 0 then Itbl.remove t.files fid
+
 let drop_block t b ~discard_dirty =
   if b.dirty then begin
     if discard_dirty then
@@ -279,18 +314,16 @@ let drop_block t b ~discard_dirty =
         t.stats.dirty_bytes_discarded + b.dirty_high;
     note_clean t b
   end;
-  let fid = File.to_int b.b_file in
-  (match Hashtbl.find_opt t.files fid with
-  | Some tbl ->
-    Hashtbl.remove tbl b.b_index;
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
-  | None -> assert false);
-  ignore (L.remove t.lru (fid, b.b_index))
+  unindex t b;
+  unlink b;
+  t.resident <- t.resident - 1
 
 let evict_one t ~now ~reason =
-  match L.pop_lru t.lru with
-  | None -> false
-  | Some (_, b) ->
+  let b = t.lru.next in
+  if b == t.lru then false
+  else begin
+    unlink b;
+    t.resident <- t.resident - 1;
     (* A dirty victim must reach the server before its page is reused. *)
     (match reason with
     | Replace_to_vm -> clean_block t ~now b ~reason:Clean_vm
@@ -305,16 +338,14 @@ let evict_one t ~now ~reason =
             ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
           ]
         ();
-    let fid = File.to_int b.b_file in
-    (match Hashtbl.find_opt t.files fid with
-    | Some tbl ->
-      Hashtbl.remove tbl b.b_index;
-      if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
-    | None -> assert false);
+    unindex t b;
     true
+  end
 
-let insert_block t ~now ~file ~index =
-  while L.length t.lru >= t.capacity do
+(* Insert a new block for [file]/[index] at the MRU end.  The file's table
+   is looked up after the evictions, which may have removed it. *)
+let insert_block t ~now ~file ~fid ~index =
+  while t.resident >= t.capacity do
     if not (evict_one t ~now ~reason:Replace_for_block) then
       (* capacity is >= 1 and the LRU is non-empty whenever size >= capacity *)
       assert false
@@ -328,124 +359,120 @@ let insert_block t ~now ~file ~index =
       last_write = now;
       last_ref = now;
       dirty_high = 0;
+      prev = t.lru;
+      next = t.lru;
     }
   in
-  Hashtbl.replace (file_tbl t file) index b;
-  L.add t.lru (File.to_int file, index) b;
+  link_mru t b;
+  t.resident <- t.resident + 1;
+  let tbl =
+    match Itbl.find t.files fid with
+    | tbl -> tbl
+    | exception Not_found ->
+      let tbl = Itbl.create 16 in
+      Itbl.replace t.files fid tbl;
+      tbl
+  in
+  Itbl.replace tbl index b;
   b
 
-let find_block t ~file ~index =
-  match Hashtbl.find_opt t.files (File.to_int file) with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl index
+(* Raises [Not_found] for a non-resident block. *)
+let find_block t ~fid ~index = Itbl.find (Itbl.find t.files fid) index
 
 let touch t b ~now =
   b.last_ref <- now;
-  ignore (L.use t.lru (File.to_int b.b_file, b.b_index))
+  if b.next != t.lru then begin
+    unlink b;
+    link_mru t b
+  end
 
 (* -- stats helpers ------------------------------------------------------- *)
 
-let class_targets t ~cls ~migrated =
-  let base =
-    match cls with Class_file -> t.stats.file | Class_paging -> t.stats.paging
-  in
-  if migrated then [ t.stats.all; base; t.stats.migrated ]
-  else [ t.stats.all; base ]
+let stats_of_class t = function
+  | Class_file -> t.stats.file
+  | Class_paging -> t.stats.paging
+
+let add_reads s ~ops ~bytes ~hits ~fetched =
+  s.read_ops <- s.read_ops + ops;
+  s.bytes_read <- s.bytes_read + bytes;
+  s.read_hits <- s.read_hits + hits;
+  s.read_misses <- s.read_misses + (ops - hits);
+  s.bytes_fetched <- s.bytes_fetched + fetched
+
+let add_writes s ~ops ~bytes ~fetches ~fetch_bytes =
+  s.write_ops <- s.write_ops + ops;
+  s.bytes_written <- s.bytes_written + bytes;
+  s.write_fetches <- s.write_fetches + fetches;
+  s.write_fetch_bytes <- s.write_fetch_bytes + fetch_bytes
 
 (* -- data path ----------------------------------------------------------- *)
 
-(* Iterate the blocks overlapped by [off, off+len), calling
-   [f ~index ~lo ~hi] with the within-block byte range. *)
-let iter_blocks t ~off ~len f =
+(* [read] and [write] walk the blocks overlapped by [off, off+len) in one
+   loop, then update the stats and metrics once: the per-block byte ranges
+   partition the request, so the bytes counted are [len].  The file's
+   table is looked up per block, since an insert may evict the file's
+   last block and with it the table. *)
+let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
   if len > 0 then begin
     let bs = t.cfg.block_size in
+    let fid = File.to_int file in
     let first = off / bs and last = (off + len - 1) / bs in
+    let hits = ref 0 and fetched = ref 0 in
     for index = first to last do
-      let block_start = index * bs in
-      let lo = max off block_start - block_start in
-      let hi = min (off + len) (block_start + bs) - block_start in
-      f ~index ~lo ~hi
-    done
-  end
-
-let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
-  let targets = class_targets t ~cls ~migrated in
-  iter_blocks t ~off ~len (fun ~index ~lo ~hi ->
-      let wanted = hi - lo in
-      List.iter
-        (fun s ->
-          s.read_ops <- s.read_ops + 1;
-          s.bytes_read <- s.bytes_read + wanted)
-        targets;
-      Dfs_obs.Metrics.incr m_lookups;
-      match find_block t ~file ~index with
-      | Some b ->
-        List.iter (fun s -> s.read_hits <- s.read_hits + 1) targets;
-        Dfs_obs.Metrics.incr m_hits;
+      match find_block t ~fid ~index with
+      | b ->
+        incr hits;
         touch t b ~now
-      | None ->
-        let block_start = index * t.cfg.block_size in
-        let avail = max 0 (min t.cfg.block_size (file_size - block_start)) in
+      | exception Not_found ->
+        let block_start = index * bs in
+        let avail = Int.max 0 (Int.min bs (file_size - block_start)) in
         t.backend.fetch ~cls ~file ~index ~bytes:avail;
-        List.iter
-          (fun s ->
-            s.read_misses <- s.read_misses + 1;
-            s.bytes_fetched <- s.bytes_fetched + avail)
-          targets;
-        Dfs_obs.Metrics.incr m_misses;
-        Dfs_obs.Metrics.add m_fetch_bytes avail;
+        fetched := !fetched + avail;
         if Dfs_obs.Tracer.active () then
           Dfs_obs.Tracer.emit ~cat:"cache" ~name:"fill" ~t0:now ~dur:0.0
             ~attrs:
               [
-                ("file", Dfs_obs.Json.Int (File.to_int file));
+                ("file", Dfs_obs.Json.Int fid);
                 ("bytes", Dfs_obs.Json.Int avail);
               ]
             ();
-        let b = insert_block t ~now ~file ~index in
-        touch t b ~now)
+        ignore (insert_block t ~now ~file ~fid ~index)
+    done;
+    let ops = last - first + 1 and hits = !hits and fetched = !fetched in
+    add_reads t.stats.all ~ops ~bytes:len ~hits ~fetched;
+    add_reads (stats_of_class t cls) ~ops ~bytes:len ~hits ~fetched;
+    if migrated then add_reads t.stats.migrated ~ops ~bytes:len ~hits ~fetched;
+    Dfs_obs.Metrics.add m_lookups ops;
+    Dfs_obs.Metrics.add m_hits hits;
+    Dfs_obs.Metrics.add m_misses (ops - hits);
+    Dfs_obs.Metrics.add m_fetch_bytes fetched
+  end
 
 let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
-  let targets = class_targets t ~cls ~migrated in
-  iter_blocks t ~off ~len (fun ~index ~lo ~hi ->
-      let written = hi - lo in
-      List.iter
-        (fun s ->
-          s.write_ops <- s.write_ops + 1;
-          s.bytes_written <- s.bytes_written + written)
-        targets;
-      Dfs_obs.Metrics.incr m_write_blocks;
+  if len > 0 then begin
+    let bs = t.cfg.block_size in
+    let fid = File.to_int file in
+    let first = off / bs and last = (off + len - 1) / bs in
+    let fetches = ref 0 and fetch_bytes = ref 0 in
+    for index = first to last do
+      let block_start = index * bs in
+      let lo = Int.max off block_start - block_start in
+      let hi = Int.min (off + len) (block_start + bs) - block_start in
       let b =
-        match find_block t ~file ~index with
-        | Some b -> b
-        | None ->
-          let block_start = index * t.cfg.block_size in
-          let existing =
-            max 0 (min t.cfg.block_size (file_size - block_start))
-          in
+        match find_block t ~fid ~index with
+        | b -> b
+        | exception Not_found ->
+          let existing = Int.max 0 (Int.min bs (file_size - block_start)) in
           (* A partial write of a non-resident block that already holds
-             data must fetch the block first (a "write fetch"); writes
-             covering all existing data need no fetch. *)
-          if lo > 0 && existing > 0 && block_start < file_size then begin
+             data must fetch the block first (a "write fetch"), and so
+             must an overwrite of the block's head only, whose tail must
+             survive; writes covering all existing data need no fetch. *)
+          if (lo > 0 && existing > 0) || (lo = 0 && hi < existing) then begin
             t.backend.fetch ~cls ~file ~index ~bytes:existing;
-            Dfs_obs.Metrics.incr m_write_fetches;
-            List.iter
-              (fun s ->
-                s.write_fetches <- s.write_fetches + 1;
-                s.write_fetch_bytes <- s.write_fetch_bytes + existing)
-              targets
-          end
-          else if lo = 0 && hi < existing then begin
-            (* overwrite of the block's head only: the tail must survive *)
-            t.backend.fetch ~cls ~file ~index ~bytes:existing;
-            Dfs_obs.Metrics.incr m_write_fetches;
-            List.iter
-              (fun s ->
-                s.write_fetches <- s.write_fetches + 1;
-                s.write_fetch_bytes <- s.write_fetch_bytes + existing)
-              targets
+            incr fetches;
+            fetch_bytes := !fetch_bytes + existing
           end;
-          insert_block t ~now ~file ~index
+          insert_block t ~now ~file ~fid ~index
       in
       if not b.dirty then b.dirtied_at <- now;
       note_dirty t b;
@@ -453,22 +480,33 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
       (* Writebacks cover the block from its start to the end of the new
          data — the append behaviour the paper blames for writeback-traffic
          variance. *)
-      b.dirty_high <- max b.dirty_high hi;
-      touch t b ~now)
+      if hi > b.dirty_high then b.dirty_high <- hi;
+      touch t b ~now
+    done;
+    let ops = last - first + 1
+    and fetches = !fetches
+    and fetch_bytes = !fetch_bytes in
+    add_writes t.stats.all ~ops ~bytes:len ~fetches ~fetch_bytes;
+    add_writes (stats_of_class t cls) ~ops ~bytes:len ~fetches ~fetch_bytes;
+    if migrated then
+      add_writes t.stats.migrated ~ops ~bytes:len ~fetches ~fetch_bytes;
+    Dfs_obs.Metrics.add m_write_blocks ops;
+    Dfs_obs.Metrics.add m_write_fetches fetches
+  end
 
 let blocks_of_file t file =
-  match Hashtbl.find_opt t.files (File.to_int file) with
+  match Itbl.find_opt t.files (File.to_int file) with
   | None -> []
-  | Some tbl -> Hashtbl.fold (fun _ b acc -> b :: acc) tbl []
+  | Some tbl -> Itbl.fold (fun _ b acc -> b :: acc) tbl []
 
 (* Clean in place: [clean_block] never removes entries from the file's
    block table, so we can iterate it directly instead of materializing a
    [blocks_of_file] list.  ([invalidate] still takes the list — dropping
    blocks mutates the table under iteration.) *)
 let clean_file t ~now ~file ~reason =
-  match Hashtbl.find_opt t.files (File.to_int file) with
+  match Itbl.find_opt t.files (File.to_int file) with
   | None -> ()
-  | Some tbl -> Hashtbl.iter (fun _ b -> clean_block t ~now b ~reason) tbl
+  | Some tbl -> Itbl.iter (fun _ b -> clean_block t ~now b ~reason) tbl
 
 let fsync t ~now ~file = clean_file t ~now ~file ~reason:Clean_fsync
 
@@ -485,18 +523,18 @@ let flush_and_invalidate t ~now ~file =
 let delete t ~now ~file = invalidate t ~now ~file
 
 let dirty_bytes t =
-  Hashtbl.fold
+  Itbl.fold
     (fun fid _ acc ->
-      match Hashtbl.find_opt t.files fid with
+      match Itbl.find_opt t.files fid with
       | None -> acc
       | Some tbl ->
-        Hashtbl.fold
+        Itbl.fold
           (fun _ b acc -> if b.dirty then acc + b.dirty_high else acc)
           tbl acc)
     t.dirty_files 0
 
 let dirty_file_ids t =
-  List.sort compare (Hashtbl.fold (fun fid _ acc -> fid :: acc) t.dirty_files [])
+  List.sort compare (Itbl.fold (fun fid _ acc -> fid :: acc) t.dirty_files [])
 
 let crash t ~now =
   ignore now;
@@ -506,8 +544,8 @@ let crash t ~now =
      the paper's deleted-before-writeback {e saving}; crash loss is the
      delayed-write {e cost} and is accounted by the fault injector. *)
   let all =
-    Hashtbl.fold
-      (fun _ tbl acc -> Hashtbl.fold (fun _ b acc -> b :: acc) tbl acc)
+    Itbl.fold
+      (fun _ tbl acc -> Itbl.fold (fun _ b acc -> b :: acc) tbl acc)
       t.files []
   in
   List.iter (fun b -> drop_block t b ~discard_dirty:false) all;
@@ -522,7 +560,7 @@ let tick t ~now =
      turns out fresh (its bound was stale) has the bound tightened to
      the true minimum so it won't re-trip every tick. *)
   let candidates =
-    Hashtbl.fold
+    Itbl.fold
       (fun fid info acc ->
         if now -. info.earliest >= t.cfg.writeback_delay then
           (fid, info) :: acc
@@ -534,10 +572,10 @@ let tick t ~now =
       let file = File.of_int fid in
       let expired = ref false in
       let oldest = ref infinity in
-      (match Hashtbl.find_opt t.files fid with
+      (match Itbl.find_opt t.files fid with
       | None -> ()
       | Some tbl ->
-        Hashtbl.iter
+        Itbl.iter
           (fun _ b ->
             if b.dirty then begin
               if now -. b.dirtied_at >= t.cfg.writeback_delay then
@@ -552,37 +590,59 @@ let tick t ~now =
 let set_capacity t ~now blocks =
   let blocks = max t.cfg.min_capacity_blocks blocks in
   t.capacity <- max 1 blocks;
-  while L.length t.lru > t.capacity do
+  while t.resident > t.capacity do
     if not (evict_one t ~now ~reason:Replace_to_vm) then assert false
   done
 
-let check_invariants t =
-  let indexed =
-    Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.files 0
+(* The length of the LRU list followed by [step] from the sentinel,
+   checking each block with [f]; fails past [resident] blocks. *)
+let walk_lru t step f =
+  let rec go b n =
+    if b == t.lru then n
+    else begin
+      assert (n < t.resident);
+      f b;
+      go (step b) (n + 1)
+    end
   in
-  assert (indexed = L.length t.lru);
-  assert (L.length t.lru <= t.capacity);
+  go (step t.lru) 0
+
+let check_invariants t =
+  let indexed = Itbl.fold (fun _ tbl acc -> acc + Itbl.length tbl) t.files 0 in
+  assert (indexed = t.resident);
+  assert (t.resident <= t.capacity);
+  (* The LRU list, walked both ways: the links agree, it holds exactly
+     [resident] blocks, and each one is the block its file's table holds. *)
+  let indexed_as b =
+    match find_block t ~fid:(File.to_int b.b_file) ~index:b.b_index with
+    | b' -> b' == b
+    | exception Not_found -> false
+  in
+  let forward =
+    walk_lru t
+      (fun b -> b.next)
+      (fun b -> assert (b.next.prev == b && b.prev.next == b && indexed_as b))
+  in
+  assert (forward = t.resident && walk_lru t (fun b -> b.prev) ignore = t.resident);
   let dirty = ref 0 in
-  Hashtbl.iter
-    (fun _ tbl -> Hashtbl.iter (fun _ b -> if b.dirty then incr dirty) tbl)
+  Itbl.iter
+    (fun _ tbl -> Itbl.iter (fun _ b -> if b.dirty then incr dirty) tbl)
     t.files;
   assert (!dirty = t.dirty_count);
-  let per_file_dirty = Hashtbl.create 16 in
-  Hashtbl.iter
+  let per_file_dirty = Itbl.create 16 in
+  Itbl.iter
     (fun fid tbl ->
-      let n =
-        Hashtbl.fold (fun _ b acc -> if b.dirty then acc + 1 else acc) tbl 0
-      in
-      if n > 0 then Hashtbl.replace per_file_dirty fid n)
+      let n = Itbl.fold (fun _ b acc -> if b.dirty then acc + 1 else acc) tbl 0 in
+      if n > 0 then Itbl.replace per_file_dirty fid n)
     t.files;
-  assert (Hashtbl.length per_file_dirty = Hashtbl.length t.dirty_files);
-  Hashtbl.iter
+  assert (Itbl.length per_file_dirty = Itbl.length t.dirty_files);
+  Itbl.iter
     (fun fid info ->
-      assert (Hashtbl.find_opt per_file_dirty fid = Some info.dn);
+      assert (Itbl.find_opt per_file_dirty fid = Some info.dn);
       (* [earliest] must never overshoot the file's true oldest dirty
          timestamp — staleness is only allowed in the early direction. *)
-      let tbl = Hashtbl.find t.files fid in
-      Hashtbl.iter
+      let tbl = Itbl.find t.files fid in
+      Itbl.iter
         (fun _ b -> if b.dirty then assert (info.earliest <= b.dirtied_at))
         tbl)
     t.dirty_files

@@ -185,6 +185,7 @@ val drop_contents : t -> unit
     writeback, so the cache must not be used for I/O afterwards. *)
 
 val check_invariants : t -> unit
-(** Internal consistency (size within capacity, LRU and index agree,
-    dirty counters match).  Raises [Assert_failure] on violation; used by
-    tests. *)
+(** Internal consistency: size within capacity; the LRU list's links
+    agree walked both ways, and it holds exactly the indexed blocks, each
+    the one its file's table holds; dirty counters match.  Raises
+    [Assert_failure] on violation; used by tests. *)

@@ -310,8 +310,9 @@ let fsync t fd =
   let before = (Bc.stats t.cache).writeback_bytes in
   Bc.fsync t.cache ~now:(Engine.now t.engine) ~file:info.id;
   let flushed = (Bc.stats t.cache).writeback_bytes - before in
-  (* The process waits for the synchronous write-through. *)
-  let net = Network.default_config in
+  (* The process waits for the synchronous write-through, priced on the
+     network the file's server is attached to. *)
+  let net = Network.config (Server.network (t.server_of info.server)) in
   let nblocks = Dfs_util.Units.blocks_of_bytes flushed in
   let lat =
     (float_of_int nblocks *. net.rpc_latency)

@@ -13,23 +13,16 @@ let m_bytes = Dfs_obs.Metrics.counter "sim.net.bytes"
 
 let m_latency = Dfs_obs.Metrics.histogram "sim.net.rpc_latency_s"
 
-type t = {
-  cfg : config;
-  counts : (string, int) Hashtbl.t;
-  mutable rpcs : int;
-  mutable bytes : int;
-}
+type t = { cfg : config; mutable rpcs : int; mutable bytes : int }
 
 let create ?(config = default_config) () =
-  { cfg = config; counts = Hashtbl.create 16; rpcs = 0; bytes = 0 }
+  { cfg = config; rpcs = 0; bytes = 0 }
 
 let config t = t.cfg
 
 let rpc t ~kind ~bytes =
   if bytes < 0 then
     invalid_arg (Printf.sprintf "Network.rpc: negative bytes (%d)" bytes);
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.counts kind) in
-  Hashtbl.replace t.counts kind (n + 1);
   t.rpcs <- t.rpcs + 1;
   t.bytes <- t.bytes + bytes;
   let d = t.cfg.rpc_latency +. (float_of_int bytes /. t.cfg.bandwidth) in
@@ -41,9 +34,6 @@ let rpc t ~kind ~bytes =
       ~attrs:[ ("bytes", Dfs_obs.Json.Int bytes) ]
       ();
   d
-
-let rpc_count t ~kind =
-  Option.value ~default:0 (Hashtbl.find_opt t.counts kind)
 
 let total_rpcs t = t.rpcs
 

@@ -24,11 +24,10 @@ val config : t -> config
 
 val rpc : t -> kind:string -> bytes:int -> float
 (** Account one remote procedure call carrying [bytes] of data; returns
-    the time it occupies the medium (latency + serialization).
+    the time it occupies the medium (latency + serialization).  [kind]
+    names the RPC in tracer spans.
 
     @raise Invalid_argument if [bytes] is negative. *)
-
-val rpc_count : t -> kind:string -> int
 
 val total_rpcs : t -> int
 

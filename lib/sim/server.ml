@@ -105,6 +105,8 @@ let create ~id ~(config : config) ~fs ~network ~log ?faults () =
 
 let id t = t.id
 
+let network t = t.network
+
 let register_client t client hooks = Client.Tbl.replace t.clients client hooks
 
 let hooks_of t client =

@@ -60,6 +60,9 @@ val create :
 
 val id : t -> Dfs_trace.Ids.Server.t
 
+val network : t -> Network.t
+(** The network this server's clients reach it over. *)
+
 val register_client : t -> Dfs_trace.Ids.Client.t -> client_hooks -> unit
 
 (** {1 Naming operations} — all are logged as trace records. *)

@@ -308,6 +308,16 @@ let test_resident_bytes () =
   read cache ~file:1 ~size:(2 * bs) ~off:0 ~len:(2 * bs);
   Alcotest.(check int) "resident bytes" (2 * bs) (Bc.resident_bytes cache)
 
+let test_drop_contents_empties () =
+  let cache, _ = make_cache ~capacity:8 () in
+  read cache ~file:1 ~size:(3 * bs) ~off:0 ~len:(3 * bs);
+  write cache ~file:2 ~size:0 ~off:0 ~len:100;
+  Bc.drop_contents cache;
+  Bc.check_invariants cache;
+  Alcotest.(check int) "no resident blocks" 0 (Bc.size cache);
+  Alcotest.(check int) "no dirty blocks" 0 (Bc.dirty_blocks cache);
+  Alcotest.(check int) "stats survive" 3 (Bc.stats cache).all.read_misses
+
 (* -- invariants / properties ---------------------------------------------------- *)
 
 let prop_random_ops_keep_invariants =
@@ -373,12 +383,162 @@ let prop_writeback_bounded_by_written =
       s.writeback_bytes + s.dirty_bytes_discarded
       <= s.all.bytes_written + (Bc.size cache * bs))
 
+(* -- model-based state-machine test ----------------------------------------------- *)
+
+type io = { file : int; off : int; len : int; paging : bool; migrated : bool }
+
+type op =
+  | Read of io
+  | Write of io
+  | Fsync of int
+  | Recall of int
+  | Invalidate of int
+  | Delete of int
+  | Tick
+  | Set_capacity of int
+
+let show_op op =
+  let io name { file; off; len; paging; migrated } =
+    Printf.sprintf "%s f%d %d+%d%s%s" name file off len
+      (if paging then " paging" else "")
+      (if migrated then " migrated" else "")
+  in
+  match op with
+  | Read a -> io "read" a
+  | Write a -> io "write" a
+  | Fsync f -> Printf.sprintf "fsync f%d" f
+  | Recall f -> Printf.sprintf "recall f%d" f
+  | Invalidate f -> Printf.sprintf "invalidate f%d" f
+  | Delete f -> Printf.sprintf "delete f%d" f
+  | Tick -> "tick"
+  | Set_capacity n -> Printf.sprintf "set_capacity %d" n
+
+(* Four files, I/O starting anywhere in a file's first six blocks and
+   spanning up to four: on a cache of 6 blocks (floor 2) that evicts
+   often, and steps of up to 12 s let the 30 s delayed write fire. *)
+let gen_op =
+  let open QCheck.Gen in
+  let file = int_range 1 4 in
+  let io =
+    map
+      (fun (file, (off, len), (paging, migrated)) ->
+        { file; off; len; paging; migrated })
+      (triple file
+         (pair (int_bound (6 * bs)) (int_range 1 (3 * bs)))
+         (pair (map (( = ) 0) (int_bound 4)) (map (( = ) 0) (int_bound 3))))
+  in
+  frequency
+    [
+      (6, map (fun a -> Read a) io);
+      (6, map (fun a -> Write a) io);
+      (1, map (fun f -> Fsync f) file);
+      (1, map (fun f -> Recall f) file);
+      (1, map (fun f -> Invalidate f) file);
+      (1, map (fun f -> Delete f) file);
+      (3, return Tick);
+      (1, map (fun n -> Set_capacity n) (int_range 1 10));
+    ]
+
+let arb_ops =
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (fun (dt, op) -> Printf.sprintf "+%ds %s" dt (show_op op)))
+    QCheck.Gen.(list_size (int_range 1 80) (pair (int_bound 12) gen_op))
+
+(* The eviction victims since the last clear, from the cache's "evict"
+   trace spans: file and idle time, oldest first. *)
+let traced_victims () =
+  List.filter_map
+    (fun (s : Dfs_obs.Tracer.span) ->
+      match
+        (s.name, List.assoc_opt "file" s.attrs, List.assoc_opt "idle_s" s.attrs)
+      with
+      | "evict", Some (Dfs_obs.Json.Int f), Some (Dfs_obs.Json.Float idle) ->
+        Some (f, idle)
+      | _ -> None)
+    (Dfs_obs.Tracer.spans Dfs_obs.Tracer.default)
+
+(* Each operation runs on the cache and on the model; after it the
+   fetches must match in order, the victims in order, the writebacks as a
+   multiset (within a file they follow the block table's hash order), and
+   the statistics exactly. *)
+let prop_matches_model =
+  QCheck.Test.make ~name:"matches reference model" ~count:300 arb_ops
+    (fun ops ->
+      let cache, log = make_cache ~capacity:6 ~min_capacity:2 ~delay:30.0 () in
+      let m = Cache_model.create ~bs ~delay:30.0 ~capacity:6 ~min_capacity:2 in
+      let sizes = Array.make 5 0 and clock = ref 0.0 in
+      let cls_of { paging; _ } =
+        if paging then Bc.Class_paging else Bc.Class_file
+      in
+      let step (dt, op) =
+        clock := !clock +. float_of_int dt;
+        let now = !clock in
+        log.fetches <- [];
+        log.writebacks <- [];
+        m.fetches <- [];
+        m.victims <- [];
+        m.writebacks <- [];
+        Dfs_obs.Tracer.clear Dfs_obs.Tracer.default;
+        (match op with
+        | Read ({ file; off; len; paging; migrated } as a) ->
+          let file_size = sizes.(file) in
+          Bc.read cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
+            ~file_size ~off ~len;
+          Cache_model.read m ~now ~paging ~migrated ~file ~file_size ~off ~len
+        | Write ({ file; off; len; paging; migrated } as a) ->
+          let file_size = sizes.(file) in
+          Bc.write cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
+            ~file_size ~off ~len;
+          Cache_model.write m ~now ~paging ~migrated ~file ~file_size ~off ~len;
+          sizes.(file) <- max file_size (off + len)
+        | Fsync file ->
+          Bc.fsync cache ~now ~file:(f file);
+          Cache_model.clean_file m ~file Bc.Clean_fsync
+        | Recall file ->
+          Bc.recall cache ~now ~file:(f file);
+          Cache_model.clean_file m ~file Bc.Clean_recall
+        | Invalidate file ->
+          Bc.invalidate cache ~now ~file:(f file);
+          Cache_model.invalidate m ~file
+        | Delete file ->
+          Bc.delete cache ~now ~file:(f file);
+          Cache_model.invalidate m ~file;
+          sizes.(file) <- 0
+        | Tick ->
+          Bc.tick cache ~now;
+          Cache_model.tick m ~now
+        | Set_capacity n ->
+          Bc.set_capacity cache ~now n;
+          Cache_model.set_capacity m ~now n);
+        Bc.check_invariants cache;
+        let st = Bc.stats cache in
+        log.fetches = m.fetches
+        && traced_victims () = List.rev m.victims
+        && List.sort compare log.writebacks = List.sort compare m.writebacks
+        && [ st.all; st.file; st.paging; st.migrated ] = Array.to_list m.stats
+        && st.writeback_bytes = m.writeback_bytes
+        && st.dirty_bytes_discarded = m.discarded
+        && Bc.size cache = Cache_model.size m
+        && Bc.dirty_blocks cache = Cache_model.dirty_blocks m
+        && Bc.capacity cache = m.capacity
+      in
+      (* the ring is cleared before each operation, which emits far fewer
+         spans than this *)
+      Dfs_obs.Tracer.enable ~capacity:1024 ();
+      Fun.protect
+        ~finally:(fun () ->
+          Dfs_obs.Tracer.disable ();
+          Dfs_obs.Tracer.clear Dfs_obs.Tracer.default)
+        (fun () -> List.for_all step ops))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_random_ops_keep_invariants;
       prop_reads_conserve_bytes;
       prop_writeback_bounded_by_written;
+      prop_matches_model;
     ]
 
 let suite =
@@ -410,5 +570,6 @@ let suite =
     ("shrink flushes dirty to VM", `Quick, test_shrink_flushes_dirty_to_vm);
     ("capacity floor", `Quick, test_capacity_floor);
     ("resident bytes", `Quick, test_resident_bytes);
+    ("drop_contents empties the cache", `Quick, test_drop_contents_empties);
   ]
   @ qcheck_tests

@@ -397,65 +397,6 @@ let test_heap_filter_releases () =
   (* keep the heap's backing array live across the GC (see above) *)
   Alcotest.(check bool) "filter-all empties" true (SH.is_empty h)
 
-(* -- Lru ------------------------------------------------------------------- *)
-
-module IL = Lru.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash = Hashtbl.hash
-end)
-
-let test_lru_order () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  IL.add l 3 "c";
-  Alcotest.(check (option (pair int string))) "lru is 1" (Some (1, "a")) (IL.lru l);
-  ignore (IL.use l 1);
-  Alcotest.(check (option (pair int string))) "lru now 2" (Some (2, "b")) (IL.lru l)
-
-let test_lru_pop () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  Alcotest.(check (option (pair int string))) "pop 1" (Some (1, "a")) (IL.pop_lru l);
-  Alcotest.(check int) "length 1" 1 (IL.length l);
-  Alcotest.(check bool) "1 gone" false (IL.mem l 1)
-
-let test_lru_replace () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  IL.add l 1 "a2";
-  Alcotest.(check (option string)) "value replaced" (Some "a2") (IL.find l 1);
-  Alcotest.(check int) "no dup" 2 (IL.length l);
-  (* re-adding made key 1 most recent *)
-  Alcotest.(check (option (pair int string))) "lru is 2" (Some (2, "b")) (IL.lru l)
-
-let test_lru_remove () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  Alcotest.(check (option string)) "removed value" (Some "a") (IL.remove l 1);
-  Alcotest.(check (option string)) "second remove" None (IL.remove l 1);
-  Alcotest.(check int) "empty" 0 (IL.length l)
-
-let test_lru_iter_order () =
-  let l = IL.create () in
-  List.iter (fun k -> IL.add l k (string_of_int k)) [ 1; 2; 3 ];
-  ignore (IL.use l 2);
-  Alcotest.(check (list int)) "lru-first order" [ 1; 3; 2 ]
-    (List.map fst (IL.to_list l))
-
-let test_lru_find_does_not_promote () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  ignore (IL.find l 1);
-  Alcotest.(check (option (pair int string))) "1 still lru" (Some (1, "a"))
-    (IL.lru l)
-
 (* -- Table / Units ----------------------------------------------------------- *)
 
 let test_table_render () =
@@ -594,29 +535,6 @@ let prop_heap_sorts =
       List.iter (IH.push h) xs;
       IH.to_sorted_list h = List.sort compare xs)
 
-let prop_lru_length =
-  QCheck.Test.make ~name:"lru length = distinct keys" ~count:200
-    QCheck.(list (int_bound 20))
-    (fun keys ->
-      let l = IL.create () in
-      List.iter (fun k -> IL.add l k "") keys;
-      IL.length l = List.length (List.sort_uniq compare keys))
-
-let prop_lru_pop_order_no_use =
-  QCheck.Test.make ~name:"lru pops insertion order without touches" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 20) (int_bound 1000))
-    (fun keys ->
-      let distinct = List.sort_uniq compare keys in
-      let l = IL.create () in
-      (* insert distinct keys in a deterministic order *)
-      List.iteri (fun i k -> IL.add l k i) distinct;
-      let rec drain acc =
-        match IL.pop_lru l with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = distinct)
-
 let prop_dist_clamp_respected =
   QCheck.Test.make ~name:"clamped samples stay in range" ~count:200
     QCheck.(pair (float_range 0.1 10.0) (float_range 11.0 100.0))
@@ -686,8 +604,6 @@ let qcheck_tests =
       prop_cdf_monotone;
       prop_cdf_quantile_consistent;
       prop_heap_sorts;
-      prop_lru_length;
-      prop_lru_pop_order_no_use;
       prop_dist_clamp_respected;
     ]
 
@@ -733,12 +649,6 @@ let suite =
     ("heap filter_in_place", `Quick, test_heap_filter_in_place);
     ("heap pop releases element", `Quick, test_heap_pop_releases);
     ("heap filter releases elements", `Quick, test_heap_filter_releases);
-    ("lru order", `Quick, test_lru_order);
-    ("lru pop", `Quick, test_lru_pop);
-    ("lru replace", `Quick, test_lru_replace);
-    ("lru remove", `Quick, test_lru_remove);
-    ("lru iter order", `Quick, test_lru_iter_order);
-    ("lru find does not promote", `Quick, test_lru_find_does_not_promote);
     ("table render", `Quick, test_table_render);
     ("table wrong arity", `Quick, test_table_wrong_arity);
     ("table formatters", `Quick, test_table_formatters);
