@@ -66,9 +66,10 @@ let chunk_records_arg =
 
 let spill_dir_arg =
   let doc =
-    "Spill sealed trace chunks to this directory as binary trace segments \
-     instead of keeping them in memory, bounding peak heap. Defaults to \
-     DFS_SPILL_DIR, else in-memory chunks. Results are identical either way."
+    "Spill sealed trace chunks to this directory as columnar trace \
+     segments instead of keeping them in memory, bounding peak heap. \
+     Defaults to DFS_SPILL_DIR, else in-memory chunks. Results are \
+     identical either way."
   in
   Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
 
@@ -363,10 +364,10 @@ let scaled_preset n scale =
 
 let trace_format_arg =
   let doc =
-    "Trace file format: $(b,text) (tab-separated, one record per line), \
-     $(b,binary) (compact varint/delta encoding) or $(b,columnar) \
-     (aligned whole-column segments readable zero-copy via mmap). Readers \
-     detect the format from the file header either way."
+    "Trace file format: $(b,text) (tab-separated, one record per line) or \
+     $(b,columnar) (checksummed, aligned whole-column segments readable \
+     zero-copy via mmap). Readers detect the format from the file header \
+     either way."
   in
   Arg.(value & opt string "text" & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
 
@@ -392,15 +393,16 @@ let simulate_cmd =
         let cluster, _driver = Dfs_workload.Presets.run preset in
         if not (Sys.file_exists out) then Sys.mkdir out 0o755;
         List.iteri
-          (fun i records ->
+          (fun i chunks ->
             let path =
               Filename.concat out
                 (Printf.sprintf "%s-server%d.trace" preset.name i)
             in
             Dfs_trace.Writer.with_file ~format path (fun w ->
-                List.iter (Dfs_trace.Writer.write w) records);
-            Printf.printf "wrote %s (%d records)\n" path (List.length records))
-          (Dfs_sim.Cluster.server_traces cluster))
+                Dfs_trace.Sink.iter (Dfs_trace.Writer.write w) chunks);
+            Printf.printf "wrote %s (%d records)\n" path
+              (Dfs_trace.Sink.length chunks))
+          (Dfs_sim.Cluster.server_chunks cluster))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -437,14 +439,14 @@ let analyze_cmd =
   let run () files on_corruption metrics_out =
     let on_corruption = parse_on_corruption on_corruption in
     with_obs ~metrics_out ~trace_out:None (fun () ->
-        let streams =
+        let sources =
           List.map
             (fun path ->
               (* Corrupt, truncated or misaligned inputs are an exit-2
                  diagnostic naming file, offset and reason — never a raw
                  backtrace. *)
-              match Dfs_trace.Reader.of_file ~on_corruption path with
-              | Ok records -> records
+              match Dfs_trace.Reader.batch_of_file ~on_corruption path with
+              | Ok batch -> Dfs_trace.Sink.of_batch batch
               | Error e ->
                 Dfs_obs.Log.error "%s: %s" path e;
                 exit 2
@@ -456,11 +458,11 @@ let analyze_cmd =
                 exit 2)
             files
         in
-        let merged =
-          Dfs_trace.Merge.scrub ~self_users:Dfs_sim.Cluster.self_users
-            (Dfs_trace.Merge.merge streams)
+        let mbatch =
+          Dfs_trace.Sink.to_batch
+            (Dfs_trace.Merge.merge_chunks ~scrub:Dfs_sim.Cluster.self_users
+               sources)
         in
-        let mbatch = Dfs_trace.Record_batch.of_list merged in
         let stats = Dfs_analysis.Trace_stats.of_batch mbatch in
         Format.printf "%a@." Dfs_analysis.Trace_stats.pp stats;
         let act600 = Dfs_analysis.Activity.analyze ~interval:600.0 mbatch in
@@ -563,8 +565,8 @@ let import_cmd =
 let replay_cmd =
   let trace_arg =
     let doc =
-      "Canonical trace to replay (text, binary or columnar); $(b,-) \
-       (default) reads standard input."
+      "Canonical trace to replay (text or columnar); $(b,-) (default) \
+       reads standard input."
     in
     Arg.(value & pos 0 string "-" & info [] ~docv:"TRACE" ~doc)
   in
@@ -581,15 +583,15 @@ let replay_cmd =
     let on_corruption = parse_on_corruption on_corruption in
     let format = parse_trace_format format in
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
-        let records =
+        let batch =
           let parsed =
             if trace = "-" then
-              Dfs_trace.Reader.of_string ~on_corruption ~source:"<stdin>"
+              Dfs_trace.Reader.batch_of_string ~on_corruption ~source:"<stdin>"
                 (In_channel.input_all In_channel.stdin)
-            else Dfs_trace.Reader.of_file ~on_corruption trace
+            else Dfs_trace.Reader.batch_of_file ~on_corruption trace
           in
           match parsed with
-          | Ok records -> records
+          | Ok batch -> batch
           | Error e ->
             Dfs_obs.Log.error "%s: %s"
               (if trace = "-" then "<stdin>" else trace)
@@ -599,14 +601,12 @@ let replay_cmd =
             Dfs_obs.Log.error "%s" e;
             exit 2
         in
-        match Dfs_workload.Replay.run records with
+        match Dfs_workload.Replay.run batch with
         | Error e ->
           Dfs_obs.Log.error "%s" e;
           exit 2
         | Ok (cluster, stats) ->
           let merged = Dfs_sim.Cluster.merged_chunks cluster in
-          let n_merged = ref 0 in
-          Dfs_trace.Sink.iter (fun _ -> incr n_merged) merged;
           (* Deterministic summary only (no wall clock), so CI can
              byte-compare replays across job/shard counts. *)
           Printf.printf "%-24s %d\n" "input_records" stats.Dfs_workload.Replay.records;
@@ -616,7 +616,8 @@ let replay_cmd =
           Printf.printf "%-24s %d\n" "clients" stats.clients;
           Printf.printf "%-24s %d\n" "servers" stats.servers;
           Printf.printf "%-24s %d\n" "files" stats.files;
-          Printf.printf "%-24s %d\n" "replayed_records" !n_merged;
+          Printf.printf "%-24s %d\n" "replayed_records"
+            (Dfs_trace.Sink.length merged);
           Printf.printf "%-24s %08x\n" "replayed_crc32c"
             (Dfs_workload.Sharded.digest merged);
           Option.iter
@@ -684,7 +685,7 @@ let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Verify trace files (text, binary and checksummed columnar), \
+         "Verify trace files (text and checksummed columnar), \
           printing one machine-readable JSON verdict per file; with \
           $(b,--repair), salvage each file's longest valid prefix. Exits 0 \
           when everything is clean, 1 when corruption, orphans or unknown \
@@ -789,8 +790,6 @@ let scale_cmd =
           }
         in
         let r = Dfs_workload.Sharded.run cfg in
-        let records = ref 0 in
-        Dfs_trace.Sink.iter (fun _ -> incr records) r.merged;
         (* Deterministic summary only — no wall-clock values, so CI can
            byte-compare this output across worker counts. *)
         Printf.printf "== scale: %d clients, %d servers, %g days, seed %d, faults %s ==\n"
@@ -798,7 +797,8 @@ let scale_cmd =
           (Option.value faults ~default:"none");
         Printf.printf "%-24s %d\n" "partitions" r.partitions;
         Printf.printf "%-24s %d\n" "users" r.users;
-        Printf.printf "%-24s %d\n" "trace_records" !records;
+        Printf.printf "%-24s %d\n" "trace_records"
+          (Dfs_trace.Sink.length r.merged);
         Printf.printf "%-24s %08x\n" "trace_crc32c"
           (Dfs_workload.Sharded.digest r.merged);
         Printf.printf "%-24s %d\n" "barriers" r.barriers;

@@ -51,7 +51,7 @@ let () =
         Dfs_workload.Apps.pmake ctx;
         Engine.sleep 30.0
       done);
-  Cluster.run cluster ~until:7200.0;
+  Dfs_workload.Sharded.drive cluster ~until:7200.0;
 
   let trace = Cluster.merged_trace cluster in
   let batch = Dfs_trace.Record_batch.of_list trace in

@@ -20,22 +20,20 @@ let () =
   Printf.printf "simulating %.0f minutes on %d clients...\n%!"
     (preset.duration /. 60.0) preset.cluster_config.n_clients;
   let cluster, driver = Presets.run preset in
-  let trace = Cluster.merged_trace cluster in
+  let batch = Dfs_trace.Sink.to_batch (Cluster.merged_chunks cluster) in
+  let accesses = Dfs_analysis.Session.of_batch batch in
 
   (* Overall statistics (the shape of the paper's Table 1). *)
-  let stats = Dfs_analysis.Trace_stats.of_trace (Array.of_list trace) in
+  let stats = Dfs_analysis.Trace_stats.of_batch ~accesses batch in
   Format.printf "@.%a@.@." Dfs_analysis.Trace_stats.pp stats;
   Printf.printf "simulated users: %d\n" (Dfs_workload.Driver.n_users driver);
 
   (* User activity (Table 2's measurement). *)
-  let act =
-    Dfs_analysis.Activity.analyze ~interval:600.0
-      (Dfs_trace.Record_batch.of_list trace)
-  in
+  let act = Dfs_analysis.Activity.analyze ~interval:600.0 batch in
   Format.printf "%a@.@." Dfs_analysis.Activity.pp act;
 
   (* Access patterns (Table 3's headline). *)
-  let pat = Dfs_analysis.Access_patterns.of_trace (Array.of_list trace) in
+  let pat = Dfs_analysis.Access_patterns.analyze accesses in
   Printf.printf
     "read-only accesses: %.1f%% of accesses, %.1f%% of bytes\n"
     (Dfs_analysis.Access_patterns.pct_accesses pat pat.read_only)
@@ -50,6 +48,6 @@ let () =
     (float_of_int (Dfs_sim.Traffic.total raw) /. 1048576.0);
 
   (* And the open-duration CDF point the paper highlights. *)
-  let ot = Dfs_analysis.Open_time.of_trace (Array.of_list trace) in
+  let ot = Dfs_analysis.Open_time.analyze accesses in
   Printf.printf "opens under a quarter second: %.1f%%\n"
     (100.0 *. Dfs_analysis.Open_time.fraction_under ot 0.25)

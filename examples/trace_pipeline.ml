@@ -6,6 +6,7 @@
    Run with:  dune exec examples/trace_pipeline.exe *)
 
 module Cluster = Dfs_sim.Cluster
+module Sink = Dfs_trace.Sink
 
 let () =
   let preset =
@@ -26,20 +27,20 @@ let () =
       (* 2. each server's kernel log goes to its own trace file *)
       let paths =
         List.mapi
-          (fun i records ->
+          (fun i chunks ->
             let path = Filename.concat dir (Printf.sprintf "server%d.trace" i) in
             Dfs_trace.Writer.with_file path (fun w ->
-                List.iter (Dfs_trace.Writer.write w) records);
-            Printf.printf "2. wrote %s (%d records)\n" path (List.length records);
+                Sink.iter (Dfs_trace.Writer.write w) chunks);
+            Printf.printf "2. wrote %s (%d records)\n" path (Sink.length chunks);
             path)
-          (Cluster.server_traces cluster)
+          (Cluster.server_chunks cluster)
       in
       (* 3. parse them back *)
-      let streams =
+      let sources =
         List.map
           (fun path ->
-            match Dfs_trace.Reader.of_file path with
-            | Ok records -> records
+            match Dfs_trace.Reader.batch_of_file path with
+            | Ok batch -> Sink.of_batch batch
             | Error e ->
               Printf.eprintf "%s: %s\n" path e;
               exit 1)
@@ -48,17 +49,15 @@ let () =
       (* 4. merge by timestamp and drop the trace daemon's and the nightly
          backup's own records, exactly as Section 3 describes *)
       let merged =
-        Dfs_trace.Merge.scrub ~self_users:Cluster.self_users
-          (Dfs_trace.Merge.merge streams)
+        Sink.to_batch
+          (Dfs_trace.Merge.merge_chunks ~scrub:Cluster.self_users sources)
       in
-      Printf.printf "3. merged %d records (time-sorted: %b)\n"
-        (List.length merged)
-        (Dfs_trace.Merge.is_sorted merged);
+      Printf.printf "3. merged %d records\n" (Dfs_trace.Record_batch.length merged);
       (* 5. analyze *)
-      let marr = Array.of_list merged in
-      let stats = Dfs_analysis.Trace_stats.of_trace marr in
+      let accesses = Dfs_analysis.Session.of_batch merged in
+      let stats = Dfs_analysis.Trace_stats.of_batch ~accesses merged in
       Format.printf "4. %a@." Dfs_analysis.Trace_stats.pp stats;
-      let rl = Dfs_analysis.Run_length.of_trace marr in
+      let rl = Dfs_analysis.Run_length.analyze accesses in
       Printf.printf
         "5. sequential runs: %d; runs under 10 KB: %.1f%%; bytes in runs \
          over 1 MB: %.1f%%\n"

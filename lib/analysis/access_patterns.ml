@@ -70,8 +70,6 @@ let analyze accesses =
   List.iter (acc_add acc) accesses;
   acc_finish acc
 
-let of_trace trace = analyze (Session.of_trace trace)
-
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
 let pct_accesses t cr = pct cr.total.accesses t.grand_total.accesses

@@ -33,8 +33,6 @@ val acc_finish : acc -> t
 
 val analyze : Session.access list -> t
 
-val of_trace : Dfs_trace.Record.t array -> t
-
 (** Percentage helpers for report rendering. *)
 
 val pct_accesses : t -> class_report -> float

@@ -17,6 +17,4 @@ let analyze accesses =
   List.iter (add t) accesses;
   t
 
-let of_trace trace = analyze (Session.of_trace trace)
-
 let default_xs = Dfs_util.Cdf.log_xs ~lo:100.0 ~hi:10_485_760.0 ~per_decade:4

@@ -14,7 +14,5 @@ val add : t -> Session.access -> unit
 
 val analyze : Session.access list -> t
 
-val of_trace : Dfs_trace.Record.t array -> t
-
 val default_xs : float array
 (** 100 bytes to 10 MB, log spaced, as in the paper's axis. *)

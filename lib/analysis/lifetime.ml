@@ -111,8 +111,7 @@ let acc_record acc batch i =
 let acc_finish acc =
   of_events ~writes:(List.rev acc.writes_rev) ~deaths:(List.rev acc.deaths_rev)
 
-let analyze ?accesses trace =
-  let batch = B.of_array trace in
+let analyze ?accesses batch =
   let acc = acc_create () in
   let accesses =
     match accesses with Some l -> l | None -> Session.of_batch batch

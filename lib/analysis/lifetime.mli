@@ -16,7 +16,10 @@ type t = {
   deaths_unknown : int;  (** deletions of files never written in-trace *)
 }
 
-val analyze : ?accesses:Session.access list -> Dfs_trace.Record.t array -> t
+val analyze : ?accesses:Session.access list -> Dfs_trace.Record_batch.t -> t
+(** The sequential pass: the fused analysis computes the same result
+    through the accumulator below.  [accesses] reuses an existing access
+    reconstruction of the same batch. *)
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} (collects deletes/truncates in record

@@ -10,8 +10,6 @@ let analyze accesses =
   List.iter (add t) accesses;
   t
 
-let of_trace trace = analyze (Session.of_trace trace)
-
 let default_xs = Dfs_util.Cdf.log_xs ~lo:0.01 ~hi:100.0 ~per_decade:4
 
 let fraction_under t secs = Dfs_util.Cdf.fraction_below t.by_opens secs

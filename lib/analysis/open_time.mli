@@ -10,8 +10,6 @@ val add : t -> Session.access -> unit
 
 val analyze : Session.access list -> t
 
-val of_trace : Dfs_trace.Record.t array -> t
-
 val default_xs : float array
 (** 10 ms to 100 s, log spaced. *)
 

@@ -18,8 +18,6 @@ val add : t -> Session.access -> unit
 val analyze : Session.access list -> t
 (** Directory accesses are excluded, as in Section 4. *)
 
-val of_trace : Dfs_trace.Record.t array -> t
-
 val default_xs : float array
 (** The log-spaced run-length axis used in the paper's figure
     (100 bytes to 10 MB). *)

@@ -213,9 +213,3 @@ let run_boundaries_seq batches ~f =
       in
       f partial time run)
     ~on_close:(fun _ _ ~size:_ ~bytes_read:_ ~bytes_written:_ -> ())
-
-let run_boundaries_batch batch ~f = run_boundaries_seq (Seq.return batch) ~f
-
-let of_trace trace = of_batch (B.of_array trace)
-
-let run_boundaries trace ~f = run_boundaries_batch (B.of_array trace) ~f

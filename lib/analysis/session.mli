@@ -51,9 +51,6 @@ val of_seq : Dfs_trace.Record_batch.t Seq.t -> access list
     across batch boundaries, so a trace split into chunks yields exactly
     the accesses of the same records in one batch. *)
 
-val of_trace : Dfs_trace.Record.t array -> access list
-(** {!of_batch} on a boxed-record trace (converts first). *)
-
 val sweep :
   Dfs_trace.Record_batch.t ->
   on_record:(Dfs_trace.Record_batch.t -> int -> unit) ->
@@ -88,19 +85,12 @@ val sweep_shard_seq :
     k-way merged back into the exact unsharded order.
     [sweep_shard_seq ~shard:0 ~nshards:1] visits everything. *)
 
-val run_boundaries_batch :
-  Dfs_trace.Record_batch.t -> f:(access -> float -> int -> unit) -> unit
-(** Lower-level interface for interval analyses: invokes [f access time
-    run_bytes] at each run boundary (reposition or close), attributing the
-    run's bytes at the moment they are known.  [access] is the in-progress
-    access (its totals may be incomplete at callback time). *)
-
 val run_boundaries_seq :
   Dfs_trace.Record_batch.t Seq.t ->
   f:(access -> float -> int -> unit) ->
   unit
-(** {!run_boundaries_batch} over a chunked trace. *)
-
-val run_boundaries :
-  Dfs_trace.Record.t array -> f:(access -> float -> int -> unit) -> unit
-(** {!run_boundaries_batch} on a boxed-record trace. *)
+(** Lower-level interface for interval analyses: invokes [f access time
+    run_bytes] at each run boundary (reposition or close) of a chunked
+    trace, attributing the run's bytes at the moment they are known.
+    [access] is the in-progress access (its totals may be incomplete at
+    callback time). *)

@@ -138,8 +138,6 @@ let of_batch ?accesses batch =
       ~on_access:(acc_access acc));
   acc_finish acc
 
-let of_trace ?accesses trace = of_batch ?accesses (B.of_array trace)
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>duration: %.1f h; users: %d (%d w/ migration);@ files: %.1f MB \

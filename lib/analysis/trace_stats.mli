@@ -23,9 +23,6 @@ val of_batch : ?accesses:Session.access list -> Dfs_trace.Record_batch.t -> t
     Pass [accesses] to reuse an already-computed access reconstruction
     (e.g. {!Dfs_core.Dataset.sessions}) instead of rebuilding it. *)
 
-val of_trace : ?accesses:Session.access list -> Dfs_trace.Record.t array -> t
-(** {!of_batch} on a boxed-record trace. *)
-
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} and every completed access with
     {!acc_access} (all contributions are commutative). *)

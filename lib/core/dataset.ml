@@ -130,11 +130,11 @@ let generate ?scale ?(traces = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ?jobs ?faults
    cluster's merged log, the cache/traffic analyses see its finished
    caches and counters. *)
 let of_replay ?jobs ?on_corruption path =
-  match Dfs_trace.Reader.of_file ?on_corruption path with
+  match Dfs_trace.Reader.batch_of_file ?on_corruption path with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok records -> (
+  | Ok batch -> (
     let t0 = Unix.gettimeofday () in
-    match Dfs_workload.Replay.run records with
+    match Dfs_workload.Replay.run batch with
     | Error e -> Error e
     | Ok (cluster, stats) ->
       let trace = Dfs_sim.Cluster.merged_chunks cluster in

@@ -40,7 +40,7 @@ val generate :
     machine's core count).  [faults] enables fault injection on every
     preset (default: none).  [chunk_records] bounds the records per trace
     chunk (default: {!default_chunk_records}); [spill_dir] (default:
-    {!default_spill_dir}) makes sealed chunks spill to disk as binary
+    {!default_spill_dir}) makes sealed chunks spill to disk as columnar
     segments, so peak memory no longer grows with trace length.  Progress
     is reported through {!Dfs_obs.Log} (so [DFS_LOG=quiet] silences it),
     and per-preset wall times land in the default metrics registry as
@@ -51,8 +51,9 @@ val of_replay :
   ?on_corruption:Dfs_trace.Corruption.policy ->
   string ->
   (t * Dfs_workload.Replay.stats, string) result
-(** [of_replay path] reads a canonical trace (any format, validated),
-    replays it through a live cluster ({!Dfs_workload.Replay}) and
+(** [of_replay path] reads a canonical trace (text or columnar, every
+    record validated) with {!Dfs_trace.Reader.batch_of_file}, replays
+    the batch through a live cluster ({!Dfs_workload.Replay}) and
     packages the finished cluster as a single-run dataset on which all
     experiments — Tables 1–12, figures, facts — run unchanged.  The
     replay is single-partition, so [--sim-shards] and [DFS_JOBS] leave

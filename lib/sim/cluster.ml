@@ -388,16 +388,12 @@ let create cfg =
   Engine.every engine ~interval:86400.0 ~start:7200.0 (fun () -> backup_step t);
   t
 
-let run t ~until = Engine.run_until t.engine until
-
 let check_live t =
   if t.released then invalid_arg "Cluster: per-server traces were released"
 
 let server_chunks t =
   check_live t;
   Array.to_list (Array.map Sink.chunks_now t.logs)
-
-let server_traces t = List.map Sink.to_records (server_chunks t)
 
 let merged_chunks ?chunk_records ?spill t =
   let chunk_records =
@@ -407,8 +403,6 @@ let merged_chunks ?chunk_records ?spill t =
     (server_chunks t)
 
 let merged_trace t = Sink.to_records (merged_chunks t)
-
-let merged_trace_array t = Dfs_trace.Record_batch.to_array (Sink.to_batch (merged_chunks t))
 
 (* Drop the per-server logs (deleting spilled segments) once the merged
    trace has been produced; the sinks must not be read afterwards. *)

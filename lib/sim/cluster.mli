@@ -105,17 +105,10 @@ val faults : t -> Dfs_fault.Injector.t option
     reboots trigger the recovery storm (each client replays its open and
     dirty state, staggered deterministically). *)
 
-val run : t -> until:float -> unit
-
 val server_chunks : t -> Dfs_trace.Sink.chunks list
 (** Per-server logs in time order (as collected, before merging), as
     chunked streams.  Non-destructive: the cluster can keep running and
     be snapshotted again.
-    @raise Invalid_argument after {!release_traces}. *)
-
-val server_traces : t -> Dfs_trace.Record.t list list
-(** Per-server logs in time order (as collected, before merging),
-    materialized as boxed lists.
     @raise Invalid_argument after {!release_traces}. *)
 
 val merged_chunks :
@@ -131,10 +124,6 @@ val merged_chunks :
 val merged_trace : t -> Dfs_trace.Record.t list
 (** {!merged_chunks} materialized as a boxed list (tests, examples). *)
 
-val merged_trace_array : t -> Dfs_trace.Record.t array
-(** Same records as {!merged_trace}, in the dense form the analyses
-    consume. *)
-
 val release_traces : t -> unit
 (** Drop the per-server logs — in-memory chunks become collectable,
     spilled segments are deleted — once the merged trace has been
@@ -145,7 +134,7 @@ val release_sim_state : t -> unit
     queue, the namespace's per-file table, and every client/server
     per-file map and cache block store are dropped.  Counters, traffic
     totals and cache statistics — all the post-run analyses read —
-    survive.  The cluster can no longer {!run}. *)
+    survive.  The cluster can no longer run. *)
 
 val total_traffic : t -> Traffic.t
 (** Sum of all clients' raw traffic taps. *)

@@ -134,8 +134,10 @@ let decode line =
         Error (Printf.sprintf "bad kind %S or wrong field count" k)
     in
     (* Text traces are the format foreign/hand-written data arrives in;
-       reject out-of-domain values here so every text path is covered. *)
-    Record.validate
+       reject out-of-domain values here so every text path is covered,
+       and before boxing, since [Ids.*.of_int] asserts on a negative id. *)
+    let* () = Record.validate_fields ~time ~server ~client ~user ~pid ~file kind in
+    Ok
       {
         Record.time;
         server = Ids.Server.of_int server;

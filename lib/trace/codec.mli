@@ -15,8 +15,9 @@ val encode : Record.t -> string
     encode/decode cycle quantizes the time to the nearest microsecond
     (within 5e-7 of the original); times already quantized — including
     everything previously read from a text trace — round-trip exactly,
-    as does every other field.  Use the binary format
-    ({!Binary_codec}) when bit-exact times matter. *)
+    as does every other field.  Use the columnar format ({!Segment},
+    [Writer.Columnar]) when bit-exact times matter. *)
 
 val decode : string -> (Record.t, string) result
-(** Parse one line. The error string describes the first problem found. *)
+(** Parse one line and check it with {!Record.validate_fields}. The
+    error string describes the first problem found. *)

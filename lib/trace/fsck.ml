@@ -5,13 +5,12 @@
    machine-readable verdict: how many records are intact, how long the
    valid prefix is, and what the first damage looks like.  [--repair]
    truncates a damaged file to its longest valid prefix — whole
-   segments (columnar), whole records (binary), whole lines (text) —
-   and removes orphaned [.tmp] files left by an interrupted atomic
-   seal.
+   segments (columnar), whole lines (text) — and removes orphaned
+   [.tmp] files left by an interrupted atomic seal.
 
-   Files that look like none of the three trace formats are reported as
-   [Unknown] and never touched: a repair tool that truncates files it
-   cannot parse is worse than the crash it cleans up after. *)
+   Files that look like neither trace format are reported as [Unknown]
+   and never touched: a repair tool that truncates files it cannot
+   parse is worse than the crash it cleans up after. *)
 
 type status =
   | Clean
@@ -31,7 +30,7 @@ let status_to_string = function
 
 type verdict = {
   path : string;
-  format : string;  (* columnar | binary | text | tmp | unknown *)
+  format : string;  (* columnar | text | tmp | unknown *)
   status : status;
   records : int;
   valid_bytes : int;
@@ -137,9 +136,7 @@ let check path =
               let n = min 8 (in_channel_length ic) in
               really_input_string ic n)
         in
-        if Segment.is_segment prefix then `Columnar
-        else if Binary_codec.is_binary prefix then `Binary
-        else `Maybe_text
+        if Segment.is_segment prefix then `Columnar else `Maybe_text
       with
       | exception Sys_error e ->
         {
@@ -179,19 +176,6 @@ let check path =
                 scan.Segment.error;
             repaired = false;
           })
-      | `Binary ->
-        let p = Binary_codec.decode_string_partial (read_all path) in
-        {
-          path;
-          format = "binary";
-          status =
-            (if p.Binary_codec.error = None then Clean else Corrupt);
-          records = Record_batch.length p.Binary_codec.batch;
-          valid_bytes = p.Binary_codec.consumed;
-          total_bytes;
-          reason = Option.map snd p.Binary_codec.error;
-          repaired = false;
-        }
       | `Maybe_text ->
         let s = read_all path in
         (* Only a file that actually starts with the text trace header
@@ -272,12 +256,6 @@ let repair_verdict v =
     in
     Segment.cache_clear ();
     { v with status = Repaired; repaired = true; total_bytes }
-  | Corrupt, "binary" ->
-    (* Zero valid bytes means even the magic is damaged — but then the
-       file would not have sniffed as binary; the prefix always includes
-       the magic. *)
-    truncate_to v.path v.valid_bytes;
-    { v with status = Repaired; repaired = true; total_bytes = v.valid_bytes }
   | Corrupt, "text" ->
     let total_bytes =
       if v.valid_bytes = 0 then begin
@@ -313,6 +291,8 @@ let check_file ?(repair = false) path =
 
 (* -- directory expansion --------------------------------------------------- *)
 
+(* [.dfsb] was the retired varint format's extension: listing it reports
+   old archives as [Unknown] rather than passing over them. *)
 let trace_extensions = [ ".dfsc"; ".dfsb"; ".trace"; ".txt"; ".tmp" ]
 
 let expand_path path =

@@ -4,9 +4,9 @@
     Files are classified by content, not extension — the same magic
     sniff the readers use — then walked with the format's validator.
     Repair truncates a damaged file to its longest valid prefix (whole
-    segments / records / lines) and removes orphaned [.tmp] files left
-    by an interrupted atomic seal; files in none of the three trace
-    formats are reported [Unknown] and never modified. *)
+    segments / lines) and removes orphaned [.tmp] files left by an
+    interrupted atomic seal; files in neither trace format are reported
+    [Unknown] and never modified. *)
 
 type status =
   | Clean  (** fully valid *)
@@ -21,7 +21,7 @@ val status_to_string : status -> string
 
 type verdict = {
   path : string;
-  format : string;  (** [columnar] / [binary] / [text] / [tmp] / [unknown] *)
+  format : string;  (** [columnar] / [text] / [tmp] / [unknown] *)
   status : status;
   records : int;  (** records in the valid prefix *)
   valid_bytes : int;  (** length of the valid prefix *)

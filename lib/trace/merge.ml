@@ -1,51 +1,3 @@
-(* The heap's vacated-slot filler is a distinct constructor rather than
-   a fabricated record, so no data value — however hostile the trace it
-   came from — can collide with it.  [Sentinel] never enters the heap
-   through [push]; comparing one means the heap leaked a dummy slot,
-   which is a program bug, not a data problem. *)
-module Cursor = struct
-  type t = Sentinel | Live of Record.t * Record.t list
-
-  let compare a b =
-    match (a, b) with
-    | Live (a, _), Live (b, _) -> Record.compare_time a b
-    | Sentinel, _ | _, Sentinel ->
-      invalid_arg "Merge.Cursor.compare: sentinel cursor compared"
-
-  let dummy = Sentinel
-end
-
-module H = Dfs_util.Heap.Make (Cursor)
-
-let merge streams =
-  let heap = H.create () in
-  List.iter
-    (function [] -> () | r :: rest -> H.push heap (Cursor.Live (r, rest)))
-    streams;
-  let rec go acc =
-    match H.pop heap with
-    | None -> List.rev acc
-    | Some Cursor.Sentinel ->
-      invalid_arg "Merge.merge: sentinel cursor popped"
-    | Some (Cursor.Live (r, rest)) ->
-      (match rest with
-      | [] -> ()
-      | r' :: rest' -> H.push heap (Cursor.Live (r', rest')));
-      go (r :: acc)
-  in
-  go []
-
-let scrub ~self_users records =
-  List.filter
-    (fun (r : Record.t) -> not (Ids.User.Set.mem r.user self_users))
-    records
-
-let rec is_sorted = function
-  | [] | [ _ ] -> true
-  | a :: (b :: _ as rest) -> (a : Record.t).time <= b.time && is_sorted rest
-
-(* -- streaming k-way merge over chunk cursors ----------------------------- *)
-
 (* A cursor over one source's chunk stream: the currently-loaded batch,
    the index of the cursor's record within it, and the not-yet-loaded
    tail.  Only one chunk per source is ever live, so merging [k] spilled
@@ -58,10 +10,9 @@ module Chunk_cursor = struct
     mutable rest : Sink.chunk list;
   }
 
-  (* Same ordering the boxed merge uses ([Record.compare_time]): time,
-     then server id — so the streaming merge emits records in exactly
-     the order [merge] does.  Cursor indices are maintained within
-     bounds by [start]/[advance], so the unsafe reads are fenced. *)
+  (* [Record.compare_time] on the cursors' records: time, then server
+     id.  Cursor indices are maintained within bounds by
+     [start]/[advance], so the unsafe reads are fenced. *)
   let compare a b =
     let c =
       Float.compare
@@ -106,8 +57,9 @@ module CH = Dfs_util.Heap.Make (Chunk_cursor)
 
 (* K-way merge of per-source chunk streams into [emit batch i] calls,
    time-ordered.  Sources must each be time-sorted (they are: per-server
-   logs are appended in simulation order).  Heap contents and operation
-   order mirror [merge] exactly, so ties resolve identically. *)
+   logs are appended in simulation order).  Equal (time, server) keys
+   resolve by the heap's operation order, which is a pure function of
+   the sources, so the output is deterministic. *)
 let merge_iter ?on_corruption sources ~emit =
   let heap = CH.create () in
   List.iter

@@ -5,17 +5,6 @@
     single ordered list of records", after removing the records caused by
     writing the trace files themselves and by the nightly backup. *)
 
-val merge : Record.t list list -> Record.t list
-(** K-way merge of per-server traces, each already sorted by time.
-    Ties are broken by server id, so the result is deterministic. *)
-
-val scrub : self_users:Ids.User.Set.t -> Record.t list -> Record.t list
-(** Drop records belonging to infrastructure users (the trace-collection
-    daemon, the nightly backup). *)
-
-val is_sorted : Record.t list -> bool
-(** True when records are in non-decreasing time order. *)
-
 val merge_iter :
   ?on_corruption:Corruption.policy ->
   Sink.chunks list ->
@@ -23,7 +12,8 @@ val merge_iter :
   unit
 (** Streaming k-way merge over chunked per-server traces.  Each source
     must be time-sorted; [emit] receives [(batch, index)] cursors in
-    global time order (ties broken by server id, matching {!merge}).
+    global time order (ties broken by server id, as in
+    {!Record.compare_time}).
     Only one chunk per source is resident at a time.  [on_corruption]
     governs spilled-chunk loads (see {!Sink.load_chunk}). *)
 

@@ -12,143 +12,77 @@ let finish_policy ~on_corruption ~source ~count ~ok = function
       Corruption.note ~source ~salvaged:count reason;
       Ok ok)
 
-let parse_lines ?(on_corruption = Corruption.Fail) ?(source = default_source)
-    lines ~init ~f =
-  (* [lines] is a Seq of raw lines including the header. *)
-  match lines () with
-  | Seq.Nil ->
-    finish_policy ~on_corruption ~source ~count:0 ~ok:init
-      (Some "empty trace")
-  | Seq.Cons (first, rest) ->
-    if not (String.equal first Codec.header) then
-      finish_policy ~on_corruption ~source ~count:0 ~ok:init
-        (Some (Printf.sprintf "bad trace header %S" first))
-    else begin
-      let acc = ref init
-      and count = ref 0
-      and line_no = ref 1
-      and err = ref None in
-      (try
-         Seq.iter
-           (fun line ->
-             incr line_no;
-             if not (String.equal line "") then
-               match Codec.decode line with
-               | Ok r ->
-                 acc := f !acc r;
-                 incr count
-               | Error e ->
-                 err := Some (Printf.sprintf "line %d: %s" !line_no e);
-                 raise Exit)
-           rest
-       with Exit -> ());
-      finish_policy ~on_corruption ~source ~count:!count ~ok:!acc !err
-    end
+(* A file in no trace format is parsed as text, and its first "line"
+   can be the whole file: quote a bounded prefix of it. *)
+let quoted_prefix line =
+  let max_quoted = 32 in
+  if String.length line <= max_quoted then Printf.sprintf "%S" line
+  else Printf.sprintf "%S..." (String.sub line 0 max_quoted)
 
-let lines_of_string s = String.split_on_char '\n' s |> List.to_seq
+(* [lines] is a Seq of raw lines including the header. *)
+let parse_lines ~on_corruption ~source lines =
+  let builder = Record_batch.Builder.create () in
+  let rec records line_no lines =
+    match lines () with
+    | Seq.Nil -> None
+    | Seq.Cons ("", rest) -> records (line_no + 1) rest
+    | Seq.Cons (line, rest) -> (
+      match Codec.decode line with
+      | Ok r ->
+        Record_batch.Builder.add builder r;
+        records (line_no + 1) rest
+      | Error e -> Some (Printf.sprintf "line %d: %s" line_no e))
+  in
+  let err =
+    match lines () with
+    | Seq.Nil -> Some "empty trace"
+    | Seq.Cons (first, rest) ->
+      if String.equal first Codec.header then records 2 rest
+      else Some (Printf.sprintf "bad trace header %s" (quoted_prefix first))
+  in
+  let count = Record_batch.Builder.length builder in
+  finish_policy ~on_corruption ~source ~count
+    ~ok:(Record_batch.Builder.finish builder)
+    err
 
-let fold_batches batches ~init ~f =
-  List.fold_left
-    (fun acc batch ->
-      let acc = ref acc in
-      Record_batch.iter (fun r -> acc := f !acc r) batch;
-      !acc)
-    init batches
-
-(* Structural decoding alone does not bound the domain of a binary
-   trace: zigzag varints happily carry negative sizes, and the
-   delta-coded time column can reproduce nan/inf bit patterns.  Scan the
-   decoded batch with [Record.validate]; under [Fail] the first bad
-   record is the error, under [Salvage] the invalid records are dropped
-   and the incident is counted like any other corruption. *)
+(* Segment checks prove structure and integrity, not the domain of the
+   values: scan every record's columns ([Record_batch.row_error] boxes
+   nothing for a good row).  Under [Fail] the first bad record is the
+   error; under [Salvage] every bad record is dropped and the incident
+   is counted like any other corruption. *)
 let validate_batch ~on_corruption ~source batch =
   let n = Record_batch.length batch in
-  let first_bad = ref None in
-  (try
-     for i = 0 to n - 1 do
-       match Record.validate (Record_batch.get batch i) with
-       | Ok _ -> ()
-       | Error e ->
-         first_bad := Some (i, e);
-         raise Exit
-     done
-   with Exit -> ());
-  match !first_bad with
+  let rec first_bad i =
+    if i >= n then None
+    else
+      match Record_batch.row_error batch i with
+      | None -> first_bad (i + 1)
+      | Some e -> Some (Printf.sprintf "record %d: %s" i e)
+  in
+  match first_bad 0 with
   | None -> Ok batch
-  | Some (i, e) -> (
-    let reason = Printf.sprintf "record %d: %s" i e in
+  | Some reason -> (
     match (on_corruption : Corruption.policy) with
     | Corruption.Fail -> Error reason
     | Corruption.Salvage ->
       let builder = Record_batch.Builder.create ~capacity:n () in
-      Record_batch.iter
-        (fun r ->
-          match Record.validate r with
-          | Ok r -> Record_batch.Builder.add builder r
-          | Error _ -> ())
-        batch;
+      for i = 0 to n - 1 do
+        if Record_batch.row_error batch i = None then
+          Record_batch.Builder.add_from builder batch i
+      done;
       let kept = Record_batch.Builder.finish builder in
       Corruption.note ~source ~salvaged:(Record_batch.length kept) reason;
       Ok kept)
 
-(* Binary traces have no framing, so salvage keeps the longest decodable
-   record prefix. *)
-let decode_binary ?(on_corruption = Corruption.Fail)
+let batch_of_string ?(on_corruption = Corruption.Fail)
     ?(source = default_source) s =
-  let structural =
-    match (on_corruption : Corruption.policy) with
-    | Corruption.Fail -> Binary_codec.decode_string s
-    | Corruption.Salvage ->
-      let p = Binary_codec.decode_string_partial s in
-      (match p.Binary_codec.error with
-      | None -> ()
-      | Some (_, reason) ->
-        Corruption.note ~source
-          ~salvaged:(Record_batch.length p.Binary_codec.batch)
-          reason);
-      Ok p.Binary_codec.batch
-  in
-  Result.bind structural (validate_batch ~on_corruption ~source)
-
-let fold_string ?on_corruption ?source s ~init ~f =
   if Segment.is_segment s then
-    Result.map
-      (fun batches -> fold_batches batches ~init ~f)
-      (Segment.of_string ?on_corruption s)
-  else if Binary_codec.is_binary s then
-    Result.map
-      (fun batch ->
-        let acc = ref init in
-        Record_batch.iter (fun r -> acc := f !acc r) batch;
-        !acc)
-      (decode_binary ?on_corruption ?source s)
-  else parse_lines ?on_corruption ?source (lines_of_string s) ~init ~f
-
-let of_string ?on_corruption ?source s =
-  if Segment.is_segment s then
-    Result.map
-      (fun batches ->
-        List.rev (fold_batches batches ~init:[] ~f:(fun acc r -> r :: acc)))
-      (Segment.of_string ?on_corruption s)
-  else if Binary_codec.is_binary s then
-    Result.map
-      (fun batch -> Array.to_list (Record_batch.to_array batch))
-      (decode_binary ?on_corruption ?source s)
+    Result.bind
+      (Segment.batch_of_string ~on_corruption s)
+      (validate_batch ~on_corruption ~source)
   else
-    Result.map List.rev
-      (parse_lines ?on_corruption ?source (lines_of_string s) ~init:[]
-         ~f:(fun acc r -> r :: acc))
-
-let batch_of_string ?on_corruption ?source s =
-  if Segment.is_segment s then Segment.batch_of_string ?on_corruption s
-  else if Binary_codec.is_binary s then decode_binary ?on_corruption ?source s
-  else begin
-    let builder = Record_batch.Builder.create () in
-    Result.map
-      (fun () -> Record_batch.Builder.finish builder)
-      (parse_lines ?on_corruption ?source (lines_of_string s) ~init:()
-         ~f:(fun () r -> Record_batch.Builder.add builder r))
-  end
+    parse_lines ~on_corruption ~source
+      (List.to_seq (String.split_on_char '\n' s))
 
 let lines_of_channel ic =
   let rec next () =
@@ -158,10 +92,6 @@ let lines_of_channel ic =
   in
   next
 
-let read_all ic =
-  let len = in_channel_length ic in
-  really_input_string ic len
-
 let with_channel path k =
   let ic = open_in_bin path in
   (* [close_in_noerr]: a raising close inside [~finally] would mask the
@@ -169,50 +99,19 @@ let with_channel path k =
      the descriptor is released either way. *)
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> k ic)
 
-(* Peek at the first magic-sized chunk without consuming it. The
-   columnar magic is the longest, and no magic is a prefix of another. *)
-let sniff_format ic =
-  let n =
-    max (String.length Segment.magic) (String.length Binary_codec.magic)
-  in
+(* Peek at the first magic-sized chunk without consuming it. *)
+let starts_with_segment ic =
+  let n = String.length Segment.magic in
   let buf = Bytes.create n in
   let got = input ic buf 0 n in
   seek_in ic 0;
-  let prefix = Bytes.sub_string buf 0 got in
-  if Segment.is_segment prefix then `Columnar
-  else if Binary_codec.is_binary prefix then `Binary
-  else `Text
+  Segment.is_segment (Bytes.sub_string buf 0 got)
 
-let fold_file ?on_corruption path ~init ~f =
+let batch_of_file ?(on_corruption = Corruption.Fail) path =
   with_channel path (fun ic ->
-      match sniff_format ic with
-      | `Columnar ->
-        (* [Segment.read_file] can serve the columns zero-copy. *)
-        Result.map
-          (fun batches -> fold_batches batches ~init ~f)
-          (Segment.read_file ?on_corruption path)
-      | `Binary -> fold_string ?on_corruption ~source:path (read_all ic) ~init ~f
-      | `Text ->
-        parse_lines ?on_corruption ~source:path (lines_of_channel ic) ~init ~f)
-
-let of_file ?on_corruption path =
-  with_channel path (fun ic ->
-      match sniff_format ic with
-      | `Columnar ->
-        Result.map
-          (fun batches ->
-            List.rev (fold_batches batches ~init:[] ~f:(fun acc r -> r :: acc)))
-          (Segment.read_file ?on_corruption path)
-      | `Binary -> of_string ?on_corruption ~source:path (read_all ic)
-      | `Text ->
-        Result.map List.rev
-          (parse_lines ?on_corruption ~source:path (lines_of_channel ic)
-             ~init:[] ~f:(fun acc r -> r :: acc)))
-
-let batch_of_file ?on_corruption path =
-  with_channel path (fun ic ->
-      match sniff_format ic with
-      | `Columnar ->
-        Result.map Record_batch.concat (Segment.read_file ?on_corruption path)
-      | `Binary | `Text ->
-        batch_of_string ?on_corruption ~source:path (read_all ic))
+      if starts_with_segment ic then
+        (* [Segment.batch_of_file] can serve the columns zero-copy. *)
+        Result.bind
+          (Segment.batch_of_file ~on_corruption path)
+          (validate_batch ~on_corruption ~source:path)
+      else parse_lines ~on_corruption ~source:path (lines_of_channel ic))

@@ -79,40 +79,41 @@ let pp ppf t =
 
 (* Shared input validation for every reader and importer: foreign or
    hand-written traces must not be able to smuggle non-finite times
-   (which poison sorting and the zigzag-delta binary encoding),
-   negative sizes/offsets/ids, or values past the columnar format's
-   int32 columns into the pipeline.  One line, no backtrace — callers
-   prepend file/line context. *)
+   (which poison sorting and time arithmetic), negative
+   sizes/offsets/ids, or values past the columnar format's int32
+   columns into the pipeline.  One line, no backtrace — callers prepend
+   file/line context.  The ids arrive unboxed, because [Ids.*.of_int]
+   rejects a negative id with an assertion. *)
 let max_field = 0x7FFF_FFFF
 
-let validate (t : t) =
+let validate_fields ~time ~server ~client ~user ~pid ~file kind =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let non_negative fields k =
     let rec go = function
       | [] -> k ()
       | (name, v) :: rest ->
-        if v < 0 then err "negative %s %d in %s record" name v (kind_name t.kind)
+        if v < 0 then err "negative %s %d in %s record" name v (kind_name kind)
         else if v > max_field then
           err "%s %d in %s record exceeds the 32-bit trace format" name v
-            (kind_name t.kind)
+            (kind_name kind)
         else go rest
     in
     go fields
   in
-  if not (Float.is_finite t.time) then err "non-finite time %f" t.time
-  else if t.time < 0.0 then err "negative time %f" t.time
+  if not (Float.is_finite time) then err "non-finite time %f" time
+  else if time < 0.0 then err "negative time %f" time
   else
     non_negative
       [
-        ("server id", Ids.Server.to_int t.server);
-        ("client id", Ids.Client.to_int t.client);
-        ("user id", Ids.User.to_int t.user);
-        ("pid", Ids.Process.to_int t.pid);
-        ("file id", Ids.File.to_int t.file);
+        ("server id", server);
+        ("client id", client);
+        ("user id", user);
+        ("pid", pid);
+        ("file id", file);
       ]
       (fun () ->
         let payload =
-          match t.kind with
+          match kind with
           | Open { size; start_pos; _ } ->
             [ ("size", size); ("start_pos", start_pos) ]
           | Close { size; final_pos; bytes_read; bytes_written } ->
@@ -130,7 +131,18 @@ let validate (t : t) =
           | Shared_read { offset; length } | Shared_write { offset; length } ->
             [ ("offset", offset); ("length", length) ]
         in
-        non_negative payload (fun () -> Ok t))
+        non_negative payload (fun () -> Ok ()))
+
+let validate (t : t) =
+  Result.map
+    (fun () -> t)
+    (validate_fields ~time:t.time
+       ~server:(Ids.Server.to_int t.server)
+       ~client:(Ids.Client.to_int t.client)
+       ~user:(Ids.User.to_int t.user)
+       ~pid:(Ids.Process.to_int t.pid)
+       ~file:(Ids.File.to_int t.file)
+       t.kind)
 
 let equal a b =
   Float.equal a.time b.time

@@ -60,9 +60,22 @@ val validate : t -> (t, string) result
 (** [validate r] is [Ok r] when the record is well-formed — finite,
     non-negative time; ids, sizes, positions, offsets and byte counts
     within [0 .. max_field] — and [Error reason] (one line, no context
-    prefix) otherwise.  Enforced by the text and binary readers and by
-    every importer, so hostile foreign traces cannot poison sorting,
-    the zigzag-delta binary encoding, or the analyses. *)
+    prefix) otherwise.  Every reader enforces it (text lines as they
+    are decoded, columnar files on their columns) and so does every
+    importer, so hostile foreign traces cannot poison sorting, time
+    arithmetic or the analyses. *)
+
+val validate_fields :
+  time:float ->
+  server:int ->
+  client:int ->
+  user:int ->
+  pid:int ->
+  file:int ->
+  kind ->
+  (unit, string) result
+(** {!validate} on a record's fields before they are boxed: a negative
+    raw id must be reported, and [Ids.*.of_int] asserts on one. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -231,6 +231,28 @@ let iter f t =
     f (get t i)
   done
 
+(* [Record.validate] on the columns.  The [lor] of the ten int columns
+   is negative iff one of them is, and an int32 column cannot exceed
+   [Record.max_field], so a good row allocates nothing.  Only a row
+   that fails is unpacked for [Record.validate_fields], which decides on
+   the columns its kind uses and words the message. *)
+let row_error t i =
+  let time = time t i in
+  if
+    Float.is_finite time && time >= 0.0
+    && Unsafe.server t i lor Unsafe.client t i lor Unsafe.user t i
+       lor Unsafe.pid t i lor Unsafe.file t i lor Unsafe.a t i
+       lor Unsafe.b t i lor Unsafe.c t i lor Unsafe.d t i
+       >= 0
+  then None
+  else
+    match
+      Record.validate_fields ~time ~server:(server t i) ~client:(client t i)
+        ~user:(user t i) ~pid:(pid t i) ~file:(file t i) (kind t i)
+    with
+    | Ok () -> None
+    | Error e -> Some e
+
 let equal x y =
   x.len = y.len
   &&
@@ -451,11 +473,6 @@ module Builder = struct
 
   let reset t = t.len <- 0
 end
-
-let of_array records =
-  let builder = Builder.create ~capacity:(max 16 (Array.length records)) () in
-  Array.iter (Builder.add builder) records;
-  Builder.finish builder
 
 let of_list records =
   let builder = Builder.create ~capacity:(max 16 (List.length records)) () in

@@ -146,8 +146,6 @@ end
 
 (** {1 Conversions} *)
 
-val of_array : Record.t array -> t
-
 val of_list : Record.t list -> t
 
 val get : t -> int -> Record.t
@@ -159,6 +157,10 @@ val kind : t -> int -> Record.kind
 val to_array : t -> Record.t array
 
 val iter : (Record.t -> unit) -> t -> unit
+
+val row_error : t -> int -> string option
+(** [None] when record [i] passes {!Record.validate}, else the reason.
+    Reads the columns without boxing or allocating for a good record. *)
 
 val equal : t -> t -> bool
 (** Structural equality of contents (exact float comparison on times). *)
@@ -198,23 +200,6 @@ module Builder : sig
 
   val add : t -> Record.t -> unit
 
-  val add_raw :
-    t ->
-    time:float ->
-    server:int ->
-    client:int ->
-    user:int ->
-    pid:int ->
-    file:int ->
-    raw_tag:int ->
-    a:int ->
-    b:int ->
-    c:int ->
-    d:int ->
-    unit
-  (** Append from already-decoded columns (the binary codec's fast path).
-      [raw_tag] is the full tag byte, flags included. *)
-
   val add_from : t -> batch -> int -> unit
   (** Append record [i] of an existing batch (no range re-checks: the
       source columns are already int32). *)
@@ -233,10 +218,3 @@ module Builder : sig
   (** Empty the builder (capacity is kept) so it can accumulate the next
       chunk. *)
 end
-
-val pack_kind : Record.kind -> migrated:bool -> int * int * int * int * int
-(** [pack_kind kind ~migrated] is [(raw_tag, a, b, c, d)]. *)
-
-val unpack_kind : raw_tag:int -> a:int -> b:int -> c:int -> d:int -> Record.kind
-(** Inverse of {!pack_kind} (allocates the variant). Raises
-    [Invalid_argument] on an out-of-range mode in an open tag. *)

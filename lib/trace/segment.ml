@@ -1,6 +1,6 @@
 (* Columnar on-disk trace segments.
 
-   A v2 segment is a fixed 128-byte header followed by the batch
+   A segment is a fixed 128-byte header followed by the batch
    columns, stored whole and naturally aligned, little-endian:
 
      offset 0    magic (8 bytes, "\xD7DFSC\x02\x00\x00")
@@ -18,10 +18,6 @@
                  col_a, col_b, col_c, col_d (int32[n])
      + 44n       tags     uint8[n]
      ...         zero padding to the next multiple of 8
-
-   v1 segments (magic "\xD7DFSC\x01\x00\x00", 64-byte header, no
-   checksums) remain readable; files may freely mix versions, so old
-   archives and spills keep working.
 
    Because every column is a contiguous slab at a naturally aligned
    offset and the segment length is a multiple of 8, a reader can serve
@@ -44,27 +40,26 @@ module Crc32c = Dfs_util.Crc32c
 
 let magic = "\xD7DFSC\x02\x00\x00"
 
-let magic_v1 = "\xD7DFSC\x01\x00\x00"
-
 let header_bytes = 128
-
-let header_bytes_v1 = 64
 
 let bytes_per_record = 45
 
-let segment_bytes_v ~hdr ~count = (hdr + (bytes_per_record * count) + 7) land lnot 7
+let segment_bytes ~count = (header_bytes + (bytes_per_record * count) + 7) land lnot 7
 
-let segment_bytes ~count = segment_bytes_v ~hdr:header_bytes ~count
+let is_segment s = String.length s >= 8 && String.sub s 0 8 = magic
 
-let is_segment s =
-  String.length s >= 8
-  && (String.sub s 0 8 = magic || String.sub s 0 8 = magic_v1)
+(* Flag bits a well-formed tag byte may carry, per kind (see the tag
+   layout in [Record_batch]).  Anything outside this mask, or an open
+   with mode bits 3, marks a corrupt column. *)
+let flag_mask = function
+  | 0 -> 0xF8 (* open: migrated, mode, created, is_dir *)
+  | 3 -> 0x88 (* delete: migrated, is_dir *)
+  | _ -> 0x08 (* others: migrated only *)
 
-let segment_version s =
-  if String.length s < 8 then None
-  else if String.sub s 0 8 = magic then Some 2
-  else if String.sub s 0 8 = magic_v1 then Some 1
-  else None
+let tag_ok raw =
+  let kind = raw land 0x07 in
+  raw land lnot (flag_mask kind) land 0xF8 = 0
+  && (kind <> 0 || (raw lsr 4) land 0x03 <> 3)
 
 let mmap_enabled () =
   (not Sys.big_endian)
@@ -81,29 +76,28 @@ let m_skipped = Dfs_obs.Metrics.counter "trace.decode.skipped_records"
 
 let m_verified_bytes = Dfs_obs.Metrics.counter "trace.checksum.verified_bytes"
 
-(* Column byte offsets relative to the segment start, for a segment
-   whose header occupies [hdr] bytes. *)
-let off_times ~hdr _n = hdr
+(* Column byte offsets relative to the segment start. *)
+let off_times _n = header_bytes
 
-let off_servers ~hdr n = hdr + (8 * n)
+let off_servers n = header_bytes + (8 * n)
 
-let off_clients ~hdr n = off_servers ~hdr n + (4 * n)
+let off_clients n = off_servers n + (4 * n)
 
-let off_users ~hdr n = off_clients ~hdr n + (4 * n)
+let off_users n = off_clients n + (4 * n)
 
-let off_pids ~hdr n = off_users ~hdr n + (4 * n)
+let off_pids n = off_users n + (4 * n)
 
-let off_files ~hdr n = off_pids ~hdr n + (4 * n)
+let off_files n = off_pids n + (4 * n)
 
-let off_col_a ~hdr n = off_files ~hdr n + (4 * n)
+let off_col_a n = off_files n + (4 * n)
 
-let off_col_b ~hdr n = off_col_a ~hdr n + (4 * n)
+let off_col_b n = off_col_a n + (4 * n)
 
-let off_col_c ~hdr n = off_col_b ~hdr n + (4 * n)
+let off_col_c n = off_col_b n + (4 * n)
 
-let off_col_d ~hdr n = off_col_c ~hdr n + (4 * n)
+let off_col_d n = off_col_c n + (4 * n)
 
-let off_tags ~hdr n = off_col_d ~hdr n + (4 * n)
+let off_tags n = off_col_d n + (4 * n)
 
 let n_columns = 11
 
@@ -112,19 +106,19 @@ let column_names =
      "col_b"; "col_c"; "col_d"; "tags" |]
 
 (* (relative offset, byte length) of column [i] in declaration order. *)
-let column_extent ~hdr ~n i =
+let column_extent ~n i =
   match i with
-  | 0 -> (off_times ~hdr n, 8 * n)
-  | 1 -> (off_servers ~hdr n, 4 * n)
-  | 2 -> (off_clients ~hdr n, 4 * n)
-  | 3 -> (off_users ~hdr n, 4 * n)
-  | 4 -> (off_pids ~hdr n, 4 * n)
-  | 5 -> (off_files ~hdr n, 4 * n)
-  | 6 -> (off_col_a ~hdr n, 4 * n)
-  | 7 -> (off_col_b ~hdr n, 4 * n)
-  | 8 -> (off_col_c ~hdr n, 4 * n)
-  | 9 -> (off_col_d ~hdr n, 4 * n)
-  | 10 -> (off_tags ~hdr n, n)
+  | 0 -> (off_times n, 8 * n)
+  | 1 -> (off_servers n, 4 * n)
+  | 2 -> (off_clients n, 4 * n)
+  | 3 -> (off_users n, 4 * n)
+  | 4 -> (off_pids n, 4 * n)
+  | 5 -> (off_files n, 4 * n)
+  | 6 -> (off_col_a n, 4 * n)
+  | 7 -> (off_col_b n, 4 * n)
+  | 8 -> (off_col_c n, 4 * n)
+  | 9 -> (off_col_d n, 4 * n)
+  | 10 -> (off_tags n, n)
   | _ -> invalid_arg "Segment.column_extent"
 
 let header_crc_off = 24
@@ -133,7 +127,7 @@ let col_crc_off i = 28 + (4 * i)
 
 let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
-(* CRC of the 128 v2 header bytes with the header-CRC field zeroed. *)
+(* CRC of the 128 header bytes with the header-CRC field zeroed. *)
 let header_crc_of_string header ~pos =
   let c = Crc32c.update_string Crc32c.init header ~pos ~len:header_crc_off in
   let c = Crc32c.update_string c "\000\000\000\000" ~pos:0 ~len:4 in
@@ -146,20 +140,14 @@ let header_crc_of_string header ~pos =
 
 (* -- encoding ------------------------------------------------------------- *)
 
-let encode_batch ?(version = 2) batch =
-  let hdr, mg =
-    match version with
-    | 2 -> (header_bytes, magic)
-    | 1 -> (header_bytes_v1, magic_v1)
-    | v -> invalid_arg (Printf.sprintf "Segment.encode_batch: version %d" v)
-  in
+let encode_batch batch =
   let n = B.length batch in
-  let seg_len = segment_bytes_v ~hdr ~count:n in
+  let seg_len = segment_bytes ~count:n in
   let buf = Bytes.make seg_len '\000' in
-  Bytes.blit_string mg 0 buf 0 (String.length mg);
+  Bytes.blit_string magic 0 buf 0 (String.length magic);
   Bytes.set_int64_le buf 8 (Int64.of_int n);
   Bytes.set_int64_le buf 16 (Int64.of_int seg_len);
-  let t0 = off_times ~hdr n in
+  let t0 = off_times n in
   for i = 0 to n - 1 do
     Bytes.set_int64_le buf
       (t0 + (8 * i))
@@ -170,132 +158,107 @@ let encode_batch ?(version = 2) batch =
       Bytes.set_int32_le buf (base + (4 * i)) (Int32.of_int (get batch i))
     done
   in
-  put_i32 (off_servers ~hdr n) B.Unsafe.server;
-  put_i32 (off_clients ~hdr n) B.Unsafe.client;
-  put_i32 (off_users ~hdr n) B.Unsafe.user;
-  put_i32 (off_pids ~hdr n) B.Unsafe.pid;
-  put_i32 (off_files ~hdr n) B.Unsafe.file;
-  put_i32 (off_col_a ~hdr n) B.Unsafe.a;
-  put_i32 (off_col_b ~hdr n) B.Unsafe.b;
-  put_i32 (off_col_c ~hdr n) B.Unsafe.c;
-  put_i32 (off_col_d ~hdr n) B.Unsafe.d;
-  let tg = off_tags ~hdr n in
+  put_i32 (off_servers n) B.Unsafe.server;
+  put_i32 (off_clients n) B.Unsafe.client;
+  put_i32 (off_users n) B.Unsafe.user;
+  put_i32 (off_pids n) B.Unsafe.pid;
+  put_i32 (off_files n) B.Unsafe.file;
+  put_i32 (off_col_a n) B.Unsafe.a;
+  put_i32 (off_col_b n) B.Unsafe.b;
+  put_i32 (off_col_c n) B.Unsafe.c;
+  put_i32 (off_col_d n) B.Unsafe.d;
+  let tg = off_tags n in
   for i = 0 to n - 1 do
     Bytes.unsafe_set buf (tg + i) (Char.unsafe_chr (B.Unsafe.raw_tag batch i))
   done;
-  if version = 2 then begin
-    (* Transient string views of [buf] for hashing; each view is only
-       read inside its call, and all writes below target header bytes
-       that no later view covers with stale expectations. *)
-    for i = 0 to n_columns - 1 do
-      let off, len = column_extent ~hdr ~n i in
-      let crc =
-        Crc32c.finalize
-          (Crc32c.update_string Crc32c.init (Bytes.unsafe_to_string buf)
-             ~pos:off ~len)
-      in
-      Bytes.set_int32_le buf (col_crc_off i) (Int32.of_int crc)
-    done;
-    let hcrc = header_crc_of_string (Bytes.unsafe_to_string buf) ~pos:0 in
-    Bytes.set_int32_le buf header_crc_off (Int32.of_int hcrc)
-  end;
+  (* Transient string views of [buf] for hashing; each view is only
+     read inside its call, and all writes below target header bytes
+     that no later view covers with stale expectations. *)
+  for i = 0 to n_columns - 1 do
+    let off, len = column_extent ~n i in
+    let crc =
+      Crc32c.finalize
+        (Crc32c.update_string Crc32c.init (Bytes.unsafe_to_string buf)
+           ~pos:off ~len)
+    in
+    Bytes.set_int32_le buf (col_crc_off i) (Int32.of_int crc)
+  done;
+  let hcrc = header_crc_of_string (Bytes.unsafe_to_string buf) ~pos:0 in
+  Bytes.set_int32_le buf header_crc_off (Int32.of_int hcrc);
   Dfs_obs.Metrics.add m_encoded_bytes seg_len;
   Bytes.unsafe_to_string buf
 
-let write_batch ?version oc batch =
-  let s = encode_batch ?version batch in
+let write_batch oc batch =
+  let s = encode_batch batch in
   output_string oc s;
   String.length s
 
 (* -- header parsing -------------------------------------------------------- *)
 
 type hdr_info = {
-  version : int;
-  hdr : int;  (** header size in bytes for this segment's version *)
   n : int;
   seg_len : int;
-  col_crcs : int array option;  (** stored column CRCs, v2 only *)
+  col_crcs : int array;  (** stored column CRCs, in column order *)
 }
 
 (* [header] is the first [min header_bytes (total - pos)] bytes of a
    segment that starts at absolute offset [pos] in a source of [total]
-   bytes.  Validates magic, header checksum (v2, when [verify]), extents
+   bytes.  Validates magic, header checksum (when [verify]), extents
    and alignment. *)
 let parse_header ~verify ~pos ~total header =
   let hlen = String.length header in
-  let version =
-    if hlen >= 8 && String.sub header 0 8 = magic then Some 2
-    else if hlen >= 8 && String.sub header 0 8 = magic_v1 then Some 1
-    else None
-  in
-  match version with
-  | None ->
-    if hlen < 8 then
-      Error (Printf.sprintf "byte %d: truncated segment header" pos)
-    else
+  if hlen < 8 then Error (Printf.sprintf "byte %d: truncated segment header" pos)
+  else if String.sub header 0 8 <> magic then
+    Error
+      (Printf.sprintf "byte %d: bad segment magic %S" pos (String.sub header 0 8))
+  else if hlen < header_bytes then
+    Error (Printf.sprintf "byte %d: truncated segment header" pos)
+  else begin
+    let stored = get_u32 header header_crc_off in
+    let got = if verify then header_crc_of_string header ~pos:0 else stored in
+    if stored <> got then
       Error
-        (Printf.sprintf "byte %d: bad segment magic %S" pos
-           (String.sub header 0 8))
-  | Some version ->
-    let hdr = if version = 2 then header_bytes else header_bytes_v1 in
-    if hlen < hdr then
-      Error (Printf.sprintf "byte %d: truncated segment header" pos)
+        (Printf.sprintf
+           "byte %d: header checksum mismatch (stored 0x%08x, computed 0x%08x)"
+           (pos + header_crc_off) stored got)
     else begin
-      let stored_hcrc_err =
-        if version = 2 && verify then begin
-          let stored = get_u32 header header_crc_off in
-          let got = header_crc_of_string header ~pos:0 in
-          if stored <> got then
-            Some
-              (Printf.sprintf
-                 "byte %d: header checksum mismatch (stored 0x%08x, computed \
-                  0x%08x)"
-                 (pos + header_crc_off) stored got)
-          else None
-        end
-        else None
-      in
-      match stored_hcrc_err with
-      | Some e -> Error e
-      | None ->
-        let n64 = String.get_int64_le header 8 in
-        let len64 = String.get_int64_le header 16 in
-        if
-          Int64.compare n64 0L < 0
-          || Int64.compare n64 (Int64.of_int max_int) > 0
-        then Error (Printf.sprintf "byte %d: bad record count %Ld" pos n64)
-        else begin
-          let n = Int64.to_int n64 in
-          let seg_len = Int64.to_int len64 in
-          if seg_len <> segment_bytes_v ~hdr ~count:n then
-            Error
-              (Printf.sprintf
-                 "byte %d: misaligned segment (length %d for %d records, \
-                  want %d)"
-                 pos seg_len n (segment_bytes_v ~hdr ~count:n))
-          else if pos + seg_len > total then
-            Error
-              (Printf.sprintf
-                 "byte %d: truncated segment (%d bytes declared, %d \
-                  available)"
-                 pos seg_len (total - pos))
-          else begin
-            let col_crcs =
-              if version = 2 then
-                Some (Array.init n_columns (fun i -> get_u32 header (col_crc_off i)))
-              else None
-            in
-            Ok { version; hdr; n; seg_len; col_crcs }
-          end
-        end
+      let n64 = String.get_int64_le header 8 in
+      let len64 = String.get_int64_le header 16 in
+      if
+        Int64.compare n64 0L < 0
+        || Int64.compare n64 (Int64.of_int max_int) > 0
+      then Error (Printf.sprintf "byte %d: bad record count %Ld" pos n64)
+      else begin
+        let n = Int64.to_int n64 in
+        let seg_len = Int64.to_int len64 in
+        if seg_len <> segment_bytes ~count:n then
+          Error
+            (Printf.sprintf
+               "byte %d: misaligned segment (length %d for %d records, want %d)"
+               pos seg_len n (segment_bytes ~count:n))
+        else if pos + seg_len > total then
+          Error
+            (Printf.sprintf
+               "byte %d: truncated segment (%d bytes declared, %d available)"
+               pos seg_len (total - pos))
+        else
+          Ok
+            {
+              n;
+              seg_len;
+              col_crcs =
+                Array.init n_columns (fun i -> get_u32 header (col_crc_off i));
+            }
+      end
     end
+  end
 
 let check_tags ~pos get n =
   let bad = ref None in
   (try
      for i = 0 to n - 1 do
        let raw = get i in
-       if not (Binary_codec.tag_ok raw) then begin
+       if not (tag_ok raw) then begin
          bad := Some (Printf.sprintf "byte %d: malformed tag 0x%02x" (pos + i) raw);
          raise Exit
        end
@@ -308,11 +271,11 @@ let check_tags ~pos get n =
 (* [crc_of ~off ~len] hashes the column extent at segment-relative
    [off]; [abs] converts a relative offset to a source offset for the
    error message. *)
-let verify_columns ~abs ~hdr ~n ~crc_of stored =
+let verify_columns ~abs ~n ~crc_of stored =
   let rec loop i =
     if i >= n_columns then Ok ()
     else begin
-      let off, len = column_extent ~hdr ~n i in
+      let off, len = column_extent ~n i in
       let got = crc_of ~off ~len in
       if got <> stored.(i) then
         Error
@@ -366,9 +329,9 @@ let cache_clear () =
 
 (* -- portable (copy) decode ------------------------------------------------ *)
 
-let decode_segment_of_string s ~pos ~hdr ~n =
+let decode_segment_of_string s ~pos ~n =
   let times = A1.create Bigarray.float64 Bigarray.c_layout n in
-  let t0 = pos + off_times ~hdr n in
+  let t0 = pos + off_times n in
   for i = 0 to n - 1 do
     A1.unsafe_set times i
       (Int64.float_of_bits (String.get_int64_le s (t0 + (8 * i))))
@@ -380,17 +343,17 @@ let decode_segment_of_string s ~pos ~hdr ~n =
     done;
     col
   in
-  let servers = read_i32 (pos + off_servers ~hdr n) in
-  let clients = read_i32 (pos + off_clients ~hdr n) in
-  let users = read_i32 (pos + off_users ~hdr n) in
-  let pids = read_i32 (pos + off_pids ~hdr n) in
-  let files = read_i32 (pos + off_files ~hdr n) in
-  let col_a = read_i32 (pos + off_col_a ~hdr n) in
-  let col_b = read_i32 (pos + off_col_b ~hdr n) in
-  let col_c = read_i32 (pos + off_col_c ~hdr n) in
-  let col_d = read_i32 (pos + off_col_d ~hdr n) in
+  let servers = read_i32 (pos + off_servers n) in
+  let clients = read_i32 (pos + off_clients n) in
+  let users = read_i32 (pos + off_users n) in
+  let pids = read_i32 (pos + off_pids n) in
+  let files = read_i32 (pos + off_files n) in
+  let col_a = read_i32 (pos + off_col_a n) in
+  let col_b = read_i32 (pos + off_col_b n) in
+  let col_c = read_i32 (pos + off_col_c n) in
+  let col_d = read_i32 (pos + off_col_d n) in
   let tags = A1.create Bigarray.int8_unsigned Bigarray.c_layout n in
-  let tg = pos + off_tags ~hdr n in
+  let tg = pos + off_tags n in
   for i = 0 to n - 1 do
     A1.unsafe_set tags i (Char.code (String.unsafe_get s (tg + i)))
   done;
@@ -399,7 +362,7 @@ let decode_segment_of_string s ~pos ~hdr ~n =
       Dfs_obs.Metrics.add m_skipped n;
       B.of_columns ~len:n ~times ~servers ~clients ~users ~pids ~files ~tags
         ~col_a ~col_b ~col_c ~col_d)
-    (check_tags ~pos:(pos + off_tags ~hdr n)
+    (check_tags ~pos:(pos + off_tags n)
        (fun i -> A1.unsafe_get tags i)
        n)
 
@@ -431,20 +394,19 @@ let scan_string ?(verify = true) s =
       | Error reason -> stop reason
       | Ok h -> (
         let cols_ok =
-          match (verify, h.col_crcs) with
-          | true, Some stored ->
+          if not verify then Ok ()
+          else
             verify_columns
               ~abs:(fun off -> pos + off)
-              ~hdr:h.hdr ~n:h.n
+              ~n:h.n
               ~crc_of:(fun ~off ~len ->
                 Crc32c.string_sub s ~pos:(pos + off) ~len)
-              stored
-          | _ -> Ok ()
+              h.col_crcs
         in
         match cols_ok with
         | Error reason -> stop reason
         | Ok () -> (
-          match decode_segment_of_string s ~pos ~hdr:h.hdr ~n:h.n with
+          match decode_segment_of_string s ~pos ~n:h.n with
           | Error reason -> stop reason
           | Ok batch -> go (pos + h.seg_len) (batch :: acc) (records + h.n)))
     end
@@ -462,7 +424,7 @@ let map_col (type a b) fd (kind : (a, b) Bigarray.kind) ~pos n :
     (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout false
        [| n |])
 
-let map_segment fd ~pos ~hdr ~n =
+let map_segment fd ~pos ~n =
   if n = 0 then
     Ok
       (B.of_columns ~len:0
@@ -479,24 +441,24 @@ let map_segment fd ~pos ~hdr ~n =
          ~col_d:(A1.create Bigarray.int32 Bigarray.c_layout 0))
   else begin
     let i32 off = map_col fd Bigarray.int32 ~pos:(pos + off) n in
-    let times = map_col fd Bigarray.float64 ~pos:(pos + off_times ~hdr n) n in
-    let servers = i32 (off_servers ~hdr n) in
-    let clients = i32 (off_clients ~hdr n) in
-    let users = i32 (off_users ~hdr n) in
-    let pids = i32 (off_pids ~hdr n) in
-    let files = i32 (off_files ~hdr n) in
-    let col_a = i32 (off_col_a ~hdr n) in
-    let col_b = i32 (off_col_b ~hdr n) in
-    let col_c = i32 (off_col_c ~hdr n) in
-    let col_d = i32 (off_col_d ~hdr n) in
-    let tags = map_col fd Bigarray.int8_unsigned ~pos:(pos + off_tags ~hdr n) n in
+    let times = map_col fd Bigarray.float64 ~pos:(pos + off_times n) n in
+    let servers = i32 (off_servers n) in
+    let clients = i32 (off_clients n) in
+    let users = i32 (off_users n) in
+    let pids = i32 (off_pids n) in
+    let files = i32 (off_files n) in
+    let col_a = i32 (off_col_a n) in
+    let col_b = i32 (off_col_b n) in
+    let col_c = i32 (off_col_c n) in
+    let col_d = i32 (off_col_d n) in
+    let tags = map_col fd Bigarray.int8_unsigned ~pos:(pos + off_tags n) n in
     Dfs_obs.Metrics.add m_mapped_bytes (bytes_per_record * n);
     Result.map
       (fun () ->
         Dfs_obs.Metrics.add m_skipped n;
         B.of_columns ~len:n ~times ~servers ~clients ~users ~pids ~files
           ~tags ~col_a ~col_b ~col_c ~col_d)
-      (check_tags ~pos:(pos + off_tags ~hdr n)
+      (check_tags ~pos:(pos + off_tags n)
          (fun i -> A1.unsafe_get tags i)
          n)
   end
@@ -527,22 +489,22 @@ let scan_mapped fd ~verify =
       | Error reason -> stop reason
       | Ok h -> (
         let cols_ok =
-          match (verify, h.col_crcs) with
-          | true, Some stored ->
+          if not verify then Ok ()
+          else begin
             (* One byte window over the whole segment serves all eleven
                column hashes without copying. *)
             let win = map_col fd Bigarray.int8_unsigned ~pos h.seg_len in
             verify_columns
               ~abs:(fun off -> pos + off)
-              ~hdr:h.hdr ~n:h.n
+              ~n:h.n
               ~crc_of:(fun ~off ~len -> Crc32c.bigstring_sub win ~pos:off ~len)
-              stored
-          | _ -> Ok ()
+              h.col_crcs
+          end
         in
         match cols_ok with
         | Error reason -> stop reason
         | Ok () -> (
-          match map_segment fd ~pos ~hdr:h.hdr ~n:h.n with
+          match map_segment fd ~pos ~n:h.n with
           | Error reason -> stop reason
           | Ok batch -> go (pos + h.seg_len) (batch :: acc) (records + h.n)))
     end
@@ -573,19 +535,15 @@ let scan_file ?(verify = true) path =
 
 let apply_policy ~on_corruption ~source scan =
   match scan.error with
-  | None -> Ok scan.batches
+  | None -> Ok (B.concat scan.batches)
   | Some { offset = _; reason } -> (
     match (on_corruption : Corruption.policy) with
     | Corruption.Fail -> Error reason
     | Corruption.Salvage ->
       Corruption.note ~source ~salvaged:scan.records reason;
-      Ok scan.batches)
+      Ok (B.concat scan.batches))
 
-let of_string ?(on_corruption = Corruption.Fail) s =
-  apply_policy ~on_corruption ~source:"<segment string>"
-    (scan_string ~verify:true s)
-
-let read_file ?(on_corruption = Corruption.Fail) path =
+let batch_of_file ?(on_corruption = Corruption.Fail) path =
   let verify = not (cache_mem path) in
   match scan_file ~verify path with
   | Error _ as e -> e
@@ -593,8 +551,6 @@ let read_file ?(on_corruption = Corruption.Fail) path =
     if verify && scan.error = None then cache_add path;
     apply_policy ~on_corruption ~source:path scan
 
-let batch_of_file ?on_corruption path =
-  Result.map B.concat (read_file ?on_corruption path)
-
-let batch_of_string ?on_corruption s =
-  Result.map B.concat (of_string ?on_corruption s)
+let batch_of_string ?(on_corruption = Corruption.Fail) s =
+  apply_policy ~on_corruption ~source:"<segment string>"
+    (scan_string ~verify:true s)

@@ -1,7 +1,7 @@
 (** Columnar on-disk trace segments, readable zero-copy via [mmap],
     self-verifying via CRC-32C.
 
-    Layout of one v2 segment (all integers little-endian):
+    Layout of one segment (all integers little-endian):
 
     {v
       offset 0    magic (8 bytes, "\xD7DFSC\x02\x00\x00")
@@ -21,12 +21,9 @@
       ...         zero padding to a multiple of 8
     v}
 
-    v1 segments (magic "\xD7DFSC\x01\x00\x00", 64-byte header, no
-    checksums) remain readable, and files may mix versions.
-
     A file is a sequence of segments; every segment length is a multiple
     of 8, so all column offsets stay naturally aligned.  On little-endian
-    hosts (unless [DFS_MMAP=0]) {!read_file} serves each column as a
+    hosts (unless [DFS_MMAP=0]) {!batch_of_file} serves each column as a
     Bigarray window straight onto the [Unix.map_file]'d file — no copy,
     no per-record decode; the portable fallback bulk-copies the columns
     with explicit little-endian reads.  Checksums are verified once per
@@ -41,42 +38,30 @@
     (column bytes hashed during verification). *)
 
 val magic : string
-(** 8-byte v2 file magic ("\xD7DFSC\x02\x00\x00"). *)
-
-val magic_v1 : string
-(** 8-byte v1 file magic ("\xD7DFSC\x01\x00\x00"). *)
+(** 8-byte file magic ("\xD7DFSC\x02\x00\x00"). *)
 
 val header_bytes : int
-(** Fixed v2 segment header size (128). *)
-
-val header_bytes_v1 : int
-(** Fixed v1 segment header size (64). *)
+(** Fixed segment header size (128). *)
 
 val bytes_per_record : int
 (** Column payload bytes per record (45). *)
 
 val segment_bytes : count:int -> int
-(** Total encoded size of a v2 segment holding [count] records, padding
+(** Total encoded size of a segment holding [count] records, padding
     included. *)
 
 val is_segment : string -> bool
-(** Does the string start with either segment magic? *)
-
-val segment_version : string -> int option
-(** [Some 1]/[Some 2] when the string starts with a known magic. *)
+(** Does the string start with the segment magic? *)
 
 val mmap_enabled : unit -> bool
 (** Whether reads go through [Unix.map_file]: true on little-endian
     hosts unless the [DFS_MMAP] environment variable is [0]/[false]/
     [no]/[off]. Re-read on every call, so tests can toggle it. *)
 
-val encode_batch : ?version:int -> Record_batch.t -> string
-(** One whole segment, header, checksums and padding included.
-    [version] defaults to 2; [~version:1] emits the legacy unchecksummed
-    layout (for compatibility tests and old-archive tooling).
-    @raise Invalid_argument on any other version. *)
+val encode_batch : Record_batch.t -> string
+(** One whole segment, header, checksums and padding included. *)
 
-val write_batch : ?version:int -> out_channel -> Record_batch.t -> int
+val write_batch : out_channel -> Record_batch.t -> int
 (** Append one segment; returns the bytes written. *)
 
 (** {1 Scanning and salvage} *)
@@ -98,7 +83,7 @@ type scan = {
 
 val scan_string : ?verify:bool -> string -> scan
 (** Walk every segment of an in-memory file image, stopping at the first
-    invalid one instead of failing.  [verify] (default true) checks v2
+    invalid one instead of failing.  [verify] (default true) checks the
     header and column CRCs; structure, extent and tag checks always
     run. *)
 
@@ -109,36 +94,24 @@ val scan_file : ?verify:bool -> string -> (scan, string) result
 
 (** {1 Reading} *)
 
-val of_string :
-  ?on_corruption:Corruption.policy ->
-  string ->
-  (Record_batch.t list, string) result
-(** Decode every segment of an in-memory file image (copy path).
-    Under [Fail] (default) the first invalid segment is an [Error];
-    under [Salvage] the valid prefix is returned and the incident is
-    counted via {!Corruption.note}. *)
-
-val read_file :
-  ?on_corruption:Corruption.policy ->
-  string ->
-  (Record_batch.t list, string) result
-(** Read every segment of a file, one batch per segment — zero-copy when
-    {!mmap_enabled}, bulk column copy otherwise.  Validation (magic,
-    checksums, extents, alignment, tag bytes) is identical on both
-    paths; checksum verification is skipped when the file's
-    (size, mtime) already scanned clean this process. *)
-
 val batch_of_file :
   ?on_corruption:Corruption.policy ->
   string ->
   (Record_batch.t, string) result
-(** {!read_file} concatenated; a single-segment file returns its mapped
-    batch without copying. *)
+(** Read every segment of a file — zero-copy when {!mmap_enabled}, bulk
+    column copy otherwise — as one batch; a single-segment file returns
+    its mapped batch without copying.  Validation (magic, checksums,
+    extents, alignment, tag bytes) is identical on both paths; checksum
+    verification is skipped when the file's (size, mtime) already
+    scanned clean this process.  Under [Fail] (default) the first
+    invalid segment is an [Error]; under [Salvage] the valid prefix is
+    returned and the incident is counted via {!Corruption.note}. *)
 
 val batch_of_string :
   ?on_corruption:Corruption.policy ->
   string ->
   (Record_batch.t, string) result
+(** The same over an in-memory file image (copy path). *)
 
 val cache_clear : unit -> unit
 (** Drop the verified-file cache (tests and fsck --repair use this after

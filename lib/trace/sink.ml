@@ -143,11 +143,6 @@ let iter_batches f c = Seq.iter f (to_seq c)
 
 let iter f c = Seq.iter (B.iter f) (to_seq c)
 
-let fold f init c =
-  let acc = ref init in
-  iter (fun r -> acc := f !acc r) c;
-  !acc
-
 let to_records c =
   let acc = ref [] in
   iter (fun r -> acc := r :: !acc) c;
@@ -159,8 +154,6 @@ let to_batch c =
   B.Builder.finish builder
 
 let of_batch b = { segments = (if B.length b = 0 then [] else [ Mem b ]); total = B.length b }
-
-let of_records rs = of_batch (B.of_list rs)
 
 (* Delete any spilled segment files.  The chunks value must not be read
    afterwards. *)

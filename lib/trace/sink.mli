@@ -76,17 +76,13 @@ val iter_batches : (Record_batch.t -> unit) -> chunks -> unit
 val iter : (Record.t -> unit) -> chunks -> unit
 (** Boxed-record iteration (allocates one record at a time). *)
 
-val fold : ('a -> Record.t -> 'a) -> 'a -> chunks -> 'a
-
 val to_records : chunks -> Record.t list
 (** Materialize as a boxed list (compatibility paths and tests only). *)
 
 val to_batch : chunks -> Record_batch.t
-(** Materialize as one contiguous batch (compatibility paths only). *)
+(** Materialize as one contiguous batch (allocates the whole trace). *)
 
 val of_batch : Record_batch.t -> chunks
-
-val of_records : Record.t list -> chunks
 
 val discard : chunks -> unit
 (** Delete spilled segment files; the value must not be read again. *)

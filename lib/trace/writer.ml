@@ -1,25 +1,16 @@
-type format = Text | Binary | Columnar
+type format = Text | Columnar
 
 let format_of_string = function
   | "text" -> Ok Text
-  | "binary" -> Ok Binary
   | "columnar" -> Ok Columnar
-  | s -> Error (Printf.sprintf "bad trace format %S (expected text|binary|columnar)" s)
-
-let format_to_string = function
-  | Text -> "text"
-  | Binary -> "binary"
-  | Columnar -> "columnar"
+  | s -> Error (Printf.sprintf "bad trace format %S (expected text|columnar)" s)
 
 (* Columnar output buffers records and seals a whole segment every
    [columnar_segment_records] (and at [flush]/close), so archived traces
    stay mmap-able in bounded-size pieces. *)
 let columnar_segment_records = 65_536
 
-type mode =
-  | Text_mode
-  | Binary_mode of Binary_codec.Encoder.t
-  | Columnar_mode of Record_batch.Builder.t
+type mode = Text_mode | Columnar_mode of Record_batch.Builder.t
 
 type t = {
   emit : string -> unit;
@@ -30,7 +21,7 @@ type t = {
 
 (* The header goes out at creation, not on the first record, so a trace
    with zero records is still a valid (header-only) file: text gets its
-   header line, binary its magic, columnar an empty segment. *)
+   header line, columnar an empty segment. *)
 let make format emit do_flush =
   let mode =
     match format with
@@ -38,9 +29,6 @@ let make format emit do_flush =
       emit Codec.header;
       emit "\n";
       Text_mode
-    | Binary ->
-      emit Binary_codec.magic;
-      Binary_mode (Binary_codec.Encoder.create ())
     | Columnar ->
       emit (Segment.encode_batch (Record_batch.of_list []));
       Columnar_mode (Record_batch.Builder.create ~capacity:4096 ())
@@ -64,7 +52,6 @@ let write t r =
   | Text_mode ->
     t.emit (Codec.encode r);
     t.emit "\n"
-  | Binary_mode enc -> t.emit (Binary_codec.Encoder.encode enc r)
   | Columnar_mode builder ->
     Record_batch.Builder.add builder r;
     if Record_batch.Builder.length builder >= columnar_segment_records then
@@ -75,7 +62,7 @@ let count t = t.count
 
 let flush t =
   (match t.mode with
-  | Text_mode | Binary_mode _ -> ()
+  | Text_mode -> ()
   | Columnar_mode builder -> seal_segment t builder);
   t.do_flush ()
 

@@ -2,18 +2,17 @@
 
     Each simulated file server writes its own trace (the paper gathered
     traces on the four servers only). A writer prepends the format header
-    and then encodes records as text lines ({!Codec}), in the compact
-    varint binary format ({!Binary_codec}), or as mmap-able columnar
-    segments ({!Segment}, sealed every 65536 records and on
-    {!flush}/close); readers pick the decoder by sniffing the header. *)
+    and then encodes records either as text lines ({!Codec}) — for
+    humans, goldens and interchange — or as mmap-able, checksummed
+    columnar segments ({!Segment}, sealed every 65536 records and on
+    {!flush}/close), the machine format, exact on every field; readers
+    pick the decoder by sniffing the header. *)
 
-type format = Text | Binary | Columnar
+type format = Text | Columnar
 
 val format_of_string : string -> (format, string) result
-(** Parses ["text"], ["binary"] and ["columnar"] (the [--trace-format]
-    CLI values). *)
-
-val format_to_string : format -> string
+(** Parses ["text"] and ["columnar"] (the [--trace-format] CLI
+    values). *)
 
 type t
 

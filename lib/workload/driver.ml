@@ -178,5 +178,3 @@ let board t = t.board
 let namespace t = t.ns
 
 let n_users t = List.length t.specs
-
-let run t ~until = Cluster.run t.cluster ~until

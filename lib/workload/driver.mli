@@ -32,6 +32,3 @@ val board : t -> Migration.t
 val namespace : t -> Namespace.t
 
 val n_users : t -> int
-
-val run : t -> until:float -> unit
-(** Run the cluster's engine for the given simulated duration. *)

@@ -98,15 +98,14 @@ let scaled p ~factor =
     start_hour = (if factor < 0.99 then 9.5 else p.start_hour);
   }
 
-let run ?(quiet = true) p =
-  ignore quiet;
+let run p =
   let cluster = Cluster.create p.cluster_config in
   let driver =
     Driver.setup ~cluster ~params:p.params ~start_hour:p.start_hour
       ~special_users:p.special_users ()
   in
-  (* Single-partition conservative-PDES execution: byte-identical to the
-     old [Driver.run] (windows only slice the same event order), but
-     every run now reports barrier/window telemetry. *)
+  (* Single-partition conservative-PDES execution: windows only slice
+     the engine's own event order, and every run reports barrier/window
+     telemetry. *)
   Sharded.drive cluster ~until:p.duration;
   (cluster, driver)

@@ -35,6 +35,6 @@ val scaled : preset -> factor:float -> preset
     of the day.  Analyses normalize by duration, so scaled runs preserve
     rates; absolute per-day counts shrink proportionally. *)
 
-val run : ?quiet:bool -> preset -> Dfs_sim.Cluster.t * Driver.t
+val run : preset -> Dfs_sim.Cluster.t * Driver.t
 (** Build the cluster, set up the population, and run for the preset's
     duration. *)

@@ -4,6 +4,7 @@ module Engine = Dfs_sim.Engine
 module Fs_state = Dfs_sim.Fs_state
 module Cred = Dfs_sim.Cred
 module Record = Dfs_trace.Record
+module B = Dfs_trace.Record_batch
 module Ids = Dfs_trace.Ids
 
 type stats = {
@@ -51,55 +52,56 @@ type scan = {
   last_time : float;
 }
 
-let scan_trace records =
-  let max_client = ref (-1) and max_server = ref (-1) in
+let scan_trace batch =
   let seeds : file_seed Ids.File.Tbl.t = Ids.File.Tbl.create 256 in
   let order = ref [] in
-  let last_time = ref 0.0 in
-  let bad = ref None in
-  List.iteri
-    (fun i (r : Record.t) ->
-      if !bad = None then begin
-        if r.time < !last_time then
-          bad := Some (Printf.sprintf "record %d out of time order" i)
-        else begin
-          last_time := r.time;
-          max_client := max !max_client (Ids.Client.to_int r.client);
-          max_server := max !max_server (Ids.Server.to_int r.server);
-          let seed =
-            match Ids.File.Tbl.find_opt seeds r.file with
-            | Some s -> s
-            | None ->
-              let s = { fserver = r.server; fdir = false; fsize = 0 } in
-              Ids.File.Tbl.add seeds r.file s;
-              order := Ids.File.to_int r.file :: !order;
-              s
+  let rec go i ~max_client ~max_server ~last_time =
+    if i = B.length batch then begin
+      let file_seeds =
+        List.rev_map
+          (fun id -> (id, Ids.File.Tbl.find seeds (Ids.File.of_int id)))
+          !order
+      in
+      Ok
+        {
+          n_clients = max_client + 1;
+          n_servers = max_server + 1;
+          file_seeds = List.rev file_seeds;
+          last_time;
+        }
+    end
+    else if B.time batch i < last_time then err "record %d out of time order" i
+    else begin
+      let file = B.file_id batch i in
+      let seed =
+        match Ids.File.Tbl.find_opt seeds file with
+        | Some s -> s
+        | None ->
+          let s =
+            {
+              fserver = Ids.Server.of_int (B.server batch i);
+              fdir = false;
+              fsize = 0;
+            }
           in
-          match r.kind with
-          | Record.Open { is_dir; created; size; _ } ->
-            if is_dir then seed.fdir <- true;
-            if (not created) && seed.fsize = 0 then seed.fsize <- size
-          | Record.Delete { is_dir; _ } -> if is_dir then seed.fdir <- true
-          | Record.Dir_read _ -> seed.fdir <- true
-          | _ -> ()
-        end
-      end)
-    records;
-  match !bad with
-  | Some e -> Error e
-  | None ->
-    let file_seeds =
-      List.rev_map
-        (fun id -> (id, Ids.File.Tbl.find seeds (Ids.File.of_int id)))
-        !order
-    in
-    Ok
-      {
-        n_clients = !max_client + 1;
-        n_servers = !max_server + 1;
-        file_seeds = List.rev file_seeds;
-        last_time = !last_time;
-      }
+          Ids.File.Tbl.add seeds file s;
+          order := Ids.File.to_int file :: !order;
+          s
+      in
+      (match B.kind batch i with
+      | Record.Open { is_dir; created; size; _ } ->
+        if is_dir then seed.fdir <- true;
+        if (not created) && seed.fsize = 0 then seed.fsize <- size
+      | Record.Delete { is_dir; _ } -> if is_dir then seed.fdir <- true
+      | Record.Dir_read _ -> seed.fdir <- true
+      | _ -> ());
+      go (i + 1)
+        ~max_client:(max max_client (B.client batch i))
+        ~max_server:(max max_server (B.server batch i))
+        ~last_time:(B.time batch i)
+    end
+  in
+  go 0 ~max_client:(-1) ~max_server:(-1) ~last_time:0.0
 
 (* Per-(client, pid) execution stream.  Each stream runs as one engine
    process; within a stream operations are sequential, so its fd state
@@ -122,7 +124,9 @@ let chunked_read client fd total =
   in
   go total
 
-let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth stream =
+(* [stream] lists the indices of one stream's records in [batch]; each
+   record is boxed only when its turn comes. *)
+let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth batch stream =
   let engine = Cluster.engine cluster in
   (* fd stacks per file id: duplicate opens nest, closes pop. *)
   let open_fds : open_state list Ids.File.Tbl.t = Ids.File.Tbl.create 16 in
@@ -241,11 +245,12 @@ let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth stream =
   in
   match stream with
   | [] -> ()
-  | (first : Record.t) :: _ ->
-    let client = Cluster.client cluster (Ids.Client.to_int first.client) in
+  | first :: _ ->
+    let client = Cluster.client cluster (B.client batch first) in
     Engine.spawn engine (fun () ->
         List.iter
-          (fun (r : Record.t) ->
+          (fun i ->
+            let r = B.get batch i in
             (* Absolute time anchoring: sleep to the record's stamp, so
                operation latencies never accumulate as drift.  A record
                whose time has already passed runs immediately. *)
@@ -254,9 +259,10 @@ let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth stream =
             try apply client r with Exit -> incr skipped)
           stream)
 
-let run ?(seed = 7) ?config records =
-  let* () = if records = [] then Error "empty trace: nothing to replay" else Ok () in
-  let* scan = scan_trace records in
+let run ?(seed = 7) ?config batch =
+  let n = B.length batch in
+  let* () = if n = 0 then Error "empty trace: nothing to replay" else Ok () in
+  let* scan = scan_trace batch in
   let* () =
     if scan.n_clients > max_clients then
       err "trace needs %d clients; replay supports at most %d" scan.n_clients
@@ -305,18 +311,18 @@ let run ?(seed = 7) ?config records =
     scan.file_seeds;
   (* Partition into per-(client, pid) streams, spawned in sorted key
      order so the event schedule is a pure function of the trace. *)
-  let streams : (int * int, Record.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Record.t) ->
-      let key = (Ids.Client.to_int r.client, Ids.Process.to_int r.pid) in
-      Hashtbl.replace streams key
-        (r :: Option.value ~default:[] (Hashtbl.find_opt streams key)))
-    records;
+  let streams : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    let key = (B.client batch i, B.pid batch i) in
+    Hashtbl.replace streams key
+      (i :: Option.value ~default:[] (Hashtbl.find_opt streams key))
+  done;
   let applied = ref 0 and skipped = ref 0 and synth = ref 0 in
   Hashtbl.fold (fun key stream acc -> (key, List.rev stream) :: acc) streams []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (_, stream) ->
-         drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth stream);
+         drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth batch
+           stream);
   (* Slack past the last record covers delayed-write scans and the
      30-second writeback window, so the replayed day ends quiesced. *)
   let horizon = scan.last_time +. 60.0 in
@@ -327,7 +333,7 @@ let run ?(seed = 7) ?config records =
   Ok
     ( cluster,
       {
-        records = List.length records;
+        records = n;
         applied = !applied;
         skipped = !skipped;
         synthesized_opens = !synth;

@@ -55,9 +55,11 @@ val max_files : int
 val run :
   ?seed:int ->
   ?config:Dfs_sim.Cluster.config ->
-  Dfs_trace.Record.t list ->
+  Dfs_trace.Record_batch.t ->
   (Dfs_sim.Cluster.t * stats, string) result
-(** Replay a time-sorted record stream.  [config] overrides the
+(** Replay a time-sorted trace, as {!Dfs_trace.Reader} returns it (every
+    record valid; each is boxed only when its stream reaches it).
+    [config] overrides the
     cluster template (its [n_clients]/[n_servers] are still raised to
     cover the trace's id ranges; infrastructure daemons are disabled so
     the replayed trace contains exactly the foreign workload).  Returns

@@ -6,7 +6,6 @@ module Record = Dfs_trace.Record
 module Ids = Dfs_trace.Ids
 
 (* analyses consume dense arrays; tests hand-build traces as lists *)
-let arr = Array.of_list
 let bat = Dfs_trace.Record_batch.of_list
 
 let mk ?(time = 0.0) ?(client = 0) ?(user = 0) ?(pid = 0) ?(migrated = false)
@@ -56,7 +55,7 @@ let whole_write ?(t = 0.0) ?(dt = 1.0) ?client ?user ?pid ?migrated ~file ~size 
 
 let test_session_whole_file_read () =
   let trace = whole_read ~t:1.0 ~dt:0.5 ~file:1 ~size:1000 () in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check int) "bytes read" 1000 a.a_bytes_read;
     Alcotest.(check (list int)) "one run" [ 1000 ] a.a_runs;
@@ -73,7 +72,7 @@ let test_session_partial_read_other_sequential () =
       cl ~time:1.0 ~file:1 ~size:1000 ~final_pos:400 ~bytes_read:400 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check (list int)) "partial run" [ 400 ] a.a_runs;
     Alcotest.(check bool) "other sequential" true
@@ -90,7 +89,7 @@ let test_session_random_access_runs () =
       cl ~time:0.3 ~file:1 ~size:1000 ~final_pos:60 ~bytes_read:310 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check (list int)) "three runs" [ 100; 200; 10 ] a.a_runs;
     Alcotest.(check int) "two seeks" 2 a.a_repositions;
@@ -106,7 +105,7 @@ let test_session_seek_no_transfer_no_run () =
       cl ~time:0.2 ~file:1 ~size:1000 ~final_pos:1000 ~bytes_read:100 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check (list int)) "single tail run" [ 100 ] a.a_runs;
     (* one sequential run but not the whole file (it has a reposition) *)
@@ -122,7 +121,7 @@ let test_session_append_run () =
       cl ~time:0.2 ~file:1 ~size:600 ~final_pos:600 ~bytes_written:100 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check (list int)) "append run" [ 100 ] a.a_runs;
     Alcotest.(check bool) "write-only" true
@@ -137,14 +136,14 @@ let test_session_read_write_usage () =
         ~bytes_written:50 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check bool) "RW usage" true (Session.usage a = Some Session.Read_write)
   | _ -> Alcotest.fail "one access"
 
 let test_session_unmatched_close_dropped () =
   let trace = [ cl ~time:1.0 ~file:9 ~size:10 ~bytes_read:10 () ] in
-  Alcotest.(check int) "dropped" 0 (List.length (Session.of_trace (arr trace)))
+  Alcotest.(check int) "dropped" 0 (List.length (Session.of_batch (bat trace)))
 
 let test_session_interleaved_handles () =
   (* two processes on the same client use the same file concurrently *)
@@ -156,7 +155,7 @@ let test_session_interleaved_handles () =
       cl ~time:0.3 ~pid:2 ~file:1 ~size:100 ~final_pos:50 ~bytes_read:50 ();
     ]
   in
-  let accesses = Session.of_trace (arr trace) in
+  let accesses = Session.of_batch (bat trace) in
   Alcotest.(check int) "two accesses" 2 (List.length accesses);
   let reads = List.map (fun (a : Session.access) -> a.a_bytes_read) accesses in
   Alcotest.(check (list int)) "per-handle totals" [ 100; 50 ] reads
@@ -168,7 +167,7 @@ let test_session_zero_byte_access () =
       cl ~time:0.1 ~file:1 ~size:100 ~final_pos:0 ();
     ]
   in
-  match Session.of_trace (arr trace) with
+  match Session.of_batch (bat trace) with
   | [ a ] ->
     Alcotest.(check bool) "no usage" true (Session.usage a = None);
     Alcotest.(check (list int)) "no runs" [] a.a_runs
@@ -190,7 +189,7 @@ let test_trace_stats () =
         seek ~time:8.0 ~user:1 ~file:7 ~before:0 ~after:5 ();
       ]
   in
-  let s = Trace_stats.of_trace (arr trace) in
+  let s = Trace_stats.of_batch (bat trace) in
   Alcotest.(check int) "users" 3 s.different_users;
   Alcotest.(check int) "migration users" 1 s.users_of_migration;
   Alcotest.(check (float 0.01)) "MB read" 1.0 s.mbytes_read_files;
@@ -264,7 +263,7 @@ let test_access_patterns_classification () =
         cl ~time:3.2 ~pid:4 ~file:4 ~size:1000 ~final_pos:550 ~bytes_read:100 ();
       ]
   in
-  let t = Access_patterns.of_trace (arr trace) in
+  let t = Access_patterns.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check int) "3 RO accesses" 3 t.read_only.total.accesses;
   Alcotest.(check int) "RO bytes" 500 t.read_only.total.bytes;
   Alcotest.(check int) "1 WO access" 1 t.write_only.total.accesses;
@@ -288,7 +287,7 @@ let test_access_patterns_dirs_excluded () =
       cl ~time:1.0 ~file:1 ~size:64 ~final_pos:64 ~bytes_read:64 ();
     ]
   in
-  let t = Access_patterns.of_trace (arr trace) in
+  let t = Access_patterns.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check int) "dir access ignored" 0 t.grand_total.accesses
 
 (* -- figures -------------------------------------------------------------------------- *)
@@ -298,7 +297,7 @@ let test_run_length_cdfs () =
     whole_read ~t:0.0 ~pid:1 ~file:1 ~size:100 ()
     @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:900 ()
   in
-  let f = Run_length.of_trace (arr trace) in
+  let f = Run_length.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check int) "two runs" 2 (Dfs_util.Cdf.count f.by_runs);
   Alcotest.(check (float 1e-6)) "half of runs <= 100" 0.5
     (Dfs_util.Cdf.fraction_below f.by_runs 100.0);
@@ -310,7 +309,7 @@ let test_file_size_cdfs () =
     whole_read ~t:0.0 ~pid:1 ~file:1 ~size:1000 ()
     @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:9000 ()
   in
-  let f = File_size.of_trace (arr trace) in
+  let f = File_size.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check (float 1e-6)) "half of accesses small" 0.5
     (Dfs_util.Cdf.fraction_below f.by_files 1000.0);
   Alcotest.(check (float 1e-6)) "10% of bytes from small file" 0.1
@@ -321,7 +320,7 @@ let test_open_time_cdf () =
     whole_read ~t:0.0 ~dt:0.1 ~pid:1 ~file:1 ~size:10 ()
     @ whole_read ~t:1.0 ~dt:2.0 ~pid:2 ~file:2 ~size:10 ()
   in
-  let f = Open_time.of_trace (arr trace) in
+  let f = Open_time.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check (float 1e-6)) "half under 0.25s" 0.5
     (Open_time.fraction_under f 0.25);
   Alcotest.(check (float 1e-6)) "all under 10s" 1.0 (Open_time.fraction_under f 10.0)
@@ -333,7 +332,7 @@ let test_lifetime_whole_file () =
     whole_write ~t:0.0 ~dt:10.0 ~file:1 ~size:800 ()
     @ [ mk ~time:40.0 ~file:1 (Record.Delete { size = 800; is_dir = false }) ]
   in
-  let f = Lifetime.analyze (arr trace) in
+  let f = Lifetime.analyze (bat trace) in
   Alcotest.(check int) "one aged death" 1 f.deaths_aged;
   Alcotest.(check (float 1e-6)) "lifetime 35" 35.0 (Dfs_util.Cdf.median f.by_files);
   (* per-byte ages interpolate 30..40 *)
@@ -349,12 +348,12 @@ let test_lifetime_truncate_counts_as_death () =
     whole_write ~t:0.0 ~dt:1.0 ~file:1 ~size:100 ()
     @ [ mk ~time:5.0 ~file:1 (Record.Truncate { old_size = 100 }) ]
   in
-  let f = Lifetime.analyze (arr trace) in
+  let f = Lifetime.analyze (bat trace) in
   Alcotest.(check int) "truncate aged" 1 f.deaths_aged
 
 let test_lifetime_unknown_writes_skipped () =
   let trace = [ mk ~time:5.0 ~file:1 (Record.Delete { size = 10; is_dir = false }) ] in
-  let f = Lifetime.analyze (arr trace) in
+  let f = Lifetime.analyze (bat trace) in
   Alcotest.(check int) "no aged deaths" 0 f.deaths_aged;
   Alcotest.(check int) "counted as unknown" 1 f.deaths_unknown
 
@@ -370,7 +369,7 @@ let test_lifetime_append_updates_newest () =
         mk ~time:131.0 ~file:1 (Record.Delete { size = 150; is_dir = false });
       ]
   in
-  let f = Lifetime.analyze (arr trace) in
+  let f = Lifetime.analyze (bat trace) in
   Alcotest.(check (float 1e-6)) "avg of oldest/newest" 80.5
     (Dfs_util.Cdf.median f.by_files)
 

@@ -1,6 +1,6 @@
 (* Crash-safety and integrity tests: Io_retry backoff, Durable atomic
-   replacement, the fsck corruption matrix (bit flips, truncations, v1
-   compat, orphan tmps, unknown files, exit codes), salvage-prefix
+   replacement, the fsck corruption matrix (bit flips, truncations,
+   orphan tmps, unknown and retired-format files, exit codes), salvage-prefix
    properties, and a fork+SIGKILL chaos harness asserting that every
    spill chunk sealed before the kill is bit-identical to the same chunk
    of an uninterrupted run. *)
@@ -193,9 +193,7 @@ let test_durable_replace_retries_transient () =
 
 let write_columnar path batches =
   let oc = open_out_bin path in
-  List.iter
-    (fun (version, b) -> ignore (Segment.write_batch ~version oc b))
-    batches;
+  List.iter (fun b -> ignore (Segment.write_batch oc b)) batches;
   close_out oc
 
 let two_segment_file dir =
@@ -204,21 +202,18 @@ let two_segment_file dir =
   let b2 =
     Record_batch.of_list (List.init 8 (fun i -> nth_record (100 + i)))
   in
-  write_columnar path [ (2, b1); (2, b2) ];
+  write_columnar path [ b1; b2 ];
   (path, Segment.segment_bytes ~count:10)
 
 let test_fsck_clean_all_formats () =
   with_tmpdir (fun dir ->
       let columnar = Filename.concat dir "a.dfsc" in
-      write_columnar columnar [ (2, Record_batch.of_list (records 20)) ];
-      let binary = Filename.concat dir "b.dfsb" in
-      Writer.with_file ~format:Writer.Binary binary (fun w ->
-          List.iter (Writer.write w) (records 20));
+      write_columnar columnar [ Record_batch.of_list (records 20) ];
       let text = Filename.concat dir "c.trace" in
       Writer.with_file ~format:Writer.Text text (fun w ->
           List.iter (Writer.write w) (records 20));
       let verdicts = Fsck.check_paths [ dir ] in
-      Alcotest.(check int) "three files" 3 (List.length verdicts);
+      Alcotest.(check int) "two files" 2 (List.length verdicts);
       List.iter
         (fun v ->
           Alcotest.(check string)
@@ -296,42 +291,32 @@ let test_fsck_truncation_keeps_sealed_prefix () =
       let b = batch_of_file_exn path in
       Alcotest.(check int) "readable after repair" 10 (Record_batch.length b))
 
-let test_fsck_v1_and_mixed_versions () =
+let test_fsck_retired_formats_unknown () =
   with_tmpdir (fun dir ->
-      let v1 = Filename.concat dir "v1.dfsc" in
-      write_columnar v1 [ (1, Record_batch.of_list (records 12)) ];
-      let v = Fsck.check_file v1 in
-      Alcotest.(check string) "v1 clean" "ok"
-        (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check int) "v1 records" 12 v.Fsck.records;
-      let mixed = Filename.concat dir "mixed.dfsc" in
-      write_columnar mixed
+      let files =
         [
-          (2, Record_batch.of_list (records 5));
-          (1, Record_batch.of_list (records 6));
-          (2, Record_batch.of_list (records 7));
-        ];
-      let v = Fsck.check_file mixed in
-      Alcotest.(check string) "mixed clean" "ok"
-        (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check int) "mixed records" 18 v.Fsck.records)
-
-let test_fsck_binary_truncation () =
-  with_tmpdir (fun dir ->
-      let path = Filename.concat dir "t.dfsb" in
-      Writer.with_file ~format:Writer.Binary path (fun w ->
-          List.iter (Writer.write w) (records 50));
-      let full = (Unix.stat path).Unix.st_size in
-      Unix.truncate path (full - 3);
-      let v = Fsck.check_file ~repair:true path in
-      Alcotest.(check string) "repaired" "repaired"
-        (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check bool) "most records kept" true
-        (v.Fsck.records >= 40 && v.Fsck.records < 50);
-      let v' = Fsck.check_file path in
-      Alcotest.(check string) "clean after repair" "ok"
-        (Fsck.status_to_string v'.Fsck.status);
-      Alcotest.(check int) "stable record count" v.Fsck.records v'.Fsck.records)
+          ("old.dfsb", Test_trace.retired_binary);
+          ("old.dfsc", Test_trace.retired_v1_segment ());
+        ]
+      in
+      List.iter
+        (fun (name, bytes) -> write_all (Filename.concat dir name) bytes)
+        files;
+      let verdicts = Fsck.check_paths ~repair:true [ dir ] in
+      Alcotest.(check int) "both seen" 2 (List.length verdicts);
+      List.iter
+        (fun v ->
+          Alcotest.(check string) (v.Fsck.path ^ " unknown") "unknown"
+            (Fsck.status_to_string v.Fsck.status);
+          Alcotest.(check bool) (v.Fsck.path ^ " not repaired") false
+            v.Fsck.repaired)
+        verdicts;
+      List.iter
+        (fun (name, bytes) ->
+          Alcotest.(check bool) (name ^ " byte-for-byte untouched") true
+            (read_all (Filename.concat dir name) = bytes))
+        files;
+      Alcotest.(check int) "exit 1" 1 (Fsck.exit_code verdicts))
 
 let test_fsck_text_bad_line () =
   with_tmpdir (fun dir ->
@@ -378,7 +363,7 @@ let test_fsck_orphan_tmp_and_unknown () =
 let test_fsck_exit_codes () =
   with_tmpdir (fun dir ->
       let clean = Filename.concat dir "ok.dfsc" in
-      write_columnar clean [ (2, Record_batch.of_list (records 3)) ];
+      write_columnar clean [ Record_batch.of_list (records 3) ];
       let ok = Fsck.check_file clean in
       Alcotest.(check int) "all clean: 0" 0 (Fsck.exit_code [ ok ]);
       let missing = Fsck.check_file (Filename.concat dir "absent.dfsc") in
@@ -583,10 +568,8 @@ let suite =
       test_fsck_header_flip_rewrites_empty;
     Alcotest.test_case "fsck truncation keeps sealed prefix" `Quick
       test_fsck_truncation_keeps_sealed_prefix;
-    Alcotest.test_case "fsck v1 and mixed versions" `Quick
-      test_fsck_v1_and_mixed_versions;
-    Alcotest.test_case "fsck binary truncation" `Quick
-      test_fsck_binary_truncation;
+    Alcotest.test_case "fsck retired formats are unknown" `Quick
+      test_fsck_retired_formats_unknown;
     Alcotest.test_case "fsck text bad line" `Quick test_fsck_text_bad_line;
     Alcotest.test_case "fsck orphan tmp and unknown" `Quick
       test_fsck_orphan_tmp_and_unknown;

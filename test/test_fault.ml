@@ -394,7 +394,7 @@ let test_recovery_stats_totals () =
 
 let open_fd_count () = Array.length (Sys.readdir "/proc/self/fd")
 
-let test_fold_file_releases_fd () =
+let test_reader_releases_fd () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else begin
     let good = Filename.temp_file "dfs_fault_trace" ".log" in
@@ -407,18 +407,20 @@ let test_fold_file_releases_fd () =
     close_out oc;
     let before = open_fd_count () in
     for _ = 1 to 64 do
-      (match Dfs_trace.Reader.fold_file good ~init:0 ~f:(fun n _ -> n + 1) with
-      | Ok 0 -> ()
-      | Ok n -> Alcotest.failf "expected empty trace, got %d records" n
+      (match Dfs_trace.Reader.batch_of_file good with
+      | Ok b when Dfs_trace.Record_batch.length b = 0 -> ()
+      | Ok b ->
+        Alcotest.failf "expected empty trace, got %d records"
+          (Dfs_trace.Record_batch.length b)
       | Error e -> Alcotest.failf "unexpected parse error: %s" e);
-      match Dfs_trace.Reader.fold_file bad ~init:0 ~f:(fun n _ -> n + 1) with
+      match Dfs_trace.Reader.batch_of_file bad with
       | Ok _ -> Alcotest.fail "bad trace accepted"
       | Error _ -> ()
     done;
     let after = open_fd_count () in
     Sys.remove good;
     Sys.remove bad;
-    Alcotest.(check int) "no descriptor leak across 128 folds" before after
+    Alcotest.(check int) "no descriptor leak across 128 reads" before after
   end
 
 (* -- end to end: crash-heavy run ---------------------------------------------- *)
@@ -429,7 +431,7 @@ let crashy_preset () =
     Profile.crash_heavy
 
 let run_stats () =
-  let cluster, _driver = Presets.run ~quiet:true (crashy_preset ()) in
+  let cluster, _driver = Presets.run (crashy_preset ()) in
   match Cluster.faults cluster with
   | None -> Alcotest.fail "fault profile did not build an injector"
   | Some inj -> (cluster, Injector.stats inj)
@@ -497,7 +499,7 @@ let suite =
     Alcotest.test_case "network rpc negative bytes" `Quick
       test_network_rpc_negative_bytes;
     Alcotest.test_case "recovery stats totals" `Quick test_recovery_stats_totals;
-    Alcotest.test_case "fold_file releases fd" `Quick test_fold_file_releases_fd;
+    Alcotest.test_case "reader releases fd" `Quick test_reader_releases_fd;
     Alcotest.test_case "recovery storm e2e" `Slow test_recovery_storm_e2e;
     Alcotest.test_case "faulty run deterministic" `Slow
       test_faulty_run_deterministic;

@@ -330,7 +330,7 @@ let prop_import_deterministic =
       | _ -> QCheck.Test.fail_report "import failed")
 
 let prop_roundtrip_writer_reader =
-  QCheck.Test.make ~name:"import -> write -> read roundtrip (text+binary)"
+  QCheck.Test.make ~name:"import -> write -> read roundtrip (text+columnar)"
     ~count:50 (QCheck.make gen_accesses) (fun accesses ->
       QCheck.assume (accesses <> []);
       match Import.of_csv_string (csv_of_accesses accesses) with
@@ -342,9 +342,10 @@ let prop_roundtrip_writer_reader =
             let w = Writer.to_buffer ~format buf in
             List.iter (Writer.write w) records;
             Writer.flush w;
-            match Reader.of_string (Buffer.contents buf) with
+            match Reader.batch_of_string (Buffer.contents buf) with
             | Error e -> QCheck.Test.fail_reportf "read back failed: %s" e
-            | Ok records' ->
+            | Ok b ->
+              let records' = Array.to_list (Record_batch.to_array b) in
               List.length records = List.length records'
               && List.for_all2
                    (fun a b ->
@@ -353,12 +354,14 @@ let prop_roundtrip_writer_reader =
                      abs_float (a.Record.time -. b.Record.time) < 1e-5
                      && Record.equal { a with time = 0.0 } { b with time = 0.0 })
                    records records')
-          [ Writer.Text; Writer.Binary ])
+          [ Writer.Text; Writer.Columnar ])
 
 (* -- replay ----------------------------------------------------------------- *)
 
+let replay records = Dfs_workload.Replay.run (Record_batch.of_list records)
+
 let replay_exn records =
-  match Dfs_workload.Replay.run records with
+  match replay records with
   | Ok v -> v
   | Error e -> Alcotest.failf "replay failed: %s" e
 
@@ -424,10 +427,10 @@ let test_replay_duplicate_close () =
 
 let test_replay_rejects_bad_traces () =
   let records, _ = import_exn sample_csv in
-  (match Dfs_workload.Replay.run [] with
+  (match replay [] with
   | Ok _ -> Alcotest.fail "empty trace accepted"
   | Error e -> Alcotest.(check bool) "one line" false (String.contains e '\n'));
-  (match Dfs_workload.Replay.run (List.rev records) with
+  (match replay (List.rev records) with
   | Ok _ -> Alcotest.fail "unsorted trace accepted"
   | Error e -> Alcotest.(check bool) "one line" false (String.contains e '\n'));
   let huge =
@@ -435,7 +438,7 @@ let test_replay_rejects_bad_traces () =
     | r :: _ -> { r with Record.client = Ids.Client.of_int 1_000_000 }
     | [] -> Alcotest.fail "no records"
   in
-  match Dfs_workload.Replay.run [ huge ] with
+  match replay [ huge ] with
   | Ok _ -> Alcotest.fail "oversized client id accepted"
   | Error e -> Alcotest.(check bool) "one line" false (String.contains e '\n')
 

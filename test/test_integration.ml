@@ -20,7 +20,7 @@ let cluster () = fst (Lazy.force shared_run)
 let test_trace_nonempty_and_sorted () =
   let t = trace () in
   Alcotest.(check bool) "records exist" true (List.length t > 100);
-  Alcotest.(check bool) "time sorted" true (Dfs_trace.Merge.is_sorted t)
+  Alcotest.(check bool) "time sorted" true (Merge_model.is_sorted t)
 
 let test_opens_match_closes () =
   let t = trace () in
@@ -94,28 +94,27 @@ let test_write_trace_files_and_reanalyze () =
     (fun () ->
       let paths =
         List.mapi
-          (fun i records ->
+          (fun i chunks ->
             let path = Filename.concat dir (Printf.sprintf "s%d.trace" i) in
             Dfs_trace.Writer.with_file path (fun w ->
-                List.iter (Dfs_trace.Writer.write w) records);
+                Dfs_trace.Sink.iter (Dfs_trace.Writer.write w) chunks);
             path)
-          (Cluster.server_traces c)
+          (Cluster.server_chunks c)
       in
-      let streams =
+      let sources =
         List.map
           (fun p ->
-            match Dfs_trace.Reader.of_file p with
-            | Ok rs -> rs
+            match Dfs_trace.Reader.batch_of_file p with
+            | Ok b -> Dfs_trace.Sink.of_batch b
             | Error e -> Alcotest.failf "read %s: %s" p e)
           paths
       in
       let merged =
-        Dfs_trace.Merge.scrub ~self_users:Cluster.self_users
-          (Dfs_trace.Merge.merge streams)
+        Dfs_trace.Merge.merge_chunks ~scrub:Cluster.self_users sources
       in
       Alcotest.(check int) "file roundtrip preserves the trace"
         (List.length (trace ()))
-        (List.length merged))
+        (Dfs_trace.Sink.length merged))
 
 let test_experiment_registry () =
   Alcotest.(check int) "16 experiments" 16 (List.length Dfs_core.Experiment.all);

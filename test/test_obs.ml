@@ -332,7 +332,7 @@ let test_sim_metrics_consistency () =
       let preset =
         Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace 1) ~factor:0.01
       in
-      let cluster, _driver = Dfs_workload.Presets.run ~quiet:true preset in
+      let cluster, _driver = Dfs_workload.Presets.run preset in
       (* cache identity: every lookup is either a hit or a miss *)
       let lookups = counter_value "sim.cache.read_lookups" in
       let hits = counter_value "sim.cache.read_hits" in

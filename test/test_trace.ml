@@ -1,4 +1,5 @@
-(* Tests for Dfs_trace: ids, records, codec, writer/reader, merge, filter. *)
+(* Tests for Dfs_trace: ids, records, codec, writer/reader, merge,
+   columnar segments, and the reader's checks on hostile input. *)
 
 open Dfs_trace
 
@@ -95,13 +96,16 @@ let test_codec_bad_input () =
 let records_for_io =
   List.mapi (fun i kind -> mk ~time:(float_of_int i) ~file:i kind) sample_kinds
 
+let records_of_batch b = Array.to_list (Record_batch.to_array b)
+
 let test_writer_reader_buffer () =
   let buf = Buffer.create 256 in
   let w = Writer.to_buffer buf in
   List.iter (Writer.write w) records_for_io;
   Alcotest.(check int) "count" (List.length records_for_io) (Writer.count w);
-  match Reader.of_string (Buffer.contents buf) with
-  | Ok rs ->
+  match Reader.batch_of_string (Buffer.contents buf) with
+  | Ok b ->
+    let rs = records_of_batch b in
     Alcotest.(check int) "all read back" (List.length records_for_io)
       (List.length rs);
     List.iter2
@@ -110,7 +114,7 @@ let test_writer_reader_buffer () =
   | Error e -> Alcotest.failf "reader failed: %s" e
 
 let test_reader_rejects_bad_header () =
-  match Reader.of_string "#not-a-trace\n" with
+  match Reader.batch_of_string "#not-a-trace\n" with
   | Ok _ -> Alcotest.fail "accepted bad header"
   | Error e ->
     Alcotest.(check bool) "mentions header" true
@@ -121,7 +125,7 @@ let test_reader_reports_line () =
   let w = Writer.to_buffer buf in
   Writer.write w (List.hd records_for_io);
   Buffer.add_string buf "garbage line\n";
-  match Reader.of_string (Buffer.contents buf) with
+  match Reader.batch_of_string (Buffer.contents buf) with
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error e ->
     Alcotest.(check bool) "line number present" true
@@ -133,39 +137,39 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Writer.with_file path (fun w -> List.iter (Writer.write w) records_for_io);
-      match Reader.of_file path with
-      | Ok rs ->
+      match Reader.batch_of_file path with
+      | Ok b ->
         Alcotest.(check int) "file roundtrip" (List.length records_for_io)
-          (List.length rs)
+          (Record_batch.length b)
       | Error e -> Alcotest.failf "read back failed: %s" e)
 
-let test_fold_file_streaming () =
-  let path = Filename.temp_file "dfs" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Writer.with_file path (fun w -> List.iter (Writer.write w) records_for_io);
-      match Reader.fold_file path ~init:0 ~f:(fun acc _ -> acc + 1) with
-      | Ok n -> Alcotest.(check int) "fold count" (List.length records_for_io) n
-      | Error e -> Alcotest.failf "fold failed: %s" e)
-
 (* -- merge ----------------------------------------------------------------------- *)
+
+(* Rebuild [records] as a chunk stream with the given chunk size, so the
+   merge cursors have to cross chunk boundaries mid-stream. *)
+let chunks_of ?chunk_records ?spill records =
+  let sink = Sink.create ?chunk_records ?spill () in
+  List.iter (Sink.emit sink) records;
+  Sink.close sink
+
+let merge_lists ?scrub sources =
+  Sink.to_records (Merge.merge_chunks ?scrub (List.map chunks_of sources))
 
 let test_merge_two_streams () =
   let s0 = [ mk ~time:1.0 ~server:0 (Record.Dir_read { bytes = 1 });
              mk ~time:3.0 ~server:0 (Record.Dir_read { bytes = 1 }) ] in
   let s1 = [ mk ~time:2.0 ~server:1 (Record.Dir_read { bytes = 1 });
              mk ~time:4.0 ~server:1 (Record.Dir_read { bytes = 1 }) ] in
-  let merged = Merge.merge [ s0; s1 ] in
+  let merged = merge_lists [ s0; s1 ] in
   Alcotest.(check (list (float 0.0))) "interleaved"
     [ 1.0; 2.0; 3.0; 4.0 ]
     (List.map (fun (r : Record.t) -> r.time) merged);
-  Alcotest.(check bool) "sorted" true (Merge.is_sorted merged)
+  Alcotest.(check bool) "sorted" true (Merge_model.is_sorted merged)
 
 let test_merge_tie_break () =
   let a = mk ~time:1.0 ~server:1 (Record.Dir_read { bytes = 1 }) in
   let b = mk ~time:1.0 ~server:0 (Record.Dir_read { bytes = 2 }) in
-  let merged = Merge.merge [ [ a ]; [ b ] ] in
+  let merged = merge_lists [ [ a ]; [ b ] ] in
   (* server 0 first on equal timestamps *)
   match merged with
   | [ first; second ] ->
@@ -174,8 +178,8 @@ let test_merge_tie_break () =
   | _ -> Alcotest.fail "wrong length"
 
 let test_merge_empty_streams () =
-  Alcotest.(check int) "no streams" 0 (List.length (Merge.merge []));
-  Alcotest.(check int) "empty streams" 0 (List.length (Merge.merge [ []; [] ]))
+  Alcotest.(check int) "no streams" 0 (List.length (merge_lists []));
+  Alcotest.(check int) "empty streams" 0 (List.length (merge_lists [ []; [] ]))
 
 let test_scrub () =
   let daemon = 9000 in
@@ -187,9 +191,9 @@ let test_scrub () =
     ]
   in
   let scrubbed =
-    Merge.scrub
-      ~self_users:(Ids.User.Set.singleton (Ids.User.of_int daemon))
-      records
+    merge_lists
+      ~scrub:(Ids.User.Set.singleton (Ids.User.of_int daemon))
+      [ records ]
   in
   Alcotest.(check int) "daemon removed" 2 (List.length scrubbed);
   Alcotest.(check bool) "others kept" true
@@ -197,14 +201,7 @@ let test_scrub () =
        (fun (r : Record.t) -> Ids.User.to_int r.user <> daemon)
        scrubbed)
 
-(* -- streaming merge over chunks ------------------------------------------------- *)
-
-(* Rebuild [records] as a chunk stream with the given chunk size, so the
-   merge cursors have to cross chunk boundaries mid-stream. *)
-let chunks_of ?chunk_records ?spill records =
-  let sink = Sink.create ?chunk_records ?spill () in
-  List.iter (Sink.emit sink) records;
-  Sink.close sink
+(* -- streaming merge over chunks, against the list model ------------------------ *)
 
 let check_same_records msg expected actual =
   Alcotest.(check int) (msg ^ ": length") (List.length expected)
@@ -225,7 +222,7 @@ let test_merge_chunks_empty () =
     (Sink.to_records (Merge.merge_chunks [ chunks_of []; chunks_of live ]))
 
 let merge_both_ways ~chunk_records sources =
-  let expected = Merge.merge sources in
+  let expected = Merge_model.merge sources in
   let streamed =
     Merge.merge_chunks ~chunk_records
       (List.map (chunks_of ~chunk_records) sources)
@@ -263,7 +260,7 @@ let test_merge_chunks_scrub () =
   in
   let sources = [ src 0; src 1 ] in
   let self_users = Ids.User.Set.singleton (Ids.User.of_int daemon) in
-  let expected = Merge.scrub ~self_users (Merge.merge sources) in
+  let expected = Merge_model.scrub ~self_users (Merge_model.merge sources) in
   let streamed =
     Merge.merge_chunks ~chunk_records:2 ~scrub:self_users
       (List.map (chunks_of ~chunk_records:2) sources)
@@ -298,7 +295,7 @@ let test_merge_chunks_spill_roundtrip () =
       chunked
   in
   Alcotest.(check bool) "output spilled" true (Sink.spilled_count merged > 0);
-  let expected = Merge.merge sources in
+  let expected = Merge_model.merge sources in
   check_same_records "spill roundtrip" expected (Sink.to_records merged);
   (* replayable: a second traversal re-reads the on-disk segments *)
   check_same_records "second traversal" expected (Sink.to_records merged);
@@ -308,65 +305,7 @@ let test_merge_chunks_spill_roundtrip () =
     (Array.to_list (Sys.readdir dir));
   Sys.rmdir dir
 
-(* -- filter ---------------------------------------------------------------------- *)
-
-let test_filter_by_time () =
-  let rs =
-    List.map (fun t -> mk ~time:t (Record.Dir_read { bytes = 1 })) [ 0.0; 1.0; 2.0; 3.0 ]
-  in
-  Alcotest.(check int) "half-open window" 2
-    (List.length (Filter.by_time ~lo:1.0 ~hi:3.0 rs))
-
-let test_filter_users () =
-  let rs = List.map (fun u -> mk ~user:u (Record.Dir_read { bytes = 1 })) [ 1; 2; 3 ] in
-  let set = Ids.User.Set.singleton (Ids.User.of_int 2) in
-  Alcotest.(check int) "by_users" 1 (List.length (Filter.by_users set rs));
-  Alcotest.(check int) "excluding" 2 (List.length (Filter.excluding_users set rs))
-
-let test_filter_migrated () =
-  let rs =
-    [ mk ~migrated:true (Record.Dir_read { bytes = 1 });
-      mk ~migrated:false (Record.Dir_read { bytes = 1 }) ]
-  in
-  Alcotest.(check int) "migrated only" 1 (List.length (Filter.migrated_only rs))
-
-let test_filter_files_only () =
-  let dir_open =
-    mk ~time:0.0 ~file:1
-      (Record.Open
-         { mode = Record.Read_only; created = false; is_dir = true; size = 64; start_pos = 0 })
-  in
-  let dir_readrec = mk ~time:0.5 ~file:1 (Record.Dir_read { bytes = 64 }) in
-  let dir_close =
-    mk ~time:1.0 ~file:1
-      (Record.Close { size = 64; final_pos = 64; bytes_read = 64; bytes_written = 0 })
-  in
-  let file_open =
-    mk ~time:2.0 ~file:2
-      (Record.Open
-         { mode = Record.Read_only; created = false; is_dir = false; size = 10; start_pos = 0 })
-  in
-  let file_close =
-    mk ~time:3.0 ~file:2
-      (Record.Close { size = 10; final_pos = 10; bytes_read = 10; bytes_written = 0 })
-  in
-  let dir_delete = mk ~time:4.0 ~file:1 (Record.Delete { size = 0; is_dir = true }) in
-  let kept =
-    Filter.files_only
-      [ dir_open; dir_readrec; dir_close; file_open; file_close; dir_delete ]
-  in
-  Alcotest.(check int) "only the file open/close survive" 2 (List.length kept);
-  Alcotest.(check bool) "all on file 2" true
-    (List.for_all (fun (r : Record.t) -> Ids.File.to_int r.file = 2) kept)
-
-let test_filter_duration () =
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Filter.duration []);
-  let rs =
-    List.map (fun t -> mk ~time:t (Record.Dir_read { bytes = 1 })) [ 1.0; 2.0; 5.0 ]
-  in
-  Alcotest.(check (float 1e-9)) "span" 4.0 (Filter.duration rs)
-
-(* -- binary codec ------------------------------------------------------------------ *)
+(* -- columnar writer ----------------------------------------------------------- *)
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
@@ -381,105 +320,9 @@ let encode_trace ~format records =
   Buffer.contents buf
 
 let decode_trace s =
-  match Reader.of_string s with
-  | Ok rs -> rs
+  match Reader.batch_of_string s with
+  | Ok b -> records_of_batch b
   | Error e -> Alcotest.failf "decode failed: %s" e
-
-let test_binary_roundtrip_all_kinds () =
-  let back = decode_trace (encode_trace ~format:Writer.Binary records_for_io) in
-  Alcotest.(check int) "count" (List.length records_for_io) (List.length back);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool) "record equal (incl. exact time)" true
-        (Record.equal a b))
-    records_for_io back
-
-let test_binary_roundtrip_presets () =
-  (* Round-trip the merged trace of all eight presets through both codecs;
-     the decoded batches must agree record for record, and the analyses on
-     them must be indistinguishable. *)
-  List.iter
-    (fun n ->
-      let p = Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace n) ~factor:0.002 in
-      let cluster, _ = Dfs_workload.Presets.run p in
-      let records = Dfs_sim.Cluster.merged_trace cluster in
-      let text = encode_trace ~format:Writer.Text records in
-      let binary = encode_trace ~format:Writer.Binary records in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: binary is smaller" n)
-        true
-        (String.length binary < String.length text);
-      (* the binary codec must reproduce the raw simulated records
-         bit-for-bit, times included *)
-      let from_binary = decode_trace binary in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: binary roundtrip exact" n)
-        true
-        (List.length from_binary = List.length records
-        && List.for_all2 Record.equal records from_binary);
-      (* once times have gone through the text codec's %.6f quantization,
-         the two formats carry identical data and every analysis agrees *)
-      let quantized = decode_trace text in
-      let requantized = decode_trace (encode_trace ~format:Writer.Binary quantized) in
-      let bt =
-        match Reader.batch_of_string text with
-        | Ok b -> b
-        | Error e -> Alcotest.failf "trace%d text: %s" n e
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: batches equal across formats" n)
-        true
-        (Record_batch.equal bt (Record_batch.of_list requantized));
-      let st = Dfs_analysis.Trace_stats.of_batch bt
-      and sb =
-        Dfs_analysis.Trace_stats.of_batch (Record_batch.of_list requantized)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: analysis equal across formats" n)
-        true (st = sb))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let test_binary_rejects_truncation () =
-  let s = encode_trace ~format:Writer.Binary records_for_io in
-  List.iter
-    (fun k ->
-      match Reader.of_string (String.sub s 0 k) with
-      | Ok _ -> Alcotest.failf "accepted %d-byte prefix" k
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "prefix %d reports truncation" k)
-          true
-          (contains_sub ~sub:"truncated" e
-          || contains_sub ~sub:"malformed" e))
-    [ 7; 10; String.length s - 1 ]
-
-let test_binary_rejects_bad_magic () =
-  let s = encode_trace ~format:Writer.Binary records_for_io in
-  (* bump the version byte: not recognized as binary v1, not a text header *)
-  let bad = Bytes.of_string s in
-  Bytes.set bad 5 '\x02';
-  (match Binary_codec.decode_string (Bytes.to_string bad) with
-  | Ok _ -> Alcotest.fail "accepted bad version byte"
-  | Error e ->
-    Alcotest.(check bool) "mentions magic" true
-      (contains_sub ~sub:"magic" e));
-  match Reader.of_string (Bytes.to_string bad) with
-  | Ok _ -> Alcotest.fail "reader accepted bad version byte"
-  | Error _ -> ()
-
-let test_binary_rejects_malformed_tag () =
-  (* 0xFF sets flag bits no kind allows; 0x30 is an open with mode bits 3 *)
-  List.iter
-    (fun tag ->
-      let s = Binary_codec.magic ^ String.make 1 (Char.chr tag) in
-      match Binary_codec.decode_string s with
-      | Ok _ -> Alcotest.failf "accepted tag 0x%02x" tag
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "tag 0x%02x reports malformed" tag)
-          true
-          (contains_sub ~sub:"malformed tag" e))
-    [ 0xFF; 0x30 ]
 
 (* -- columnar segments --------------------------------------------------------- *)
 
@@ -500,7 +343,7 @@ let write_segment_file records =
 
 let test_segment_writer_roundtrip () =
   (* the columnar writer format: exact on any float time (raw IEEE-754
-     bits, like the binary codec) *)
+     bits) *)
   let s = encode_trace ~format:Writer.Columnar records_for_io in
   Alcotest.(check bool) "sniffs as a segment file" true (Segment.is_segment s);
   let back = decode_trace s in
@@ -586,46 +429,253 @@ let test_segment_rejects_truncation () =
   check_segment_rejected ~what:"column cut" ~needle:"truncated"
     (String.sub s 0 (String.length s - 1))
 
+(* Recompute the checksums of a one-segment image holding [n] records
+   after a test pokes it, so the structural, tag and domain checks —
+   which the CRCs otherwise pre-empt — are what must catch the damage.
+   Column extents and checksum slots follow the layout in segment.mli. *)
+let reseal ~n s =
+  let b = Bytes.of_string s in
+  let hb = Segment.header_bytes in
+  let extent k =
+    if k = 0 then (hb, 8 * n)
+    else if k <= 9 then (hb + (8 * n) + (4 * n * (k - 1)), 4 * n)
+    else (hb + (44 * n), n)
+  in
+  let crc ~pos ~len =
+    Int32.of_int (Dfs_util.Crc32c.string_sub (Bytes.to_string b) ~pos ~len)
+  in
+  for k = 0 to 10 do
+    let pos, len = extent k in
+    Bytes.set_int32_le b (28 + (4 * k)) (crc ~pos ~len)
+  done;
+  Bytes.set_int32_le b 24 0l;
+  Bytes.set_int32_le b 24 (crc ~pos:0 ~len:hb);
+  Bytes.to_string b
+
 let test_segment_rejects_misalignment () =
-  (* On v2 any poked header field trips the header checksum before the
-     structural checks even run. *)
+  (* A poked header field trips the header checksum before the
+     structural checks even run... *)
+  let n = List.length records_for_io in
   let s = Segment.encode_batch (Record_batch.of_list records_for_io) in
   let bad = Bytes.of_string s in
   Bytes.set_int64_le bad 16 (Int64.of_int (String.length s - 3));
-  check_segment_rejected ~what:"bad length v2" ~needle:"header checksum"
+  check_segment_rejected ~what:"bad length" ~needle:"header checksum"
     (Bytes.to_string bad);
   let bad = Bytes.of_string s in
   Bytes.set_int64_le bad 8 (-1L);
-  check_segment_rejected ~what:"negative count v2" ~needle:"header checksum"
+  check_segment_rejected ~what:"negative count" ~needle:"header checksum"
     (Bytes.to_string bad);
-  (* v1 has no checksums, so the same pokes must still be caught by the
-     structural extent/alignment checks. *)
-  let s1 = Segment.encode_batch ~version:1 (Record_batch.of_list records_for_io) in
-  let bad = Bytes.of_string s1 in
-  Bytes.set_int64_le bad 16 (Int64.of_int (String.length s1 - 3));
-  check_segment_rejected ~what:"bad length v1" ~needle:"misaligned"
-    (Bytes.to_string bad);
-  let bad = Bytes.of_string s1 in
+  (* ...so reseal the same pokes: the extent/alignment checks must still
+     catch them. *)
+  let bad = Bytes.of_string s in
+  Bytes.set_int64_le bad 16 (Int64.of_int (String.length s - 3));
+  check_segment_rejected ~what:"bad length, resealed" ~needle:"misaligned"
+    (reseal ~n (Bytes.to_string bad));
+  let bad = Bytes.of_string s in
   Bytes.set_int64_le bad 8 (-1L);
-  check_segment_rejected ~what:"negative count v1" ~needle:"record count"
-    (Bytes.to_string bad)
+  check_segment_rejected ~what:"negative count, resealed"
+    ~needle:"record count"
+    (reseal ~n (Bytes.to_string bad))
 
 let test_segment_rejects_malformed_tag () =
   let records = records_for_io in
   let n = List.length records in
   (* tags column starts at header + 44n; 0xFF sets flag bits no kind
-     allows.  On v2 the column checksum catches the flip first; on v1
-     the per-record tag check is the only line of defense. *)
+     allows.  The column checksum catches the flip first; resealed, the
+     per-record tag check must. *)
   let s = Segment.encode_batch (Record_batch.of_list records) in
   let bad = Bytes.of_string s in
   Bytes.set bad (Segment.header_bytes + (44 * n)) '\xFF';
-  check_segment_rejected ~what:"bad tag v2" ~needle:"column tags"
+  check_segment_rejected ~what:"bad tag" ~needle:"column tags"
     (Bytes.to_string bad);
-  let s1 = Segment.encode_batch ~version:1 (Record_batch.of_list records) in
-  let bad = Bytes.of_string s1 in
-  Bytes.set bad (Segment.header_bytes_v1 + (44 * n)) '\xFF';
-  check_segment_rejected ~what:"bad tag v1" ~needle:"malformed tag"
-    (Bytes.to_string bad)
+  check_segment_rejected ~what:"bad tag, resealed" ~needle:"malformed tag"
+    (reseal ~n (Bytes.to_string bad))
+
+(* -- hostile records ---------------------------------------------------------- *)
+
+let read_both policy ~what s =
+  (* the in-memory and the file reader must agree *)
+  let path = Filename.temp_file "dfs" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      [
+        (what ^ " (string)", Reader.batch_of_string ~on_corruption:policy s);
+        (what ^ " (file)", Reader.batch_of_file ~on_corruption:policy path);
+      ])
+
+(* Under Fail the reader returns [needle]'s one-line error, never an
+   exception; under Salvage it keeps [kept] records and counts the
+   incident once per read. *)
+let check_hostile ~what ~needle ~kept s =
+  List.iter
+    (fun (label, r) ->
+      match r with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S mentions %S" label e needle)
+          true (contains_sub ~sub:needle e);
+        Alcotest.(check bool) (label ^ ": one line") false
+          (String.contains e '\n'))
+    (read_both Corruption.Fail ~what s);
+  let before = Corruption.detected () in
+  List.iter
+    (fun (label, r) ->
+      match r with
+      | Ok b ->
+        Alcotest.(check int) (label ^ ": salvaged records") kept
+          (Record_batch.length b);
+        List.iter
+          (fun r ->
+            Alcotest.(check bool) (label ^ ": salvaged record valid") true
+              (Result.is_ok (Record.validate r)))
+          (records_of_batch b)
+      | Error e -> Alcotest.failf "%s: salvage failed: %s" label e)
+    (read_both Corruption.Salvage ~what s);
+  Alcotest.(check int) (what ^ ": incidents counted") (before + 2)
+    (Corruption.detected ())
+
+(* A text trace whose second record names client -3. *)
+let text_negative_client =
+  String.concat "\n"
+    [
+      Codec.header;
+      Codec.encode (List.hd records_for_io);
+      "1.000000\t0\t-3\t0\t0\t0\t1\tdirread\t5";
+      Codec.encode (List.nth records_for_io 2);
+    ]
+  ^ "\n"
+
+let test_reader_rejects_negative_text_id () =
+  (* text salvage keeps the whole lines before the bad one *)
+  check_hostile ~what:"text client -3" ~needle:"line 3: negative client id -3"
+    ~kept:1 text_negative_client
+
+(* [records_for_io] as one segment with a record poked out of domain and
+   the checksums recomputed: record 4's client id (column 2) or file id
+   (column 5), or record 7's time.  Returns (what, error, image). *)
+let hostile_columnar () =
+  let n = List.length records_for_io in
+  let hb = Segment.header_bytes in
+  let poke f =
+    let b =
+      Bytes.of_string (Segment.encode_batch (Record_batch.of_list records_for_io))
+    in
+    f b;
+    reseal ~n (Bytes.to_string b)
+  in
+  [
+    ( "columnar client -3",
+      "record 4: negative client id -3",
+      poke (fun b -> Bytes.set_int32_le b (hb + (12 * n) + 16) (-3l)) );
+    ( "columnar file -3",
+      "record 4: negative file id -3",
+      poke (fun b -> Bytes.set_int32_le b (hb + (24 * n) + 16) (-3l)) );
+    ( "columnar nan time",
+      "record 7: non-finite time",
+      poke (fun b ->
+          Bytes.set_int64_le b (hb + 56) (Int64.bits_of_float Float.nan)) );
+  ]
+
+let test_reader_validates_columnar_records () =
+  (* salvage drops just the poked record *)
+  List.iter
+    (fun (what, needle, s) ->
+      check_hostile ~what ~needle ~kept:(List.length records_for_io - 1) s)
+    (hostile_columnar ())
+
+(* -- retired formats and the CLI ------------------------------------------------ *)
+
+(* Files in the retired formats: the varint binary codec (its magic,
+   then 220 all-zero dir-read records of 8 bytes each) and a v1 segment
+   (64-byte header, no checksums, the v2 columns). *)
+let retired_binary =
+  "\xD7DFSB\x01"
+  ^ String.concat ""
+      (List.init 220 (fun _ -> "\x05\x00\x00\x00\x00\x00\x00\x00"))
+
+let retired_v1_segment () =
+  let n = List.length records_for_io in
+  let v2 = Segment.encode_batch (Record_batch.of_list records_for_io) in
+  let len = (64 + (45 * n) + 7) land lnot 7 in
+  let b = Bytes.make len '\000' in
+  Bytes.blit_string "\xD7DFSC\x01\x00\x00" 0 b 0 8;
+  Bytes.set_int64_le b 8 (Int64.of_int n);
+  Bytes.set_int64_le b 16 (Int64.of_int len);
+  Bytes.blit_string v2 Segment.header_bytes b 64 (45 * n);
+  Bytes.to_string b
+
+(* The dfs_repro executable (a test dependency, see test/dune). *)
+let dfs_repro =
+  Filename.concat (Filename.concat Filename.parent_dir_name "bin") "dfs_repro.exe"
+
+(* Run the CLI with stdout discarded; returns its exit code and stderr. *)
+let run_cli args =
+  let err = Filename.temp_file "dfs-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process dfs_repro
+          (Array.of_list (dfs_repro :: args))
+          Unix.stdin null err_fd
+      in
+      Unix.close err_fd;
+      Unix.close null;
+      let code =
+        match snd (Unix.waitpid [] pid) with
+        | Unix.WEXITED c -> c
+        | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+      in
+      (code, In_channel.with_open_bin err In_channel.input_all))
+
+(* Every hostile trace, through [replay] and [analyze]: exit 2 and one
+   short stderr line, never an uncaught exception (exit 125). *)
+let test_cli_hostile_traces () =
+  if not (Sys.file_exists dfs_repro) then
+    Alcotest.failf "%s not built" dfs_repro;
+  let inputs =
+    (("text client -3", text_negative_client)
+     :: List.map (fun (what, _, s) -> (what, s)) (hostile_columnar ()))
+    @ [
+      ("retired binary", retired_binary);
+      ("retired v1 segment", retired_v1_segment ());
+    ]
+  in
+  List.iter
+    (fun (what, bytes) ->
+      let path = Filename.temp_file "dfs" ".in" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          List.iter
+            (fun cmd ->
+              let label = Printf.sprintf "%s: %s" cmd what in
+              let code, err = run_cli [ cmd; path ] in
+              Alcotest.(check int) (label ^ ": exit 2") 2 code;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: one stderr line in %S" label err)
+                true
+                (String.length err > 1
+                && String.index err '\n' = String.length err - 1);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %d-byte line" label (String.length err))
+                true
+                (String.length err < 200);
+              List.iter
+                (fun word ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: no %S" label word)
+                    false
+                    (contains_sub ~sub:word (String.lowercase_ascii err)))
+                [ "exception"; "backtrace"; "assert" ])
+            [ "replay"; "analyze" ]))
+    inputs
 
 (* -- properties -------------------------------------------------------------------- *)
 
@@ -680,16 +730,6 @@ let prop_text_codec_exact_on_quantized =
       match Codec.decode (Codec.encode quantized) with
       | Ok r' -> Record.equal quantized r'
       | Error _ -> false)
-
-(* The binary codec stores the raw IEEE-754 bits, so it is exact on ANY
-   time, quantized or not. *)
-let prop_binary_codec_exact =
-  QCheck.Test.make ~name:"binary codec exact on random traces" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 40) arb_full_record)
-    (fun rs ->
-      (* order is preserved as written — no sort, the codec must not care *)
-      let back = decode_trace (encode_trace ~format:Writer.Binary rs) in
-      List.length back = List.length rs && List.for_all2 Record.equal rs back)
 
 (* The Bigarray-backed batch must read back exactly what the boxed
    records said, through both the bounds-checked and the unsafe
@@ -749,8 +789,8 @@ let prop_merge_sorted =
         (list_of_size Gen.(0 -- 30) arb_record))
     (fun (a, b) ->
       let sort l = List.sort Record.compare_time l in
-      let merged = Merge.merge [ sort a; sort b ] in
-      Merge.is_sorted merged
+      let merged = merge_lists [ sort a; sort b ] in
+      Merge_model.is_sorted merged
       && List.length merged = List.length a + List.length b)
 
 (* The streaming chunked merge must agree with the in-memory list merge
@@ -765,7 +805,7 @@ let prop_merge_chunks_equiv =
         (int_range 1 5))
     (fun (sources, chunk_records) ->
       let sources = List.map (List.sort Record.compare_time) sources in
-      let expected = Merge.merge sources in
+      let expected = Merge_model.merge sources in
       let streamed =
         Sink.to_records
           (Merge.merge_chunks ~chunk_records
@@ -779,7 +819,6 @@ let qcheck_tests =
     [
       prop_codec_roundtrip;
       prop_text_codec_exact_on_quantized;
-      prop_binary_codec_exact;
       prop_batch_columns_match_boxed;
       prop_segment_roundtrip_exact;
       prop_merge_sorted;
@@ -798,7 +837,6 @@ let suite =
     ("reader rejects bad header", `Quick, test_reader_rejects_bad_header);
     ("reader reports line numbers", `Quick, test_reader_reports_line);
     ("file roundtrip", `Quick, test_file_roundtrip);
-    ("fold_file streaming", `Quick, test_fold_file_streaming);
     ("merge two streams", `Quick, test_merge_two_streams);
     ("merge tie-break", `Quick, test_merge_tie_break);
     ("merge empty", `Quick, test_merge_empty_streams);
@@ -808,21 +846,16 @@ let suite =
     ("merge_chunks single-record chunks", `Quick, test_merge_chunks_single_record_chunks);
     ("merge_chunks streaming scrub", `Quick, test_merge_chunks_scrub);
     ("merge_chunks spill roundtrip", `Quick, test_merge_chunks_spill_roundtrip);
-    ("filter by time", `Quick, test_filter_by_time);
-    ("filter users", `Quick, test_filter_users);
-    ("filter migrated", `Quick, test_filter_migrated);
-    ("filter files_only", `Quick, test_filter_files_only);
-    ("filter duration", `Quick, test_filter_duration);
-    ("binary roundtrip all kinds", `Quick, test_binary_roundtrip_all_kinds);
-    ("binary roundtrip all presets", `Slow, test_binary_roundtrip_presets);
-    ("binary rejects truncation", `Quick, test_binary_rejects_truncation);
-    ("binary rejects bad magic", `Quick, test_binary_rejects_bad_magic);
-    ("binary rejects malformed tag", `Quick, test_binary_rejects_malformed_tag);
     ("segment writer roundtrip", `Quick, test_segment_writer_roundtrip);
     ("segment mmap roundtrip all presets", `Slow,
       test_segment_mmap_roundtrip_presets);
     ("segment rejects truncation", `Quick, test_segment_rejects_truncation);
     ("segment rejects misalignment", `Quick, test_segment_rejects_misalignment);
     ("segment rejects malformed tag", `Quick, test_segment_rejects_malformed_tag);
+    ("reader rejects negative text id", `Quick,
+      test_reader_rejects_negative_text_id);
+    ("reader validates columnar records", `Quick,
+      test_reader_validates_columnar_records);
+    ("cli hostile traces exit 2 in one line", `Quick, test_cli_hostile_traces);
   ]
   @ qcheck_tests

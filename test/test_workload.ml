@@ -181,7 +181,7 @@ let make_ctx cluster =
 
 let run_app cluster f =
   Engine.spawn (Cluster.engine cluster) f;
-  Cluster.run cluster ~until:36000.0
+  Sharded.drive cluster ~until:36000.0
 
 let count_kind trace pred = List.length (List.filter pred trace)
 
@@ -206,7 +206,7 @@ let test_app_compile_reads_and_writes () =
   let ctx = make_ctx cluster in
   run_app cluster (fun () -> Apps.compile ctx ~host:0 ~migrated:false);
   let trace = Cluster.merged_trace cluster in
-  let accesses = Dfs_analysis.Session.of_trace (Array.of_list trace) in
+  let accesses = Dfs_analysis.Session.of_batch (Dfs_trace.Record_batch.of_list trace) in
   let reads =
     List.exists (fun (a : Dfs_analysis.Session.access) -> a.a_bytes_read > 0) accesses
   in
@@ -244,7 +244,7 @@ let test_app_big_sim_big_reads () =
   let ctx = { (make_ctx cluster) with group = Params.Architecture } in
   run_app cluster (fun () -> Apps.big_sim ctx);
   let trace = Cluster.merged_trace cluster in
-  let accesses = Dfs_analysis.Session.of_trace (Array.of_list trace) in
+  let accesses = Dfs_analysis.Session.of_batch (Dfs_trace.Record_batch.of_list trace) in
   let biggest =
     List.fold_left
       (fun acc (a : Dfs_analysis.Session.access) -> max acc a.a_bytes_read)
@@ -310,7 +310,7 @@ let test_driver_trace_well_formed () =
   let cluster, driver = Presets.run p in
   Alcotest.(check bool) "users exist" true (Driver.n_users driver > 0);
   let trace = Cluster.merged_trace cluster in
-  Alcotest.(check bool) "sorted" true (Dfs_trace.Merge.is_sorted trace);
+  Alcotest.(check bool) "sorted" true (Merge_model.is_sorted trace);
   (* scrubbed: no infrastructure users left *)
   Alcotest.(check bool) "scrubbed" true
     (List.for_all
