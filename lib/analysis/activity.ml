@@ -13,83 +13,104 @@ type report = {
   peak_total_throughput : float;
 }
 
-(* [batches] must be replayable: the analysis makes one pass to find the
-   time span, then a second for the bucket folds. *)
-let analyze_seq ?(migrated_only = false) ~interval batches =
-  (* time span; [t0] is the first record's time, as before *)
-  let t0 = ref nan and t_end = ref neg_infinity in
-  Seq.iter
-    (fun batch ->
-      let n = B.length batch in
-      if n > 0 && Float.is_nan !t0 then t0 := B.time batch 0;
-      for i = 0 to n - 1 do
-        t_end := Float.max !t_end (B.Unsafe.time batch i)
-      done)
-    batches;
-  if Float.is_nan !t0 then
-    {
-      interval;
-      avg_active_users = 0.0;
-      sd_active_users = 0.0;
-      max_active_users = 0;
-      avg_user_throughput = 0.0;
-      sd_user_throughput = 0.0;
-      peak_user_throughput = 0.0;
-      peak_total_throughput = 0.0;
-    }
+(* Interval [b] covers [t0 + b * interval, t0 + (b + 1) * interval).
+   Every bucketed time is a record's time, so it is at most [t_end] and
+   its bucket at most the last one: no clamp is needed while the trace
+   is being read, and the interval count is settled at the end. *)
+type acc = {
+  interval : float;
+  migrated_only : bool;
+  t0 : float;  (* the first record's time; nan for an empty trace *)
+  mutable t_end : float;
+  (* bucket -> active user set; its insertion order (the order records
+     first reach each bucket) is the order the throughput statistics
+     are summed in *)
+  active_tbl : (int, Ids.User.Set.t ref) Hashtbl.t;
+  (* (bucket, user) -> bytes; integer sums, so any order *)
+  bytes_tbl : (int * int, int ref) Hashtbl.t;
+  (* the last (bucket, user) marked active, so a run of records by one
+     user in one interval looks the set up once *)
+  mutable last_bucket : int;
+  mutable last_user : int;
+}
+
+let acc_create ?(migrated_only = false) ~interval ~t0 () =
+  {
+    interval;
+    migrated_only;
+    t0;
+    t_end = neg_infinity;
+    active_tbl = Hashtbl.create 1024;
+    bytes_tbl = Hashtbl.create 4096;
+    last_bucket = -1;
+    last_user = -1;
+  }
+
+let bucket acc time = int_of_float ((time -. acc.t0) /. acc.interval)
+
+let add_bytes acc b user n =
+  let key = (b, Ids.User.to_int user) in
+  match Hashtbl.find_opt acc.bytes_tbl key with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.replace acc.bytes_tbl key (ref n)
+
+let mark_active acc b user =
+  let u = Ids.User.to_int user in
+  if b <> acc.last_bucket || u <> acc.last_user then begin
+    acc.last_bucket <- b;
+    acc.last_user <- u;
+    match Hashtbl.find_opt acc.active_tbl b with
+    | Some s -> s := Ids.User.Set.add user !s
+    | None -> Hashtbl.replace acc.active_tbl b (ref (Ids.User.Set.singleton user))
+  end
+
+let acc_record acc batch i =
+  let time = B.time batch i in
+  if time > acc.t_end then acc.t_end <- time;
+  if (not acc.migrated_only) || B.Unsafe.migrated batch i then begin
+    let b = bucket acc time and user = B.Unsafe.user_id batch i in
+    mark_active acc b user;
+    (* shared (pass-through) transfers carry their size directly: the
+       length for shared reads/writes (payload column b), the byte count
+       for directory reads (column a) *)
+    let tag = B.Unsafe.tag batch i in
+    if tag = B.tag_shared_read || tag = B.tag_shared_write then
+      add_bytes acc b user (B.Unsafe.b batch i)
+    else if tag = B.tag_dir_read then add_bytes acc b user (B.Unsafe.a batch i)
+  end
+
+let acc_boundary acc ~user ~migrated ~is_dir ~time run =
+  if ((not acc.migrated_only) || migrated) && not is_dir then
+    add_bytes acc (bucket acc time) user run
+
+let acc_merge dst src =
+  if src.t_end > dst.t_end then dst.t_end <- src.t_end;
+  Hashtbl.iter (fun (b, u) r -> add_bytes dst b (Ids.User.of_int u) !r) src.bytes_tbl
+
+let empty_report interval =
+  {
+    interval;
+    avg_active_users = 0.0;
+    sd_active_users = 0.0;
+    max_active_users = 0;
+    avg_user_throughput = 0.0;
+    sd_user_throughput = 0.0;
+    peak_user_throughput = 0.0;
+    peak_total_throughput = 0.0;
+  }
+
+let acc_finish acc =
+  if Float.is_nan acc.t0 then empty_report acc.interval
   else begin
-    let t0 = !t0 in
-    let t_end = Float.max !t_end t0 in
-    let n_buckets =
-      max 1 (1 + int_of_float ((t_end -. t0) /. interval))
-    in
-    let bucket time =
-      min (n_buckets - 1) (int_of_float ((time -. t0) /. interval))
-    in
-    (* (bucket, user) -> bytes; bucket -> active user set *)
-    let bytes_tbl : (int * int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-    let active_tbl : (int, Ids.User.Set.t ref) Hashtbl.t =
-      Hashtbl.create 1024
-    in
-    let mark_active b user =
-      match Hashtbl.find_opt active_tbl b with
-      | Some s -> s := Ids.User.Set.add user !s
-      | None -> Hashtbl.replace active_tbl b (ref (Ids.User.Set.singleton user))
-    in
-    let add_bytes b user n =
-      let key = (b, Ids.User.to_int user) in
-      match Hashtbl.find_opt bytes_tbl key with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace bytes_tbl key (ref n)
-    in
-    let relevant (migrated : bool) = (not migrated_only) || migrated in
-    Seq.iter
-      (fun batch ->
-        for i = 0 to B.length batch - 1 do
-          if relevant (B.Unsafe.migrated batch i) then begin
-            let time = B.Unsafe.time batch i
-            and user = B.Unsafe.user_id batch i in
-            mark_active (bucket time) user;
-            (* shared (pass-through) transfers carry their size directly:
-               the length for shared reads/writes (payload column b), the
-               byte count for directory reads (column a) *)
-            let tag = B.Unsafe.tag batch i in
-            if tag = B.tag_shared_read || tag = B.tag_shared_write then
-              add_bytes (bucket time) user (B.Unsafe.b batch i)
-            else if tag = B.tag_dir_read then
-              add_bytes (bucket time) user (B.Unsafe.a batch i)
-          end
-        done)
-      batches;
-    Session.run_boundaries_seq batches ~f:(fun a time run ->
-        if relevant a.a_migrated && not a.a_is_dir then
-          add_bytes (bucket time) a.a_user run);
+    let interval = acc.interval in
+    let t_end = Float.max acc.t_end acc.t0 in
+    let n_buckets = max 1 (1 + int_of_float ((t_end -. acc.t0) /. interval)) in
     (* active-user statistics over every interval, empty ones included *)
     let users_stats = Dfs_util.Stats.create () in
     let max_active = ref 0 in
     for b = 0 to n_buckets - 1 do
       let n =
-        match Hashtbl.find_opt active_tbl b with
+        match Hashtbl.find_opt acc.active_tbl b with
         | Some s -> Ids.User.Set.cardinal !s
         | None -> 0
       in
@@ -104,7 +125,7 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
         Ids.User.Set.iter
           (fun user ->
             let bytes =
-              match Hashtbl.find_opt bytes_tbl (b, Ids.User.to_int user) with
+              match Hashtbl.find_opt acc.bytes_tbl (b, Ids.User.to_int user) with
               | Some r -> !r
               | None -> 0
             in
@@ -112,7 +133,7 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
             if kbs > !peak_user then peak_user := kbs;
             Dfs_util.Stats.add tput_stats kbs)
           !s)
-      active_tbl;
+      acc.active_tbl;
     (* peak total throughput over intervals *)
     let totals : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
     Hashtbl.iter
@@ -120,7 +141,7 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
         match Hashtbl.find_opt totals b with
         | Some acc -> acc := !acc + !r
         | None -> Hashtbl.replace totals b (ref !r))
-      bytes_tbl;
+      acc.bytes_tbl;
     let peak_total =
       Hashtbl.fold
         (fun _ r acc -> Float.max acc (float_of_int !r /. 1024.0 /. interval))
@@ -139,9 +160,13 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
   end
 
 let analyze ?migrated_only ~interval batch =
-  analyze_seq ?migrated_only ~interval (Seq.return batch)
+  let t0 = if B.length batch = 0 then Float.nan else B.time batch 0 in
+  let acc = acc_create ?migrated_only ~interval ~t0 () in
+  Session.sweep_seq (Seq.return batch) ~on_record:(acc_record acc)
+    ~on_boundary:(acc_boundary acc) ~on_access:ignore;
+  acc_finish acc
 
-let pp ppf r =
+let pp ppf (r : report) =
   Format.fprintf ppf
     "@[<v>interval %.0fs: active users avg %.1f (sd %.1f) max %d;@ \
      throughput/user avg %.2f KB/s (sd %.2f) peak %.0f KB/s; peak total \

@@ -24,15 +24,43 @@ val analyze :
   report
 (** With [migrated_only] (Table 2's second column), a user is active only
     when a migrated process acted for them, and only migrated processes'
-    bytes count. *)
+    bytes count.  The experiments read Table 2's four reports from
+    {!Fused}; this is the same fold over one batch. *)
 
-val analyze_seq :
-  ?migrated_only:bool ->
-  interval:float ->
-  Dfs_trace.Record_batch.t Seq.t ->
-  report
-(** {!analyze} over a chunked trace.  The sequence must be replayable
-    (e.g. {!Dfs_trace.Sink.to_seq}): the analysis traverses it once for
-    the time span and again for the interval folds. *)
+(** {1 Accumulator}
+
+    The analysis in one pass, as a fold {!Fused} drives: [acc_record]
+    for every record in trace order, [acc_boundary] at every run
+    boundary of the session sweep.  The per-record half keeps the
+    active-user sets, whose insertion order the throughput statistics
+    are summed in, so it needs every record in global order; the
+    boundary half only adds whole byte counts, so accumulators fed
+    disjoint sets of boundaries merge in any order. *)
+
+type acc
+
+val acc_create :
+  ?migrated_only:bool -> interval:float -> t0:float -> unit -> acc
+(** [t0] is the trace's first record's time (the intervals' origin), or
+    [nan] for an empty trace. *)
+
+val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val acc_boundary :
+  acc ->
+  user:Dfs_trace.Ids.User.t ->
+  migrated:bool ->
+  is_dir:bool ->
+  time:float ->
+  int ->
+  unit
+(** Shaped as {!Session.sweep_seq}'s [on_boundary]. *)
+
+val acc_merge : acc -> acc -> unit
+(** [acc_merge dst src] adds [src]'s bytes into [dst].  Both must have
+    been created with the same arguments, and [src] fed boundaries
+    only. *)
+
+val acc_finish : acc -> report
 
 val pp : Format.formatter -> report -> unit

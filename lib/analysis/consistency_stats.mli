@@ -16,9 +16,19 @@ type t = {
 
 val analyze : Dfs_trace.Record_batch.t -> t
 
-val analyze_seq : Dfs_trace.Record_batch.t Seq.t -> t
-(** {!analyze} over a chunked trace; replay state persists across chunk
-    boundaries. *)
+(** {1 Accumulator}
+
+    {!analyze} as a per-record fold, which {!Fused} drives.  The open
+    table and last-writer state are per file across clients, so it must
+    see every record of the trace in order. *)
+
+type acc
+
+val acc_create : unit -> acc
+
+val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val acc_finish : acc -> t
 
 val sharing_pct : t -> float
 

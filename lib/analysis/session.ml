@@ -182,34 +182,31 @@ let scan_seq batches ~on_record ~on_boundary ~on_close =
 
 let no_record _ _ = ()
 
-let no_boundary _ _ _ = ()
+let no_boundary ~user:_ ~migrated:_ ~is_dir:_ ~time:_ _ = ()
 
-let sweep_seq batches ~on_record ~on_access =
-  scan_seq batches ~on_record ~on_boundary:no_boundary
+(* A run boundary reaches [on_boundary] as the fields of the in-progress
+   access an interval analysis needs, so nothing is allocated for it. *)
+let boundary on_boundary p time run =
+  on_boundary ~user:p.p_user ~migrated:p.p_migrated ~is_dir:p.p_is_dir ~time run
+
+let sweep_seq batches ~on_record ~on_boundary ~on_access =
+  scan_seq batches ~on_record ~on_boundary:(boundary on_boundary)
     ~on_close:(fun p time ~size ~bytes_read ~bytes_written ->
       on_access (finish p time ~size ~bytes_read ~bytes_written))
 
-let sweep_shard_seq batches ~shard ~nshards ~on_record ~on_access =
-  scan_shard_seq batches ~shard ~nshards ~on_record ~on_boundary:no_boundary
+let sweep_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_access =
+  scan_shard_seq batches ~shard ~nshards ~on_record
+    ~on_boundary:(boundary on_boundary)
     ~on_close:(fun ~gidx p time ~size ~bytes_read ~bytes_written ->
       on_access ~gidx (finish p time ~size ~bytes_read ~bytes_written))
 
 let sweep batch ~on_record ~on_access =
-  sweep_seq (Seq.return batch) ~on_record ~on_access
+  sweep_seq (Seq.return batch) ~on_record ~on_boundary:no_boundary ~on_access
 
 let of_seq batches =
   let acc = ref [] in
-  sweep_seq batches ~on_record:no_record ~on_access:(fun a -> acc := a :: !acc);
+  sweep_seq batches ~on_record:no_record ~on_boundary:no_boundary
+    ~on_access:(fun a -> acc := a :: !acc);
   List.rev !acc
 
 let of_batch batch = of_seq (Seq.return batch)
-
-let run_boundaries_seq batches ~f =
-  scan_seq batches ~on_record:no_record
-    ~on_boundary:(fun p time run ->
-      (* expose the in-progress access; totals are placeholders *)
-      let partial =
-        finish p time ~size:p.p_size_open ~bytes_read:0 ~bytes_written:0
-      in
-      f partial time run)
-    ~on_close:(fun _ _ ~size:_ ~bytes_read:_ ~bytes_written:_ -> ())

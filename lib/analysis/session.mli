@@ -64,16 +64,34 @@ val sweep :
 val sweep_seq :
   Dfs_trace.Record_batch.t Seq.t ->
   on_record:(Dfs_trace.Record_batch.t -> int -> unit) ->
+  on_boundary:
+    (user:Dfs_trace.Ids.User.t ->
+    migrated:bool ->
+    is_dir:bool ->
+    time:float ->
+    int ->
+    unit) ->
   on_access:(access -> unit) ->
   unit
 (** {!sweep} over a chunked trace; at most one chunk is forced at a
-    time. *)
+    time.  [on_boundary ~user ~migrated ~is_dir ~time run] fires at each
+    run boundary (a reposition or close ending a run of [run > 0]
+    bytes), with the in-progress access's user, migration flag and
+    directory flag: an interval analysis attributes the run's bytes at
+    the moment they are known. *)
 
 val sweep_shard_seq :
   Dfs_trace.Record_batch.t Seq.t ->
   shard:int ->
   nshards:int ->
   on_record:(gidx:int -> Dfs_trace.Record_batch.t -> int -> unit) ->
+  on_boundary:
+    (user:Dfs_trace.Ids.User.t ->
+    migrated:bool ->
+    is_dir:bool ->
+    time:float ->
+    int ->
+    unit) ->
   on_access:(gidx:int -> access -> unit) ->
   unit
 (** {!sweep_seq} restricted to records whose client id satisfies
@@ -84,13 +102,3 @@ val sweep_shard_seq :
     ([on_access] gets its close record's), so per-shard streams can be
     k-way merged back into the exact unsharded order.
     [sweep_shard_seq ~shard:0 ~nshards:1] visits everything. *)
-
-val run_boundaries_seq :
-  Dfs_trace.Record_batch.t Seq.t ->
-  f:(access -> float -> int -> unit) ->
-  unit
-(** Lower-level interface for interval analyses: invokes [f access time
-    run_bytes] at each run boundary (reposition or close) of a chunked
-    trace, attributing the run's bytes at the moment they are known.
-    [access] is the in-progress access (its totals may be incomplete at
-    callback time). *)

@@ -27,10 +27,20 @@ type report = {
 
 val simulate : interval:float -> Dfs_trace.Record_batch.t -> report
 
-val simulate_seq :
-  interval:float -> Dfs_trace.Record_batch.t Seq.t -> report
-(** {!simulate} over a chunked trace; cache state persists across chunk
-    boundaries. *)
+(** {1 Accumulator}
+
+    {!simulate} as a per-record fold, which the fused analysis pass
+    drives.  Its state is per file and per client, and a stale read
+    depends on other clients' earlier writes, so it must see every
+    record of the trace in order. *)
+
+type acc
+
+val acc_create : interval:float -> acc
+
+val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val acc_finish : acc -> report
 
 val pct_users_affected : report -> float
 

@@ -27,15 +27,15 @@ let mean = function
 
 let per_trace (ds : Dataset.t) f = List.map (fun r -> f r) ds.runs
 
-let activity ?(migrated_only = false) ~interval ds =
-  per_trace ds (fun r ->
-      A.Activity.analyze_seq ~migrated_only ~interval (Dataset.trace_seq r))
+(* Per-trace results of the fused pass, which carries Tables 2, 10 and
+   11's folds. *)
+let fused (ds : Dataset.t) get = per_trace ds (fun r -> get (Dataset.fused r))
 
-let avg_tput ?migrated_only ~interval ds =
+let avg_tput get ds =
   mean
     (List.map
        (fun (r : A.Activity.report) -> r.avg_user_throughput)
-       (activity ?migrated_only ~interval ds))
+       (fused ds get))
 
 let all_cache_stats ds = List.concat_map Dataset.client_cache_stats ds.Dataset.runs
 
@@ -54,9 +54,6 @@ let server_traffic (ds : Dataset.t) =
       Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_server_traffic r.cluster))
     (Dfs_sim.Traffic.create ()) ds.runs
 
-let polling ~interval ds =
-  per_trace ds (fun r -> C.Polling.simulate_seq ~interval (Dataset.trace_seq r))
-
 (* -- the claims ------------------------------------------------------------- *)
 
 let all =
@@ -71,7 +68,7 @@ let all =
       c_unit = "KB/s";
       c_lo = 2.5;
       c_hi = 25.0;
-      c_measure = (fun ds -> avg_tput ~interval:600.0 ds);
+      c_measure = avg_tput (fun f -> f.A.Fused.activity_10min);
     };
     {
       c_id = "migration-burst-factor";
@@ -85,8 +82,8 @@ let all =
       c_hi = 20.0;
       c_measure =
         (fun ds ->
-          let all = avg_tput ~interval:600.0 ds in
-          let mig = avg_tput ~migrated_only:true ~interval:600.0 ds in
+          let all = avg_tput (fun f -> f.A.Fused.activity_10min) ds in
+          let mig = avg_tput (fun f -> f.A.Fused.activity_10min_migrated) ds in
           if all <= 0.0 then 0.0 else mig /. all);
     };
     {
@@ -322,9 +319,8 @@ let all =
       c_measure =
         (fun ds ->
           mean
-            (per_trace ds (fun r ->
-                 A.Consistency_stats.sharing_pct
-                   (A.Consistency_stats.analyze_seq (Dataset.trace_seq r)))));
+            (List.map A.Consistency_stats.sharing_pct
+               (fused ds (fun f -> f.A.Fused.consistency))));
     };
     {
       c_id = "recall-rate";
@@ -339,9 +335,8 @@ let all =
       c_measure =
         (fun ds ->
           mean
-            (per_trace ds (fun r ->
-                 A.Consistency_stats.recall_pct
-                   (A.Consistency_stats.analyze_seq (Dataset.trace_seq r)))));
+            (List.map A.Consistency_stats.recall_pct
+               (fused ds (fun f -> f.A.Fused.consistency))));
     };
     {
       c_id = "polling-users-affected";
@@ -354,7 +349,10 @@ let all =
       c_lo = 15.0;
       c_hi = 70.0;
       c_measure =
-        (fun ds -> mean (List.map C.Polling.pct_users_affected (polling ~interval:60.0 ds)));
+        (fun ds ->
+          mean
+            (List.map C.Polling.pct_users_affected
+               (fused ds (fun f -> f.A.Fused.polling_60s))));
     };
     {
       c_id = "polling-interval-contrast";
@@ -370,11 +368,11 @@ let all =
         (fun ds ->
           let e60 =
             mean (List.map (fun (r : C.Polling.report) -> r.errors_per_hour)
-                    (polling ~interval:60.0 ds))
+                    (fused ds (fun f -> f.A.Fused.polling_60s)))
           in
           let e3 =
             mean (List.map (fun (r : C.Polling.report) -> r.errors_per_hour)
-                    (polling ~interval:3.0 ds))
+                    (fused ds (fun f -> f.A.Fused.polling_3s)))
           in
           if e3 <= 0.0 then 500.0 else e60 /. e3);
     };

@@ -110,14 +110,11 @@ let table1 =
 
 let table2 =
   let run (ds : Dataset.t) =
-    let analyze ~migrated_only ~interval =
-      per_trace ds (fun r ->
-          A.Activity.analyze_seq ~migrated_only ~interval (Dataset.trace_seq r))
-    in
-    let render ~label ~interval ~(paper_all : Paper.activity_col)
+    let fused = per_trace ds Dataset.fused in
+    let render ~label ~all ~mig ~(paper_all : Paper.activity_col)
         ~(paper_mig : Paper.activity_col) ~bsd_users ~bsd_tput =
-      let all = analyze ~migrated_only:false ~interval in
-      let mig = analyze ~migrated_only:true ~interval in
+      let all : A.Activity.report list = List.map all fused in
+      let mig : A.Activity.report list = List.map mig fused in
       let tbl =
         Table.create
           ~caption:(Printf.sprintf "Table 2 (%s intervals)." label)
@@ -195,13 +192,17 @@ let table2 =
         ];
       Table.render tbl
     in
-    render ~label:"10-minute" ~interval:600.0 ~paper_all:Paper.t2_all_10min
-      ~paper_mig:Paper.t2_mig_10min ~bsd_users:Paper.t2_bsd_10min_avg_users
-      ~bsd_tput:Paper.t2_bsd_10min_tput
+    render ~label:"10-minute"
+      ~all:(fun f -> f.A.Fused.activity_10min)
+      ~mig:(fun f -> f.A.Fused.activity_10min_migrated)
+      ~paper_all:Paper.t2_all_10min ~paper_mig:Paper.t2_mig_10min
+      ~bsd_users:Paper.t2_bsd_10min_avg_users ~bsd_tput:Paper.t2_bsd_10min_tput
     ^ "\n"
-    ^ render ~label:"10-second" ~interval:10.0 ~paper_all:Paper.t2_all_10s
-        ~paper_mig:Paper.t2_mig_10s ~bsd_users:Paper.t2_bsd_10s_avg_users
-        ~bsd_tput:Paper.t2_bsd_10s_tput
+    ^ render ~label:"10-second"
+        ~all:(fun f -> f.A.Fused.activity_10s)
+        ~mig:(fun f -> f.A.Fused.activity_10s_migrated)
+        ~paper_all:Paper.t2_all_10s ~paper_mig:Paper.t2_mig_10s
+        ~bsd_users:Paper.t2_bsd_10s_avg_users ~bsd_tput:Paper.t2_bsd_10s_tput
     ^ "\n" ^ scale_note ds ^ "\n"
   in
   {
@@ -315,16 +316,9 @@ let fig1 =
       per_trace ds (fun r ->
           (r.preset.name, (Dataset.fused r).A.Fused.run_length))
     in
-    let pooled_runs = Cdf.create () and pooled_bytes = Cdf.create () in
-    List.iter
-      (fun (_, (f : A.Run_length.t)) ->
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_runs ~weight:w v)
-          (Cdf.samples f.by_runs);
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_bytes ~weight:w v)
-          (Cdf.samples f.by_bytes))
-      per;
+    let pooled f = Cdf.merge (List.map (fun (_, rl) -> f rl) per) in
+    let pooled_runs = pooled (fun (f : A.Run_length.t) -> f.by_runs)
+    and pooled_bytes = pooled (fun (f : A.Run_length.t) -> f.by_bytes) in
     let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
     let headline =
       let under10k =
@@ -367,16 +361,8 @@ let fig2 =
     let per =
       per_trace ds (fun r -> (Dataset.fused r).A.Fused.file_size)
     in
-    let pooled_files = Cdf.create () and pooled_bytes = Cdf.create () in
-    List.iter
-      (fun (f : A.File_size.t) ->
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_files ~weight:w v)
-          (Cdf.samples f.by_files);
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_bytes ~weight:w v)
-          (Cdf.samples f.by_bytes))
-      per;
+    let pooled_files = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_files) per)
+    and pooled_bytes = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_bytes) per) in
     let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
     let over1m =
       List.map
@@ -408,13 +394,7 @@ let fig3 =
     let per =
       per_trace ds (fun r -> (Dataset.fused r).A.Fused.open_time)
     in
-    let pooled = Cdf.create () in
-    List.iter
-      (fun (f : A.Open_time.t) ->
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled ~weight:w v)
-          (Cdf.samples f.by_opens))
-      per;
+    let pooled = Cdf.merge (List.map (fun (f : A.Open_time.t) -> f.by_opens) per) in
     let tbl =
       Table.create
         ~caption:"Figure 3. File open durations, cumulative % (pooled)."
@@ -459,16 +439,8 @@ let fig4 =
       per_trace ds (fun r ->
           (Dataset.fused r).A.Fused.lifetime)
     in
-    let pooled_files = Cdf.create () and pooled_bytes = Cdf.create () in
-    List.iter
-      (fun (f : A.Lifetime.t) ->
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_files ~weight:w v)
-          (Cdf.samples f.by_files);
-        Array.iter
-          (fun (v, w) -> Cdf.add pooled_bytes ~weight:w v)
-          (Cdf.samples f.by_bytes))
-      per;
+    let pooled_files = Cdf.merge (List.map (fun (f : A.Lifetime.t) -> f.by_files) per)
+    and pooled_bytes = Cdf.merge (List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per) in
     let tbl =
       Table.create ~caption:"Figure 4. File lifetimes, cumulative % (pooled)."
         ~columns:
@@ -862,7 +834,7 @@ let table9 =
 
 let table10 =
   let run (ds : Dataset.t) =
-    let reports = per_trace ds (fun r -> A.Consistency_stats.analyze_seq (Dataset.trace_seq r)) in
+    let reports = per_trace ds (fun r -> (Dataset.fused r).A.Fused.consistency) in
     let sharing = List.map A.Consistency_stats.sharing_pct reports in
     let recall = List.map A.Consistency_stats.recall_pct reports in
     let tbl =
@@ -904,9 +876,9 @@ let table10 =
 
 let table11 =
   let run (ds : Dataset.t) =
-    let render ~interval ~(paper : Paper.t11_col) =
-      let reports =
-        per_trace ds (fun r -> C.Polling.simulate_seq ~interval (Dataset.trace_seq r))
+    let render ~interval ~get ~(paper : Paper.t11_col) =
+      let reports : C.Polling.report list =
+        per_trace ds (fun r -> get (Dataset.fused r))
       in
       let all_affected =
         List.fold_left
@@ -970,9 +942,9 @@ let table11 =
         ];
       Table.render tbl
     in
-    render ~interval:60.0 ~paper:Paper.t11_60s
+    render ~interval:60.0 ~get:(fun f -> f.A.Fused.polling_60s) ~paper:Paper.t11_60s
     ^ "\n"
-    ^ render ~interval:3.0 ~paper:Paper.t11_3s
+    ^ render ~interval:3.0 ~get:(fun f -> f.A.Fused.polling_3s) ~paper:Paper.t11_3s
   in
   {
     id = "table11";

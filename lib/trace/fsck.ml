@@ -1,9 +1,10 @@
 (* Trace-file verification and repair.
 
    [check] classifies a file by content (the same magic sniff the
-   readers use), walks it with the format's validator, and reports a
-   machine-readable verdict: how many records are intact, how long the
-   valid prefix is, and what the first damage looks like.  [--repair]
+   readers use), walks it with the format's validator — for columnar
+   files the segment checks and then the reader's per-record checks —
+   and reports a machine-readable verdict: how many records are intact,
+   how long the valid prefix is, and what the first damage looks like.  [--repair]
    truncates a damaged file to its longest valid prefix — whole
    segments (columnar), whole lines (text) — and removes orphaned
    [.tmp] files left by an interrupted atomic seal.
@@ -100,6 +101,31 @@ let check_text s =
     (!records, !valid, !err)
   end
 
+(* Structure and checksums do not bound the values: the first record in
+   the checksummed prefix that the reader rejects ([Record_batch.row_error],
+   worded as the reader words it), with the records and bytes of the
+   whole segments ahead of it. *)
+let first_bad_record batches =
+  let rec go ~records ~bytes = function
+    | [] -> None
+    | batch :: rest -> (
+      let n = Record_batch.length batch in
+      let rec bad i =
+        if i >= n then None
+        else
+          match Record_batch.row_error batch i with
+          | None -> bad (i + 1)
+          | Some e -> Some (Printf.sprintf "record %d: %s" (records + i) e)
+      in
+      match bad 0 with
+      | Some reason -> Some (reason, records, bytes)
+      | None ->
+        go ~records:(records + n)
+          ~bytes:(bytes + Segment.segment_bytes ~count:n)
+          rest)
+  in
+  go ~records:0 ~bytes:0 batches
+
 (* A structural verdict for one file, before any repair. *)
 let check path =
   match Unix.stat path with
@@ -162,20 +188,33 @@ let check path =
             reason = Some e;
             repaired = false;
           }
-        | Ok scan ->
-          {
-            path;
-            format = "columnar";
-            status = (if scan.Segment.error = None then Clean else Corrupt);
-            records = scan.Segment.records;
-            valid_bytes = scan.Segment.valid_bytes;
-            total_bytes = scan.Segment.total_bytes;
-            reason =
-              Option.map
-                (fun e -> e.Segment.reason)
-                scan.Segment.error;
-            repaired = false;
-          })
+        | Ok scan -> (
+          match first_bad_record scan.Segment.batches with
+          | Some (reason, records, valid_bytes) ->
+            {
+              path;
+              format = "columnar";
+              status = Corrupt;
+              records;
+              valid_bytes;
+              total_bytes = scan.Segment.total_bytes;
+              reason = Some reason;
+              repaired = false;
+            }
+          | None ->
+            {
+              path;
+              format = "columnar";
+              status = (if scan.Segment.error = None then Clean else Corrupt);
+              records = scan.Segment.records;
+              valid_bytes = scan.Segment.valid_bytes;
+              total_bytes = scan.Segment.total_bytes;
+              reason =
+                Option.map
+                  (fun e -> e.Segment.reason)
+                  scan.Segment.error;
+              repaired = false;
+            }))
       | `Maybe_text ->
         let s = read_all path in
         (* Only a file that actually starts with the text trace header

@@ -372,6 +372,63 @@ let test_fsck_exit_codes () =
       Alcotest.(check int) "I/O error dominates: 2" 2
         (Fsck.exit_code [ ok; missing ]))
 
+(* A checksummed segment can still hold a record the reader rejects (a
+   negative id, a NaN time): fsck calls the file corrupt, in the
+   reader's own words. *)
+let test_fsck_runs_the_reader_row_checks () =
+  with_tmpdir (fun dir ->
+      List.iteri
+        (fun k (what, _, image) ->
+          let path = Filename.concat dir (Printf.sprintf "hostile%d.dfsc" k) in
+          write_all path image;
+          let reader_error =
+            match Reader.batch_of_file path with
+            | Ok _ -> Alcotest.failf "%s: the reader accepted it" what
+            | Error e -> e
+          in
+          let v = Fsck.check_file path in
+          Alcotest.(check string) (what ^ ": corrupt") "corrupt"
+            (Fsck.status_to_string v.Fsck.status);
+          Alcotest.(check (option string)) (what ^ ": the reader's reason")
+            (Some reader_error) v.Fsck.reason;
+          Alcotest.(check int) (what ^ ": nothing before it") 0 v.Fsck.records;
+          Alcotest.(check int) (what ^ ": exit 1") 1 (Fsck.exit_code [ v ]))
+        (Test_trace.hostile_columnar ()))
+
+(* Repair keeps the whole segments ahead of the first bad record and
+   rewrites no record, so the repaired file reads under [Fail]. *)
+let test_fsck_repair_drops_segment_with_bad_record () =
+  with_tmpdir (fun dir ->
+      let records = Test_trace.records_for_io in
+      let n = List.length records in
+      let good = Segment.encode_batch (Record_batch.of_list records) in
+      let _, _, poked = List.hd (Test_trace.hostile_columnar ()) in
+      let path = Filename.concat dir "mixed.dfsc" in
+      write_all path (good ^ poked);
+      let v = Fsck.check_file path in
+      Alcotest.(check string) "corrupt" "corrupt"
+        (Fsck.status_to_string v.Fsck.status);
+      Alcotest.(check int) "good segment's records" n v.Fsck.records;
+      Alcotest.(check int) "valid prefix is the good segment"
+        (String.length good) v.Fsck.valid_bytes;
+      let prefix = Printf.sprintf "record %d: negative client id -3" (n + 4) in
+      Alcotest.(check bool) "indexed across segments" true
+        (match v.Fsck.reason with
+        | Some r -> String.starts_with ~prefix r
+        | None -> false);
+      let v = Fsck.check_file ~repair:true path in
+      Alcotest.(check string) "repaired" "repaired"
+        (Fsck.status_to_string v.Fsck.status);
+      Alcotest.(check bool) "exactly the good segment kept" true
+        (read_all path = good);
+      (match Reader.batch_of_file path with
+      | Ok b ->
+        Alcotest.(check bool) "reads under Fail" true
+          (Record_batch.equal b (Record_batch.of_list records))
+      | Error e -> Alcotest.failf "repaired file rejected: %s" e);
+      Alcotest.(check string) "clean after repair" "ok"
+        (Fsck.status_to_string (Fsck.check_file path).Fsck.status))
+
 (* -- salvage-prefix properties ------------------------------------------------ *)
 
 let gen_trace =
@@ -574,6 +631,10 @@ let suite =
     Alcotest.test_case "fsck orphan tmp and unknown" `Quick
       test_fsck_orphan_tmp_and_unknown;
     Alcotest.test_case "fsck exit codes" `Quick test_fsck_exit_codes;
+    Alcotest.test_case "fsck runs the reader's row checks" `Quick
+      test_fsck_runs_the_reader_row_checks;
+    Alcotest.test_case "fsck repair drops segment with bad record" `Quick
+      test_fsck_repair_drops_segment_with_bad_record;
     Alcotest.test_case "chaos sigkill salvage" `Quick
       test_chaos_sigkill_salvage;
   ]

@@ -142,11 +142,98 @@ let test_dataset_deterministic_across_jobs () =
       Alcotest.(check bool) "identical trace stats" true (sa = sb))
     seq.runs par.runs
 
+module A = Dfs_analysis
+module Polling = Dfs_consistency.Polling
+
+(* [compare], not [=]: a report's float fields compare equal when both
+   are nan. *)
+let same a b = compare a b = 0
+
+let polling_equal (a : Polling.report) (b : Polling.report) =
+  let {
+    Polling.interval;
+    duration_hours;
+    errors;
+    errors_per_hour;
+    users_seen;
+    users_affected;
+    file_opens;
+    opens_with_error;
+    migrated_opens;
+    migrated_opens_with_error;
+    affected_user_ids;
+    seen_user_ids;
+  } =
+    a
+  in
+  same
+    ( interval,
+      duration_hours,
+      errors,
+      errors_per_hour,
+      users_seen,
+      users_affected,
+      (file_opens, opens_with_error, migrated_opens, migrated_opens_with_error) )
+    ( b.interval,
+      b.duration_hours,
+      b.errors,
+      b.errors_per_hour,
+      b.users_seen,
+      b.users_affected,
+      (b.file_opens, b.opens_with_error, b.migrated_opens, b.migrated_opens_with_error) )
+  && Dfs_trace.Ids.User.Set.equal affected_user_ids b.affected_user_ids
+  && Dfs_trace.Ids.User.Set.equal seen_user_ids b.seen_user_ids
+
+(* Every field of two fused results.  A CDF's arrays carry spare
+   capacity and a cached sorted view, so CDFs compare by their samples
+   ([Cdf.equal]); the record patterns name every field, so a field added
+   to any of these types fails to compile here until it is compared. *)
+let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
+  let cdf = Dfs_util.Cdf.equal in
+  let {
+    A.Fused.stats;
+    file_size = { by_files = fs_files; by_bytes = fs_bytes };
+    open_time = { by_opens };
+    run_length = { by_runs; by_bytes = rl_bytes };
+    access_patterns;
+    lifetime = { by_files = lt_files; by_bytes = lt_bytes; deaths_aged; deaths_unknown };
+    accesses;
+    activity_10min;
+    activity_10min_migrated;
+    activity_10s;
+    activity_10s_migrated;
+    consistency;
+    polling_60s;
+    polling_3s;
+  } =
+    a
+  in
+  same stats b.stats
+  && cdf fs_files b.file_size.by_files
+  && cdf fs_bytes b.file_size.by_bytes
+  && cdf by_opens b.open_time.by_opens
+  && cdf by_runs b.run_length.by_runs
+  && cdf rl_bytes b.run_length.by_bytes
+  && same access_patterns b.access_patterns
+  && cdf lt_files b.lifetime.by_files
+  && cdf lt_bytes b.lifetime.by_bytes
+  && deaths_aged = b.lifetime.deaths_aged
+  && deaths_unknown = b.lifetime.deaths_unknown
+  && same accesses b.accesses
+  && same activity_10min b.activity_10min
+  && same activity_10min_migrated b.activity_10min_migrated
+  && same activity_10s b.activity_10s
+  && same activity_10s_migrated b.activity_10s_migrated
+  && same consistency b.consistency
+  && polling_equal polling_60s b.polling_60s
+  && polling_equal polling_3s b.polling_3s
+
 (* The sharded fused pass must be bit-identical to the sequential sweep:
-   per-record stats merge commutatively and the order-sensitive access/
-   death streams are k-way merged by global record index before replay.
-   Structural equality over the whole result (CDF sample lists included)
-   is exactly that claim. *)
+   per-record stats merge commutatively, the order-sensitive access/
+   death streams are k-way merged by global record index before replay,
+   and the global-order folds run on shard 0's walk over every record.
+   Equality over every field of the result (CDF samples in insertion
+   order included) is exactly that claim. *)
 let test_fused_sharded_equals_sequential () =
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
   let pool = Pool.create ~jobs:4 () in
@@ -161,8 +248,60 @@ let test_fused_sharded_equals_sequential () =
         (List.length seq.accesses) (List.length par.accesses);
       Alcotest.(check bool)
         (run.preset.name ^ ": sharded result bit-identical")
-        true (seq = par))
+        true (fused_equal seq par))
     ds.runs
+
+(* Each fold the fused pass carries for Tables 2, 10 and 11 equals its
+   standalone batch entry point over the whole trace, from the
+   sequential pass and from the sharded one. *)
+let test_fused_folds_equal_standalone () =
+  let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
+  let pool = Pool.create ~jobs:4 () in
+  List.iter
+    (fun (run : Dfs_core.Dataset.run) ->
+      let batch = Dfs_core.Dataset.batch run in
+      let activity ?migrated_only interval =
+        A.Activity.analyze ?migrated_only ~interval batch
+      in
+      let check_pass pass (f : A.Fused.t) =
+        let label what = Printf.sprintf "%s %s: %s" run.preset.name pass what in
+        let check what ok = Alcotest.(check bool) (label what) true ok in
+        check "activity 600 s" (same f.activity_10min (activity 600.0));
+        check "activity 600 s migrated"
+          (same f.activity_10min_migrated (activity ~migrated_only:true 600.0));
+        check "activity 10 s" (same f.activity_10s (activity 10.0));
+        check "activity 10 s migrated"
+          (same f.activity_10s_migrated (activity ~migrated_only:true 10.0));
+        check "polling 60 s"
+          (polling_equal f.polling_60s (Polling.simulate ~interval:60.0 batch));
+        check "polling 3 s"
+          (polling_equal f.polling_3s (Polling.simulate ~interval:3.0 batch));
+        check "consistency"
+          (same f.consistency (A.Consistency_stats.analyze batch));
+        check "some active users" (f.activity_10min.max_active_users > 0);
+        check "some opens" (f.consistency.file_opens > 0)
+      in
+      check_pass "sequential" (Dfs_core.Dataset.fused run);
+      check_pass "sharded" (A.Fused.analyze_chunks ~pool run.trace))
+    ds.runs
+
+(* The fused pass reads the first record's time (Table 2's interval
+   origin) off the head of the stream: leading empty chunks are skipped,
+   and an empty trace gives the empty reports. *)
+let test_fused_origin_edge_cases () =
+  let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
+  let batch = Dfs_core.Dataset.batch (List.hd ds.runs) in
+  let empty = Dfs_trace.Record_batch.of_list [] in
+  Alcotest.(check bool) "leading empty chunks" true
+    (fused_equal (A.Fused.analyze batch)
+       (A.Fused.analyze_seq (List.to_seq [ empty; empty; batch; empty ])));
+  let none = A.Fused.analyze_seq (List.to_seq [ empty; empty ]) in
+  Alcotest.(check bool) "empty trace" true
+    (fused_equal (A.Fused.analyze empty) none
+    && same none.activity_10s (A.Activity.analyze ~interval:10.0 empty)
+    && none.activity_10min.max_active_users = 0
+    && none.polling_60s.users_seen = 0
+    && none.consistency.file_opens = 0)
 
 let test_dataset_sessions_memoized () =
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
@@ -197,6 +336,10 @@ let suite =
       test_dataset_deterministic_across_jobs;
     Alcotest.test_case "fused: sharded equals sequential" `Slow
       test_fused_sharded_equals_sequential;
+    Alcotest.test_case "fused: folds equal standalone analyses" `Slow
+      test_fused_folds_equal_standalone;
+    Alcotest.test_case "fused: interval origin edge cases" `Quick
+      test_fused_origin_edge_cases;
     Alcotest.test_case "dataset: sessions memoized" `Quick
       test_dataset_sessions_memoized;
   ]

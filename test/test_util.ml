@@ -275,6 +275,108 @@ let test_cdf_invalid_args () =
         per_decade = 1)") (fun () ->
       ignore (Cdf.log_xs ~lo:0.0 ~hi:10.0 ~per_decade:1))
 
+(* The figures' x points: every [log_xs] axis and the fixed columns of
+   Figures 3 and 4. *)
+let figure_xs =
+  Array.concat
+    [
+      Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2;
+      Cdf.log_xs ~lo:100.0 ~hi:10_485_760.0 ~per_decade:4;
+      Cdf.log_xs ~lo:0.01 ~hi:100.0 ~per_decade:4;
+      Cdf.log_xs ~lo:1.0 ~hi:10_000_000.0 ~per_decade:3;
+      [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |];
+      [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |];
+    ]
+
+(* Parts of (value, weight) samples.  Values collide often (small
+   integers, powers of two, figure x points) so ties cross parts; the
+   weights of one case are all of one kind the analyses use: 1, whole
+   numbers below 2^31, or multiples of 1/8. *)
+let gen_cdf_parts =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        map float_of_int (int_range 0 40);
+        map (fun k -> Float.ldexp 1.0 k) (int_range 0 23);
+        oneofa figure_xs;
+        float_range 0.0 1e7;
+      ]
+  in
+  let weight kind =
+    match kind with
+    | 0 -> return 1.0
+    | 1 -> map float_of_int (int_range 1 ((1 lsl 31) - 1))
+    | _ -> map (fun k -> float_of_int k /. 8.0) (int_range 1 ((1 lsl 31) - 1))
+  in
+  int_range 0 2 >>= fun kind ->
+  list_size (int_range 0 6)
+    (list_size (int_range 0 60) (pair value (weight kind)))
+
+let cdf_of samples =
+  let c = Cdf.create () in
+  List.iter (fun (v, weight) -> Cdf.add c ~weight v) samples;
+  c
+
+let prop_cdf_merge_equals_pooled =
+  QCheck.Test.make ~name:"cdf merge = one cdf fed every sample" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_cdf_parts (list_size (int_range 1 20) (float_range 0.0 1.0))))
+    (fun (parts, ps) ->
+      let merged = Cdf.merge (List.map cdf_of parts) in
+      let all = List.concat parts in
+      let whole = cdf_of all in
+      let same_at x =
+        Float.equal (Cdf.fraction_below merged x) (Cdf.fraction_below whole x)
+      in
+      Cdf.count merged = Cdf.count whole
+      && Float.equal (Cdf.total_weight merged) (Cdf.total_weight whole)
+      && List.for_all (fun (v, _) -> same_at v) all
+      && Array.for_all same_at figure_xs
+      && (all = []
+         || List.for_all
+              (fun p -> Float.equal (Cdf.quantile merged p) (Cdf.quantile whole p))
+              (0.0 :: 1.0 :: ps)))
+
+(* Two domains query one never-queried CDF at once: each may build and
+   publish the sorted view, and both must get the sequential answers. *)
+let test_cdf_concurrent_first_query () =
+  let rng = Rng.create 11 in
+  let samples =
+    List.init 200_000 (fun _ ->
+        (Float.round (1000.0 *. Rng.float rng), float_of_int (1 + Rng.int rng 8)))
+  in
+  let answers c =
+    ( Array.map (Cdf.fraction_below c) figure_xs,
+      List.map (Cdf.quantile c) [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] )
+  in
+  let expected = answers (cdf_of samples) in
+  let shared = cdf_of samples in
+  let go = Atomic.make false in
+  let query () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    answers shared
+  in
+  let d1 = Domain.spawn query and d2 = Domain.spawn query in
+  Atomic.set go true;
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "first domain" true (r1 = expected);
+  Alcotest.(check bool) "second domain" true (r2 = expected)
+
+let test_cdf_merge_then_add () =
+  let a = cdf_of [ (1.0, 1.0); (3.0, 1.0) ] and b = cdf_of [ (2.0, 2.0) ] in
+  let m = Cdf.merge [ a; b ] in
+  check_float "merged below 2" 0.75 (Cdf.fraction_below m 2.0);
+  Cdf.add m ~weight:4.0 0.5;
+  check_float "after add" 0.875 (Cdf.fraction_below m 2.0);
+  check_float "parts unchanged" 0.5 (Cdf.fraction_below a 2.0);
+  Alcotest.(check bool) "equal by samples" true
+    (Cdf.equal (cdf_of [ (1.0, 1.0) ]) (cdf_of [ (1.0, 1.0) ]));
+  Alcotest.(check bool) "insertion order matters" false
+    (Cdf.equal (cdf_of [ (1.0, 1.0); (2.0, 1.0) ]) (cdf_of [ (2.0, 1.0); (1.0, 1.0) ]))
+
 let test_stats_percentile_invalid_args () =
   Alcotest.check_raises "empty sample"
     (Invalid_argument "Stats.percentile: empty sample") (fun () ->
@@ -603,6 +705,7 @@ let qcheck_tests =
       prop_stats_merge_equals_sequential;
       prop_cdf_monotone;
       prop_cdf_quantile_consistent;
+      prop_cdf_merge_equals_pooled;
       prop_heap_sorts;
       prop_dist_clamp_respected;
     ]
@@ -640,6 +743,8 @@ let suite =
     ("cdf series and log_xs", `Quick, test_cdf_series_and_log_xs);
     ("cdf empty", `Quick, test_cdf_empty);
     ("cdf invalid args", `Quick, test_cdf_invalid_args);
+    ("cdf concurrent first query", `Quick, test_cdf_concurrent_first_query);
+    ("cdf merge then add", `Quick, test_cdf_merge_then_add);
     ("stats percentile invalid args", `Quick, test_stats_percentile_invalid_args);
     ("units invalid args", `Quick, test_units_invalid_args);
     ("heap order", `Quick, test_heap_order);
