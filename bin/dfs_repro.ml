@@ -73,6 +73,32 @@ let spill_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
 
+(* -- numeric flag ranges ----------------------------------------------------- *)
+
+(* Checked before anything is built: an out-of-range value is one [dfs]
+   line naming the flag and its valid range, and exit 1 — never an
+   uncaught exception from inside the simulator. *)
+let check flag ~valid ok value =
+  if not ok then begin
+    Dfs_obs.Log.error "%s %s is out of range (valid: %s)" flag value valid;
+    exit 1
+  end
+
+let check_scale =
+  Option.iter (fun s ->
+      check "--scale" ~valid:"0 < FRACTION <= 1" (s > 0.0 && s <= 1.0)
+        (Printf.sprintf "%g" s))
+
+let check_trace flag n =
+  check flag ~valid:"1-8" (n >= 1 && n <= 8) (string_of_int n)
+
+let check_positive flag n = check flag ~valid:">= 1" (n >= 1) (string_of_int n)
+
+let check_dataset_flags scale traces chunk_records =
+  check_scale scale;
+  List.iter (check_trace "--traces") traces;
+  Option.iter (check_positive "--chunk-records") chunk_records
+
 let fault_profile faults fault_seed =
   match faults with
   | None -> None
@@ -261,6 +287,7 @@ let experiment_cmd =
   let run () ids scale traces jobs faults fault_seed sim_shards chunk_records
       spill_dir replay metrics_out trace_out profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_dataset_flags scale traces chunk_records;
     let unknown =
       List.filter (fun id -> Dfs_core.Experiment.find id = None) ids
     in
@@ -298,6 +325,7 @@ let all_cmd =
   let run () scale traces jobs faults fault_seed sim_shards chunk_records
       spill_dir replay metrics_out trace_out profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_dataset_flags scale traces chunk_records;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let ds =
           dataset_for ?faults:(fault_profile faults fault_seed)
@@ -327,6 +355,7 @@ let facts_cmd =
   let run () scale traces jobs faults fault_seed sim_shards chunk_records
       spill_dir markdown replay metrics_out trace_out profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_dataset_flags scale traces chunk_records;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let ds =
           dataset_for ?faults:(fault_profile faults fault_seed)
@@ -385,6 +414,8 @@ let simulate_cmd =
   in
   let run () n scale out format sim_shards metrics_out trace_out profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_trace "--trace" n;
+    check_scale scale;
     let format = parse_trace_format format in
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let preset = scaled_preset n scale in
@@ -698,6 +729,8 @@ let stats_cmd =
   let run () n scale faults fault_seed sim_shards metrics_out trace_out
       profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_trace "--trace" n;
+    check_scale scale;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let preset = scaled_preset n scale in
         let preset =
@@ -770,6 +803,16 @@ let scale_cmd =
   let run () clients servers days seed partitions faults fault_seed sim_shards
       chunk_records spill_dir metrics_out trace_out profile_out =
     Dfs_workload.Sharded.set_shards sim_shards;
+    check_positive "--clients" clients;
+    check_positive "--servers" servers;
+    Option.iter
+      (fun p ->
+        let hi = min clients servers in
+        check "--partitions"
+          ~valid:(Printf.sprintf "1-%d, at most --clients and --servers" hi)
+          (p >= 1 && p <= hi) (string_of_int p))
+      partitions;
+    Option.iter (check_positive "--chunk-records") chunk_records;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let fault_profile =
           Option.value
@@ -820,92 +863,24 @@ let scale_cmd =
       $ sim_shards_arg $ chunk_records_arg $ spill_dir_arg $ metrics_out_arg
       $ trace_out_arg $ profile_out_arg)
 
-(* -- report / bench-diff ------------------------------------------------------ *)
+(* -- ablate ---------------------------------------------------------------------- *)
 
-let read_json path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> (
-    match Dfs_obs.Json.parse contents with
-    | Ok j -> j
-    | Error e ->
-      Dfs_obs.Log.error "%s: %s" path e;
-      exit 2)
-  | exception Sys_error e ->
-    Dfs_obs.Log.error "%s" e;
-    exit 2
-
-let report_cmd =
-  let bench_arg =
-    let doc =
-      "Bench telemetry file (as written by the $(b,bench) executable)."
-    in
-    Arg.(value & opt string "BENCH_run.json" & info [ "bench" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_arg =
-    let doc =
-      "Metrics snapshot from $(b,--metrics-out) (defaults to the metrics \
-       object embedded in the bench file)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let profile_arg =
-    let doc =
-      "Chrome trace from $(b,--profile-out), used for the hottest-spans \
-       table and GC attribution."
-    in
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the report to $(docv) instead of standard output." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let run () bench metrics profile out =
-    let bench = read_json bench in
-    let metrics = Option.map read_json metrics in
-    let profile = Option.map read_json profile in
-    let doc = Dfs_obs.Run_report.report ?metrics ?profile bench in
-    match out with
-    | None -> print_string doc
-    | Some path ->
-      with_out path (fun oc -> output_string oc doc);
-      Dfs_obs.Log.info "wrote run report to %s" path
+let ablate_cmd =
+  let run () scale =
+    check_scale scale;
+    let ds = Dfs_core.Dataset.generate ?scale ~traces:[ 1 ] () in
+    print_string (Dfs_core.Ablation.render (List.hd ds.runs))
   in
   Cmd.v
-    (Cmd.info "report"
+    (Cmd.info "ablate"
        ~doc:
-         "Render a self-contained markdown run report (phase wall breakdown, \
-          hottest profiler spans, GC summary, per-domain utilization) from \
-          bench telemetry plus optional metrics/profile files")
-    Term.(
-      const run $ verbosity_term $ bench_arg $ metrics_arg $ profile_arg
-      $ out_arg)
-
-let bench_diff_cmd =
-  let old_arg =
-    let doc = "Baseline bench telemetry file." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_arg =
-    let doc = "Candidate bench telemetry file to compare against OLD." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
-  in
-  let run () old_path new_path =
-    let old_ = read_json old_path and new_ = read_json new_path in
-    let d = Dfs_obs.Run_report.diff ~old_ new_ in
-    print_string (Dfs_obs.Run_report.render_diff d);
-    if d.Dfs_obs.Run_report.config_mismatches <> [] then exit 2
-    else if not (Dfs_obs.Run_report.diff_ok d) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two bench telemetry files field by field. Exits 0 when \
-          every gated metric (total wall, analysis wall, peak heap) is \
-          within its relative threshold, 1 on regression, 2 when the runs \
-          are incomparable (different scale/jobs/faults) or unreadable. A \
-          schema version difference is reported as a note, not a mismatch: \
-          bumps only add telemetry leaves, which show up as info rows")
-    Term.(const run $ verbosity_term $ old_arg $ new_arg)
+         "Simulate trace 1 and print the design points the paper argues in \
+          prose: Section 5.3's paging rates and Table 7's server cache for \
+          trace 1, then ablations of the delayed-write interval, the cache \
+          size ceiling, process migration and local paging disks on small \
+          fixed clusters, and the update-in-place vs log-structured disk \
+          crossover (Section 6) on trace 1's accesses")
+    Term.(const run $ verbosity_term $ scale_arg)
 
 let main =
   let doc =
@@ -924,8 +899,7 @@ let main =
       fsck_cmd;
       stats_cmd;
       scale_cmd;
-      report_cmd;
-      bench_diff_cmd;
+      ablate_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -3,8 +3,8 @@
     Each claim pairs a sentence from the paper with the function that
     measures the same quantity on a generated dataset and an acceptance
     band for the {e shape} (we run on a simulator, not the 1991 cluster,
-    so absolute equality is not the bar).  The scorecard is printed by the
-    benchmark harness and regenerated into EXPERIMENTS.md. *)
+    so absolute equality is not the bar).  The scorecard is printed by
+    [dfs_repro facts] and regenerated into EXPERIMENTS.md. *)
 
 type verdict = Reproduced | Near | Off
 

@@ -6,7 +6,7 @@ module Sink = Dfs_trace.Sink
    computing it once per run and sharing the result is the point of this
    memo.  Filled on first demand under a double-checked mutex — OCaml's
    [Lazy] is not safe to force from several domains, and analyses of
-   different runs do race on a parallel bench. *)
+   different runs do race when experiments fan out over the pool. *)
 type memo = {
   lock : Mutex.t;
   mutable fused : Dfs_analysis.Fused.t option;

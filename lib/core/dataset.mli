@@ -39,12 +39,13 @@ val generate :
     (default: {!Dfs_util.Pool.default_jobs}, i.e. [DFS_JOBS] or the
     machine's core count).  [faults] enables fault injection on every
     preset (default: none).  [chunk_records] bounds the records per trace
-    chunk (default: {!default_chunk_records}); [spill_dir] (default:
-    {!default_spill_dir}) makes sealed chunks spill to disk as columnar
-    segments, so peak memory no longer grows with trace length.  Progress
-    is reported through {!Dfs_obs.Log} (so [DFS_LOG=quiet] silences it),
-    and per-preset wall times land in the default metrics registry as
-    [phase.sim.<name>.wall_s] gauges. *)
+    chunk (default: [DFS_CHUNK_RECORDS] when set to a positive integer,
+    else {!Dfs_trace.Sink.default_chunk_records}); [spill_dir] (default:
+    [DFS_SPILL_DIR] when set) makes sealed chunks spill to disk as
+    columnar segments, so peak memory no longer grows with trace length.
+    Progress is reported through {!Dfs_obs.Log} (so [DFS_LOG=quiet]
+    silences it), and per-preset wall times land in the default metrics
+    registry as [phase.sim.<name>.wall_s] gauges. *)
 
 val of_replay :
   ?jobs:int ->
@@ -63,13 +64,6 @@ val of_replay :
 val default_scale : unit -> float
 (** 1.0 when the environment variable [DFS_FULL] is set, else 0.05 —
     enough for stable shapes while keeping the whole suite fast. *)
-
-val default_chunk_records : unit -> int
-(** [DFS_CHUNK_RECORDS] when set to a positive integer, else
-    {!Dfs_trace.Sink.default_chunk_records}. *)
-
-val default_spill_dir : unit -> string option
-(** [DFS_SPILL_DIR] when set. *)
 
 val trace_seq : run -> Dfs_trace.Record_batch.t Seq.t
 (** The run's merged trace as a replayable chunk stream (at most one

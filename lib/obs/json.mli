@@ -2,8 +2,8 @@
 
     The toolchain image carries no JSON library, so the observability
     layer hand-rolls the small subset it needs: machine-readable metric
-    snapshots, trace spans (JSONL) and bench telemetry, plus a parser so
-    tests can round-trip what was written. *)
+    snapshots, trace spans (JSONL), Chrome profiles and fsck verdicts,
+    plus a parser so tests can round-trip what was written. *)
 
 type t =
   | Null

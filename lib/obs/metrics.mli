@@ -5,8 +5,8 @@
     initialization and bump them on hot paths (a counter increment is a
     single mutable-field update; a histogram observation is one [log10]
     and an array increment).  Snapshots render as JSON for
-    [--metrics-out] / bench telemetry, or as aligned text for the
-    [stats] subcommand.
+    [--metrics-out] (and perfbench's per-layer metrics), or as aligned
+    text for the [stats] subcommand.
 
     Metrics live in a registry; most callers use the process-wide
     {!default}.  Registration is idempotent: asking for an existing name

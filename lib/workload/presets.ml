@@ -91,7 +91,9 @@ let with_faults p profile =
   { p with cluster_config = { p.cluster_config with fault_profile = profile } }
 
 let scaled p ~factor =
-  assert (factor > 0.0 && factor <= 1.0);
+  if not (factor > 0.0 && factor <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Presets.scaled: factor %g outside (0, 1]" factor);
   {
     p with
     duration = p.duration *. factor;

@@ -153,6 +153,39 @@ let test_claims_evaluate () =
   Alcotest.(check bool) "markdown rows" true
     (List.length (String.split_on_char '\n' md) > 20)
 
+let ablation_headers =
+  [
+    "=== section 5.3: absolute paging rates (trace 1) ===";
+    "=== table 7 footnote: the server-side cache ===";
+    "== ablation: delayed-write interval vs writeback traffic ==";
+    "== ablation: cache size ceiling vs read miss ratio ==";
+    "== ablation: migration on/off vs 10-second burst rate ==";
+    "== ablation: share of server traffic a local paging disk would remove ==";
+    "== ablation: update-in-place vs log-structured server disk (Section 6) ==";
+  ]
+
+let test_ablations_render () =
+  let ds = Dfs_core.Dataset.generate ~scale:0.005 ~traces:[ 1 ] () in
+  let run = List.hd ds.runs in
+  let out = Dfs_core.Ablation.render run in
+  let lines = String.split_on_char '\n' out in
+  Alcotest.(check (list string)) "seven sections in order" ablation_headers
+    (List.filter (String.starts_with ~prefix:"==") lines);
+  (* the LFS table: rows between its column header and its closing note *)
+  let rec rows_after_header = function
+    | l :: rest when String.starts_with ~prefix:"  client read-miss" l -> rest
+    | _ :: rest -> rows_after_header rest
+    | [] -> []
+  in
+  let rows =
+    List.filter
+      (fun l -> not (String.starts_with ~prefix:"  (" l) && l <> "")
+      (rows_after_header lines)
+  in
+  Alcotest.(check int) "five crossover rows" 5 (List.length rows);
+  Alcotest.(check string) "second render byte-equal" out
+    (Dfs_core.Ablation.render run)
+
 let test_paper_constants_sane () =
   Alcotest.(check bool) "t10 range ordered" true
     (Dfs_core.Paper.t10_sharing.lo <= Dfs_core.Paper.t10_sharing.value
@@ -175,5 +208,6 @@ let suite =
     ("experiment registry", `Quick, test_experiment_registry);
     ("experiments render", `Slow, test_experiments_render_on_tiny_dataset);
     ("claims evaluate", `Slow, test_claims_evaluate);
+    ("ablations render", `Slow, test_ablations_render);
     ("paper constants sane", `Quick, test_paper_constants_sane);
   ]

@@ -1,11 +1,10 @@
-(* Tests for the wall-clock profiler, the Chrome trace export, the pool's
-   utilization gauges, and the run-report/diff toolchain. *)
+(* Tests for the wall-clock profiler, the Chrome trace export and the
+   pool's utilization gauges. *)
 
 module Json = Dfs_obs.Json
 module Metrics = Dfs_obs.Metrics
 module Profiler = Dfs_obs.Profiler
 module Chrome = Dfs_obs.Chrome_export
-module Run_report = Dfs_obs.Run_report
 
 (* The profiler is process-global (the instrumented modules call it
    directly), so every test restores the disabled state on the way out. *)
@@ -182,170 +181,6 @@ let test_pool_utilization_gauges () =
        -. (2.0 *. g "pool.wall_s"))
     < 1e-6)
 
-(* -- Run report and bench diff ---------------------------------------------- *)
-
-let sample_bench ?(wall = 10.0) ?(heap = 1_000_000) () =
-  Json.Obj
-    [
-      ("schema", Json.String "dfs-bench-run/4");
-      ("scale", Json.Float 0.05);
-      ("jobs", Json.Int 1);
-      ("faults", Json.String "none");
-      ( "phases",
-        Json.Obj
-          [
-            ("sim_wall_s", Json.Float (wall /. 2.0));
-            ("analysis_wall_s", Json.Float (wall /. 4.0));
-          ] );
-      ("total_wall_s", Json.Float wall);
-      ( "gc",
-        Json.Obj
-          [
-            ("top_heap_words", Json.Int heap);
-            ("heap_words", Json.Int (heap / 2));
-            ("major_collections", Json.Int 12);
-          ] );
-      ( "experiments",
-        Json.List
-          [
-            Json.Obj
-              [ ("id", Json.String "table1"); ("wall_s", Json.Float 0.5) ];
-            Json.Obj
-              [ ("id", Json.String "fig1"); ("wall_s", Json.Float 0.25) ];
-          ] );
-      ( "metrics",
-        Json.Obj
-          [
-            ("pool.domain0.busy_s", Json.Float 4.0);
-            ("pool.wall_s", Json.Float 5.0);
-            ("pool.jobs", Json.Float 1.0);
-            ("pool.utilization", Json.Float 0.8);
-            ("phase.scorecard.wall_s", Json.Float 0.125);
-          ] );
-    ]
-
-let required_sections =
-  [
-    "# dfs-repro run report";
-    "## Run summary";
-    "## Phase wall breakdown";
-    "## Hottest spans";
-    "## GC summary";
-    "## Per-domain utilization";
-  ]
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
-let test_report_sections_always_present () =
-  (* fully populated ... *)
-  let full = Run_report.report (sample_bench ()) in
-  (* ... and degraded: no phases/metrics/experiments at all *)
-  let empty = Run_report.report (Json.Obj [ ("schema", Json.String "x") ]) in
-  List.iter
-    (fun section ->
-      Alcotest.(check bool)
-        (Printf.sprintf "full has %S" section)
-        true
-        (contains ~needle:section full);
-      Alcotest.(check bool)
-        (Printf.sprintf "degraded has %S" section)
-        true
-        (contains ~needle:section empty))
-    required_sections;
-  Alcotest.(check bool) "utilization bar rendered" true
-    (contains ~needle:"pool.domain0.busy_s" full);
-  Alcotest.(check bool) "experiment walls used as span fallback" true
-    (contains ~needle:"table1" full)
-
-let test_report_uses_profile_spans () =
-  with_profiler (fun () ->
-      Profiler.span ~cat:"sim" "sim.trace1" (fun () -> ());
-      let profile = Chrome.to_json () in
-      let doc = Run_report.report ~profile (sample_bench ()) in
-      Alcotest.(check bool) "profiled span named" true
-        (contains ~needle:"sim.trace1" doc))
-
-let test_diff_self_is_clean () =
-  let b = sample_bench () in
-  let d = Run_report.diff ~old_:b b in
-  Alcotest.(check bool) "ok" true (Run_report.diff_ok d);
-  Alcotest.(check int) "no regressions" 0 (List.length d.regressions);
-  Alcotest.(check int) "no config mismatches" 0
-    (List.length d.config_mismatches);
-  Alcotest.(check bool) "verdict line" true
-    (contains ~needle:"ok: no regressions" (Run_report.render_diff d))
-
-let test_diff_flags_regression () =
-  let d =
-    Run_report.diff ~old_:(sample_bench ()) (sample_bench ~wall:15.0 ())
-  in
-  Alcotest.(check bool) "not ok" false (Run_report.diff_ok d);
-  (* the +50% run trips every wall gate: total, sim phase and analysis
-     phase *)
-  Alcotest.(check int) "three regressions" 3 (List.length d.regressions);
-  let row =
-    List.find (fun (r : Run_report.row) -> r.metric = "total_wall_s") d.rows
-  in
-  Alcotest.(check bool) "row regressed" true (row.verdict = Run_report.Regressed);
-  (match row.delta_pct with
-  | Some pct -> Alcotest.(check (float 1e-6)) "delta" 50.0 pct
-  | None -> Alcotest.fail "no delta");
-  (* improvements and small moves pass *)
-  let d' =
-    Run_report.diff ~old_:(sample_bench ()) (sample_bench ~wall:8.0 ())
-  in
-  Alcotest.(check bool) "25%-improvement still ok" true (Run_report.diff_ok d')
-
-let test_diff_heap_gate_and_custom_thresholds () =
-  let d =
-    Run_report.diff ~old_:(sample_bench ())
-      (sample_bench ~heap:2_000_000 ())
-  in
-  Alcotest.(check bool) "heap doubling fails" false (Run_report.diff_ok d);
-  (* the same comparison passes under a looser custom gate *)
-  let d' =
-    Run_report.diff
-      ~thresholds:[ ("gc.top_heap_words", 1.5) ]
-      ~old_:(sample_bench ())
-      (sample_bench ~heap:2_000_000 ())
-  in
-  Alcotest.(check bool) "custom threshold" true (Run_report.diff_ok d')
-
-let test_diff_config_mismatch () =
-  let other =
-    match sample_bench () with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) -> if k = "jobs" then (k, Json.Int 4) else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let d = Run_report.diff ~old_:(sample_bench ()) other in
-  Alcotest.(check bool) "incomparable" false (Run_report.diff_ok d);
-  Alcotest.(check int) "mismatch reported" 1 (List.length d.config_mismatches)
-
-let test_diff_schema_bump_is_note_not_mismatch () =
-  let other =
-    match sample_bench () with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "schema" then (k, Json.String "dfs-bench-run/5") else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let d = Run_report.diff ~old_:(sample_bench ()) other in
-  Alcotest.(check bool) "still comparable" true (Run_report.diff_ok d);
-  Alcotest.(check int) "no config mismatch" 0 (List.length d.config_mismatches);
-  Alcotest.(check int) "schema note" 1 (List.length d.notes);
-  Alcotest.(check bool) "note rendered" true
-    (contains ~needle:"note: schema changed" (Run_report.render_diff d))
-
 let suite =
   [
     ("profiler disabled records nothing", `Quick, test_disabled_records_nothing);
@@ -355,14 +190,4 @@ let suite =
     ("profiler enable resets", `Quick, test_enable_resets);
     ("chrome export round-trips", `Quick, test_chrome_export_roundtrip);
     ("pool utilization gauges", `Quick, test_pool_utilization_gauges);
-    ("report sections always present", `Quick, test_report_sections_always_present);
-    ("report uses profile spans", `Quick, test_report_uses_profile_spans);
-    ("diff self is clean", `Quick, test_diff_self_is_clean);
-    ("diff flags regression", `Quick, test_diff_flags_regression);
-    ("diff heap gate + custom thresholds", `Quick,
-      test_diff_heap_gate_and_custom_thresholds);
-    ("diff config mismatch", `Quick, test_diff_config_mismatch);
-    ( "diff schema bump is note not mismatch",
-      `Quick,
-      test_diff_schema_bump_is_note_not_mismatch );
   ]

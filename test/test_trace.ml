@@ -677,6 +677,45 @@ let test_cli_hostile_traces () =
             [ "replay"; "analyze" ]))
     inputs
 
+(* Every out-of-range numeric flag: exit 1 and one stderr line naming the
+   flag, refused before any simulation starts. *)
+let test_cli_bad_numeric_flags () =
+  if not (Sys.file_exists dfs_repro) then
+    Alcotest.failf "%s not built" dfs_repro;
+  List.iter
+    (fun (flag, args) ->
+      let label = String.concat " " args in
+      let code, err = run_cli args in
+      Alcotest.(check int) (label ^ ": exit 1") 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one stderr line in %S" label err)
+        true
+        (String.length err > 1
+        && String.index err '\n' = String.length err - 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: names %s in %S" label flag err)
+        true (contains_sub ~sub:flag err);
+      List.iter
+        (fun word ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: no %S" label word)
+            false
+            (contains_sub ~sub:word (String.lowercase_ascii err)))
+        [ "exception"; "assert" ])
+    [
+      ("--trace", [ "stats"; "--trace"; "9" ]);
+      ("--trace", [ "simulate"; "--trace"; "0" ]);
+      ("--traces", [ "all"; "--traces"; "0" ]);
+      ("--traces", [ "facts"; "--traces"; "1,9" ]);
+      ("--scale", [ "experiment"; "table1"; "--scale"; "0" ]);
+      ("--scale", [ "experiment"; "table1"; "--scale"; "2" ]);
+      ("--scale", [ "ablate"; "--scale"; "nan" ]);
+      ("--chunk-records", [ "all"; "--chunk-records"; "0" ]);
+      ("--clients", [ "scale"; "--clients"; "0" ]);
+      ("--servers", [ "scale"; "--servers"; "0" ]);
+      ("--partitions", [ "scale"; "--partitions"; "9" ]);
+    ]
+
 (* -- properties -------------------------------------------------------------------- *)
 
 let gen_kind =
@@ -857,5 +896,7 @@ let suite =
     ("reader validates columnar records", `Quick,
       test_reader_validates_columnar_records);
     ("cli hostile traces exit 2 in one line", `Quick, test_cli_hostile_traces);
+    ("cli bad numeric flags exit 1 in one line", `Quick,
+      test_cli_bad_numeric_flags);
   ]
   @ qcheck_tests
