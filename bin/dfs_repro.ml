@@ -96,6 +96,7 @@ let check_positive flag n = check flag ~valid:">= 1" (n >= 1) (string_of_int n)
 
 let check_dataset_flags scale traces chunk_records =
   check_scale scale;
+  check "--traces" ~valid:"1-8, at least one" (traces <> []) "''";
   List.iter (check_trace "--traces") traces;
   Option.iter (check_positive "--chunk-records") chunk_records
 
@@ -162,9 +163,12 @@ let metrics_out_arg =
 
 let trace_out_arg =
   let doc =
-    "Enable the simulated-event tracer and write its spans (RPCs, cache \
-     fills/writebacks/evictions, disk I/O, consistency actions, migrations) \
-     to $(docv) as JSON lines."
+    "Record simulated-time spans (RPCs, cache fills/writebacks/evictions, \
+     disk I/O, consistency actions, faults, migrations) and write them to \
+     $(docv) as Chrome trace-event JSON: one process per simulation, one \
+     track per category. Each simulation keeps its first 100000 spans; the \
+     rest are counted in the obs.trace.dropped metric. The file is the same \
+     bytes whatever DFS_JOBS or $(b,--sim-shards) is."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -172,9 +176,9 @@ let profile_out_arg =
   let doc =
     "Enable the wall-clock profiler and write the run's hierarchical spans \
      (dataset generation, k-way merge, fused analysis, experiments, pool \
-     tasks; one track per domain, GC deltas attached) together with any \
-     simulated-time tracer spans to $(docv) as Chrome trace-event JSON — \
-     open it at ui.perfetto.dev."
+     tasks; one track per domain, GC deltas attached) to $(docv) as Chrome \
+     trace-event JSON, together with the simulated-time spans when \
+     $(b,--trace-out) records them — open it at ui.perfetto.dev."
   in
   Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
 
@@ -185,16 +189,13 @@ let with_out path f =
     Dfs_obs.Log.error "%s" e;
     exit 1
 
-(* Runs [f] with the tracer/profiler enabled when their output files
-   were requested, then writes the requested observability artifacts. *)
+(* Runs [f] with the profiler's clocks on when their output files were
+   requested, then writes the requested observability artifacts. *)
 let with_obs ~metrics_out ~trace_out ?(profile_out = None) f =
-  if Option.is_some trace_out then Dfs_obs.Tracer.enable ();
-  if Option.is_some profile_out then Dfs_obs.Profiler.enable ();
+  let module P = Dfs_obs.Profiler in
+  if Option.is_some trace_out then P.enable_sim ();
+  if Option.is_some profile_out then P.enable ();
   let result = f () in
-  (* Counters first, so span-loss accounting lands in the snapshot (and
-     warns on stderr when the ring overflowed). *)
-  if Option.is_some trace_out || Option.is_some profile_out then
-    Dfs_obs.Tracer.record_export_counters Dfs_obs.Tracer.default;
   Option.iter
     (fun path ->
       (* peak-heap telemetry in the snapshot, so CI can gate the
@@ -211,25 +212,24 @@ let with_obs ~metrics_out ~trace_out ?(profile_out = None) f =
             (Dfs_obs.Json.to_pretty_string (Dfs_obs.Metrics.to_json ())));
       Dfs_obs.Log.info "wrote metrics snapshot to %s" path)
     metrics_out;
+  let sim_kept () = P.added Sim - P.dropped Sim in
   Option.iter
     (fun path ->
-      let tracer = Dfs_obs.Tracer.default in
-      with_out path (fun oc -> Dfs_obs.Tracer.write_jsonl tracer oc);
-      Dfs_obs.Log.info "wrote %d trace spans to %s (%d dropped by ring bound)"
-        (Dfs_obs.Tracer.length tracer)
-        path
-        (Dfs_obs.Tracer.dropped tracer))
+      with_out path (fun oc -> Dfs_obs.Chrome_export.write ~clock:Sim oc);
+      Dfs_obs.Log.info
+        "wrote %d sim spans to %s (%d more past a simulation's first %d \
+         counted in obs.trace.dropped)"
+        (sim_kept ()) path (P.dropped Sim) P.sim_capacity)
     trace_out;
   Option.iter
     (fun path ->
       with_out path (fun oc -> Dfs_obs.Chrome_export.write oc);
       Dfs_obs.Log.info
-        "wrote Chrome trace to %s (%d wall spans over %d domains, %d sim \
-         spans; open at ui.perfetto.dev)"
+        "wrote Chrome trace to %s (%d wall spans, %d sim spans; open at \
+         ui.perfetto.dev)"
         path
-        (Dfs_obs.Profiler.added ())
-        (List.length (Dfs_obs.Profiler.domains ()))
-        (Dfs_obs.Tracer.length Dfs_obs.Tracer.default))
+        (P.added Wall - P.dropped Wall)
+        (sim_kept ()))
     profile_out;
   result
 
@@ -547,6 +547,8 @@ let import_cmd =
     Arg.(value & opt int 4 & info [ "servers" ] ~docv:"N" ~doc)
   in
   let run () csv out format idle_gap servers on_corruption =
+    check "--idle-gap" ~valid:">= 0" (idle_gap >= 0.0) (Printf.sprintf "%g" idle_gap);
+    check_positive "--servers" servers;
     let on_corruption = parse_on_corruption on_corruption in
     let format = parse_trace_format format in
     let config =
@@ -805,6 +807,8 @@ let scale_cmd =
     Dfs_workload.Sharded.set_shards sim_shards;
     check_positive "--clients" clients;
     check_positive "--servers" servers;
+    check "--days" ~valid:"0 < DAYS, finite" (Float.is_finite days && days > 0.0)
+      (Printf.sprintf "%g" days);
     Option.iter
       (fun p ->
         let hi = min clients servers in

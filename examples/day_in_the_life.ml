@@ -29,13 +29,13 @@ let () =
     preset.cluster_config.n_clients
     (preset.params.n_regular_users + preset.params.n_occasional_users);
   let cluster, _ = Dfs_workload.Presets.run preset in
-  let trace = Cluster.merged_trace cluster in
+  let trace = Dfs_trace.Sink.to_batch (Cluster.merged_chunks cluster) in
 
   (* bucket records per hour *)
   let users = Array.init 24 (fun _ -> Hashtbl.create 8) in
   let bytes = Array.make 24 0 in
   let hour t = min 23 (int_of_float (t /. 3600.0)) in
-  List.iter
+  Dfs_trace.Record_batch.iter
     (fun (r : Record.t) ->
       let h = hour r.time in
       Hashtbl.replace users.(h) (Ids.User.to_int r.user) ();

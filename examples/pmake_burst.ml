@@ -53,8 +53,7 @@ let () =
       done);
   Dfs_workload.Sharded.drive cluster ~until:7200.0;
 
-  let trace = Cluster.merged_trace cluster in
-  let batch = Dfs_trace.Record_batch.of_list trace in
+  let batch = Dfs_trace.Sink.to_batch (Cluster.merged_chunks cluster) in
   let all = Dfs_analysis.Activity.analyze ~interval:10.0 batch in
   let mig =
     Dfs_analysis.Activity.analyze ~migrated_only:true ~interval:10.0 batch
@@ -66,11 +65,10 @@ let () =
 
   (* Where did the migrated jobs run? *)
   let hosts = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Dfs_trace.Record.t) ->
-      if r.migrated then
-        Hashtbl.replace hosts (Ids.Client.to_int r.client) ())
-    trace;
+  for i = 0 to Dfs_trace.Record_batch.length batch - 1 do
+    if Dfs_trace.Record_batch.migrated batch i then
+      Hashtbl.replace hosts (Dfs_trace.Record_batch.client batch i) ()
+  done;
   Printf.printf "idle hosts used by migrated jobs: %d of %d (host reuse)\n"
     (Hashtbl.length hosts) 10;
 

@@ -287,15 +287,13 @@ let clean_block t ~now b ~reason =
     Dfs_obs.Metrics.incr m_writebacks;
     Dfs_obs.Metrics.add m_writeback_bytes bytes;
     Dfs_obs.Metrics.observe m_dirty_age (now -. b.dirtied_at);
-    if Dfs_obs.Tracer.active () then
-      Dfs_obs.Tracer.emit ~cat:"cache" ~name:"writeback" ~t0:now ~dur:0.0
-        ~attrs:
-          [
-            ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
-            ("bytes", Dfs_obs.Json.Int bytes);
-            ("reason", Dfs_obs.Json.String (clean_reason_name reason));
-          ]
-        ();
+    if Dfs_obs.Profiler.admit () then
+      Dfs_obs.Profiler.emit ~cat:"cache" ~name:"writeback" ~t0:now ~dur:0.0
+        [
+          ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
+          ("bytes", Dfs_obs.Json.Int bytes);
+          ("reason", Dfs_obs.Json.String (clean_reason_name reason));
+        ];
     note_clean t b
   end
 
@@ -330,14 +328,12 @@ let evict_one t ~now ~reason =
     | Replace_for_block -> clean_block t ~now b ~reason:Clean_eviction);
     Dfs_util.Stats.add (replacement_stat t reason) (now -. b.last_ref);
     Dfs_obs.Metrics.incr m_evictions;
-    if Dfs_obs.Tracer.active () then
-      Dfs_obs.Tracer.emit ~cat:"cache" ~name:"evict" ~t0:now ~dur:0.0
-        ~attrs:
-          [
-            ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
-            ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
-          ]
-        ();
+    if Dfs_obs.Profiler.admit () then
+      Dfs_obs.Profiler.emit ~cat:"cache" ~name:"evict" ~t0:now ~dur:0.0
+        [
+          ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
+          ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
+        ];
     unindex t b;
     true
   end
@@ -428,14 +424,9 @@ let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
         let avail = Int.max 0 (Int.min bs (file_size - block_start)) in
         t.backend.fetch ~cls ~file ~index ~bytes:avail;
         fetched := !fetched + avail;
-        if Dfs_obs.Tracer.active () then
-          Dfs_obs.Tracer.emit ~cat:"cache" ~name:"fill" ~t0:now ~dur:0.0
-            ~attrs:
-              [
-                ("file", Dfs_obs.Json.Int fid);
-                ("bytes", Dfs_obs.Json.Int avail);
-              ]
-            ();
+        if Dfs_obs.Profiler.admit () then
+          Dfs_obs.Profiler.emit ~cat:"cache" ~name:"fill" ~t0:now ~dur:0.0
+            [ ("file", Dfs_obs.Json.Int fid); ("bytes", Dfs_obs.Json.Int avail) ];
         ignore (insert_block t ~now ~file ~fid ~index)
     done;
     let ops = last - first + 1 and hits = !hits and fetched = !fetched in

@@ -103,9 +103,9 @@ let schedule t = t.sched
 
 let stats t = t.st
 
-let span ~now ~name ~dur attrs =
-  if Dfs_obs.Tracer.active () then
-    Dfs_obs.Tracer.emit ~cat:"fault" ~name ~t0:now ~dur ~attrs ()
+(* Callers guard with [Profiler.admit], so no attribute list is built
+   for a span that is not kept. *)
+let span ~now ~name ~dur attrs = Dfs_obs.Profiler.emit ~cat:"fault" ~name ~t0:now ~dur attrs
 
 (* -- data-path queries ----------------------------------------------------- *)
 
@@ -179,9 +179,9 @@ let rpc_delay t ~server ~now =
     Dfs_obs.Metrics.add m_retries retries;
     if capped > 0 then Dfs_obs.Metrics.add m_backoff_capped capped;
     Dfs_obs.Metrics.observe m_stall stall;
-    span ~now ~name:"rpc-stall" ~dur:stall
-      [ ("server", Dfs_obs.Json.Int server);
-        ("retries", Dfs_obs.Json.Int retries) ];
+    if Dfs_obs.Profiler.admit () then
+      span ~now ~name:"rpc-stall" ~dur:stall
+        [ ("server", Dfs_obs.Json.Int server); ("retries", Dfs_obs.Json.Int retries) ];
     stall
   | None ->
     if t.prof.rpc_drop_prob <= 0.0 then 0.0
@@ -228,19 +228,20 @@ let note_crash t ~server ~now ~duration ~lost_bytes =
   Dfs_obs.Metrics.add m_lost lost_bytes;
   Dfs_obs.Metrics.observe m_outage duration;
   Dfs_obs.Metrics.observe m_lost_per_crash (float_of_int lost_bytes);
-  span ~now ~name:"crash" ~dur:duration
-    [ ("server", Dfs_obs.Json.Int server);
-      ("lost_bytes", Dfs_obs.Json.Int lost_bytes) ]
+  if Dfs_obs.Profiler.admit () then
+    span ~now ~name:"crash" ~dur:duration
+      [ ("server", Dfs_obs.Json.Int server); ("lost_bytes", Dfs_obs.Json.Int lost_bytes) ]
 
 let note_reboot t ~server ~now =
   t.st.reboots <- t.st.reboots + 1;
   Dfs_obs.Metrics.incr m_reboots;
-  span ~now ~name:"reboot" ~dur:0.0 [ ("server", Dfs_obs.Json.Int server) ]
+  if Dfs_obs.Profiler.admit () then
+    span ~now ~name:"reboot" ~dur:0.0 [ ("server", Dfs_obs.Json.Int server) ]
 
 let note_partition t ~now ~duration =
   t.st.partitions <- t.st.partitions + 1;
   Dfs_obs.Metrics.incr m_partitions;
-  span ~now ~name:"partition" ~dur:duration []
+  if Dfs_obs.Profiler.admit () then span ~now ~name:"partition" ~dur:duration []
 
 let note_recovery_rpcs t n =
   t.st.recovery_rpcs <- t.st.recovery_rpcs + n;

@@ -4,109 +4,67 @@
 
 let wall_pid = 1
 
-let sim_pid = 2
-
-let meta ~pid ?tid ~name ~value () =
+let meta ~pid ?tid ~name value =
   Json.Obj
     (("ph", Json.String "M")
     :: ("pid", Json.Int pid)
     :: (match tid with Some t -> [ ("tid", Json.Int t) ] | None -> [])
-    @ [
-        ("name", Json.String name);
-        ("args", Json.Obj [ ("name", Json.String value) ]);
-      ])
+    @ [ ("name", Json.String name); ("args", Json.Obj [ ("name", Json.String value) ]) ])
 
-let complete ~pid ~tid ~name ~cat ~ts_us ~dur_us ~args =
+(* The one event builder, for spans of either clock. *)
+let event ~pid ~tid (s : Profiler.span) =
   Json.Obj
     ([
        ("ph", Json.String "X");
        ("pid", Json.Int pid);
        ("tid", Json.Int tid);
-       ("name", Json.String name);
-       ("cat", Json.String cat);
-       ("ts", Json.Float ts_us);
-       ("dur", Json.Float dur_us);
+       ("name", Json.String s.name);
+       ("cat", Json.String s.cat);
+       ("ts", Json.Float (s.t0 *. 1e6));
+       ("dur", Json.Float (s.dur *. 1e6));
      ]
-    @ (if args = [] then [] else [ ("args", Json.Obj args) ]))
+    @ if s.args = [] then [] else [ ("args", Json.Obj s.args) ])
 
-let profile_events () =
-  let spans = Profiler.spans () in
-  if spans = [] then []
-  else begin
-    let domains = Profiler.domains () in
-    let metas =
-      meta ~pid:wall_pid ~name:"process_name" ~value:"wall clock (profiler)" ()
-      :: List.map
-           (fun d ->
-             meta ~pid:wall_pid ~tid:d ~name:"thread_name"
-               ~value:(Printf.sprintf "domain %d" d)
-               ())
-           domains
-    in
-    let events =
-      List.map
-        (fun (s : Profiler.span) ->
-          complete ~pid:wall_pid ~tid:s.domain ~name:s.name ~cat:s.cat
-            ~ts_us:(s.t0 *. 1e6) ~dur_us:(s.dur *. 1e6)
-            ~args:
-              [
-                ("depth", Json.Int s.depth);
-                ("gc_minor", Json.Int s.gc_minor);
-                ("gc_major", Json.Int s.gc_major);
-                ("gc_promoted_words", Json.Float s.gc_promoted_words);
-                ("gc_minor_words", Json.Float s.gc_minor_words);
-              ])
-        spans
-    in
-    metas @ events
-  end
+(* One process: its name, its named tracks, then one event per span on
+   the track [tid] picks. *)
+let process put ~pid ~name ~tracks ~tid spans =
+  put (meta ~pid ~name:"process_name" name);
+  List.iter (fun (t, track) -> put (meta ~pid ~tid:t ~name:"thread_name" track)) tracks;
+  Seq.iter (fun s -> put (event ~pid ~tid:(tid s) s)) spans
 
-let tracer_events ?(tracer = Tracer.default) () =
-  let spans = Tracer.spans tracer in
-  if spans = [] then []
-  else begin
-    (* One synthetic track per category, in sorted category order so the
-       tid assignment is deterministic. *)
-    let cats =
-      List.sort_uniq String.compare
-        (List.map (fun (s : Tracer.span) -> s.cat) spans)
-    in
-    let tid_of_cat c =
-      let rec idx i = function
-        | [] -> 0
-        | c' :: rest -> if String.equal c c' then i else idx (i + 1) rest
-      in
-      idx 0 cats
-    in
-    let metas =
-      meta ~pid:sim_pid ~name:"process_name" ~value:"sim time (synthetic)" ()
-      :: List.mapi
-           (fun i c ->
-             meta ~pid:sim_pid ~tid:i ~name:"thread_name"
-               ~value:(Printf.sprintf "sim:%s" c)
-               ())
-           cats
-    in
-    let events =
-      List.map
-        (fun (s : Tracer.span) ->
-          complete ~pid:sim_pid ~tid:(tid_of_cat s.cat) ~name:s.name
-            ~cat:s.cat
-            ~ts_us:(s.t0 *. 1e6)
-            ~dur_us:(s.dur *. 1e6)
-            ~args:s.attrs)
-        spans
-    in
-    metas @ events
-  end
-
-let to_json ?tracer () =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (profile_events () @ tracer_events ?tracer ()));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let write ?tracer oc =
-  output_string oc (Json.to_string (to_json ?tracer ()));
-  output_char oc '\n'
+let write ?clock oc =
+  let buf = Buffer.create 1024 and first = ref true in
+  let put j =
+    if not !first then output_char oc ',';
+    first := false;
+    Buffer.clear buf;
+    Json.to_buffer buf j;
+    Buffer.output_buffer oc buf
+  in
+  output_string oc "{\"traceEvents\":[";
+  if clock <> Some Profiler.Sim then begin
+    match Profiler.spans () with
+    | [] -> ()
+    | spans ->
+      let domains = List.sort_uniq Int.compare (List.map (fun (s : Profiler.span) -> s.domain) spans) in
+      process put ~pid:wall_pid ~name:"wall clock (profiler)"
+        ~tracks:(List.map (fun d -> (d, Printf.sprintf "domain %d" d)) domains)
+        ~tid:(fun (s : Profiler.span) -> s.domain)
+        (List.to_seq spans)
+  end;
+  if clock <> Some Profiler.Wall then
+    List.iteri
+      (fun i (label, spans) ->
+        let cats =
+          List.sort String.compare
+            (Seq.fold_left
+               (fun acc (s : Profiler.span) -> if List.mem s.cat acc then acc else s.cat :: acc)
+               [] spans)
+        in
+        let tids = List.mapi (fun t c -> (c, t)) cats in
+        process put ~pid:(wall_pid + 1 + i) ~name:("sim time: " ^ label)
+          ~tracks:(List.map (fun (c, t) -> (t, "sim:" ^ c)) tids)
+          ~tid:(fun (s : Profiler.span) -> List.assoc s.cat tids)
+          spans)
+      (Profiler.simulations ());
+  output_string oc "],\"displayTimeUnit\":\"ms\"}\n"

@@ -229,10 +229,7 @@ let remote_access t ~client ~bytes =
 let create cfg =
   assert (cfg.n_clients >= 1 && cfg.n_servers >= 1);
   let engine = Engine.create () in
-  (* Stamp observability events (RPC/disk spans) with this cluster's
-     simulated time; the most recently built cluster wins, which is fine
-     for a telemetry-only clock. *)
-  Dfs_obs.Clock.set_source (fun () -> Engine.now engine);
+  Engine.record_spans engine ~label:cfg.trace_spill_tag;
   let rng = Dfs_util.Rng.create cfg.seed in
   let fs =
     Fs_state.create ~n_servers:cfg.n_servers
@@ -401,8 +398,6 @@ let merged_chunks ?chunk_records ?spill t =
   in
   Dfs_trace.Merge.merge_chunks ~chunk_records ?spill ~scrub:self_users
     (server_chunks t)
-
-let merged_trace t = Sink.to_records (merged_chunks t)
 
 (* Drop the per-server logs (deleting spilled segments) once the merged
    trace has been produced; the sinks must not be read afterwards. *)

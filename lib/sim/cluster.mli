@@ -30,8 +30,9 @@ type config = {
       (** when set, sealed chunks are written there as binary trace
           segments instead of staying in memory *)
   trace_spill_tag : string;
-      (** segment-file name prefix; must be unique among clusters
-          spilling into the same directory *)
+      (** segment-file name prefix and the label of the cluster's
+          sim-time span stream; must be unique among clusters spilling
+          into the same directory or traced in the same run *)
   client_id_base : int;
       (** global id of local client 0.  The id-base fields (all default
           0) exist for partitioned (sharded) simulations: each partition
@@ -120,9 +121,6 @@ val merged_chunks :
     chunks to disk.  Peak memory is one output chunk plus one loaded
     chunk per server.
     @raise Invalid_argument after {!release_traces}. *)
-
-val merged_trace : t -> Dfs_trace.Record.t list
-(** {!merged_chunks} materialized as a boxed list (tests, examples). *)
 
 val release_traces : t -> unit
 (** Drop the per-server logs — in-memory chunks become collectable,

@@ -14,10 +14,9 @@ let m_service = Dfs_obs.Metrics.histogram "sim.disk.service_s"
 
 let note op bytes d =
   Dfs_obs.Metrics.observe m_service d;
-  if Dfs_obs.Tracer.active () then
-    Dfs_obs.Tracer.emit ~cat:"disk" ~name:op ~t0:(Dfs_obs.Clock.now ()) ~dur:d
-      ~attrs:[ ("bytes", Dfs_obs.Json.Int bytes) ]
-      ()
+  if Dfs_obs.Profiler.admit () then
+    Dfs_obs.Profiler.emit ~cat:"disk" ~name:op ~t0:(Dfs_obs.Profiler.now ()) ~dur:d
+      [ ("bytes", Dfs_obs.Json.Int bytes) ]
 
 type t = {
   cfg : config;

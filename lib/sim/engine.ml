@@ -35,6 +35,9 @@ type t = {
          timeouts that almost always get cut short); once more than half
          the queue is dead weight we compact in place rather than let
          pops and pushes churn O(log dead) forever. *)
+  mutable spans : Dfs_obs.Profiler.stream option;
+      (* This simulation's sim-time spans, installed on whichever domain
+         runs the engine. *)
 }
 
 type handle = event
@@ -56,9 +59,13 @@ let create () =
     next_seq = 0;
     executed = 0;
     cancelled_pending = 0;
+    spans = None;
   }
 
 let now t = t.clock
+
+let record_spans t ~label =
+  t.spans <- Dfs_obs.Profiler.stream ~label ~now:(fun () -> t.clock)
 
 let schedule t ~at action =
   assert (at >= t.clock);
@@ -127,7 +134,7 @@ let every t ~interval ?start action =
 
 exception Below_floor of { time : float; floor : float }
 
-let run_core t ~floor horizon =
+let run_events t ~floor horizon =
   let continue = ref true in
   while !continue do
     match H.peek t.heap with
@@ -156,6 +163,13 @@ let run_core t ~floor horizon =
       end
   done;
   if horizon > t.clock then t.clock <- horizon
+
+(* Every run stamps and files its spans as this simulation's, whichever
+   PDES worker executes it. *)
+let run_core t ~floor horizon =
+  match t.spans with
+  | None -> run_events t ~floor horizon
+  | Some s -> Dfs_obs.Profiler.recording s (fun () -> run_events t ~floor horizon)
 
 let run_until t horizon = run_core t ~floor:neg_infinity horizon
 

@@ -13,6 +13,12 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time, seconds. *)
 
+val record_spans : t -> label:string -> unit
+(** Give the engine a sim-time span stream labelled [label], when sim
+    recording is on ({!Dfs_obs.Profiler.enable_sim}).  Every later
+    {!run_until} or {!run_window} installs it, with this engine's clock,
+    on the domain that executes the run. *)
+
 type handle
 (** A scheduled event; can be cancelled. *)
 

@@ -29,10 +29,9 @@ let rpc t ~kind ~bytes =
   Dfs_obs.Metrics.incr m_rpcs;
   Dfs_obs.Metrics.add m_bytes bytes;
   Dfs_obs.Metrics.observe m_latency d;
-  if Dfs_obs.Tracer.active () then
-    Dfs_obs.Tracer.emit ~cat:"rpc" ~name:kind ~t0:(Dfs_obs.Clock.now ()) ~dur:d
-      ~attrs:[ ("bytes", Dfs_obs.Json.Int bytes) ]
-      ();
+  if Dfs_obs.Profiler.admit () then
+    Dfs_obs.Profiler.emit ~cat:"rpc" ~name:kind ~t0:(Dfs_obs.Profiler.now ()) ~dur:d
+      [ ("bytes", Dfs_obs.Json.Int bytes) ];
   d
 
 let total_rpcs t = t.rpcs

@@ -25,7 +25,7 @@ val config : t -> config
 val rpc : t -> kind:string -> bytes:int -> float
 (** Account one remote procedure call carrying [bytes] of data; returns
     the time it occupies the medium (latency + serialization).  [kind]
-    names the RPC in tracer spans.
+    names the RPC in sim-time spans.
 
     @raise Invalid_argument if [bytes] is negative. *)
 

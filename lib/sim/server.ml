@@ -186,10 +186,9 @@ let open_file t ~now ~(cred : Cred.t) ~(info : Fs_state.file_info) ~mode ~create
       (hooks_of t writer).recall_dirty ~now ~file:info.id;
       t.counters.recalls <- t.counters.recalls + 1;
       Dfs_obs.Metrics.incr m_recalls;
-      if Dfs_obs.Tracer.active () then
-        Dfs_obs.Tracer.emit ~cat:"consistency" ~name:"recall" ~t0:now ~dur:0.0
-          ~attrs:[ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ]
-          ();
+      if Dfs_obs.Profiler.admit () then
+        Dfs_obs.Profiler.emit ~cat:"consistency" ~name:"recall" ~t0:now ~dur:0.0
+          [ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ];
       File.Tbl.remove t.last_writer info.id;
       latency := !latency +. Network.rpc t.network ~kind:"recall" ~bytes:0
     | Some _ | None -> ());
@@ -220,11 +219,9 @@ let open_file t ~now ~(cred : Cred.t) ~(info : Fs_state.file_info) ~mode ~create
         state.cacheable <- false;
         t.counters.cache_disables <- t.counters.cache_disables + 1;
         Dfs_obs.Metrics.incr m_disables;
-        if Dfs_obs.Tracer.active () then
-          Dfs_obs.Tracer.emit ~cat:"consistency" ~name:"disable" ~t0:now
-            ~dur:0.0
-            ~attrs:[ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ]
-            ();
+        if Dfs_obs.Profiler.admit () then
+          Dfs_obs.Profiler.emit ~cat:"consistency" ~name:"disable" ~t0:now ~dur:0.0
+            [ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ];
         List.iter
           (fun o -> (hooks_of t o.oc_client).stop_caching ~now ~file:info.id)
           state.openers;

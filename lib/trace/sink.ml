@@ -143,11 +143,6 @@ let iter_batches f c = Seq.iter f (to_seq c)
 
 let iter f c = Seq.iter (B.iter f) (to_seq c)
 
-let to_records c =
-  let acc = ref [] in
-  iter (fun r -> acc := r :: !acc) c;
-  List.rev !acc
-
 let to_batch c =
   let builder = B.Builder.create ~capacity:(max 16 c.total) () in
   iter_batches (B.Builder.append_batch builder) c;

@@ -76,9 +76,6 @@ val iter_batches : (Record_batch.t -> unit) -> chunks -> unit
 val iter : (Record.t -> unit) -> chunks -> unit
 (** Boxed-record iteration (allocates one record at a time). *)
 
-val to_records : chunks -> Record.t list
-(** Materialize as a boxed list (compatibility paths and tests only). *)
-
 val to_batch : chunks -> Record_batch.t
 (** Materialize as one contiguous batch (allocates the whole trace). *)
 

@@ -71,18 +71,16 @@ let m_jobs = Dfs_obs.Metrics.counter "workload.migrations"
 let job_started t ~host =
   t.load.(host) <- t.load.(host) + 1;
   Dfs_obs.Metrics.incr m_jobs;
-  if Dfs_obs.Tracer.active () then
-    Dfs_obs.Tracer.emit ~cat:"migration" ~name:"start"
-      ~t0:(Dfs_obs.Clock.now ()) ~dur:0.0
-      ~attrs:[ ("host", Dfs_obs.Json.Int host) ]
-      ()
+  if Dfs_obs.Profiler.admit () then
+    Dfs_obs.Profiler.emit ~cat:"migration" ~name:"start" ~t0:(Dfs_obs.Profiler.now ())
+      ~dur:0.0
+      [ ("host", Dfs_obs.Json.Int host) ]
 
 let job_finished t ~host =
   t.load.(host) <- max 0 (t.load.(host) - 1);
-  if Dfs_obs.Tracer.active () then
-    Dfs_obs.Tracer.emit ~cat:"migration" ~name:"finish"
-      ~t0:(Dfs_obs.Clock.now ()) ~dur:0.0
-      ~attrs:[ ("host", Dfs_obs.Json.Int host) ]
-      ()
+  if Dfs_obs.Profiler.admit () then
+    Dfs_obs.Profiler.emit ~cat:"migration" ~name:"finish" ~t0:(Dfs_obs.Profiler.now ())
+      ~dur:0.0
+      [ ("host", Dfs_obs.Json.Int host) ]
 
 let migrated_load t ~host = t.load.(host)

@@ -445,18 +445,22 @@ let arb_ops =
       (QCheck.Print.list (fun (dt, op) -> Printf.sprintf "+%ds %s" dt (show_op op)))
     QCheck.Gen.(list_size (int_range 1 80) (pair (int_bound 12) gen_op))
 
-(* The eviction victims since the last clear, from the cache's "evict"
-   trace spans: file and idle time, oldest first. *)
-let traced_victims () =
-  List.filter_map
-    (fun (s : Dfs_obs.Tracer.span) ->
-      match
-        (s.name, List.assoc_opt "file" s.attrs, List.assoc_opt "idle_s" s.attrs)
-      with
-      | "evict", Some (Dfs_obs.Json.Int f), Some (Dfs_obs.Json.Float idle) ->
-        Some (f, idle)
-      | _ -> None)
-    (Dfs_obs.Tracer.spans Dfs_obs.Tracer.default)
+(* The eviction victims of [f], from the cache's "evict" sim spans: file
+   and idle time, oldest first.  [f] records into a stream of its own,
+   the only one since sim recording was last (re)enabled. *)
+let traced_victims f =
+  let module P = Dfs_obs.Profiler in
+  P.enable_sim ();
+  P.recording (Option.get (P.stream ~label:"victims" ~now:(fun () -> 0.0))) f;
+  List.concat_map
+    (fun (_, spans) ->
+      List.filter_map
+        (fun (s : P.span) ->
+          match (s.name, List.assoc_opt "file" s.args, List.assoc_opt "idle_s" s.args) with
+          | "evict", Some (Dfs_obs.Json.Int f), Some (Dfs_obs.Json.Float idle) -> Some (f, idle)
+          | _ -> None)
+        (List.of_seq spans))
+    (P.simulations ())
 
 (* Each operation runs on the cache and on the model; after it the
    fetches must match in order, the victims in order, the writebacks as a
@@ -479,42 +483,44 @@ let prop_matches_model =
         m.fetches <- [];
         m.victims <- [];
         m.writebacks <- [];
-        Dfs_obs.Tracer.clear Dfs_obs.Tracer.default;
-        (match op with
-        | Read ({ file; off; len; paging; migrated } as a) ->
-          let file_size = sizes.(file) in
-          Bc.read cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
-            ~file_size ~off ~len;
-          Cache_model.read m ~now ~paging ~migrated ~file ~file_size ~off ~len
-        | Write ({ file; off; len; paging; migrated } as a) ->
-          let file_size = sizes.(file) in
-          Bc.write cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
-            ~file_size ~off ~len;
-          Cache_model.write m ~now ~paging ~migrated ~file ~file_size ~off ~len;
-          sizes.(file) <- max file_size (off + len)
-        | Fsync file ->
-          Bc.fsync cache ~now ~file:(f file);
-          Cache_model.clean_file m ~file Bc.Clean_fsync
-        | Recall file ->
-          Bc.recall cache ~now ~file:(f file);
-          Cache_model.clean_file m ~file Bc.Clean_recall
-        | Invalidate file ->
-          Bc.invalidate cache ~now ~file:(f file);
-          Cache_model.invalidate m ~file
-        | Delete file ->
-          Bc.delete cache ~now ~file:(f file);
-          Cache_model.invalidate m ~file;
-          sizes.(file) <- 0
-        | Tick ->
-          Bc.tick cache ~now;
-          Cache_model.tick m ~now
-        | Set_capacity n ->
-          Bc.set_capacity cache ~now n;
-          Cache_model.set_capacity m ~now n);
+        let victims =
+          traced_victims (fun () ->
+            match op with
+            | Read ({ file; off; len; paging; migrated } as a) ->
+              let file_size = sizes.(file) in
+              Bc.read cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
+                ~file_size ~off ~len;
+              Cache_model.read m ~now ~paging ~migrated ~file ~file_size ~off ~len
+            | Write ({ file; off; len; paging; migrated } as a) ->
+              let file_size = sizes.(file) in
+              Bc.write cache ~now ~cls:(cls_of a) ~migrated ~file:(f file)
+                ~file_size ~off ~len;
+              Cache_model.write m ~now ~paging ~migrated ~file ~file_size ~off ~len;
+              sizes.(file) <- max file_size (off + len)
+            | Fsync file ->
+              Bc.fsync cache ~now ~file:(f file);
+              Cache_model.clean_file m ~file Bc.Clean_fsync
+            | Recall file ->
+              Bc.recall cache ~now ~file:(f file);
+              Cache_model.clean_file m ~file Bc.Clean_recall
+            | Invalidate file ->
+              Bc.invalidate cache ~now ~file:(f file);
+              Cache_model.invalidate m ~file
+            | Delete file ->
+              Bc.delete cache ~now ~file:(f file);
+              Cache_model.invalidate m ~file;
+              sizes.(file) <- 0
+            | Tick ->
+              Bc.tick cache ~now;
+              Cache_model.tick m ~now
+            | Set_capacity n ->
+              Bc.set_capacity cache ~now n;
+              Cache_model.set_capacity m ~now n)
+        in
         Bc.check_invariants cache;
         let st = Bc.stats cache in
         log.fetches = m.fetches
-        && traced_victims () = List.rev m.victims
+        && victims = List.rev m.victims
         && List.sort compare log.writebacks = List.sort compare m.writebacks
         && [ st.all; st.file; st.paging; st.migrated ] = Array.to_list m.stats
         && st.writeback_bytes = m.writeback_bytes
@@ -523,14 +529,7 @@ let prop_matches_model =
         && Bc.dirty_blocks cache = Cache_model.dirty_blocks m
         && Bc.capacity cache = m.capacity
       in
-      (* the ring is cleared before each operation, which emits far fewer
-         spans than this *)
-      Dfs_obs.Tracer.enable ~capacity:1024 ();
-      Fun.protect
-        ~finally:(fun () ->
-          Dfs_obs.Tracer.disable ();
-          Dfs_obs.Tracer.clear Dfs_obs.Tracer.default)
-        (fun () -> List.for_all step ops))
+      Fun.protect ~finally:Dfs_obs.Profiler.disable_sim (fun () -> List.for_all step ops))
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

@@ -457,7 +457,7 @@ let test_recovery_storm_e2e () =
   Alcotest.(check bool) "replay never exceeds what was parked" true
     (st.Injector.replayed_bytes <= st.Injector.offline_queued_bytes);
   Alcotest.(check bool) "trace survived the chaos" true
-    (List.length (Cluster.merged_trace cluster) > 0)
+    (Dfs_trace.Sink.length (Cluster.merged_chunks cluster) > 0)
 
 let test_faulty_run_deterministic () =
   let _, a = run_stats () in

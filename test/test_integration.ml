@@ -13,20 +13,27 @@ let shared_run =
      in
      Dfs_workload.Presets.run p)
 
-let trace () = Cluster.merged_trace (fst (Lazy.force shared_run))
+let trace () = Dfs_trace.Sink.to_batch (Cluster.merged_chunks (fst (Lazy.force shared_run)))
 
 let cluster () = fst (Lazy.force shared_run)
 
 let test_trace_nonempty_and_sorted () =
   let t = trace () in
-  Alcotest.(check bool) "records exist" true (List.length t > 100);
-  Alcotest.(check bool) "time sorted" true (Merge_model.is_sorted t)
+  Alcotest.(check bool) "records exist" true (Dfs_trace.Record_batch.length t > 100);
+  Alcotest.(check bool) "time sorted" true
+    (Merge_model.is_sorted (Array.to_list (Dfs_trace.Record_batch.to_array t)))
 
 let test_opens_match_closes () =
   let t = trace () in
-  let count p = List.length (List.filter p t) in
-  let opens = count (fun r -> match r.Record.kind with Record.Open _ -> true | _ -> false) in
-  let closes = count (fun r -> match r.Record.kind with Record.Close _ -> true | _ -> false) in
+  let count tag =
+    let n = ref 0 in
+    for i = 0 to Dfs_trace.Record_batch.length t - 1 do
+      if Dfs_trace.Record_batch.tag t i = tag then incr n
+    done;
+    !n
+  in
+  let opens = count Dfs_trace.Record_batch.tag_open in
+  let closes = count Dfs_trace.Record_batch.tag_close in
   (* sessions cut off at the horizon may leave a few dangling opens *)
   Alcotest.(check bool) "closes <= opens" true (closes <= opens);
   Alcotest.(check bool) "almost balanced" true (opens - closes < 64)
@@ -72,7 +79,7 @@ let test_consistency_actions_only_under_multiclient () =
         (o + k.file_opens, s + k.sharing_opens, r + k.recalls))
       (0, 0, 0) (Cluster.servers c)
   in
-  let replay = Dfs_analysis.Consistency_stats.analyze (Dfs_trace.Record_batch.of_list t) in
+  let replay = Dfs_analysis.Consistency_stats.analyze t in
   let live_opens, live_sharing, live_recalls = live in
   (* the live count includes infrastructure accesses that the merged trace
      scrubs, so replayed counts can be slightly lower, never higher *)
@@ -113,7 +120,7 @@ let test_write_trace_files_and_reanalyze () =
         Dfs_trace.Merge.merge_chunks ~scrub:Cluster.self_users sources
       in
       Alcotest.(check int) "file roundtrip preserves the trace"
-        (List.length (trace ()))
+        (Dfs_trace.Record_batch.length (trace ()))
         (Dfs_trace.Sink.length merged))
 
 let test_experiment_registry () =

@@ -1,11 +1,11 @@
 (* Tests for the observability layer: JSON round-trips, metric
-   semantics, histogram quantiles on known distributions, tracer ring
-   bounding, and an end-to-end consistency check of the instrumentation
-   against the simulator's own accounting. *)
+   semantics, histogram quantiles on known distributions, the sim-time
+   span streams' bound, and an end-to-end consistency check of the
+   instrumentation against the simulator's own accounting. *)
 
-module Json = Dfs_obs.Json
+module Json = Json_oracle
 module Metrics = Dfs_obs.Metrics
-module Tracer = Dfs_obs.Tracer
+module Profiler = Dfs_obs.Profiler
 
 (* -- Json ------------------------------------------------------------------ *)
 
@@ -37,6 +37,33 @@ let test_json_floats_stay_floats () =
   | Ok (Json.Float f) -> Alcotest.(check (float 1e-9)) "value" 4.0 f
   | Ok _ -> Alcotest.fail "4.0 did not parse back as a float"
   | Error e -> Alcotest.failf "parse error: %s" e
+
+(* The printer's fast paths agree with plain printf: [%d] for ints, and
+   [%.12g] with ".0" appended to an int-looking token for floats. *)
+let json_numbers_match_printf =
+  let float_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map float_of_int (int_range (-1_000_000) 1_000_000);
+          map2 (fun m e -> m *. (10.0 ** float_of_int e)) float (int_range (-20) 20);
+          oneofl [ 0.0; -0.0; 1e12; -1e12; 999999999999.0; 1e11 +. 0.5; 0.1; 5e-324 ];
+        ])
+  in
+  QCheck.Test.make ~name:"json numbers print as printf would" ~count:2000
+    QCheck.(pair (make ~print:string_of_float float_gen) int)
+    (fun (f, i) ->
+      let expected =
+        if Float.is_nan f then "null"
+        else if f = Float.infinity then "1e308"
+        else if f = Float.neg_infinity then "-1e308"
+        else
+          let g = Printf.sprintf "%.12g" f in
+          if String.contains g '.' || String.contains g 'e' then g else g ^ ".0"
+      in
+      Json.to_string (Json.Float f) = expected
+      && Json.to_string (Json.Int i) = string_of_int i)
 
 let test_json_rejects_garbage () =
   List.iter
@@ -239,84 +266,86 @@ let quantile_error_bound =
       let bound = 10.0 ** (1.0 /. 40.0) -. 1.0 +. 1e-9 in
       Float.abs (got -. exact) <= bound *. exact)
 
-(* -- Tracer ---------------------------------------------------------------- *)
+(* -- Sim-time spans ------------------------------------------------------------ *)
 
-let emit_test_span i =
-  Tracer.emit ~cat:"test"
-    ~name:(Printf.sprintf "s%d" i)
-    ~t0:(float_of_int i) ~dur:0.5
-    ~attrs:[ ("i", Json.Int i) ]
-    ()
+(* The instrumented modules emit to whatever stream is installed on the
+   calling domain, so these tests install their own; [Fun.protect]
+   restores the disabled state. *)
+let with_sim_recording f =
+  Profiler.enable_sim ();
+  Fun.protect ~finally:Profiler.disable_sim f
 
-(* The instrumented modules all emit to [Tracer.default], so these tests
-   drive it directly; [Fun.protect] restores the disabled state. *)
-let with_default_tracer ~capacity f =
-  Tracer.enable ~capacity ();
-  Fun.protect ~finally:Tracer.disable f
+(* [n] spans named s0, s1, ... into a fresh stream labelled [label]. *)
+let record_spans label n =
+  let s = Option.get (Profiler.stream ~label ~now:(fun () -> 0.0)) in
+  Profiler.recording s (fun () ->
+      for i = 0 to n - 1 do
+        if Profiler.admit () then
+          Profiler.emit ~cat:"test" ~name:(Printf.sprintf "s%d" i) ~t0:(float_of_int i)
+            ~dur:0.5 [ ("i", Json.Int i) ]
+      done)
+
+let kept label =
+  List.concat_map
+    (fun (l, spans) -> if l = label then List.of_seq spans else [])
+    (Profiler.simulations ())
 
 let test_tracer_disabled_is_noop () =
-  Tracer.disable ();
-  emit_test_span 0;
-  Alcotest.(check bool) "inactive" false (Tracer.active ());
-  Alcotest.(check int) "nothing recorded" 0 (Tracer.length Tracer.default)
+  Profiler.disable_sim ();
+  Alcotest.(check bool) "no stream while off" true
+    (Profiler.stream ~label:"off" ~now:(fun () -> 0.0) = None);
+  Alcotest.(check bool) "nothing installed, nothing admitted" false (Profiler.admit ());
+  with_sim_recording (fun () ->
+      let s = Option.get (Profiler.stream ~label:"paused" ~now:(fun () -> 0.0)) in
+      Profiler.disable_sim ();
+      Profiler.recording s (fun () ->
+          Alcotest.(check bool) "admit off while disabled" false (Profiler.admit ()));
+      Alcotest.(check int) "nothing offered" 0 (Profiler.added Sim))
 
-let test_tracer_ring_bounding () =
-  with_default_tracer ~capacity:8 (fun () ->
-      let t = Tracer.default in
-      for i = 0 to 19 do
-        emit_test_span i
-      done;
-      Alcotest.(check int) "length bounded" 8 (Tracer.length t);
-      Alcotest.(check int) "all adds counted" 20 (Tracer.added t);
-      Alcotest.(check int) "dropped = added - length" 12 (Tracer.dropped t);
-      Alcotest.(check (list string))
-        "oldest dropped first, order kept"
-        [ "s12"; "s13"; "s14"; "s15"; "s16"; "s17"; "s18"; "s19" ]
-        (List.map (fun (s : Tracer.span) -> s.name) (Tracer.spans t));
-      Alcotest.(check int) "count by category" 8 (Tracer.count t ~cat:"test");
-      Tracer.clear t;
-      Alcotest.(check int) "clear empties" 0 (Tracer.length t))
-
-let test_tracer_jsonl_roundtrip () =
-  with_default_tracer ~capacity:16 (fun () ->
-      for i = 0 to 9 do
-        emit_test_span i
-      done;
-      let t = Tracer.default in
-      let original = Tracer.spans t in
-      let lines =
-        List.filter
-          (fun l -> String.length l > 0)
-          (String.split_on_char '\n' (Tracer.to_jsonl_string t))
-      in
-      Alcotest.(check int) "one line per span" 10 (List.length lines);
-      let reread =
-        List.map
-          (fun line ->
-            match Json.parse line with
-            | Error e -> Alcotest.failf "bad JSONL line %S: %s" line e
-            | Ok v -> (
-              match Tracer.span_of_json v with
-              | Some s -> s
-              | None -> Alcotest.failf "not a span: %s" line))
-          lines
-      in
-      Alcotest.(check bool) "spans survive round-trip" true (original = reread))
+let test_tracer_keeps_first_spans () =
+  Profiler.enable ();
+  (* enabling again on the way out clears the wall span recorded here *)
+  Fun.protect ~finally:(fun () -> Profiler.enable (); Profiler.disable ()) @@ fun () ->
+  with_sim_recording (fun () ->
+      let n = Profiler.sim_capacity in
+      Profiler.span "wall" (fun () -> record_spans "big" (n + 5));
+      record_spans "small" 3;
+      let big = kept "big" in
+      Alcotest.(check int) "first N kept" n (List.length big);
+      Alcotest.(check (list string)) "oldest kept, order kept"
+        [ "s0"; "s1"; Printf.sprintf "s%d" (n - 1) ]
+        (List.map
+           (fun (s : Profiler.span) -> s.name)
+           [ List.hd big; List.nth big 1; List.nth big (n - 1) ]);
+      Alcotest.(check bool) "sim clock, attrs kept" true
+        (List.for_all
+           (fun (s : Profiler.span) ->
+             s.clock = Sim && s.args = [ ("i", Json.Int (int_of_float s.t0)) ])
+           big);
+      Alcotest.(check int) "another simulation keeps its own" 3
+        (List.length (kept "small"));
+      Alcotest.(check int) "all offers counted" (n + 8) (Profiler.added Sim);
+      Alcotest.(check int) "only the overflow dropped" 5 (Profiler.dropped Sim);
+      Alcotest.(check (list string)) "the wall span, kept beside them" [ "wall" ]
+        (List.map (fun (s : Profiler.span) -> s.name) (Profiler.spans ()));
+      Alcotest.(check int) "no wall span dropped" 0 (Profiler.dropped Wall))
 
 let test_tracer_export_counters () =
-  with_default_tracer ~capacity:4 (fun () ->
-      for i = 0 to 9 do
-        emit_test_span i
-      done;
-      let r = Metrics.create () in
-      Tracer.record_export_counters ~registry:r Tracer.default;
-      let v name =
-        match Metrics.find ~registry:r name with
-        | Some (Metrics.Counter c) -> Metrics.value c
-        | _ -> Alcotest.failf "%s not recorded" name
-      in
-      Alcotest.(check int) "obs.trace.added" 10 (v "obs.trace.added");
-      Alcotest.(check int) "obs.trace.dropped" 6 (v "obs.trace.dropped"))
+  let v name =
+    match Metrics.find name with
+    | Some (Metrics.Counter c) -> Metrics.value c
+    | _ -> Alcotest.failf "%s not registered" name
+  in
+  let added0 = v "obs.trace.added" and dropped0 = v "obs.trace.dropped" in
+  with_sim_recording (fun () ->
+      record_spans "a" (Profiler.sim_capacity + 4);
+      record_spans "b" 10;
+      Alcotest.(check int) "obs.trace.added" (Profiler.sim_capacity + 14)
+        (v "obs.trace.added" - added0);
+      Alcotest.(check int) "obs.trace.dropped" 4 (v "obs.trace.dropped" - dropped0);
+      Alcotest.(check int) "added = kept + dropped"
+        (v "obs.trace.added" - added0)
+        (List.length (kept "a") + List.length (kept "b") + v "obs.trace.dropped" - dropped0))
 
 (* -- Integration: instrumentation agrees with the simulator ---------------- *)
 
@@ -328,7 +357,7 @@ let counter_value name =
 
 let test_sim_metrics_consistency () =
   Metrics.reset ();
-  with_default_tracer ~capacity:(1 lsl 20) (fun () ->
+  with_sim_recording (fun () ->
       let preset =
         Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace 1) ~factor:0.01
       in
@@ -346,17 +375,16 @@ let test_sim_metrics_consistency () =
       Alcotest.(check bool) "rpcs happened" true (total_rpcs > 0);
       Alcotest.(check int) "rpc counter matches network" total_rpcs
         (counter_value "sim.net.rpcs");
-      (* every RPC produced exactly one span (ring did not overflow) *)
-      Alcotest.(check int) "no spans dropped" 0 (Tracer.dropped Tracer.default);
-      Alcotest.(check int) "one rpc span per rpc" total_rpcs
-        (Tracer.count Tracer.default ~cat:"rpc");
+      (* every RPC produced exactly one span, none lost to the bound *)
+      Alcotest.(check int) "no spans dropped" 0 (Profiler.dropped Sim);
+      let count cat =
+        List.length (List.filter (fun (s : Profiler.span) -> s.cat = cat) (kept "cluster"))
+      in
+      Alcotest.(check int) "one rpc span per rpc" total_rpcs (count "rpc");
       (* the other instrumented categories showed up too *)
       List.iter
         (fun cat ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s spans present" cat)
-            true
-            (Tracer.count Tracer.default ~cat > 0))
+          Alcotest.(check bool) (Printf.sprintf "%s spans present" cat) true (count cat > 0))
         [ "disk"; "cache" ])
 
 let suite =
@@ -379,9 +407,9 @@ let suite =
       `Quick,
       test_histogram_p999_and_bulk_quantiles );
     QCheck_alcotest.to_alcotest quantile_error_bound;
+    QCheck_alcotest.to_alcotest json_numbers_match_printf;
     ("tracer disabled is noop", `Quick, test_tracer_disabled_is_noop);
-    ("tracer ring bounding", `Quick, test_tracer_ring_bounding);
-    ("tracer jsonl round-trip", `Quick, test_tracer_jsonl_roundtrip);
+    ("tracer per-simulation span cap", `Quick, test_tracer_keeps_first_spans);
     ("tracer export counters", `Quick, test_tracer_export_counters);
     ("sim metrics consistency", `Slow, test_sim_metrics_consistency);
   ]

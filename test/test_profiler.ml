@@ -1,7 +1,7 @@
-(* Tests for the wall-clock profiler, the Chrome trace export and the
-   pool's utilization gauges. *)
+(* Tests for the wall-clock side of the profiler, the Chrome trace export
+   and the pool's utilization gauges. *)
 
-module Json = Dfs_obs.Json
+module Json = Json_oracle
 module Metrics = Dfs_obs.Metrics
 module Profiler = Dfs_obs.Profiler
 module Chrome = Dfs_obs.Chrome_export
@@ -43,10 +43,15 @@ let test_span_nesting_and_fields () =
         Alcotest.(check bool) "outer contains inner" true
           (outer.dur >= inner.dur);
         Alcotest.(check bool) "t0 ordered" true (outer.t0 <= inner.t0);
+        Alcotest.(check bool) "wall clock" true (inner.clock = Profiler.Wall);
+        Alcotest.(check (list string))
+          "gc deltas as args"
+          [ "gc_minor"; "gc_major"; "gc_promoted_words"; "gc_minor_words" ]
+          (List.map fst inner.args);
         Alcotest.(check bool) "gc deltas non-negative" true
-          (inner.gc_minor >= 0 && inner.gc_major >= 0
-          && inner.gc_promoted_words >= 0.0
-          && inner.gc_minor_words >= 0.0)
+          (List.for_all
+             (fun (_, v) -> Option.get (Json.to_float_opt v) >= 0.0)
+             inner.args)
       | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans))
 
 let test_span_recorded_on_raise () =
@@ -91,7 +96,10 @@ let test_per_domain_streams () =
       Domain.join
         (Domain.spawn (fun () -> Profiler.span "on-spawned" (fun () -> ())));
       Alcotest.(check bool) "several domains recorded" true
-        (List.length (Profiler.domains ()) >= 2);
+        (List.length
+           (List.sort_uniq compare
+              (List.map (fun (s : Profiler.span) -> s.domain) (Profiler.spans ())))
+        >= 2);
       let domain_of name =
         (List.find (fun (s : Profiler.span) -> s.name = name)
            (Profiler.spans ()))
@@ -106,55 +114,84 @@ let test_enable_resets () =
       Profiler.enable ();
       Alcotest.(check int) "enable clears" 0 (List.length (Profiler.spans ()));
       Profiler.span "second" (fun () -> ());
-      Alcotest.(check int) "added restarts" 1 (Profiler.added ());
-      Alcotest.(check int) "nothing dropped" 0 (Profiler.dropped ()))
+      Alcotest.(check int) "added restarts" 1 (Profiler.added Wall);
+      Alcotest.(check int) "nothing dropped" 0 (Profiler.dropped Wall))
 
 (* -- Chrome export ---------------------------------------------------------- *)
+
+(* The export written to a temporary file and parsed back. *)
+let export ?clock () =
+  let path = Filename.temp_file "dfs-chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (Chrome.write ?clock);
+      match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+      | Error e -> Alcotest.failf "chrome export does not re-parse: %s" e
+      | Ok v -> (
+        match Json.member "traceEvents" v with
+        | Some (Json.List l) -> l
+        | _ -> Alcotest.fail "no traceEvents array"))
+
+let pid e = Option.bind (Json.member "pid" e) Json.to_int_opt
+
+let by_ph ph = List.filter (fun e -> Json.member "ph" e = Some (Json.String ph))
+
+(* Two sim spans recorded into a stream labelled [label], at sim times
+   [t] and [t + 1]. *)
+let record_sim label t =
+  let clock = ref t in
+  let s = Option.get (Profiler.stream ~label ~now:(fun () -> !clock)) in
+  Profiler.recording s (fun () ->
+      List.iter
+        (fun (cat, name) ->
+          if Profiler.admit () then
+            Profiler.emit ~cat ~name ~t0:(Profiler.now ()) ~dur:0.25 [ ("bytes", Json.Int 7) ];
+          clock := !clock +. 1.0)
+        [ ("rpc", "open"); ("disk", "read") ])
 
 let test_chrome_export_roundtrip () =
   with_profiler (fun () ->
       Profiler.span "phase-a" (fun () ->
           Profiler.span ~cat:"merge" "phase-b" (fun () -> ()));
-      Dfs_obs.Tracer.enable ~capacity:16 ();
-      Fun.protect ~finally:Dfs_obs.Tracer.disable (fun () ->
-          Dfs_obs.Tracer.emit ~cat:"rpc" ~name:"open" ~t0:1.0 ~dur:0.25
-            ~attrs:[] ());
-      let s = Json.to_string (Chrome.to_json ~tracer:Dfs_obs.Tracer.default ()) in
-      match Json.parse s with
-      | Error e -> Alcotest.failf "chrome export does not re-parse: %s" e
-      | Ok v ->
-        let events =
-          match Json.member "traceEvents" v with
-          | Some (Json.List l) -> l
-          | _ -> Alcotest.fail "no traceEvents array"
-        in
-        let by_ph ph =
-          List.filter
-            (fun e -> Json.member "ph" e = Some (Json.String ph))
-            events
-        in
-        (* 2 wall spans + 1 sim span *)
-        Alcotest.(check int) "complete events" 3 (List.length (by_ph "X"));
-        Alcotest.(check bool) "metadata names tracks" true
-          (List.length (by_ph "M") >= 4);
-        (* wall and sim spans land in separate processes *)
-        let pids =
-          List.filter_map
-            (fun e -> Option.bind (Json.member "pid" e) Json.to_int_opt)
-            (by_ph "X")
-        in
-        Alcotest.(check bool) "both pids present" true
-          (List.mem 1 pids && List.mem 2 pids);
-        (* sim time is mapped microsecond-for-second onto the timeline *)
-        let sim =
-          List.find
-            (fun e ->
-              Option.bind (Json.member "pid" e) Json.to_int_opt = Some 2)
-            (by_ph "X")
-        in
-        (match Option.bind (Json.member "ts" sim) Json.to_float_opt with
-        | Some ts -> Alcotest.(check (float 1.0)) "sim ts in us" 1e6 ts
-        | None -> Alcotest.fail "sim event lacks ts"))
+      Profiler.enable_sim ();
+      Fun.protect ~finally:Profiler.disable_sim (fun () ->
+          (* created out of label order: pids follow the labels *)
+          record_sim "sim-b" 3.0;
+          record_sim "sim-a" 1.0);
+      let events = export () in
+      (* 2 wall spans + 2 sim spans in each of two simulations *)
+      Alcotest.(check int) "complete events" 6 (List.length (by_ph "X" events));
+      let process_names =
+        List.filter_map
+          (fun e ->
+            if Json.member "name" e = Some (Json.String "process_name") then
+              Option.bind (Json.member "args" e) (Json.member "name")
+            else None)
+          events
+      in
+      Alcotest.(check bool) "one process per clock and simulation, in label order" true
+        (process_names
+        = List.map
+            (fun n -> Json.String n)
+            [ "wall clock (profiler)"; "sim time: sim-a"; "sim time: sim-b" ]);
+      Alcotest.(check (list int)) "pids" [ 1; 1; 2; 2; 3; 3 ]
+        (List.filter_map pid (by_ph "X" events));
+      (* one track per category; sim time maps microsecond-for-second *)
+      let sim_a = List.filter (fun e -> pid e = Some 2) (by_ph "X" events) in
+      Alcotest.(check (list (pair (option int) (option (float 1e-6)))))
+        "tracks and timestamps"
+        [ (Some 1, Some 1e6); (Some 0, Some 2e6) ]
+        (List.map
+           (fun e ->
+             ( Option.bind (Json.member "tid" e) Json.to_int_opt,
+               Option.bind (Json.member "ts" e) Json.to_float_opt ))
+           sim_a);
+      (* the sim-only file holds no wall process *)
+      Alcotest.(check bool) "sim-only export" true
+        (List.for_all (fun e -> pid e <> Some 1) (export ~clock:Profiler.Sim ()));
+      Alcotest.(check (list string)) "wall spans stay wall" [ "phase-a"; "phase-b" ]
+        (List.map (fun (s : Profiler.span) -> s.name) (Profiler.spans ())))
 
 (* -- Pool gauges ------------------------------------------------------------ *)
 

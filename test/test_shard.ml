@@ -147,6 +147,35 @@ let test_sharded_exchanges_messages () =
     (Dfs_trace.Sink.length r.Sharded.merged > 0);
   Sharded.release r
 
+(* Each partition's sim spans from one run on [workers] workers. *)
+let sim_spans ~workers cfg =
+  let module P = Dfs_obs.Profiler in
+  P.enable_sim ();
+  Fun.protect ~finally:P.disable_sim (fun () ->
+      Sharded.release (Sharded.run ~workers cfg);
+      List.map (fun (label, spans) -> (label, List.of_seq spans)) (P.simulations ()))
+
+let test_sharded_sim_spans_pure () =
+  let cfg = shard_cfg () in
+  let seq = sim_spans ~workers:1 cfg and par = sim_spans ~workers:2 cfg in
+  Alcotest.(check (list string))
+    "one stream per partition" [ "scale-part0"; "scale-part1" ] (List.map fst par);
+  Alcotest.(check bool) "same spans on 1 and 2 workers" true (seq = par);
+  (* Events run in time order, so spans stamped by their own partition's
+     clock never go back in time and stay inside the run; a clock left
+     at 0 or borrowed from the other partition would break either. *)
+  List.iter
+    (fun (label, spans) ->
+      let t0s = List.map (fun (s : Dfs_obs.Profiler.span) -> s.t0) spans in
+      let rec ordered = function
+        | a :: (b :: _ as rest) -> a <= b && ordered rest
+        | [ last ] -> last <= cfg.duration
+        | [] -> false
+      in
+      Alcotest.(check bool) (label ^ ": stamps in event order, inside the run") true
+        (List.hd t0s > 0.0 && ordered t0s))
+    par
+
 let test_auto_partitions_pure () =
   Alcotest.(check int) "small cluster stays monolithic" 1
     (Sharded.auto_partitions ~n_clients:40 ~n_servers:4);
@@ -305,5 +334,7 @@ let suite =
       test_derive_seed_pure_and_keyed;
     Alcotest.test_case "rng: split_key leaves parent untouched" `Quick
       test_split_key_does_not_advance_parent;
+    Alcotest.test_case "sharded: sim spans pure in workers, own clocks" `Slow
+      test_sharded_sim_spans_pure;
   ]
   @ qcheck_tests

@@ -152,8 +152,11 @@ let chunks_of ?chunk_records ?spill records =
   List.iter (Sink.emit sink) records;
   Sink.close sink
 
+(* A chunk stream boxed into a list, to compare against the list model. *)
+let records chunks = Array.to_list (Record_batch.to_array (Sink.to_batch chunks))
+
 let merge_lists ?scrub sources =
-  Sink.to_records (Merge.merge_chunks ?scrub (List.map chunks_of sources))
+  records (Merge.merge_chunks ?scrub (List.map chunks_of sources))
 
 let test_merge_two_streams () =
   let s0 = [ mk ~time:1.0 ~server:0 (Record.Dir_read { bytes = 1 });
@@ -219,7 +222,7 @@ let test_merge_chunks_empty () =
   (* one empty source among non-empty ones must not derail the merge *)
   let live = [ mk ~time:1.0 (Record.Dir_read { bytes = 1 }) ] in
   check_same_records "empty among live" live
-    (Sink.to_records (Merge.merge_chunks [ chunks_of []; chunks_of live ]))
+    (records (Merge.merge_chunks [ chunks_of []; chunks_of live ]))
 
 let merge_both_ways ~chunk_records sources =
   let expected = Merge_model.merge sources in
@@ -227,7 +230,7 @@ let merge_both_ways ~chunk_records sources =
     Merge.merge_chunks ~chunk_records
       (List.map (chunks_of ~chunk_records) sources)
   in
-  (expected, Sink.to_records streamed)
+  (expected, records streamed)
 
 let interleaved_source server =
   List.init 10 (fun i ->
@@ -265,8 +268,7 @@ let test_merge_chunks_scrub () =
     Merge.merge_chunks ~chunk_records:2 ~scrub:self_users
       (List.map (chunks_of ~chunk_records:2) sources)
   in
-  check_same_records "scrub while streaming" expected
-    (Sink.to_records streamed)
+  check_same_records "scrub while streaming" expected (records streamed)
 
 let temp_spill_dir () =
   (* temp_file gives us a unique path; the sink creates the directory. *)
@@ -296,9 +298,9 @@ let test_merge_chunks_spill_roundtrip () =
   in
   Alcotest.(check bool) "output spilled" true (Sink.spilled_count merged > 0);
   let expected = Merge_model.merge sources in
-  check_same_records "spill roundtrip" expected (Sink.to_records merged);
+  check_same_records "spill roundtrip" expected (records merged);
   (* replayable: a second traversal re-reads the on-disk segments *)
-  check_same_records "second traversal" expected (Sink.to_records merged);
+  check_same_records "second traversal" expected (records merged);
   List.iter Sink.discard chunked;
   Sink.discard merged;
   Alcotest.(check (list string)) "segments deleted" []
@@ -334,10 +336,10 @@ let with_mmap enabled f =
       Unix.putenv "DFS_MMAP" (Option.value ~default:"" prev))
     f
 
-let write_segment_file records =
+let write_segment_file batch =
   let path = Filename.temp_file "dfs" ".dfsc" in
   let oc = open_out_bin path in
-  ignore (Segment.write_batch oc (Record_batch.of_list records));
+  ignore (Segment.write_batch oc batch);
   close_out oc;
   path
 
@@ -370,9 +372,8 @@ let test_segment_mmap_roundtrip_presets () =
         Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace n) ~factor:0.002
       in
       let cluster, _ = Dfs_workload.Presets.run p in
-      let records = Dfs_sim.Cluster.merged_trace cluster in
-      let expected = Record_batch.of_list records in
-      let path = write_segment_file records in
+      let expected = Sink.to_batch (Dfs_sim.Cluster.merged_chunks cluster) in
+      let path = write_segment_file expected in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
@@ -714,6 +715,13 @@ let test_cli_bad_numeric_flags () =
       ("--clients", [ "scale"; "--clients"; "0" ]);
       ("--servers", [ "scale"; "--servers"; "0" ]);
       ("--partitions", [ "scale"; "--partitions"; "9" ]);
+      ("--traces", [ "all"; "--traces=" ]);
+      ("--traces", [ "facts"; "--traces=" ]);
+      ("--days", [ "scale"; "--days"; "nan" ]);
+      ("--days", [ "scale"; "--days=-1" ]);
+      ("--idle-gap", [ "import"; "--idle-gap=-1"; "/dev/null" ]);
+      ("--idle-gap", [ "import"; "--idle-gap"; "nan"; "/dev/null" ]);
+      ("--servers", [ "import"; "--servers"; "0"; "/dev/null" ]);
     ]
 
 (* -- properties -------------------------------------------------------------------- *)
@@ -752,8 +760,8 @@ let prop_codec_roundtrip =
     arb_full_record (fun r ->
       match Codec.decode (Codec.encode r) with
       | Ok r' ->
-        (* times survive to microsecond precision... *)
-        Float.abs (r'.time -. r.time) <= 5e-7
+        (* the time comes back exactly as [%.6f] printed it... *)
+        r'.time = float_of_string (Printf.sprintf "%.6f" r.time)
         (* ...and everything else must be untouched *)
         && Record.equal { r with time = r'.time } r'
       | Error _ -> false)
@@ -846,7 +854,7 @@ let prop_merge_chunks_equiv =
       let sources = List.map (List.sort Record.compare_time) sources in
       let expected = Merge_model.merge sources in
       let streamed =
-        Sink.to_records
+        records
           (Merge.merge_chunks ~chunk_records
              (List.map (chunks_of ~chunk_records) sources))
       in

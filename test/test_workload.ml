@@ -183,21 +183,27 @@ let run_app cluster f =
   Engine.spawn (Cluster.engine cluster) f;
   Sharded.drive cluster ~until:36000.0
 
-let count_kind trace pred = List.length (List.filter pred trace)
+module Batch = Dfs_trace.Record_batch
+
+let merged cluster = Dfs_trace.Sink.to_batch (Cluster.merged_chunks cluster)
+
+(* Rows [i] of [b] with [pred i]. *)
+let count_rows b pred =
+  let n = ref 0 in
+  for i = 0 to Batch.length b - 1 do
+    if pred i then incr n
+  done;
+  !n
+
+let count_tag b tag = count_rows b (fun i -> Batch.tag b i = tag)
 
 let test_app_edit_leaves_balanced_trace () =
   let cluster = small_cluster () in
   let ctx = make_ctx cluster in
   run_app cluster (fun () -> Apps.edit ctx);
-  let trace = Cluster.merged_trace cluster in
-  let opens =
-    count_kind trace (fun r ->
-        match r.Record.kind with Record.Open _ -> true | _ -> false)
-  in
-  let closes =
-    count_kind trace (fun r ->
-        match r.Record.kind with Record.Close _ -> true | _ -> false)
-  in
+  let trace = merged cluster in
+  let opens = count_tag trace Batch.tag_open in
+  let closes = count_tag trace Batch.tag_close in
   Alcotest.(check bool) "did something" true (opens > 0);
   Alcotest.(check int) "opens = closes" opens closes
 
@@ -205,8 +211,8 @@ let test_app_compile_reads_and_writes () =
   let cluster = small_cluster () in
   let ctx = make_ctx cluster in
   run_app cluster (fun () -> Apps.compile ctx ~host:0 ~migrated:false);
-  let trace = Cluster.merged_trace cluster in
-  let accesses = Dfs_analysis.Session.of_batch (Dfs_trace.Record_batch.of_list trace) in
+  let trace = merged cluster in
+  let accesses = Dfs_analysis.Session.of_batch trace in
   let reads =
     List.exists (fun (a : Dfs_analysis.Session.access) -> a.a_bytes_read > 0) accesses
   in
@@ -216,35 +222,24 @@ let test_app_compile_reads_and_writes () =
   Alcotest.(check bool) "reads happened" true reads;
   Alcotest.(check bool) "writes happened" true writes;
   (* the compiler temporary dies within the run *)
-  let deletes =
-    count_kind trace (fun r ->
-        match r.Record.kind with Record.Delete _ -> true | _ -> false)
-  in
-  Alcotest.(check bool) "temporary deleted" true (deletes >= 1)
+  Alcotest.(check bool) "temporary deleted" true (count_tag trace Batch.tag_delete >= 1)
 
 let test_app_pmake_migrates () =
   let cluster = small_cluster () in
   let ctx = make_ctx cluster in
   run_app cluster (fun () -> Apps.pmake ctx);
-  let trace = Cluster.merged_trace cluster in
-  let migrated =
-    count_kind trace (fun (r : Record.t) -> r.migrated)
-  in
-  Alcotest.(check bool) "migrated records present" true (migrated > 0);
+  let trace = merged cluster in
+  Alcotest.(check bool) "migrated records present" true
+    (count_rows trace (Batch.migrated trace) > 0);
   (* migrated jobs ran on hosts other than home *)
-  let remote =
-    List.exists
-      (fun (r : Record.t) -> r.migrated && Ids.Client.to_int r.client <> ctx.home)
-      trace
-  in
-  Alcotest.(check bool) "migrated work off-home" true remote
+  Alcotest.(check bool) "migrated work off-home" true
+    (count_rows trace (fun i -> Batch.migrated trace i && Batch.client trace i <> ctx.home) > 0)
 
 let test_app_big_sim_big_reads () =
   let cluster = small_cluster () in
   let ctx = { (make_ctx cluster) with group = Params.Architecture } in
   run_app cluster (fun () -> Apps.big_sim ctx);
-  let trace = Cluster.merged_trace cluster in
-  let accesses = Dfs_analysis.Session.of_batch (Dfs_trace.Record_batch.of_list trace) in
+  let accesses = Dfs_analysis.Session.of_batch (merged cluster) in
   let biggest =
     List.fold_left
       (fun acc (a : Dfs_analysis.Session.access) -> max acc a.a_bytes_read)
@@ -296,7 +291,7 @@ let test_driver_small_run_is_deterministic () =
           { (Presets.trace 1).cluster_config with n_clients = 6; seed = 5 } }
     in
     let cluster, _driver = Presets.run p in
-    List.length (Cluster.merged_trace cluster)
+    Batch.length (merged cluster)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "produced records" true (a > 0);
@@ -309,14 +304,12 @@ let test_driver_trace_well_formed () =
   in
   let cluster, driver = Presets.run p in
   Alcotest.(check bool) "users exist" true (Driver.n_users driver > 0);
-  let trace = Cluster.merged_trace cluster in
-  Alcotest.(check bool) "sorted" true (Merge_model.is_sorted trace);
+  let trace = merged cluster in
+  Alcotest.(check bool) "sorted" true
+    (Merge_model.is_sorted (Array.to_list (Batch.to_array trace)));
   (* scrubbed: no infrastructure users left *)
-  Alcotest.(check bool) "scrubbed" true
-    (List.for_all
-       (fun (r : Record.t) ->
-         not (Ids.User.Set.mem r.user Cluster.self_users))
-       trace)
+  Alcotest.(check int) "scrubbed" 0
+    (count_rows trace (fun i -> Ids.User.Set.mem (Batch.user_id trace i) Cluster.self_users))
 
 let suite =
   [
