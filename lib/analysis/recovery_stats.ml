@@ -64,6 +64,7 @@ let analyze named =
            partitions = 0;
            rpc_retries = 0;
            rpc_drops = 0;
+           backoff_capped = 0;
            rpc_stall_s = 0.0;
            disk_errors = 0;
            recovery_rpcs = 0;

@@ -68,28 +68,6 @@ module Itbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Process-wide cache metrics, aggregated over every block cache in the
-   process (client and server caches alike). *)
-let m_lookups = Dfs_obs.Metrics.counter "sim.cache.read_lookups"
-
-let m_hits = Dfs_obs.Metrics.counter "sim.cache.read_hits"
-
-let m_misses = Dfs_obs.Metrics.counter "sim.cache.read_misses"
-
-let m_fetch_bytes = Dfs_obs.Metrics.counter "sim.cache.fetch_bytes"
-
-let m_write_blocks = Dfs_obs.Metrics.counter "sim.cache.write_blocks"
-
-let m_write_fetches = Dfs_obs.Metrics.counter "sim.cache.write_fetches"
-
-let m_writebacks = Dfs_obs.Metrics.counter "sim.cache.writebacks"
-
-let m_writeback_bytes = Dfs_obs.Metrics.counter "sim.cache.writeback_bytes"
-
-let m_evictions = Dfs_obs.Metrics.counter "sim.cache.evictions"
-
-let m_dirty_age = Dfs_obs.Metrics.histogram "sim.cache.dirty_age_s"
-
 type class_stats = {
   mutable read_ops : int;
   mutable read_hits : int;
@@ -161,9 +139,11 @@ type t = {
   stats : stats;
   cleaning_stats : Dfs_util.Stats.t array;  (* indexed by [clean_index] *)
   replacement_stats : Dfs_util.Stats.t array;  (* by [replace_index] *)
+  dirty_ages : Dfs_obs.Metrics.Acc.t;
 }
 
-let create ?(config = default_config) backend =
+let create ?(config = default_config) ?(dirty_ages = Dfs_obs.Metrics.Acc.create ())
+    backend =
   (* The dense arrays are the store; the public assoc lists share the
      same (mutable) [Stats.t] values, so both views always agree. *)
   let cleaning_stats = Array.init 5 (fun _ -> Dfs_util.Stats.create ()) in
@@ -209,6 +189,7 @@ let create ?(config = default_config) backend =
       };
     cleaning_stats;
     replacement_stats;
+    dirty_ages;
   }
 
 let config t = t.cfg
@@ -284,9 +265,7 @@ let clean_block t ~now b ~reason =
     t.backend.writeback ~file:b.b_file ~index:b.b_index ~bytes ~reason;
     t.stats.writeback_bytes <- t.stats.writeback_bytes + bytes;
     Dfs_util.Stats.add (cleaning_stat t reason) (now -. b.last_write);
-    Dfs_obs.Metrics.incr m_writebacks;
-    Dfs_obs.Metrics.add m_writeback_bytes bytes;
-    Dfs_obs.Metrics.observe m_dirty_age (now -. b.dirtied_at);
+    Dfs_obs.Metrics.Acc.observe t.dirty_ages (now -. b.dirtied_at);
     if Dfs_obs.Profiler.admit () then
       Dfs_obs.Profiler.emit ~cat:"cache" ~name:"writeback" ~t0:now ~dur:0.0
         [
@@ -327,7 +306,6 @@ let evict_one t ~now ~reason =
     | Replace_to_vm -> clean_block t ~now b ~reason:Clean_vm
     | Replace_for_block -> clean_block t ~now b ~reason:Clean_eviction);
     Dfs_util.Stats.add (replacement_stat t reason) (now -. b.last_ref);
-    Dfs_obs.Metrics.incr m_evictions;
     if Dfs_obs.Profiler.admit () then
       Dfs_obs.Profiler.emit ~cat:"cache" ~name:"evict" ~t0:now ~dur:0.0
         [
@@ -404,7 +382,7 @@ let add_writes s ~ops ~bytes ~fetches ~fetch_bytes =
 (* -- data path ----------------------------------------------------------- *)
 
 (* [read] and [write] walk the blocks overlapped by [off, off+len) in one
-   loop, then update the stats and metrics once: the per-block byte ranges
+   loop, then update the stats once: the per-block byte ranges
    partition the request, so the bytes counted are [len].  The file's
    table is looked up per block, since an insert may evict the file's
    last block and with it the table. *)
@@ -432,11 +410,7 @@ let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
     let ops = last - first + 1 and hits = !hits and fetched = !fetched in
     add_reads t.stats.all ~ops ~bytes:len ~hits ~fetched;
     add_reads (stats_of_class t cls) ~ops ~bytes:len ~hits ~fetched;
-    if migrated then add_reads t.stats.migrated ~ops ~bytes:len ~hits ~fetched;
-    Dfs_obs.Metrics.add m_lookups ops;
-    Dfs_obs.Metrics.add m_hits hits;
-    Dfs_obs.Metrics.add m_misses (ops - hits);
-    Dfs_obs.Metrics.add m_fetch_bytes fetched
+    if migrated then add_reads t.stats.migrated ~ops ~bytes:len ~hits ~fetched
   end
 
 let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
@@ -480,9 +454,7 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
     add_writes t.stats.all ~ops ~bytes:len ~fetches ~fetch_bytes;
     add_writes (stats_of_class t cls) ~ops ~bytes:len ~fetches ~fetch_bytes;
     if migrated then
-      add_writes t.stats.migrated ~ops ~bytes:len ~fetches ~fetch_bytes;
-    Dfs_obs.Metrics.add m_write_blocks ops;
-    Dfs_obs.Metrics.add m_write_fetches fetches
+      add_writes t.stats.migrated ~ops ~bytes:len ~fetches ~fetch_bytes
   end
 
 let blocks_of_file t file =

@@ -64,7 +64,9 @@ type backend = {
 
 type t
 
-val create : ?config:config -> backend -> t
+val create : ?config:config -> ?dirty_ages:Dfs_obs.Metrics.Acc.t -> backend -> t
+(** Each writeback adds its block's dirty age to [dirty_ages], which a
+    cluster shares among its caches. *)
 
 val config : t -> config
 

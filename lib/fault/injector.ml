@@ -8,6 +8,7 @@ type stats = {
   mutable partitions : int;
   mutable rpc_retries : int;
   mutable rpc_drops : int;
+  mutable backoff_capped : int;
   mutable rpc_stall_s : float;
   mutable disk_errors : int;
   mutable recovery_rpcs : int;
@@ -25,39 +26,11 @@ type t = {
          full global cluster, queries translate local -> global *)
   rng : Rng.t;  (* drop / disk-error draws only; never the workload's *)
   queues : pending_writeback Queue.t array;
-  mutable queued : int array;  (* bytes parked per server *)
   st : stats;
+  outages : Dfs_obs.Metrics.Acc.t;
+  crash_losses : Dfs_obs.Metrics.Acc.t;
+  stalls : Dfs_obs.Metrics.Acc.t;
 }
-
-let m_crashes = Dfs_obs.Metrics.counter "sim.fault.crashes"
-
-let m_reboots = Dfs_obs.Metrics.counter "sim.fault.reboots"
-
-let m_lost = Dfs_obs.Metrics.counter "sim.fault.lost_bytes"
-
-let m_partitions = Dfs_obs.Metrics.counter "sim.fault.partitions"
-
-let m_retries = Dfs_obs.Metrics.counter "sim.fault.rpc_retries"
-
-let m_drops = Dfs_obs.Metrics.counter "sim.fault.rpc_drops"
-
-let m_disk_errors = Dfs_obs.Metrics.counter "sim.fault.disk_errors"
-
-let m_recovery = Dfs_obs.Metrics.counter "sim.fault.recovery_rpcs"
-
-let m_queued = Dfs_obs.Metrics.counter "sim.fault.offline_queued_bytes"
-
-let m_replayed = Dfs_obs.Metrics.counter "sim.fault.replayed_writeback_bytes"
-
-let m_at_risk = Dfs_obs.Metrics.gauge "sim.fault.bytes_at_risk"
-
-let m_outage = Dfs_obs.Metrics.histogram "sim.fault.outage_s"
-
-let m_lost_per_crash = Dfs_obs.Metrics.histogram "sim.fault.lost_bytes_per_crash"
-
-let m_stall = Dfs_obs.Metrics.histogram "sim.fault.rpc_stall_s"
-
-let m_backoff_capped = Dfs_obs.Metrics.counter "sim.fault.backoff_capped"
 
 let create ~profile ~n_servers ?(server_id_base = 0) ?schedule_servers
     ~horizon () =
@@ -79,7 +52,6 @@ let create ~profile ~n_servers ?(server_id_base = 0) ?schedule_servers
         lxor 0xfa117
         lxor (server_id_base * 0x9E3779B1));
     queues = Array.init n_servers (fun _ -> Queue.create ());
-    queued = Array.make n_servers 0;
     st =
       {
         crashes = 0;
@@ -89,12 +61,16 @@ let create ~profile ~n_servers ?(server_id_base = 0) ?schedule_servers
         partitions = 0;
         rpc_retries = 0;
         rpc_drops = 0;
+        backoff_capped = 0;
         rpc_stall_s = 0.0;
         disk_errors = 0;
         recovery_rpcs = 0;
         offline_queued_bytes = 0;
         replayed_bytes = 0;
       };
+    outages = Dfs_obs.Metrics.Acc.create ();
+    crash_losses = Dfs_obs.Metrics.Acc.create ();
+    stalls = Dfs_obs.Metrics.Acc.create ();
   }
 
 let profile t = t.prof
@@ -102,6 +78,12 @@ let profile t = t.prof
 let schedule t = t.sched
 
 let stats t = t.st
+
+let outages t = t.outages
+
+let crash_losses t = t.crash_losses
+
+let stalls t = t.stalls
 
 (* Callers guard with [Profiler.admit], so no attribute list is built
    for a span that is not kept. *)
@@ -175,10 +157,9 @@ let rpc_delay t ~server ~now =
       backoff_stall t.prof ~server:gserver ~remaining:(until -. now)
     in
     t.st.rpc_retries <- t.st.rpc_retries + retries;
+    t.st.backoff_capped <- t.st.backoff_capped + capped;
     t.st.rpc_stall_s <- t.st.rpc_stall_s +. stall;
-    Dfs_obs.Metrics.add m_retries retries;
-    if capped > 0 then Dfs_obs.Metrics.add m_backoff_capped capped;
-    Dfs_obs.Metrics.observe m_stall stall;
+    Dfs_obs.Metrics.Acc.observe t.stalls stall;
     if Dfs_obs.Profiler.admit () then
       span ~now ~name:"rpc-stall" ~dur:stall
         [ ("server", Dfs_obs.Json.Int server); ("retries", Dfs_obs.Json.Int retries) ];
@@ -193,10 +174,8 @@ let rpc_delay t ~server ~now =
         else if Rng.bernoulli t.rng t.prof.rpc_drop_prob then begin
           t.st.rpc_drops <- t.st.rpc_drops + 1;
           t.st.rpc_retries <- t.st.rpc_retries + 1;
-          Dfs_obs.Metrics.incr m_drops;
-          Dfs_obs.Metrics.incr m_retries;
           let step, hit = backoff_step_capped t.prof ~server:gserver ~attempt:n in
-          if hit then Dfs_obs.Metrics.incr m_backoff_capped;
+          if hit then t.st.backoff_capped <- t.st.backoff_capped + 1;
           go (acc +. step) (n + 1)
         end
         else acc
@@ -204,7 +183,7 @@ let rpc_delay t ~server ~now =
       let stall = go 0.0 0 in
       if stall > 0.0 then begin
         t.st.rpc_stall_s <- t.st.rpc_stall_s +. stall;
-        Dfs_obs.Metrics.observe m_stall stall
+        Dfs_obs.Metrics.Acc.observe t.stalls stall
       end;
       stall
     end
@@ -213,7 +192,6 @@ let disk_penalty t =
   if t.prof.disk_error_prob <= 0.0 then 0.0
   else if Rng.bernoulli t.rng t.prof.disk_error_prob then begin
     t.st.disk_errors <- t.st.disk_errors + 1;
-    Dfs_obs.Metrics.incr m_disk_errors;
     t.prof.disk_error_penalty
   end
   else 0.0
@@ -224,50 +202,38 @@ let note_crash t ~server ~now ~duration ~lost_bytes =
   t.st.crashes <- t.st.crashes + 1;
   t.st.downtime_s <- t.st.downtime_s +. duration;
   t.st.lost_bytes <- t.st.lost_bytes + lost_bytes;
-  Dfs_obs.Metrics.incr m_crashes;
-  Dfs_obs.Metrics.add m_lost lost_bytes;
-  Dfs_obs.Metrics.observe m_outage duration;
-  Dfs_obs.Metrics.observe m_lost_per_crash (float_of_int lost_bytes);
+  Dfs_obs.Metrics.Acc.observe t.outages duration;
+  Dfs_obs.Metrics.Acc.observe t.crash_losses (float_of_int lost_bytes);
   if Dfs_obs.Profiler.admit () then
     span ~now ~name:"crash" ~dur:duration
       [ ("server", Dfs_obs.Json.Int server); ("lost_bytes", Dfs_obs.Json.Int lost_bytes) ]
 
 let note_reboot t ~server ~now =
   t.st.reboots <- t.st.reboots + 1;
-  Dfs_obs.Metrics.incr m_reboots;
   if Dfs_obs.Profiler.admit () then
     span ~now ~name:"reboot" ~dur:0.0 [ ("server", Dfs_obs.Json.Int server) ]
 
 let note_partition t ~now ~duration =
   t.st.partitions <- t.st.partitions + 1;
-  Dfs_obs.Metrics.incr m_partitions;
   if Dfs_obs.Profiler.admit () then span ~now ~name:"partition" ~dur:duration []
 
 let note_recovery_rpcs t n =
-  t.st.recovery_rpcs <- t.st.recovery_rpcs + n;
-  Dfs_obs.Metrics.add m_recovery n
-
-let set_bytes_at_risk t bytes =
-  ignore t;
-  Dfs_obs.Metrics.set m_at_risk (float_of_int bytes)
+  t.st.recovery_rpcs <- t.st.recovery_rpcs + n
 
 (* -- offline writeback queue ----------------------------------------------- *)
 
 let queue_writeback t ~server ~file ~index ~bytes =
   Queue.add { pw_file = file; pw_index = index; pw_bytes = bytes }
     t.queues.(server);
-  t.queued.(server) <- t.queued.(server) + bytes;
-  t.st.offline_queued_bytes <- t.st.offline_queued_bytes + bytes;
-  Dfs_obs.Metrics.add m_queued bytes
+  t.st.offline_queued_bytes <- t.st.offline_queued_bytes + bytes
 
 let drain_writebacks t ~server f =
   let q = t.queues.(server) in
   while not (Queue.is_empty q) do
     let { pw_file; pw_index; pw_bytes } = Queue.pop q in
     t.st.replayed_bytes <- t.st.replayed_bytes + pw_bytes;
-    Dfs_obs.Metrics.add m_replayed pw_bytes;
     f ~file:pw_file ~index:pw_index ~bytes:pw_bytes
-  done;
-  t.queued.(server) <- 0
+  done
 
-let queued_bytes t ~server = t.queued.(server)
+let queued_bytes t ~server =
+  Queue.fold (fun acc pw -> acc + pw.pw_bytes) 0 t.queues.(server)

@@ -20,6 +20,8 @@ type stats = {
   mutable partitions : int;
   mutable rpc_retries : int;  (** retransmissions, all causes *)
   mutable rpc_drops : int;  (** retransmissions caused by packet loss *)
+  mutable backoff_capped : int;
+      (** retry waits clipped to the profile's backoff ceiling *)
   mutable rpc_stall_s : float;  (** client time spent waiting on retries *)
   mutable disk_errors : int;
   mutable recovery_rpcs : int;
@@ -56,6 +58,14 @@ val schedule : t -> Schedule.t
 
 val stats : t -> stats
 
+val outages : t -> Dfs_obs.Metrics.Acc.t
+
+val crash_losses : t -> Dfs_obs.Metrics.Acc.t
+
+val stalls : t -> Dfs_obs.Metrics.Acc.t
+(** Each crash's outage (s) and lost dirty bytes, and each delayed RPC's
+    retry stall (s). *)
+
 (** {1 Data-path queries} *)
 
 val backoff_step : Profile.t -> server:int -> attempt:int -> float
@@ -64,8 +74,7 @@ val backoff_step : Profile.t -> server:int -> attempt:int -> float
     using a pure per-(seed, server, attempt) RNG split, clamped to
     [rpc_backoff_max].  A pure function — the same retry waits the same
     time regardless of [DFS_JOBS] sharding.  Each ceiling-clipped step
-    taken by {!rpc_delay} bumps the [sim.fault.backoff_capped]
-    counter. *)
+    taken by {!rpc_delay} counts in [backoff_capped]. *)
 
 val server_down : t -> server:int -> now:float -> bool
 (** Down or unreachable behind a partition. *)
@@ -89,10 +98,6 @@ val note_reboot : t -> server:int -> now:float -> unit
 val note_partition : t -> now:float -> duration:float -> unit
 
 val note_recovery_rpcs : t -> int -> unit
-
-val set_bytes_at_risk : t -> int -> unit
-(** Refresh the [sim.fault.bytes_at_risk] gauge (dirty bytes currently
-    exposed to the delayed-write loss window). *)
 
 (** {1 Offline writeback queue} *)
 

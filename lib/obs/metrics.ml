@@ -11,160 +11,6 @@ let hi_decade = 12
 
 let n_buckets = (hi_decade - lo_decade) * buckets_per_decade
 
-(* Counters and histograms are bumped from every simulated hot path, and
-   the pipeline runs one simulation per domain — so each metric keeps one
-   unsynchronized shard per domain, found through a domain-local slot.  A
-   bump is a DLS read plus a plain field update (no locks, no atomics on
-   the hot path); readers merge the shards, taking the metric's mutex
-   only to walk the shard list.  Shards of finished domains stay on the
-   list, so their contributions survive the domain. *)
-
-type counter_shard = { mutable cs_value : int }
-
-type counter = {
-  c_name : string;
-  c_lock : Mutex.t;  (* guards c_shards *)
-  mutable c_shards : counter_shard list;
-  c_slot : counter_shard option Domain.DLS.key;
-}
-
-type gauge = { g_name : string; mutable g_value : float }
-(* Gauges are set, not accumulated, so sharding them would be
-   meaningless; a set is a single (atomic on 64-bit) float store and the
-   last writer wins.  Every gauge in the pipeline is either written from
-   one domain or has a per-run name, so there is no contention to
-   resolve. *)
-
-type hist_shard = {
-  hs_buckets : int array;
-  mutable hs_zeros : int;  (* observations <= 0 *)
-  mutable hs_count : int;
-  mutable hs_sum : float;
-  mutable hs_min : float;
-  mutable hs_max : float;
-}
-
-type histogram = {
-  h_name : string;
-  h_lock : Mutex.t;  (* guards h_shards *)
-  mutable h_shards : hist_shard list;
-  h_slot : hist_shard option Domain.DLS.key;
-}
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
-
-type t = { tbl : (string, metric) Hashtbl.t; lock : Mutex.t }
-
-let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
-
-let default = create ()
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* Registration is rare (module init, phase boundaries) but may now
-   happen from worker domains, so it serializes on the registry lock. *)
-let register registry name make cast kind =
-  with_lock registry.lock (fun () ->
-      match Hashtbl.find_opt registry.tbl name with
-      | Some m -> (
-        match cast m with
-        | Some v -> v
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Dfs_obs.Metrics: %S already registered as a non-%s" name kind))
-      | None ->
-        let v = make () in
-        v)
-
-let counter ?(registry = default) name =
-  register registry name
-    (fun () ->
-      let c =
-        {
-          c_name = name;
-          c_lock = Mutex.create ();
-          c_shards = [];
-          c_slot = Domain.DLS.new_key (fun () -> None);
-        }
-      in
-      Hashtbl.replace registry.tbl name (Counter c);
-      c)
-    (function Counter c -> Some c | _ -> None)
-    "counter"
-
-let gauge ?(registry = default) name =
-  register registry name
-    (fun () ->
-      let g = { g_name = name; g_value = 0.0 } in
-      Hashtbl.replace registry.tbl name (Gauge g);
-      g)
-    (function Gauge g -> Some g | _ -> None)
-    "gauge"
-
-let fresh_hist_shard () =
-  {
-    hs_buckets = Array.make n_buckets 0;
-    hs_zeros = 0;
-    hs_count = 0;
-    hs_sum = 0.0;
-    hs_min = infinity;
-    hs_max = neg_infinity;
-  }
-
-let histogram ?(registry = default) name =
-  register registry name
-    (fun () ->
-      let h =
-        {
-          h_name = name;
-          h_lock = Mutex.create ();
-          h_shards = [];
-          h_slot = Domain.DLS.new_key (fun () -> None);
-        }
-      in
-      Hashtbl.replace registry.tbl name (Histogram h);
-      h)
-    (function Histogram h -> Some h | _ -> None)
-    "histogram"
-
-(* -- counters -------------------------------------------------------------- *)
-
-let counter_shard c =
-  match Domain.DLS.get c.c_slot with
-  | Some s -> s
-  | None ->
-    let s = { cs_value = 0 } in
-    with_lock c.c_lock (fun () -> c.c_shards <- s :: c.c_shards);
-    Domain.DLS.set c.c_slot (Some s);
-    s
-
-let incr c =
-  let s = counter_shard c in
-  s.cs_value <- s.cs_value + 1
-
-let add c n =
-  let s = counter_shard c in
-  s.cs_value <- s.cs_value + n
-
-let value c =
-  with_lock c.c_lock (fun () ->
-      List.fold_left (fun acc s -> acc + s.cs_value) 0 c.c_shards)
-
-let counter_name c = c.c_name
-
-(* -- gauges ---------------------------------------------------------------- *)
-
-let set g v = g.g_value <- v
-
-let gauge_value g = g.g_value
-
-let gauge_name g = g.g_name
-
-(* -- histograms ------------------------------------------------------------ *)
-
 let bucket_index v =
   let i =
     int_of_float (Float.floor (Float.log10 v *. float_of_int buckets_per_decade))
@@ -177,172 +23,216 @@ let bucket_mid i =
     ((float_of_int (i + (lo_decade * buckets_per_decade)) +. 0.5)
     /. float_of_int buckets_per_decade)
 
-let hist_shard h =
-  match Domain.DLS.get h.h_slot with
-  | Some s -> s
-  | None ->
-    let s = fresh_hist_shard () in
-    with_lock h.h_lock (fun () -> h.h_shards <- s :: h.h_shards);
-    Domain.DLS.set h.h_slot (Some s);
-    s
+module Acc = struct
+  type t = {
+    buckets : int array;
+    mutable zeros : int;  (* observations <= 0 *)
+    mutable count : int;
+    mutable sum : float;
+    mutable min : float;
+    mutable max : float;
+  }
 
-let observe h v =
-  let s = hist_shard h in
-  s.hs_count <- s.hs_count + 1;
-  s.hs_sum <- s.hs_sum +. v;
-  if v < s.hs_min then s.hs_min <- v;
-  if v > s.hs_max then s.hs_max <- v;
-  if v > 0.0 then s.hs_buckets.(bucket_index v) <- s.hs_buckets.(bucket_index v) + 1
-  else s.hs_zeros <- s.hs_zeros + 1
+  let create () =
+    {
+      buckets = Array.make n_buckets 0;
+      zeros = 0;
+      count = 0;
+      sum = 0.0;
+      min = infinity;
+      max = neg_infinity;
+    }
 
-(* Merge every shard into a fresh snapshot; all read paths go through
-   this, so they see a consistent (if slightly stale) view. *)
-let merged h =
-  let m = fresh_hist_shard () in
-  with_lock h.h_lock (fun () ->
-      List.iter
-        (fun s ->
-          Array.iteri
-            (fun i n -> m.hs_buckets.(i) <- m.hs_buckets.(i) + n)
-            s.hs_buckets;
-          m.hs_zeros <- m.hs_zeros + s.hs_zeros;
-          m.hs_count <- m.hs_count + s.hs_count;
-          m.hs_sum <- m.hs_sum +. s.hs_sum;
-          if s.hs_min < m.hs_min then m.hs_min <- s.hs_min;
-          if s.hs_max > m.hs_max then m.hs_max <- s.hs_max)
-        h.h_shards);
-  m
-
-let shard_count s = s.hs_count
-
-let shard_sum s = s.hs_sum
-
-let shard_mean s =
-  if s.hs_count = 0 then 0.0 else s.hs_sum /. float_of_int s.hs_count
-
-let shard_min s = if s.hs_count = 0 then 0.0 else s.hs_min
-
-let shard_max s = if s.hs_count = 0 then 0.0 else s.hs_max
-
-let hist_count h = shard_count (merged h)
-
-let hist_sum h = shard_sum (merged h)
-
-let hist_mean h = shard_mean (merged h)
-
-let hist_min h = shard_min (merged h)
-
-let hist_max h = shard_max (merged h)
-
-let hist_name h = h.h_name
-
-let shard_quantile s p =
-  if s.hs_count = 0 then 0.0
-  else begin
-    let p = Float.max 0.0 (Float.min 1.0 p) in
-    let target = p *. float_of_int s.hs_count in
-    if float_of_int s.hs_zeros >= target then 0.0
-    else begin
-      let seen = ref (float_of_int s.hs_zeros) in
-      let result = ref s.hs_max in
-      (try
-         for i = 0 to n_buckets - 1 do
-           seen := !seen +. float_of_int s.hs_buckets.(i);
-           if !seen >= target then begin
-             result := bucket_mid i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      (* never report outside the observed range *)
-      Float.max s.hs_min (Float.min s.hs_max !result)
+  let observe a v =
+    a.count <- a.count + 1;
+    a.sum <- a.sum +. v;
+    if v < a.min then a.min <- v;
+    if v > a.max then a.max <- v;
+    if v > 0.0 then begin
+      let i = bucket_index v in
+      a.buckets.(i) <- a.buckets.(i) + 1
     end
-  end
+    else a.zeros <- a.zeros + 1
 
-let quantile h p = shard_quantile (merged h) p
+  let count a = a.count
 
-(* One merge serves every requested quantile — the bulk accessor for
-   report tooling that reads p50/p90/p99/p999 off the same snapshot. *)
-let quantiles h ps =
-  let s = merged h in
-  List.map (shard_quantile s) ps
+  let merge ~into a =
+    Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) a.buckets;
+    into.zeros <- into.zeros + a.zeros;
+    into.count <- into.count + a.count;
+    into.sum <- into.sum +. a.sum;
+    if a.min < into.min then into.min <- a.min;
+    if a.max > into.max then into.max <- a.max
 
-(* -- registry-wide operations ---------------------------------------------- *)
+  (* An empty accumulator reads 0 throughout. *)
+  let mean a = if a.count = 0 then 0.0 else a.sum /. float_of_int a.count
 
-let reset_metric = function
-  | Counter c ->
-    with_lock c.c_lock (fun () ->
-        List.iter (fun s -> s.cs_value <- 0) c.c_shards)
-  | Gauge g -> g.g_value <- 0.0
-  | Histogram h ->
-    with_lock h.h_lock (fun () ->
-        List.iter
-          (fun s ->
-            Array.fill s.hs_buckets 0 n_buckets 0;
-            s.hs_zeros <- 0;
-            s.hs_count <- 0;
-            s.hs_sum <- 0.0;
-            s.hs_min <- infinity;
-            s.hs_max <- neg_infinity)
-          h.h_shards)
+  let min a = if a.count = 0 then 0.0 else a.min
+
+  let max a = if a.count = 0 then 0.0 else a.max
+
+  let quantile a p =
+    if a.count = 0 then 0.0
+    else begin
+      let p = Float.max 0.0 (Float.min 1.0 p) in
+      let target = p *. float_of_int a.count in
+      if float_of_int a.zeros >= target then 0.0
+      else begin
+        let seen = ref (float_of_int a.zeros) in
+        let result = ref a.max in
+        (try
+           for i = 0 to n_buckets - 1 do
+             seen := !seen +. float_of_int a.buckets.(i);
+             if !seen >= target then begin
+               result := bucket_mid i;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        (* never report outside the observed range *)
+        Float.max a.min (Float.min a.max !result)
+      end
+    end
+end
+
+(* No simulated hot path writes the registry: the models count in their
+   own fields and accumulators and publish once when a run ends.  What is
+   left (publishes, trace I/O counters, phase and pool gauges) is rare,
+   so a counter is one atomic and a histogram one accumulator under its
+   mutex.  A gauge set is a single float store and the last writer wins;
+   every gauge is written from one domain or has a per-run name. *)
+
+type counter = int Atomic.t
+
+type gauge = { mutable value : float }
+
+type histogram = { h_lock : Mutex.t; mutable h_acc : Acc.t }
+
+type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+
+type t = { tbl : (string, metric) Hashtbl.t; lock : Mutex.t }
+
+let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+
+let default = create ()
+
+(* Registration is rare (module init, phase boundaries) but may happen
+   from worker domains, so it serializes on the registry lock. *)
+let register registry name kind make cast =
+  Mutex.protect registry.lock (fun () ->
+      let m =
+        match Hashtbl.find_opt registry.tbl name with
+        | Some m -> m
+        | None ->
+          let m = make () in
+          Hashtbl.replace registry.tbl name m;
+          m
+      in
+      match cast m with
+      | Some v -> v
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Dfs_obs.Metrics: %S already registered as a non-%s"
+             name kind))
+
+let counter ?(registry = default) name =
+  register registry name "counter"
+    (fun () -> Counter (Atomic.make 0))
+    (function Counter c -> Some c | _ -> None)
+
+let gauge ?(registry = default) name =
+  register registry name "gauge"
+    (fun () -> Gauge { value = 0.0 })
+    (function Gauge g -> Some g | _ -> None)
+
+let histogram ?(registry = default) name =
+  register registry name "histogram"
+    (fun () -> Histogram { h_lock = Mutex.create (); h_acc = Acc.create () })
+    (function Histogram h -> Some h | _ -> None)
+
+let incr = Atomic.incr
+
+let add c n = ignore (Atomic.fetch_and_add c n)
+
+let value = Atomic.get
+
+let set g v = g.value <- v
+
+let gauge_value g = g.value
+
+let with_acc h f = Mutex.protect h.h_lock (fun () -> f h.h_acc)
+
+let observe h v = with_acc h (fun a -> Acc.observe a v)
+
+let merge h acc = with_acc h (fun into -> Acc.merge ~into acc)
+
+let quantile h p = with_acc h (fun a -> Acc.quantile a p)
+
+(* One locked read serves every requested quantile — the bulk accessor
+   for report tooling that reads p50/p90/p99/p999 off the same state. *)
+let quantiles h ps = with_acc h (fun a -> List.map (Acc.quantile a) ps)
+
+let hist_count h = with_acc h Acc.count
+
+let hist_sum h = with_acc h (fun a -> a.sum)
+
+let hist_min h = with_acc h Acc.min
+
+let hist_max h = with_acc h Acc.max
 
 let reset ?(registry = default) () =
-  with_lock registry.lock (fun () ->
-      Hashtbl.iter (fun _ m -> reset_metric m) registry.tbl)
+  Mutex.protect registry.lock (fun () ->
+      Hashtbl.iter
+        (fun _ -> function
+          | Counter c -> Atomic.set c 0
+          | Gauge g -> g.value <- 0.0
+          | Histogram h -> Mutex.protect h.h_lock (fun () -> h.h_acc <- Acc.create ()))
+        registry.tbl)
 
-let names ?(registry = default) () =
-  with_lock registry.lock (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) registry.tbl [])
-  |> List.sort String.compare
+(* Every registered metric, sorted by name. *)
+let sorted registry =
+  Mutex.protect registry.lock (fun () ->
+      Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry.tbl [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let names ?(registry = default) () = List.map fst (sorted registry)
 
 let find ?(registry = default) name =
-  with_lock registry.lock (fun () -> Hashtbl.find_opt registry.tbl name)
-
-let hist_json h =
-  let s = merged h in
-  Json.Obj
-    [
-      ("count", Json.Int s.hs_count);
-      ("sum", Json.Float s.hs_sum);
-      ("mean", Json.Float (shard_mean s));
-      ("min", Json.Float (shard_min s));
-      ("max", Json.Float (shard_max s));
-      ("p50", Json.Float (shard_quantile s 0.50));
-      ("p90", Json.Float (shard_quantile s 0.90));
-      ("p99", Json.Float (shard_quantile s 0.99));
-      ("p999", Json.Float (shard_quantile s 0.999));
-    ]
+  Mutex.protect registry.lock (fun () -> Hashtbl.find_opt registry.tbl name)
 
 let metric_json = function
   | Counter c -> Json.Int (value c)
-  | Gauge g -> Json.Float g.g_value
-  | Histogram h -> hist_json h
+  | Gauge g -> Json.Float g.value
+  | Histogram h ->
+    with_acc h (fun a ->
+        let q name p = (name, Json.Float (Acc.quantile a p)) in
+        Json.Obj
+          [
+            ("count", Json.Int a.count);
+            ("sum", Json.Float a.sum);
+            ("mean", Json.Float (Acc.mean a));
+            ("min", Json.Float (Acc.min a));
+            ("max", Json.Float (Acc.max a));
+            q "p50" 0.50;
+            q "p90" 0.90;
+            q "p99" 0.99;
+            q "p999" 0.999;
+          ])
 
 let to_json ?(registry = default) () =
-  Json.Obj
-    (List.map
-       (fun name ->
-         let m = with_lock registry.lock (fun () -> Hashtbl.find registry.tbl name) in
-         (name, metric_json m))
-       (names ~registry ()))
+  Json.Obj (List.map (fun (name, m) -> (name, metric_json m)) (sorted registry))
 
 let render_text ?(registry = default) () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun name ->
-      let m = with_lock registry.lock (fun () -> Hashtbl.find registry.tbl name) in
-      match m with
-      | Counter c ->
-        Buffer.add_string buf (Printf.sprintf "%-44s %d\n" name (value c))
-      | Gauge g ->
-        Buffer.add_string buf (Printf.sprintf "%-44s %.6g\n" name g.g_value)
-      | Histogram h ->
-        let s = merged h in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%-44s count %d  mean %.4g  p50 %.4g  p90 %.4g  p99 %.4g  max \
-              %.4g\n"
-             name s.hs_count (shard_mean s) (shard_quantile s 0.50)
-             (shard_quantile s 0.90) (shard_quantile s 0.99) (shard_max s)))
-    (names ~registry ());
-  Buffer.contents buf
+  String.concat ""
+    (List.map
+       (fun (name, m) ->
+         match m with
+         | Counter c -> Printf.sprintf "%-44s %d\n" name (value c)
+         | Gauge g -> Printf.sprintf "%-44s %.6g\n" name g.value
+         | Histogram h ->
+           with_acc h (fun a ->
+               Printf.sprintf
+                 "%-44s count %d  mean %.4g  p50 %.4g  p90 %.4g  p99 %.4g  max %.4g\n"
+                 name a.count (Acc.mean a) (Acc.quantile a 0.50) (Acc.quantile a 0.90)
+                 (Acc.quantile a 0.99) (Acc.max a)))
+       (sorted registry))

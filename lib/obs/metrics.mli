@@ -1,25 +1,22 @@
 (** A metrics registry: named counters, gauges and log-scale histograms.
 
     The simulator's analogue of the paper's kernel counters (Section 3):
-    instrumented modules register named metrics once at module
-    initialization and bump them on hot paths (a counter increment is a
-    single mutable-field update; a histogram observation is one [log10]
-    and an array increment).  Snapshots render as JSON for
-    [--metrics-out] (and perfbench's per-layer metrics), or as aligned
-    text for the [stats] subcommand.
+    the simulation models count in their own fields and {!Acc}
+    accumulators and publish here once, when a run ends.  Snapshots
+    render as JSON for [--metrics-out] (and perfbench's per-layer
+    metrics), or as aligned text for the [stats] subcommand.
 
     Metrics live in a registry; most callers use the process-wide
     {!default}.  Registration is idempotent: asking for an existing name
     returns the existing metric (registering the same name as a
     different kind raises [Invalid_argument]).
 
-    The registry is domain-safe: counters and histograms are sharded
-    per domain (a bump touches only the calling domain's shard, with no
-    synchronization on the hot path) and read operations merge the
-    shards, so concurrent simulations on a {!Dfs_util.Pool} accumulate
-    without losing updates.  Gauges are last-writer-wins; parallel
-    phases use per-run gauge names.  Registration and reads take a lock
-    and may be called from any domain. *)
+    The registry is domain-safe: a counter is one atomic, a histogram one
+    accumulator under its mutex, so concurrent publishes from
+    {!Dfs_util.Pool} tasks and the remaining direct writers (trace I/O
+    counters, replay, migration) lose no update.  Gauges are
+    last-writer-wins; parallel phases use per-run gauge names.
+    Registration and reads may be called from any domain. *)
 
 type counter
 
@@ -48,15 +45,11 @@ val add : counter -> int -> unit
 
 val value : counter -> int
 
-val counter_name : counter -> string
-
 (** {1 Gauges} *)
 
 val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
-
-val gauge_name : gauge -> string
 
 (** {1 Histograms}
 
@@ -64,7 +57,23 @@ val gauge_name : gauge -> string
     read from bucket midpoints and are accurate to ~6% relative error.
     Observations [<= 0] are counted in a dedicated zero bucket. *)
 
+(** An unsynchronised histogram, for one writer at a time: a simulation
+    partition observes into its own and {!merge}s it into the registry
+    when the run ends. *)
+module Acc : sig
+  type t
+
+  val create : unit -> t
+
+  val observe : t -> float -> unit
+
+  val count : t -> int
+end
+
 val observe : histogram -> float -> unit
+
+val merge : histogram -> Acc.t -> unit
+(** Add every observation of an accumulator to the histogram. *)
 
 val quantile : histogram -> float -> float
 (** [quantile h p] for [p] in [0, 1]; clamped to the observed range.
@@ -75,20 +84,16 @@ val quantile : histogram -> float -> float
     [10^(1/40) - 1 ~ 6%]. *)
 
 val quantiles : histogram -> float list -> float list
-(** Bulk accessor: all quantiles read off one merged snapshot, so they
-    are mutually consistent even while other domains observe. *)
+(** Bulk accessor: all quantiles read under one lock, so they are
+    mutually consistent even while other domains observe. *)
 
 val hist_count : histogram -> int
 
 val hist_sum : histogram -> float
 
-val hist_mean : histogram -> float
-
 val hist_min : histogram -> float
 
 val hist_max : histogram -> float
-
-val hist_name : histogram -> string
 
 (** {1 Registry-wide operations} *)
 

@@ -16,9 +16,9 @@ let lock = Mutex.create ()
 
 (* -- wall clock ---------------------------------------------------------------- *)
 
-(* Each domain owns one shard and appends to it without synchronization,
-   same scheme as [Metrics].  Shards of finished domains stay on the
-   list, so worker profiles survive the worker. *)
+(* Each domain owns one shard, found through a domain-local slot, and
+   appends to it without synchronization.  Shards of finished domains
+   stay on the list, so worker profiles survive the worker. *)
 type shard = {
   sh_domain : int;
   mutable sh_spans : span list;  (* newest first *)
@@ -191,12 +191,11 @@ let admit () =
   | None -> false
   | Some s ->
     s.st_added <- s.st_added + 1;
-    Metrics.incr m_added;
     s.st_stored < sim_capacity
-    || begin
-      Metrics.incr m_dropped;
-      false
-    end
+
+let publish s =
+  Metrics.add m_added s.st_added;
+  Metrics.add m_dropped (s.st_added - s.st_stored)
 
 let now () = match Domain.DLS.get installed with Some s -> s.st_now () | None -> 0.0
 

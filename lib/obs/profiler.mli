@@ -11,9 +11,10 @@
       simulated seconds.  Each simulation records into its own stream in
       its engine's event order; the engine installs the stream, with its
       clock, on whichever domain runs it.  A stream keeps its first
-      {!sim_capacity} spans and only counts the rest, in the
-      [obs.trace.added] and [obs.trace.dropped] metrics, so what is kept
-      is the same whatever the domain count.
+      {!sim_capacity} spans and only counts the rest, so what is kept is
+      the same whatever the domain count; the simulation {!publish}es its
+      counts into the [obs.trace.added] and [obs.trace.dropped] metrics
+      when it ends.
 
     Both clocks are off by default: {!span} is then one branch around the
     thunk and {!admit} one load.  Recording never changes simulation
@@ -81,6 +82,10 @@ val admit : unit -> bool
     and has room, and the caller must then {!emit} exactly one span.  A
     span past the capacity is counted as dropped and [false] returned,
     so the caller builds no attributes. *)
+
+val publish : stream -> unit
+(** Add the stream's offered and dropped spans to the [obs.trace.added]
+    and [obs.trace.dropped] counters; once, when its simulation ends. *)
 
 val now : unit -> float
 (** The installed stream's simulated time; [0.] when none is. *)

@@ -51,13 +51,10 @@ type t = {
   mutable pending : float;  (* latency owed to the current operation *)
   mutable cur_migrated : bool;  (* identity for VM-initiated traffic *)
   mutable ops : int;  (* activity flag for the counter sampler *)
+  op_latencies : Dfs_obs.Metrics.Acc.t;
 }
 
 let pages bytes = bytes / Dfs_util.Units.block_size
-
-let m_ops = Dfs_obs.Metrics.counter "sim.client.ops"
-
-let m_op_latency = Dfs_obs.Metrics.histogram "sim.client.op_latency_s"
 
 let server_for t file =
   match Fs_state.find t.fs file with
@@ -65,7 +62,7 @@ let server_for t file =
   | None -> t.paging_server
 
 let create ~engine ~id ~fs ~server_of ~paging_server ?(config = default_config)
-    ?(sleep = true) () =
+    ?(sleep = true) ?(op_latencies = Dfs_obs.Metrics.Acc.create ()) ?dirty_ages () =
   let rec t =
     lazy
       {
@@ -77,7 +74,7 @@ let create ~engine ~id ~fs ~server_of ~paging_server ?(config = default_config)
         cfg = config;
         do_sleep = sleep;
         cache =
-          Bc.create
+          Bc.create ?dirty_ages
             ~config:
               {
                 Bc.default_config with
@@ -140,6 +137,7 @@ let create ~engine ~id ~fs ~server_of ~paging_server ?(config = default_config)
         pending = 0.0;
         cur_migrated = false;
         ops = 0;
+        op_latencies;
       }
   in
   Lazy.force t
@@ -166,8 +164,7 @@ let copy_time t bytes = float_of_int bytes /. t.cfg.copy_rate
 let finish_op t extra =
   t.ops <- t.ops + 1;
   let d = take_pending t +. extra +. t.cfg.syscall_overhead in
-  Dfs_obs.Metrics.incr m_ops;
-  Dfs_obs.Metrics.observe m_op_latency d;
+  Dfs_obs.Metrics.Acc.observe t.op_latencies d;
   if t.do_sleep && d > 0.0 then Engine.sleep d
 
 (* -- server hooks ---------------------------------------------------------- *)
@@ -302,8 +299,6 @@ let seek t fd ~pos =
   finish_op t lat
 
 let fd_pos _t fd = fd.pos
-
-let fd_info _t fd = fd.f_info
 
 let fsync t fd =
   let info = fd.f_info in
@@ -457,9 +452,6 @@ let adjust_memory t ~now =
   end
 
 let cache_bytes t = Bc.resident_bytes t.cache
-
-let open_fds t =
-  File.Tbl.fold (fun _ l acc -> acc + List.length !l) t.open_fd_table 0
 
 let take_activity t =
   let active = t.ops > 0 in

@@ -38,10 +38,13 @@ val create :
   paging_server:Server.t ->
   ?config:config ->
   ?sleep:bool ->
+  ?op_latencies:Dfs_obs.Metrics.Acc.t ->
+  ?dirty_ages:Dfs_obs.Metrics.Acc.t ->
   unit ->
   t
 (** [sleep:false] (for unit tests) makes operations account latency
-    without suspending the calling process. *)
+    without suspending the calling process.  [op_latencies] and the
+    cache's [dirty_ages] are accumulators a cluster shares. *)
 
 val id : t -> Dfs_trace.Ids.Client.t
 
@@ -80,8 +83,6 @@ val seek : t -> fd -> pos:int -> unit
 (** Reposition; logged at the server like Sprite's modified clients. *)
 
 val fd_pos : t -> fd -> int
-
-val fd_info : t -> fd -> Fs_state.file_info
 
 val fsync : t -> fd -> unit
 
@@ -130,8 +131,6 @@ val adjust_memory : t -> now:float -> unit
     periodically.  The VM system receives preference, as in Sprite. *)
 
 val cache_bytes : t -> int
-
-val open_fds : t -> int
 
 val take_activity : t -> bool
 (** True when any operation ran since the last call (consumes the flag);

@@ -2,6 +2,7 @@ module Ids = Dfs_trace.Ids
 module Record = Dfs_trace.Record
 module Sink = Dfs_trace.Sink
 module Bc = Dfs_cache.Block_cache
+module Acc = Dfs_obs.Metrics.Acc
 
 type config = {
   n_clients : int;
@@ -82,6 +83,12 @@ type t = {
   faults : Dfs_fault.Injector.t option;
   mutable next_infra_pid : int;
   mutable remote_cursor : int;  (* rotating file pick for remote reads *)
+  mutable remote_reads : int;
+  (* One accumulator each for every disk, cache and client, written only
+     by the domain running this cluster's window. *)
+  disk_service_times : Acc.t;
+  dirty_ages : Acc.t;
+  op_latencies : Acc.t;
 }
 
 let cfg t = t.cfg
@@ -192,6 +199,7 @@ let backup_step t =
    are emitted under [remote_user], scrubbed from the merged trace like
    the rest of the infrastructure traffic.  Returns the bytes served. *)
 let remote_access t ~client ~bytes =
+  t.remote_reads <- t.remote_reads + 1;
   let total = Fs_state.total_files t.fs in
   if total = 0 || bytes <= 0 then 0
   else begin
@@ -247,6 +255,9 @@ let create cfg =
     Sink.create ~chunk_records:cfg.trace_chunk_records ?spill ()
   in
   let logs = Array.init cfg.n_servers log_sink in
+  let disk_service_times = Acc.create ()
+  and dirty_ages = Acc.create ()
+  and op_latencies = Acc.create () in
   let faults =
     if Dfs_fault.Profile.is_none cfg.fault_profile then None
     else
@@ -262,7 +273,7 @@ let create cfg =
           ~config:cfg.server_config ~fs ~network
           ~log:(fun r -> Sink.emit logs.(i) r)
           ?faults:(Option.map (fun inj -> (inj, i)) faults)
-          ())
+          ~disk_service_times ~dirty_ages ())
   in
   let server_of sid = servers.(Ids.Server.to_int sid - cfg.server_id_base) in
   let mem_choices = Array.of_list cfg.client_memory_choices in
@@ -278,7 +289,7 @@ let create cfg =
           ~fs ~server_of
           ~paging_server:servers.(0)
           ~config:{ cfg.client_config with memory_bytes }
-          ())
+          ~op_latencies ~dirty_ages ())
   in
   Array.iter
     (fun c ->
@@ -300,6 +311,10 @@ let create cfg =
       faults;
       next_infra_pid = 0;
       remote_cursor = 0;
+      remote_reads = 0;
+      disk_service_times;
+      dirty_ages;
+      op_latencies;
     }
   in
   (* -- fault wiring: crashes, reboots, the recovery storm ------------------ *)
@@ -339,18 +354,7 @@ let create cfg =
         Engine.at engine w.down_at (fun () ->
             Dfs_fault.Injector.note_partition inj ~now:w.down_at
               ~duration:(w.up_at -. w.down_at)))
-      (Dfs_fault.Schedule.partitions sched);
-    (* bytes currently exposed to the delayed-write loss window *)
-    Engine.every engine ~interval:cfg.daemon_interval (fun () ->
-        let dirty acc cache = acc + Bc.dirty_bytes cache in
-        let at_risk =
-          Array.fold_left (fun acc c -> dirty acc (Client.cache c)) 0 clients
-        in
-        let at_risk =
-          Array.fold_left (fun acc s -> dirty acc (Server.cache s)) at_risk
-            servers
-        in
-        Dfs_fault.Injector.set_bytes_at_risk inj at_risk));
+      (Dfs_fault.Schedule.partitions sched));
   (* housekeeping daemons *)
   Engine.every engine ~interval:cfg.daemon_interval (fun () ->
       let now = Engine.now engine in
@@ -428,3 +432,87 @@ let total_server_traffic t =
   Array.fold_left
     (fun acc s -> Traffic.merge acc (Server.traffic s))
     (Traffic.create ()) t.servers
+
+(* -- publication ------------------------------------------------------------ *)
+
+(* The models keep every count in their own fields and accumulators; the
+   registry sees them once, when a run ends.  Only here and in [Pdes] are
+   the [sim.*] metric names spelled. *)
+let published_counters =
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let servers f t = sum f t.servers in
+  let caches f t =
+    sum (fun c -> f (Client.cache c)) t.clients + servers (fun s -> f (Server.cache s)) t
+  in
+  let stats f = caches (fun c -> f (Bc.stats c)) in
+  let counts l = List.fold_left (fun acc (_, s) -> acc + Dfs_util.Stats.count s) 0 l in
+  let disks f = servers (fun s -> f (Server.disk s)) in
+  let opens f = servers (fun s -> f (Server.consistency s)) in
+  let fault f t =
+    match t.faults with None -> 0 | Some inj -> f (Dfs_fault.Injector.stats inj)
+  in
+  List.map
+    (fun (name, f) -> (Dfs_obs.Metrics.counter name, f))
+    [
+      ("sim.net.rpcs", fun t -> Network.total_rpcs t.network);
+      ("sim.net.bytes", fun t -> Network.total_bytes t.network);
+      ("sim.disk.reads", disks Disk.reads);
+      ("sim.disk.writes", disks Disk.writes);
+      ("sim.disk.bytes_read", disks Disk.bytes_read);
+      ("sim.disk.bytes_written", disks Disk.bytes_written);
+      ("sim.cache.read_lookups", stats (fun s -> s.all.read_ops));
+      ("sim.cache.read_hits", stats (fun s -> s.all.read_hits));
+      ("sim.cache.read_misses", stats (fun s -> s.all.read_misses));
+      ("sim.cache.fetch_bytes", stats (fun s -> s.all.bytes_fetched));
+      ("sim.cache.write_blocks", stats (fun s -> s.all.write_ops));
+      ("sim.cache.write_fetches", stats (fun s -> s.all.write_fetches));
+      ("sim.cache.writebacks", fun t -> Acc.count t.dirty_ages);
+      ("sim.cache.writeback_bytes", stats (fun s -> s.writeback_bytes));
+      ("sim.cache.evictions", stats (fun s -> counts s.replacements));
+      ("sim.server.opens", opens (fun c -> c.file_opens));
+      ("sim.server.sharing_opens", opens (fun c -> c.sharing_opens));
+      ("sim.server.recalls", opens (fun c -> c.recalls));
+      ("sim.server.cache_disables", opens (fun c -> c.cache_disables));
+      ("sim.client.ops", fun t -> Acc.count t.op_latencies);
+      ("sim.engine.events", fun t -> Engine.events_executed t.engine);
+      ("sim.engine.scheduled", fun t -> Engine.scheduled t.engine);
+      ("sim.engine.cancelled", fun t -> Engine.cancelled t.engine);
+      ("sim.engine.compactions", fun t -> Engine.compactions t.engine);
+      ("sim.pdes.remote_reads", fun t -> t.remote_reads);
+      ("sim.fault.crashes", fault (fun s -> s.crashes));
+      ("sim.fault.reboots", fault (fun s -> s.reboots));
+      ("sim.fault.lost_bytes", fault (fun s -> s.lost_bytes));
+      ("sim.fault.partitions", fault (fun s -> s.partitions));
+      ("sim.fault.rpc_retries", fault (fun s -> s.rpc_retries));
+      ("sim.fault.rpc_drops", fault (fun s -> s.rpc_drops));
+      ("sim.fault.backoff_capped", fault (fun s -> s.backoff_capped));
+      ("sim.fault.disk_errors", fault (fun s -> s.disk_errors));
+      ("sim.fault.recovery_rpcs", fault (fun s -> s.recovery_rpcs));
+      ("sim.fault.offline_queued_bytes", fault (fun s -> s.offline_queued_bytes));
+      ("sim.fault.replayed_writeback_bytes", fault (fun s -> s.replayed_bytes));
+      (* dirty bytes still exposed to the delayed-write loss window when
+         the run stops *)
+      ("sim.fault.bytes_at_risk", fun t -> if t.faults = None then 0 else caches Bc.dirty_bytes t);
+    ]
+
+let published_histograms =
+  let fault f t = Option.map f t.faults in
+  List.map
+    (fun (name, f) -> (Dfs_obs.Metrics.histogram name, f))
+    [
+      ("sim.net.rpc_latency_s", fun t -> Some (Network.latency t.network));
+      ("sim.disk.service_s", fun t -> Some t.disk_service_times);
+      ("sim.cache.dirty_age_s", fun t -> Some t.dirty_ages);
+      ("sim.client.op_latency_s", fun t -> Some t.op_latencies);
+      ("sim.engine.queue_depth", fun t -> Some (Engine.queue_depth t.engine));
+      ("sim.fault.outage_s", fault Dfs_fault.Injector.outages);
+      ("sim.fault.lost_bytes_per_crash", fault Dfs_fault.Injector.crash_losses);
+      ("sim.fault.rpc_stall_s", fault Dfs_fault.Injector.stalls);
+    ]
+
+let publish t =
+  List.iter (fun (c, f) -> Dfs_obs.Metrics.add c (f t)) published_counters;
+  List.iter
+    (fun (h, f) -> Option.iter (Dfs_obs.Metrics.merge h) (f t))
+    published_histograms;
+  Option.iter Dfs_obs.Profiler.publish (Engine.spans t.engine)

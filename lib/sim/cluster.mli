@@ -134,6 +134,12 @@ val release_sim_state : t -> unit
     totals and cache statistics — all the post-run analyses read —
     survive.  The cluster can no longer run. *)
 
+val publish : t -> unit
+(** Add the [sim.*] totals and histograms of the cluster's models, and
+    its span stream's counts, to the metrics registry.  A run calls it
+    once, when it ends ([Dfs_workload.Sharded]); a second call counts
+    everything again. *)
+
 val total_traffic : t -> Traffic.t
 (** Sum of all clients' raw traffic taps. *)
 

@@ -10,9 +10,15 @@ type config = {
 
 val default_config : config
 
-val create : ?config:config -> ?faults:Dfs_fault.Injector.t -> unit -> t
+val create :
+  ?config:config ->
+  ?faults:Dfs_fault.Injector.t ->
+  ?service_times:Dfs_obs.Metrics.Acc.t ->
+  unit ->
+  t
 (** With [faults], each I/O may suffer a transient-error retry penalty
-    drawn from the injector (added to its service time). *)
+    drawn from the injector (added to its service time).  Service times
+    go into [service_times], which a cluster shares among its disks. *)
 
 val read : t -> bytes:int -> float
 (** Account a disk read; returns its service time. *)

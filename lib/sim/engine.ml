@@ -27,8 +27,11 @@ module H = Dfs_util.Heap.Make (Event_order)
 type t = {
   heap : H.t;
   mutable clock : float;
-  mutable next_seq : int;
+  mutable next_seq : int;  (* also the count of events ever scheduled *)
   mutable executed : int;
+  mutable cancellations : int;
+  mutable compactions : int;
+  queue_depth : Dfs_obs.Metrics.Acc.t;  (* sampled every 64th event *)
   mutable cancelled_pending : int;
       (* Cancelled events still sitting in the heap.  Lazy deletion is
          cheap until a workload cancels most of what it schedules (e.g.
@@ -42,22 +45,15 @@ type t = {
 
 type handle = event
 
-let m_events = Dfs_obs.Metrics.counter "sim.engine.events"
-
-let m_scheduled = Dfs_obs.Metrics.counter "sim.engine.scheduled"
-
-let m_cancelled = Dfs_obs.Metrics.counter "sim.engine.cancelled"
-
-let m_compactions = Dfs_obs.Metrics.counter "sim.engine.compactions"
-
-let m_queue_depth = Dfs_obs.Metrics.histogram "sim.engine.queue_depth"
-
 let create () =
   {
     heap = H.create ();
     clock = 0.0;
     next_seq = 0;
     executed = 0;
+    cancellations = 0;
+    compactions = 0;
+    queue_depth = Dfs_obs.Metrics.Acc.create ();
     cancelled_pending = 0;
     spans = None;
   }
@@ -74,7 +70,6 @@ let schedule t ~at action =
   in
   t.next_seq <- t.next_seq + 1;
   H.push t.heap ev;
-  Dfs_obs.Metrics.incr m_scheduled;
   ev
 
 let schedule_in t ~delay action =
@@ -110,13 +105,13 @@ let maybe_compact t =
         end
         else true);
     t.cancelled_pending <- 0;
-    Dfs_obs.Metrics.incr m_compactions
+    t.compactions <- t.compactions + 1
   end
 
 let cancel t ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
-    Dfs_obs.Metrics.incr m_cancelled;
+    t.cancellations <- t.cancellations + 1;
     if ev.in_heap then begin
       t.cancelled_pending <- t.cancelled_pending + 1;
       maybe_compact t
@@ -153,11 +148,10 @@ let run_events t ~floor horizon =
           raise (Below_floor { time = ev.time; floor });
         t.clock <- ev.time;
         t.executed <- t.executed + 1;
-        Dfs_obs.Metrics.incr m_events;
         (* Sampling every 64th event keeps the histogram off the hot
            path while still seeing every phase of the run. *)
         if t.executed land 63 = 0 then
-          Dfs_obs.Metrics.observe m_queue_depth
+          Dfs_obs.Metrics.Acc.observe t.queue_depth
             (float_of_int (H.length t.heap));
         ev.action ()
       end
@@ -182,6 +176,16 @@ let next_time t =
   match H.peek t.heap with None -> None | Some ev -> Some ev.time
 
 let events_executed t = t.executed
+
+let scheduled t = t.next_seq
+
+let cancelled t = t.cancellations
+
+let compactions t = t.compactions
+
+let queue_depth t = t.queue_depth
+
+let spans t = t.spans
 
 (* -- processes via effects ------------------------------------------------ *)
 

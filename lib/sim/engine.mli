@@ -78,7 +78,20 @@ val drop_pending : t -> unit
 
 val events_executed : t -> int
 (** Events actually run (cancelled events excluded) — the engine's own
-    work counter, also exported as the [sim.engine.events] metric. *)
+    work counter. *)
+
+val scheduled : t -> int
+(** Events ever scheduled, cancelled ones included. *)
+
+val cancelled : t -> int
+
+val compactions : t -> int
+(** In-place sweeps of cancelled events out of the queue. *)
+
+val queue_depth : t -> Dfs_obs.Metrics.Acc.t
+(** Queue length, sampled before every 64th event runs. *)
+
+val spans : t -> Dfs_obs.Profiler.stream option
 
 (** {1 Processes} *)
 

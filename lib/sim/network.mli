@@ -33,5 +33,8 @@ val total_rpcs : t -> int
 
 val total_bytes : t -> int
 
+val latency : t -> Dfs_obs.Metrics.Acc.t
+(** Every RPC's latency; its count is {!total_rpcs}. *)
+
 val utilization : t -> elapsed:float -> float
 (** Fraction of the medium's capacity used over [elapsed] seconds. *)

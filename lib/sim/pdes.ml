@@ -19,11 +19,9 @@ type t = {
   lookahead : float;
   window : float;
   outboxes : msg list array;  (* per source partition, newest first *)
-  seqs : int array;
+  seqs : int array;  (* also the messages each partition posted *)
   mutable floor : float;
-  mutable barriers : int;
-  mutable messages : int;
-  mutable delivered : msg list array;  (* scratch, caller domain only *)
+  windows : Dfs_obs.Metrics.Acc.t;  (* each window's width; a barrier ends each *)
 }
 
 let m_barriers = Dfs_obs.Metrics.counter "sim.barrier.count"
@@ -54,20 +52,14 @@ let create ~lookahead ?window engines =
     outboxes = Array.make n [];
     seqs = Array.make n 0;
     floor = 0.0;
-    barriers = 0;
-    messages = 0;
-    delivered = [||];
+    windows = Dfs_obs.Metrics.Acc.create ();
   }
 
 let partitions t = Array.length t.engines
 
-let lookahead t = t.lookahead
+let barriers t = Dfs_obs.Metrics.Acc.count t.windows
 
-let barriers t = t.barriers
-
-let messages t = t.messages
-
-let engine t i = t.engines.(i)
+let messages t = Array.fold_left ( + ) 0 t.seqs
 
 let post t ~src ~dst ~at action =
   let eng = t.engines.(src) in
@@ -76,9 +68,7 @@ let post t ~src ~dst ~at action =
   if at < min_at then raise (Lookahead_violation { at; min_at });
   let m = { at; src; seq = t.seqs.(src); dst; action } in
   t.seqs.(src) <- t.seqs.(src) + 1;
-  t.outboxes.(src) <- m :: t.outboxes.(src);
-  t.messages <- t.messages + 1;
-  Dfs_obs.Metrics.incr m_messages
+  t.outboxes.(src) <- m :: t.outboxes.(src)
 
 (* Total delivery order: timestamp, then source partition, then the
    source's emission sequence — unique and independent of how partitions
@@ -127,7 +117,7 @@ let run t ?team ~until () =
   Dfs_obs.Profiler.span ~cat:"pdes" "pdes.run" (fun () ->
       while t.floor < until do
         let win_end = Float.min until (t.floor +. t.window) in
-        Dfs_obs.Metrics.observe m_window (win_end -. t.floor);
+        Dfs_obs.Metrics.Acc.observe t.windows (win_end -. t.floor);
         let phase0 = Unix.gettimeofday () in
         let phase_busy = Array.make workers 0.0 in
         (* Fixed partition -> worker affinity (p mod workers): every
@@ -153,8 +143,6 @@ let run t ?team ~until () =
              shards finished the window. *)
           stall.(m) <- stall.(m) +. Float.max 0.0 (phase -. phase_busy.(m))
         done;
-        t.barriers <- t.barriers + 1;
-        Dfs_obs.Metrics.incr m_barriers;
         deliver t;
         (* Fast-forward: when every partition's next event lies beyond
            the window end, jump the floor straight there instead of
@@ -177,3 +165,8 @@ let run t ?team ~until () =
     M.set (M.gauge (Printf.sprintf "sim.shard%d.busy_s" m)) busy.(m);
     M.set (M.gauge (Printf.sprintf "sim.shard%d.stall_s" m)) stall.(m)
   done
+
+let publish t =
+  Dfs_obs.Metrics.add m_barriers (barriers t);
+  Dfs_obs.Metrics.add m_messages (messages t);
+  Dfs_obs.Metrics.merge m_window t.windows

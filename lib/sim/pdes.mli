@@ -43,17 +43,17 @@ val run : t -> ?team:Dfs_util.Pool.Team.t -> until:float -> unit -> unit
     of size 1) everything runs in the calling domain — the sequential
     execution the parallel one is byte-identical to.  Publishes
     [sim.shard<i>.busy_s] / [sim.shard<i>.stall_s] gauges per worker,
-    bumps [sim.barrier.count], and sets [sim.lookahead_s] /
-    [sim.pdes.partitions]. *)
+    and sets [sim.lookahead_s] / [sim.pdes.partitions]. *)
+
+val publish : t -> unit
+(** Add [sim.barrier.count], [sim.pdes.messages] and the
+    [sim.pdes.window_s] histogram to the metrics registry, once, when the
+    run ends. *)
 
 val partitions : t -> int
-
-val lookahead : t -> float
 
 val barriers : t -> int
 (** Window barriers executed so far. *)
 
 val messages : t -> int
 (** Cross-partition messages posted so far. *)
-
-val engine : t -> int -> Engine.t

@@ -54,16 +54,12 @@ type t = {
 (* A naming RPC carries roughly this many bytes of arguments/attributes. *)
 let naming_rpc_bytes = 96
 
-let m_opens = Dfs_obs.Metrics.counter "sim.server.opens"
-
-let m_sharing = Dfs_obs.Metrics.counter "sim.server.sharing_opens"
-
-let m_recalls = Dfs_obs.Metrics.counter "sim.server.recalls"
-
-let m_disables = Dfs_obs.Metrics.counter "sim.server.cache_disables"
-
-let create ~id ~(config : config) ~fs ~network ~log ?faults () =
-  let disk = Disk.create ~config:config.disk ?faults:(Option.map fst faults) () in
+let create ~id ~(config : config) ~fs ~network ~log ?faults ?disk_service_times
+    ?dirty_ages () =
+  let disk =
+    Disk.create ~config:config.disk ?faults:(Option.map fst faults)
+      ?service_times:disk_service_times ()
+  in
   let rec t =
     lazy
       {
@@ -72,7 +68,7 @@ let create ~id ~(config : config) ~fs ~network ~log ?faults () =
         network;
         log;
         cache =
-          Bc.create
+          Bc.create ?dirty_ages
             ~config:
               {
                 Bc.default_config with
@@ -144,11 +140,6 @@ let fault_delay t ~now =
   | None -> 0.0
   | Some (inj, idx) -> Dfs_fault.Injector.rpc_delay inj ~server:idx ~now
 
-let is_down t ~now =
-  match t.faults with
-  | None -> false
-  | Some (inj, idx) -> Dfs_fault.Injector.server_down inj ~server:idx ~now
-
 (* -- open/close and the consistency protocol ----------------------------- *)
 
 let open_state t file =
@@ -176,7 +167,6 @@ let open_file t ~now ~(cred : Cred.t) ~(info : Fs_state.file_info) ~mode ~create
   let latency = ref (naming_rpc t ~kind:"open" +. fault_delay t ~now) in
   if not info.is_dir then begin
     t.counters.file_opens <- t.counters.file_opens + 1;
-    Dfs_obs.Metrics.incr m_opens;
     (* Recall: if the file's current data sits dirty in another client's
        cache, fetch it back before this open proceeds.  Like the real
        Sprite server we do not know whether that client has already
@@ -185,7 +175,6 @@ let open_file t ~now ~(cred : Cred.t) ~(info : Fs_state.file_info) ~mode ~create
     | Some writer when not (Client.equal writer cred.client) ->
       (hooks_of t writer).recall_dirty ~now ~file:info.id;
       t.counters.recalls <- t.counters.recalls + 1;
-      Dfs_obs.Metrics.incr m_recalls;
       if Dfs_obs.Profiler.admit () then
         Dfs_obs.Profiler.emit ~cat:"consistency" ~name:"recall" ~t0:now ~dur:0.0
           [ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ];
@@ -214,11 +203,9 @@ let open_file t ~now ~(cred : Cred.t) ~(info : Fs_state.file_info) ~mode ~create
     (* Concurrent write-sharing: open on >= 2 clients, >= 1 writer. *)
     if distinct_clients state >= 2 && any_writer state then begin
       t.counters.sharing_opens <- t.counters.sharing_opens + 1;
-      Dfs_obs.Metrics.incr m_sharing;
       if state.cacheable then begin
         state.cacheable <- false;
         t.counters.cache_disables <- t.counters.cache_disables + 1;
-        Dfs_obs.Metrics.incr m_disables;
         if Dfs_obs.Profiler.admit () then
           Dfs_obs.Profiler.emit ~cat:"consistency" ~name:"disable" ~t0:now ~dur:0.0
             [ ("file", Dfs_obs.Json.Int (File.to_int info.id)) ];

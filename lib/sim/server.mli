@@ -50,13 +50,16 @@ val create :
   network:Network.t ->
   log:(Dfs_trace.Record.t -> unit) ->
   ?faults:Dfs_fault.Injector.t * int ->
+  ?disk_service_times:Dfs_obs.Metrics.Acc.t ->
+  ?dirty_ages:Dfs_obs.Metrics.Acc.t ->
   unit ->
   t
 (** [faults] is the cluster's injector paired with this server's index
     in it.  With faults on, every RPC entry point charges the injector's
     timeout/retry delay, writebacks addressed to a down server are
     parked in its offline queue, and transient disk errors lengthen disk
-    service times. *)
+    service times.  [disk_service_times] and [dirty_ages] are
+    accumulators a cluster shares. *)
 
 val id : t -> Dfs_trace.Ids.Server.t
 
@@ -153,10 +156,6 @@ val tick : t -> now:float -> unit
 (** The server cache's delayed-write daemon (dirty data to disk). *)
 
 (** {1 Crash and recovery (Sprite's stateful recovery protocol)} *)
-
-val is_down : t -> now:float -> bool
-(** Whether the fault schedule has this server down (or partitioned
-    away) at [now]; always false with faults off. *)
 
 val crash : t -> now:float -> int
 (** Power loss: clears the open table and last-writer map and drops the

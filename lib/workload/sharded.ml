@@ -43,7 +43,9 @@ let drive cluster ~until =
   let la = (Network.config (Cluster.network cluster)).Network.remote_latency in
   let window = Float.max la (until /. 256.0) in
   let pdes = Pdes.create ~lookahead:la ~window [| Cluster.engine cluster |] in
-  Pdes.run pdes ~until ()
+  Pdes.run pdes ~until ();
+  Cluster.publish cluster;
+  Pdes.publish pdes
 
 (* -- partitioned scale runs ------------------------------------------------ *)
 
@@ -123,8 +125,6 @@ let scaled_params ~n_clients =
     n_occasional_users = scale Params.default.Params.n_occasional_users;
   }
 
-let m_remote = Dfs_obs.Metrics.counter "sim.pdes.remote_reads"
-
 (* Cross-partition RPC traffic: each partition runs a periodic requester
    that reads a file homed in another partition.  All draws come from a
    dedicated per-partition stream keyed by the partition id (never the
@@ -155,7 +155,6 @@ let wire_remote_traffic pdes ~clusters ~client_bases ~seed ~lookahead =
                 let served =
                   Cluster.remote_access clusters.(dst) ~client ~bytes
                 in
-                Dfs_obs.Metrics.incr m_remote;
                 let dst_engine = Cluster.engine clusters.(dst) in
                 let reply_at = Engine.now dst_engine +. lookahead in
                 Pdes.post pdes ~src:dst ~dst:p ~at:reply_at (fun () ->
@@ -243,6 +242,10 @@ let run ?workers cfg =
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
     (fun () -> Pdes.run pdes ~team ~until:cfg.duration ());
+  (* Partition order makes the published histogram sums the same for any
+     worker count. *)
+  Array.iter Cluster.publish clusters;
+  Pdes.publish pdes;
   let merged =
     let spill =
       Option.map

@@ -29,7 +29,8 @@ val drive : Dfs_sim.Cluster.t -> until:float -> unit
     one partition, coarse [duration/256] windows.  Byte-identical to
     [Engine.run_until] — windows only slice the same event order — but
     exercises the barrier machinery and its telemetry on every run.
-    This is the path {!Presets.run} takes. *)
+    This is the path {!Presets.run} takes.  The run publishes its
+    metrics when it ends, so drive a cluster once. *)
 
 (** {1 Partitioned scale runs} *)
 
@@ -69,7 +70,9 @@ val run : ?workers:int -> config -> result
     {!shards}; clamped to the partition count), and merge the
     per-partition traces.  Safe to call from inside a {!Dfs_util.Pool}
     task — the worker team is a first-class entry point that composes
-    with the preset-level [--jobs] fan-out. *)
+    with the preset-level [--jobs] fan-out.  Partitions publish their
+    metrics in partition order, so a snapshot is the same for any worker
+    count. *)
 
 val digest : Dfs_trace.Sink.chunks -> int
 (** CRC-32C over the text encoding of every record in stream order —

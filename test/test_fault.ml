@@ -223,14 +223,11 @@ let test_backoff_jitter_deterministic () =
     (Injector.backoff_step p ~server:0 ~attempt:20)
 
 let test_backoff_capped_counter () =
-  let before =
-    match Dfs_obs.Metrics.find "sim.fault.backoff_capped" with
-    | Some (Dfs_obs.Metrics.Counter c) -> Dfs_obs.Metrics.value c
-    | _ -> 0
-  in
   let inj =
     Injector.create ~profile:Profile.crash_heavy ~n_servers:1 ~horizon:86400.0 ()
   in
+  let st = Injector.stats inj in
+  Alcotest.(check int) "none capped yet" 0 st.backoff_capped;
   let sched = Injector.schedule inj in
   (* An outage long enough that the doubling retry interval must reach
      the ceiling: 0.5+1+2+4+8+16 = 31.5 s of uncapped backoff. *)
@@ -241,12 +238,9 @@ let test_backoff_capped_counter () =
    with
   | None -> Alcotest.fail "expected a >40s outage in a day of crash_heavy"
   | Some w -> ignore (Injector.rpc_delay inj ~server:0 ~now:w.Schedule.down_at));
-  let after =
-    match Dfs_obs.Metrics.find "sim.fault.backoff_capped" with
-    | Some (Dfs_obs.Metrics.Counter c) -> Dfs_obs.Metrics.value c
-    | _ -> 0
-  in
-  Alcotest.(check bool) "capped steps counted" true (after > before)
+  Alcotest.(check bool) "capped steps counted" true (st.backoff_capped > 0);
+  Alcotest.(check bool) "only retries are capped" true
+    (st.backoff_capped <= st.rpc_retries)
 
 let test_disk_penalty_bounds () =
   let inj =
@@ -356,6 +350,7 @@ let test_recovery_stats_totals () =
       partitions = 1;
       rpc_retries = 10;
       rpc_drops = 2;
+      backoff_capped = 1;
       rpc_stall_s = 3.5;
       disk_errors = 4;
       recovery_rpcs = 20;

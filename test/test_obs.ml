@@ -330,62 +330,161 @@ let test_tracer_keeps_first_spans () =
         (List.map (fun (s : Profiler.span) -> s.name) (Profiler.spans ()));
       Alcotest.(check int) "no wall span dropped" 0 (Profiler.dropped Wall))
 
-let test_tracer_export_counters () =
-  let v name =
-    match Metrics.find name with
-    | Some (Metrics.Counter c) -> Metrics.value c
-    | _ -> Alcotest.failf "%s not registered" name
-  in
-  let added0 = v "obs.trace.added" and dropped0 = v "obs.trace.dropped" in
-  with_sim_recording (fun () ->
-      record_spans "a" (Profiler.sim_capacity + 4);
-      record_spans "b" 10;
-      Alcotest.(check int) "obs.trace.added" (Profiler.sim_capacity + 14)
-        (v "obs.trace.added" - added0);
-      Alcotest.(check int) "obs.trace.dropped" 4 (v "obs.trace.dropped" - dropped0);
-      Alcotest.(check int) "added = kept + dropped"
-        (v "obs.trace.added" - added0)
-        (List.length (kept "a") + List.length (kept "b") + v "obs.trace.dropped" - dropped0))
-
-(* -- Integration: instrumentation agrees with the simulator ---------------- *)
-
 let counter_value name =
   match Metrics.find name with
   | Some (Metrics.Counter c) -> Metrics.value c
   | Some _ -> Alcotest.failf "%s is not a counter" name
   | None -> Alcotest.failf "%s not registered" name
 
+let hist_count name =
+  match Metrics.find name with
+  | Some (Metrics.Histogram h) -> Metrics.hist_count h
+  | Some _ -> Alcotest.failf "%s is not a histogram" name
+  | None -> Alcotest.failf "%s not registered" name
+
+let test_tracer_export_counters () =
+  let added0 = counter_value "obs.trace.added"
+  and dropped0 = counter_value "obs.trace.dropped" in
+  with_sim_recording (fun () ->
+      (* a stream nobody publishes never reaches the registry *)
+      record_spans "unpublished" 10;
+      Alcotest.(check int) "counted only at publish" added0
+        (counter_value "obs.trace.added");
+      (* a simulation big enough to overflow its stream publishes when its
+         run ends *)
+      let preset =
+        Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace 1) ~factor:0.02
+      in
+      ignore (Dfs_workload.Presets.run preset);
+      let offered = Profiler.added Sim - 10 and dropped = Profiler.dropped Sim in
+      Alcotest.(check bool) "the stream overflowed" true (dropped > 0);
+      Alcotest.(check int) "obs.trace.added" offered
+        (counter_value "obs.trace.added" - added0);
+      Alcotest.(check int) "obs.trace.dropped" dropped
+        (counter_value "obs.trace.dropped" - dropped0);
+      Alcotest.(check int) "added = kept + dropped" offered
+        (List.length (kept "cluster") + dropped))
+
+(* -- Integration: instrumentation agrees with the simulator ---------------- *)
+
+(* Every counter a cluster publishes, summed from its models' own state
+   the way an analysis would read it. *)
+let model_totals cluster =
+  let module C = Dfs_sim.Cluster in
+  let module Bc = Dfs_cache.Block_cache in
+  let module S = Dfs_sim.Server in
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let servers f = sum f (C.servers cluster) in
+  let caches f =
+    sum (fun c -> f (Bc.stats (Dfs_sim.Client.cache c))) (C.clients cluster)
+    + servers (fun s -> f (Bc.stats (S.cache s)))
+  in
+  let counts l = List.fold_left (fun acc (_, s) -> acc + Dfs_util.Stats.count s) 0 l in
+  let disk f = servers (fun s -> f (S.disk s)) in
+  let cons f = servers (fun s -> f (S.consistency s)) in
+  let net = C.network cluster in
+  let st = Dfs_fault.Injector.stats (Option.get (C.faults cluster)) in
+  [
+    ("sim.net.rpcs", Dfs_sim.Network.total_rpcs net);
+    ("sim.net.bytes", Dfs_sim.Network.total_bytes net);
+    ("sim.disk.reads", disk Dfs_sim.Disk.reads);
+    ("sim.disk.writes", disk Dfs_sim.Disk.writes);
+    ("sim.disk.bytes_read", disk Dfs_sim.Disk.bytes_read);
+    ("sim.disk.bytes_written", disk Dfs_sim.Disk.bytes_written);
+    ("sim.cache.read_lookups", caches (fun s -> s.all.read_ops));
+    ("sim.cache.read_hits", caches (fun s -> s.all.read_hits));
+    ("sim.cache.read_misses", caches (fun s -> s.all.read_misses));
+    ("sim.cache.fetch_bytes", caches (fun s -> s.all.bytes_fetched));
+    ("sim.cache.write_blocks", caches (fun s -> s.all.write_ops));
+    ("sim.cache.write_fetches", caches (fun s -> s.all.write_fetches));
+    ("sim.cache.writebacks", caches (fun s -> counts s.cleanings));
+    ("sim.cache.writeback_bytes", caches (fun s -> s.writeback_bytes));
+    ("sim.cache.evictions", caches (fun s -> counts s.replacements));
+    ("sim.server.opens", cons (fun c -> c.file_opens));
+    ("sim.server.sharing_opens", cons (fun c -> c.sharing_opens));
+    ("sim.server.recalls", cons (fun c -> c.recalls));
+    ("sim.server.cache_disables", cons (fun c -> c.cache_disables));
+    ("sim.engine.events", Dfs_sim.Engine.events_executed (C.engine cluster));
+    ("sim.fault.crashes", st.crashes);
+    ("sim.fault.reboots", st.reboots);
+    ("sim.fault.lost_bytes", st.lost_bytes);
+    ("sim.fault.partitions", st.partitions);
+    ("sim.fault.rpc_retries", st.rpc_retries);
+    ("sim.fault.rpc_drops", st.rpc_drops);
+    ("sim.fault.backoff_capped", st.backoff_capped);
+    ("sim.fault.disk_errors", st.disk_errors);
+    ("sim.fault.recovery_rpcs", st.recovery_rpcs);
+    ("sim.fault.offline_queued_bytes", st.offline_queued_bytes);
+    ("sim.fault.replayed_writeback_bytes", st.replayed_bytes);
+    ( "sim.fault.bytes_at_risk",
+      sum (fun c -> Bc.dirty_bytes (Dfs_sim.Client.cache c)) (C.clients cluster)
+      + servers (fun s -> Bc.dirty_bytes (S.cache s)) );
+  ]
+
+(* Histograms whose count is a published counter. *)
+let counted_histograms =
+  [
+    ("sim.net.rpc_latency_s", [ "sim.net.rpcs" ]);
+    ("sim.disk.service_s", [ "sim.disk.reads"; "sim.disk.writes" ]);
+    ("sim.cache.dirty_age_s", [ "sim.cache.writebacks" ]);
+    ("sim.client.op_latency_s", [ "sim.client.ops" ]);
+    ("sim.fault.outage_s", [ "sim.fault.crashes" ]);
+    ("sim.fault.lost_bytes_per_crash", [ "sim.fault.crashes" ]);
+  ]
+
+let check_published ~expect =
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) name v (counter_value name))
+    expect;
+  List.iter
+    (fun (h, counters) ->
+      Alcotest.(check int) (h ^ " count")
+        (List.fold_left (fun acc c -> acc + counter_value c) 0 counters)
+        (hist_count h))
+    counted_histograms
+
 let test_sim_metrics_consistency () =
   Metrics.reset ();
   with_sim_recording (fun () ->
       let preset =
-        Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace 1) ~factor:0.01
+        Dfs_workload.Presets.with_faults
+          (Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace 1) ~factor:0.01)
+          Dfs_fault.Profile.crash_heavy
       in
       let cluster, _driver = Dfs_workload.Presets.run preset in
+      let first = model_totals cluster in
+      (* every published counter is its model's total *)
+      check_published ~expect:first;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " nonzero") true (List.assoc name first > 0))
+        [ "sim.net.rpcs"; "sim.cache.writebacks"; "sim.fault.crashes";
+          "sim.fault.rpc_retries"; "sim.fault.disk_errors"; "sim.fault.bytes_at_risk" ];
       (* cache identity: every lookup is either a hit or a miss *)
-      let lookups = counter_value "sim.cache.read_lookups" in
-      let hits = counter_value "sim.cache.read_hits" in
-      let misses = counter_value "sim.cache.read_misses" in
-      Alcotest.(check bool) "cache saw traffic" true (lookups > 0);
-      Alcotest.(check int) "hits + misses = lookups" lookups (hits + misses);
-      (* the metrics layer and the network's own accounting agree *)
-      let total_rpcs =
-        Dfs_sim.Network.total_rpcs (Dfs_sim.Cluster.network cluster)
-      in
-      Alcotest.(check bool) "rpcs happened" true (total_rpcs > 0);
-      Alcotest.(check int) "rpc counter matches network" total_rpcs
-        (counter_value "sim.net.rpcs");
+      Alcotest.(check int) "hits + misses = lookups"
+        (counter_value "sim.cache.read_lookups")
+        (counter_value "sim.cache.read_hits" + counter_value "sim.cache.read_misses");
+      Alcotest.(check int) "offered spans published" (Profiler.added Sim)
+        (counter_value "obs.trace.added");
       (* every RPC produced exactly one span, none lost to the bound *)
       Alcotest.(check int) "no spans dropped" 0 (Profiler.dropped Sim);
       let count cat =
         List.length (List.filter (fun (s : Profiler.span) -> s.cat = cat) (kept "cluster"))
       in
-      Alcotest.(check int) "one rpc span per rpc" total_rpcs (count "rpc");
+      Alcotest.(check int) "one rpc span per rpc" (List.assoc "sim.net.rpcs" first)
+        (count "rpc");
       (* the other instrumented categories showed up too *)
       List.iter
         (fun cat ->
           Alcotest.(check bool) (Printf.sprintf "%s spans present" cat) true (count cat > 0))
-        [ "disk"; "cache" ])
+        [ "disk"; "cache"; "fault" ];
+      (* a second simulation adds its totals to the registry's *)
+      let cluster2, _ = Dfs_workload.Presets.run preset in
+      check_published
+        ~expect:
+          (List.map2
+             (fun (name, a) (_, b) -> (name, a + b))
+             first (model_totals cluster2)))
 
 let suite =
   [

@@ -1,7 +1,8 @@
 (* The sharded (conservative-PDES) simulation: window-floor safety, the
    lookahead contract on cross-partition sends, worker-count
-   independence of partitioned runs, fault-schedule splitting, the
-   worker team, and the keyed RNG splits partitions are seeded from. *)
+   independence of partitioned runs (their traces, spans and published
+   metrics), fault-schedule splitting, the worker team, and the keyed
+   RNG splits partitions are seeded from. *)
 
 module Engine = Dfs_sim.Engine
 module Pdes = Dfs_sim.Pdes
@@ -176,6 +177,45 @@ let test_sharded_sim_spans_pure () =
         (List.hd t0s > 0.0 && ordered t0s))
     par
 
+(* The metrics snapshot of one run on [workers] workers, wall-clock keys
+   aside. *)
+let metrics_snapshot ~workers cfg =
+  let module M = Dfs_obs.Metrics in
+  M.reset ();
+  Sharded.release (Sharded.run ~workers cfg);
+  let wall k =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p k)
+      [ "phase."; "pool."; "gc."; "sim.shard" ]
+  in
+  match M.to_json () with
+  | Dfs_obs.Json.Obj kvs ->
+    List.map
+      (fun (k, v) -> (k, Dfs_obs.Json.to_string v))
+      (List.filter (fun (k, _) -> not (wall k)) kvs)
+  | _ -> Alcotest.fail "snapshot is not an object"
+
+let test_sharded_metrics_pure () =
+  let cfg =
+    {
+      (shard_cfg ()) with
+      Sharded.duration = 1800.0;
+      fault_profile = Option.get (Profile.of_name "heavy");
+    }
+  in
+  let seq = metrics_snapshot ~workers:1 cfg in
+  let par = metrics_snapshot ~workers:2 cfg in
+  Alcotest.(check (list (pair string string))) "same snapshot on 1 and 2 workers" seq par;
+  (* the run exercised what the snapshot compares *)
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " nonzero") true
+        (match List.assoc_opt k par with
+         | Some v -> v <> "0" && not (String.starts_with ~prefix:{|{"count":0,|} v)
+         | None -> false))
+    [ "sim.fault.crashes"; "sim.fault.bytes_at_risk"; "sim.fault.outage_s";
+      "sim.pdes.remote_reads"; "sim.pdes.window_s"; "sim.cache.dirty_age_s" ]
+
 let test_auto_partitions_pure () =
   Alcotest.(check int) "small cluster stays monolithic" 1
     (Sharded.auto_partitions ~n_clients:40 ~n_servers:4);
@@ -336,5 +376,7 @@ let suite =
       test_split_key_does_not_advance_parent;
     Alcotest.test_case "sharded: sim spans pure in workers, own clocks" `Slow
       test_sharded_sim_spans_pure;
+    Alcotest.test_case "sharded: faulty metrics snapshot pure in workers" `Slow
+      test_sharded_metrics_pure;
   ]
   @ qcheck_tests
