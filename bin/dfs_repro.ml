@@ -123,9 +123,7 @@ let print_recovery_stats (ds : Dfs_core.Dataset.t) =
   let named =
     List.filter_map
       (fun (r : Dfs_core.Dataset.run) ->
-        Option.map
-          (fun inj -> (r.preset.name, Dfs_fault.Injector.stats inj))
-          (Dfs_sim.Cluster.faults r.cluster))
+        Option.map (fun inj -> (r.preset.name, inj)) (Dfs_sim.Cluster.faults r.cluster))
       ds.runs
   in
   if named <> [] then
@@ -759,8 +757,7 @@ let stats_cmd =
           (fun inj ->
             Format.printf "@.== %s: crash recovery ==@.%a@." preset.name
               Dfs_analysis.Recovery_stats.pp
-              (Dfs_analysis.Recovery_stats.analyze
-                 [ (preset.name, Dfs_fault.Injector.stats inj) ]))
+              (Dfs_analysis.Recovery_stats.analyze [ (preset.name, inj) ]))
           (Dfs_sim.Cluster.faults cluster))
   in
   Cmd.v

@@ -18,26 +18,28 @@ type t = { rows : row list; total : row }
 
 let kb bytes = float_of_int bytes /. 1024.0
 
-let row_of_stats name (s : Dfs_fault.Injector.stats) =
+let row_of_injector name inj =
+  let module I = Dfs_fault.Injector in
+  let s = I.stats inj and crashes = I.crashes inj and lost_bytes = I.lost_bytes inj in
   {
     run_name = name;
-    crashes = s.crashes;
+    crashes;
     reboots = s.reboots;
-    downtime_s = s.downtime_s;
-    lost_kb = kb s.lost_bytes;
+    downtime_s = I.downtime_s inj;
+    lost_kb = kb lost_bytes;
     lost_per_crash_kb =
-      (if s.crashes = 0 then 0.0 else kb s.lost_bytes /. float_of_int s.crashes);
+      (if crashes = 0 then 0.0 else kb lost_bytes /. float_of_int crashes);
     offline_queued_kb = kb s.offline_queued_bytes;
     replayed_kb = kb s.replayed_bytes;
     recovery_rpcs = s.recovery_rpcs;
     rpc_retries = s.rpc_retries;
-    rpc_stall_s = s.rpc_stall_s;
+    rpc_stall_s = I.rpc_stall_s inj;
     disk_errors = s.disk_errors;
     partitions = s.partitions;
   }
 
 let analyze named =
-  let rows = List.map (fun (name, s) -> row_of_stats name s) named in
+  let rows = List.map (fun (name, inj) -> row_of_injector name inj) named in
   let total =
     List.fold_left
       (fun acc r ->
@@ -55,22 +57,21 @@ let analyze named =
           disk_errors = acc.disk_errors + r.disk_errors;
           partitions = acc.partitions + r.partitions;
         })
-      (row_of_stats "total"
-         {
-           crashes = 0;
-           reboots = 0;
-           downtime_s = 0.0;
-           lost_bytes = 0;
-           partitions = 0;
-           rpc_retries = 0;
-           rpc_drops = 0;
-           backoff_capped = 0;
-           rpc_stall_s = 0.0;
-           disk_errors = 0;
-           recovery_rpcs = 0;
-           offline_queued_bytes = 0;
-           replayed_bytes = 0;
-         })
+      {
+        run_name = "total";
+        crashes = 0;
+        reboots = 0;
+        downtime_s = 0.0;
+        lost_kb = 0.0;
+        lost_per_crash_kb = 0.0;
+        offline_queued_kb = 0.0;
+        replayed_kb = 0.0;
+        recovery_rpcs = 0;
+        rpc_retries = 0;
+        rpc_stall_s = 0.0;
+        disk_errors = 0;
+        partitions = 0;
+      }
       rows
   in
   let total =

@@ -3,7 +3,7 @@
     The paper (Section 5.2) accepts a 30-second window during which
     delayed-write data can be destroyed by a crash, arguing full cache
     flushes are only modestly safer.  With fault injection on, this
-    module turns each run's {!Dfs_fault.Injector.stats} into the table
+    module turns each run's fault injector into the table
     that quantifies that trade: crashes, downtime, delayed-write bytes
     actually lost, what the offline queue saved (parked and replayed
     after reboot), and the size of the recovery storm. *)
@@ -27,7 +27,7 @@ type row = {
 
 type t = { rows : row list; total : row }
 
-val analyze : (string * Dfs_fault.Injector.stats) list -> t
-(** One row per (run name, stats) pair, plus a total row. *)
+val analyze : (string * Dfs_fault.Injector.t) list -> t
+(** One row per (run name, injector) pair, plus a total row. *)
 
 val pp : Format.formatter -> t -> unit

@@ -43,23 +43,159 @@ type backend = {
 (* A resident block is also its own node in the cache's LRU list: [prev]
    and [next] link it into a circular list through the cache's sentinel,
    least recently used first, so a touch or an eviction is a few pointer
-   swaps and allocates nothing. *)
+   swaps and allocates nothing.  A dirty block is also linked into its
+   file's dirty list by [d_prev] and [d_next], oldest [dirtied_at] first.
+   A block is dirty exactly when [dirty_high] > 0: a write covers at
+   least one byte of every block it touches, and cleaning sets it to 0. *)
 type block = {
-  b_file : File.t;
+  b_entry : entry;
   b_index : int;
-  mutable dirty : bool;
+  b_seq : int;  (* the cache's inserts before this one *)
   mutable dirtied_at : float;  (* first dirtied since last clean *)
   mutable last_write : float;
   mutable last_ref : float;
   mutable dirty_high : int;  (* writeback extent, from the block start *)
   mutable prev : block;  (* towards the LRU end *)
   mutable next : block;  (* towards the MRU end *)
+  mutable d_prev : block;  (* towards the oldest dirty block, or [none] *)
+  mutable d_next : block;  (* towards the newest, or [none] *)
 }
 
+(* One per file with a resident block, dropped with its last block. *)
+and entry = {
+  e_fid : int;
+  mutable slots : block array;  (* the file's blocks by [b_index] ([Slots]) *)
+  mutable count : int;  (* resident blocks *)
+  mutable buckets : int;  (* see [writeback_order] *)
+  mutable dn : int;  (* dirty blocks *)
+  mutable d_head : block;  (* oldest dirty block, or [none] *)
+  mutable d_tail : block;  (* newest dirty block, or [none] *)
+}
+
+(* The empty slot and the end of every dirty list, and the entry of a
+   file with no resident block.  Every cache shares them; nothing writes
+   to them. *)
+let rec none =
+  {
+    b_entry = no_entry;
+    b_index = -1;
+    b_seq = -1;
+    dirtied_at = 0.0;
+    last_write = 0.0;
+    last_ref = 0.0;
+    dirty_high = 0;
+    prev = none;
+    next = none;
+    d_prev = none;
+    d_next = none;
+  }
+
+and no_entry =
+  {
+    e_fid = -1;
+    slots = [| none |];
+    count = 0;
+    buckets = 16;
+    dn = 0;
+    d_head = none;
+    d_tail = none;
+  }
+
+(* Open addressing on int keys: a power-of-two array of members with
+   [empty] in the free slots, at most three quarters full.  A key's probe
+   starts at its Fibonacci hash (the top bits of the key times 2^63 over
+   the golden ratio) and walks forward; removal shifts the rest of the
+   run back, so there are no tombstones, and a member costs one array
+   word and no allocation. *)
+module Slots (M : sig
+  type t
+
+  val key : t -> int
+
+  val empty : t
+end) =
+struct
+  let home k mask = (((k * 0x4F1BBCDCBFA53E0B) lsr 32) * (mask + 1)) lsr 31
+
+  let create n = Array.make n M.empty
+
+  (* The member keyed [k], or [M.empty]. *)
+  let find slots k =
+    let mask = Array.length slots - 1 in
+    let i = ref (home k mask) in
+    while
+      let x = Array.unsafe_get slots !i in
+      x != M.empty && M.key x <> k
+    do
+      i := (!i + 1) land mask
+    done;
+    Array.unsafe_get slots !i
+
+  let place slots x =
+    let mask = Array.length slots - 1 in
+    let i = ref (home (M.key x) mask) in
+    while Array.unsafe_get slots !i != M.empty do
+      i := (!i + 1) land mask
+    done;
+    Array.unsafe_set slots !i x
+
+  (* [slots], or a copy twice its size, with [x] added to its [n]
+     members; [x]'s key must be absent. *)
+  let add slots ~n x =
+    let slots =
+      if 4 * (n + 1) <= 3 * Array.length slots then slots
+      else begin
+        let bigger = create (2 * Array.length slots) in
+        Array.iter (fun y -> if y != M.empty then place bigger y) slots;
+        bigger
+      end
+    in
+    place slots x;
+    slots
+
+  (* [x] must be a member. *)
+  let remove slots x =
+    let mask = Array.length slots - 1 in
+    let hole = ref (home (M.key x) mask) in
+    while
+      let y = Array.unsafe_get slots !hole in
+      y != x && y != M.empty
+    do
+      hole := (!hole + 1) land mask
+    done;
+    assert (Array.unsafe_get slots !hole == x);
+    (* A later member of the run moves into the hole unless its home
+       lies after the hole, where a probe for it starts past the hole. *)
+    let j = ref ((!hole + 1) land mask) in
+    while Array.unsafe_get slots !j != M.empty do
+      let y = Array.unsafe_get slots !j in
+      if (!j - home (M.key y) mask) land mask >= (!j - !hole) land mask then begin
+        Array.unsafe_set slots !hole y;
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    Array.unsafe_set slots !hole M.empty
+end
+
+module Blocks = Slots (struct
+  type t = block
+
+  let key b = b.b_index
+
+  let empty = none
+end)
+
+module Entries = Slots (struct
+  type t = entry
+
+  let key e = e.e_fid
+
+  let empty = no_entry
+end)
+
 (* Int-keyed tables that hash with [Hashtbl.hash], exactly as the generic
-   [Hashtbl] does, so every bucket layout (and with it the order in which
-   [clean_file] and [tick] write back) is the generic table's.  Only the
-   key comparison changes: an int test instead of polymorphic compare. *)
+   [Hashtbl] does: [tick] visits [dirty_files] in its bucket order. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -104,17 +240,6 @@ type stats = {
   replacements : (replace_reason * Dfs_util.Stats.t) list;
 }
 
-type dirty_info = {
-  mutable dn : int;  (* dirty blocks in this file *)
-  mutable earliest : float;
-      (* Lower bound on the oldest [dirtied_at] among them.  May go
-         stale-early when the oldest block is cleaned individually (we
-         don't rescan on clean); [tick] verifies before writing back and
-         tightens the bound when it proves conservative, so the delay
-         policy stays exact while the per-tick scan touches only files
-         that could plausibly have expired. *)
-}
-
 (* Dense indices for the per-reason timing stats.  [clean_block] and
    [evict_one] are on the simulation's hottest path (every writeback and
    eviction), so the lookup must not walk an assoc list. *)
@@ -132,8 +257,10 @@ type t = {
   backend : backend;
   lru : block;  (* sentinel: [lru.next] is the LRU block, [lru.prev] the MRU *)
   mutable resident : int;  (* blocks linked into [lru] *)
-  files : block Itbl.t Itbl.t;  (* file id -> block index -> block *)
-  dirty_files : dirty_info Itbl.t;
+  mutable files : entry array;  (* the entries by file id ([Slots]) *)
+  mutable n_files : int;
+  dirty_files : entry Itbl.t;  (* the entries with a dirty block *)
+  mutable inserts : int;
   mutable capacity : int;
   mutable dirty_count : int;
   stats : stats;
@@ -150,15 +277,17 @@ let create ?(config = default_config) ?(dirty_ages = Dfs_obs.Metrics.Acc.create 
   let replacement_stats = Array.init 2 (fun _ -> Dfs_util.Stats.create ()) in
   let rec sentinel =
     {
-      b_file = File.of_int 0;
+      b_entry = no_entry;
       b_index = -1;
-      dirty = false;
+      b_seq = -1;
       dirtied_at = 0.0;
       last_write = 0.0;
       last_ref = 0.0;
       dirty_high = 0;
       prev = sentinel;
       next = sentinel;
+      d_prev = none;
+      d_next = none;
     }
   in
   {
@@ -166,8 +295,10 @@ let create ?(config = default_config) ?(dirty_ages = Dfs_obs.Metrics.Acc.create 
     backend;
     lru = sentinel;
     resident = 0;
-    files = Itbl.create 256;
+    files = Entries.create 64;
+    n_files = 0;
     dirty_files = Itbl.create 64;
+    inserts = 0;
     capacity = max 1 config.capacity_blocks;
     dirty_count = 0;
     stats =
@@ -204,18 +335,23 @@ let stats t = t.stats
 
 let dirty_blocks t = t.dirty_count
 
+(* Every block leaves without a writeback; [dirty_files] is the caller's. *)
+let forget_blocks t =
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru;
+  t.resident <- 0;
+  t.files <- Entries.create 64;
+  t.n_files <- 0;
+  t.dirty_count <- 0
+
 (* Post-simulation memory release: the block store, per-file index and
    dirty-file tracking go away; [stats] (all counters and timing
    distributions) survive untouched.  Dirty data is dropped without
    writeback, so this must only run once the cache will see no further
    reads or writes. *)
 let drop_contents t =
-  t.lru.prev <- t.lru;
-  t.lru.next <- t.lru;
-  t.resident <- 0;
-  Itbl.reset t.files;
-  Itbl.reset t.dirty_files;
-  t.dirty_count <- 0
+  forget_blocks t;
+  Itbl.reset t.dirty_files
 
 (* -- internal bookkeeping ------------------------------------------------ *)
 
@@ -231,69 +367,77 @@ let link_mru t b =
   s.prev.next <- b;
   s.prev <- b
 
+(* The entry of file [fid], or [no_entry]. *)
+let find_entry t fid = Entries.find t.files fid
+
+(* The block, or [none] if it is not resident. *)
+let find_block e index = Blocks.find e.slots index
+
+(* [b], clean, joins its file's dirty list: behind every block dirtied no
+   later than [b.dirtied_at], which is at the tail when time only moves
+   forward. *)
 let note_dirty t b =
-  if not b.dirty then begin
-    b.dirty <- true;
-    t.dirty_count <- t.dirty_count + 1;
-    let fid = File.to_int b.b_file in
-    match Itbl.find t.dirty_files fid with
-    | info ->
-      info.dn <- info.dn + 1;
-      if b.dirtied_at < info.earliest then info.earliest <- b.dirtied_at
-    | exception Not_found ->
-      Itbl.replace t.dirty_files fid { dn = 1; earliest = b.dirtied_at }
-  end
+  let e = b.b_entry in
+  let p = ref e.d_tail in
+  while !p != none && !p.dirtied_at > b.dirtied_at do
+    p := !p.d_prev
+  done;
+  let p = !p in
+  let n = if p == none then e.d_head else p.d_next in
+  b.d_prev <- p;
+  b.d_next <- n;
+  if p == none then e.d_head <- b else p.d_next <- b;
+  if n == none then e.d_tail <- b else n.d_prev <- b;
+  t.dirty_count <- t.dirty_count + 1;
+  e.dn <- e.dn + 1;
+  if e.dn = 1 then Itbl.replace t.dirty_files e.e_fid e
 
 let note_clean t b =
-  if b.dirty then begin
-    b.dirty <- false;
-    b.dirty_high <- 0;
-    t.dirty_count <- t.dirty_count - 1;
-    let fid = File.to_int b.b_file in
-    let info = Itbl.find t.dirty_files fid in
-    if info.dn > 1 then info.dn <- info.dn - 1
-    else Itbl.remove t.dirty_files fid
-  end
+  let e = b.b_entry in
+  let p = b.d_prev and n = b.d_next in
+  if p == none then e.d_head <- n else p.d_next <- n;
+  if n == none then e.d_tail <- p else n.d_prev <- p;
+  b.d_prev <- none;
+  b.d_next <- none;
+  b.dirty_high <- 0;
+  t.dirty_count <- t.dirty_count - 1;
+  e.dn <- e.dn - 1;
+  if e.dn = 0 then Itbl.remove t.dirty_files e.e_fid
 
 let cleaning_stat t reason = t.cleaning_stats.(clean_index reason)
 
 let replacement_stat t reason = t.replacement_stats.(replace_index reason)
 
 let clean_block t ~now b ~reason =
-  if b.dirty then begin
-    let bytes = b.dirty_high in
-    t.backend.writeback ~file:b.b_file ~index:b.b_index ~bytes ~reason;
+  if b.dirty_high > 0 then begin
+    let bytes = b.dirty_high and fid = b.b_entry.e_fid in
+    t.backend.writeback ~file:(File.of_int fid) ~index:b.b_index ~bytes ~reason;
     t.stats.writeback_bytes <- t.stats.writeback_bytes + bytes;
     Dfs_util.Stats.add (cleaning_stat t reason) (now -. b.last_write);
     Dfs_obs.Metrics.Acc.observe t.dirty_ages (now -. b.dirtied_at);
     if Dfs_obs.Profiler.admit () then
       Dfs_obs.Profiler.emit ~cat:"cache" ~name:"writeback" ~t0:now ~dur:0.0
         [
-          ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
+          ("file", Dfs_obs.Json.Int fid);
           ("bytes", Dfs_obs.Json.Int bytes);
           ("reason", Dfs_obs.Json.String (clean_reason_name reason));
         ];
     note_clean t b
   end
 
-(* Remove [b] from its file's table, and the table itself once empty (a
-   file's next block gets a fresh 16-bucket table). *)
-let unindex t b =
-  let fid = File.to_int b.b_file in
-  let tbl = Itbl.find t.files fid in
-  Itbl.remove tbl b.b_index;
-  if Itbl.length tbl = 0 then Itbl.remove t.files fid
+(* Drop the entry [e] from the index; its blocks have left the LRU. *)
+let forget_entry t e =
+  Entries.remove t.files e;
+  t.n_files <- t.n_files - 1;
+  e.count <- 0
 
-let drop_block t b ~discard_dirty =
-  if b.dirty then begin
-    if discard_dirty then
-      t.stats.dirty_bytes_discarded <-
-        t.stats.dirty_bytes_discarded + b.dirty_high;
-    note_clean t b
-  end;
-  unindex t b;
-  unlink b;
-  t.resident <- t.resident - 1
+(* Remove [b], clean and unlinked, from its file's slots, and the entry
+   with its last block. *)
+let unindex t b =
+  let e = b.b_entry in
+  Blocks.remove e.slots b;
+  e.count <- e.count - 1;
+  if e.count = 0 then forget_entry t e
 
 let evict_one t ~now ~reason =
   let b = t.lru.next in
@@ -309,49 +453,64 @@ let evict_one t ~now ~reason =
     if Dfs_obs.Profiler.admit () then
       Dfs_obs.Profiler.emit ~cat:"cache" ~name:"evict" ~t0:now ~dur:0.0
         [
-          ("file", Dfs_obs.Json.Int (File.to_int b.b_file));
+          ("file", Dfs_obs.Json.Int b.b_entry.e_fid);
           ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
         ];
     unindex t b;
     true
   end
 
-(* Insert a new block for [file]/[index] at the MRU end.  The file's table
-   is looked up after the evictions, which may have removed it. *)
-let insert_block t ~now ~file ~fid ~index =
+(* Insert a new block for [index] of file [fid] at the MRU end.  [e] is
+   the file's entry as the caller found it; the evictions may have
+   dropped it (its count is then 0), so the new block's [b_entry] is the
+   one to use afterwards. *)
+let insert_block t ~now e ~fid ~index =
   while t.resident >= t.capacity do
     if not (evict_one t ~now ~reason:Replace_for_block) then
       (* capacity is >= 1 and the LRU is non-empty whenever size >= capacity *)
       assert false
   done;
+  let e =
+    if e.count > 0 then e
+    else begin
+      let e =
+        {
+          e_fid = fid;
+          slots = Blocks.create 4;
+          count = 0;
+          buckets = 16;
+          dn = 0;
+          d_head = none;
+          d_tail = none;
+        }
+      in
+      t.files <- Entries.add t.files ~n:t.n_files e;
+      t.n_files <- t.n_files + 1;
+      e
+    end
+  in
   let b =
     {
-      b_file = file;
+      b_entry = e;
       b_index = index;
-      dirty = false;
+      b_seq = t.inserts;
       dirtied_at = now;
       last_write = now;
       last_ref = now;
       dirty_high = 0;
       prev = t.lru;
       next = t.lru;
+      d_prev = none;
+      d_next = none;
     }
   in
+  t.inserts <- t.inserts + 1;
   link_mru t b;
   t.resident <- t.resident + 1;
-  let tbl =
-    match Itbl.find t.files fid with
-    | tbl -> tbl
-    | exception Not_found ->
-      let tbl = Itbl.create 16 in
-      Itbl.replace t.files fid tbl;
-      tbl
-  in
-  Itbl.replace tbl index b;
+  e.slots <- Blocks.add e.slots ~n:e.count b;
+  e.count <- e.count + 1;
+  if e.count > 2 * e.buckets then e.buckets <- 2 * e.buckets;
   b
-
-(* Raises [Not_found] for a non-resident block. *)
-let find_block t ~fid ~index = Itbl.find (Itbl.find t.files fid) index
 
 let touch t b ~now =
   b.last_ref <- now;
@@ -384,20 +543,21 @@ let add_writes s ~ops ~bytes ~fetches ~fetch_bytes =
 (* [read] and [write] walk the blocks overlapped by [off, off+len) in one
    loop, then update the stats once: the per-block byte ranges
    partition the request, so the bytes counted are [len].  The file's
-   table is looked up per block, since an insert may evict the file's
-   last block and with it the table. *)
+   entry is looked up once; after a miss it is the inserted block's. *)
 let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
   if len > 0 then begin
     let bs = t.cfg.block_size in
     let fid = File.to_int file in
     let first = off / bs and last = (off + len - 1) / bs in
+    let e = ref (find_entry t fid) in
     let hits = ref 0 and fetched = ref 0 in
     for index = first to last do
-      match find_block t ~fid ~index with
-      | b ->
+      let b = find_block !e index in
+      if b != none then begin
         incr hits;
         touch t b ~now
-      | exception Not_found ->
+      end
+      else begin
         let block_start = index * bs in
         let avail = Int.max 0 (Int.min bs (file_size - block_start)) in
         t.backend.fetch ~cls ~file ~index ~bytes:avail;
@@ -405,7 +565,8 @@ let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
         if Dfs_obs.Profiler.admit () then
           Dfs_obs.Profiler.emit ~cat:"cache" ~name:"fill" ~t0:now ~dur:0.0
             [ ("file", Dfs_obs.Json.Int fid); ("bytes", Dfs_obs.Json.Int avail) ];
-        ignore (insert_block t ~now ~file ~fid ~index)
+        e := (insert_block t ~now !e ~fid ~index).b_entry
+      end
     done;
     let ops = last - first + 1 and hits = !hits and fetched = !fetched in
     add_reads t.stats.all ~ops ~bytes:len ~hits ~fetched;
@@ -418,15 +579,16 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
     let bs = t.cfg.block_size in
     let fid = File.to_int file in
     let first = off / bs and last = (off + len - 1) / bs in
+    let e = ref (find_entry t fid) in
     let fetches = ref 0 and fetch_bytes = ref 0 in
     for index = first to last do
       let block_start = index * bs in
       let lo = Int.max off block_start - block_start in
       let hi = Int.min (off + len) (block_start + bs) - block_start in
       let b =
-        match find_block t ~fid ~index with
-        | b -> b
-        | exception Not_found ->
+        let b = find_block !e index in
+        if b != none then b
+        else begin
           let existing = Int.max 0 (Int.min bs (file_size - block_start)) in
           (* A partial write of a non-resident block that already holds
              data must fetch the block first (a "write fetch"), and so
@@ -437,10 +599,15 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
             incr fetches;
             fetch_bytes := !fetch_bytes + existing
           end;
-          insert_block t ~now ~file ~fid ~index
+          let b = insert_block t ~now !e ~fid ~index in
+          e := b.b_entry;
+          b
+        end
       in
-      if not b.dirty then b.dirtied_at <- now;
-      note_dirty t b;
+      if b.dirty_high = 0 then begin
+        b.dirtied_at <- now;
+        note_dirty t b
+      end;
       b.last_write <- now;
       (* Writebacks cover the block from its start to the end of the new
          data — the append behaviour the paper blames for writeback-traffic
@@ -457,19 +624,36 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
       add_writes t.stats.migrated ~ops ~bytes:len ~fetches ~fetch_bytes
   end
 
-let blocks_of_file t file =
-  match Itbl.find_opt t.files (File.to_int file) with
-  | None -> []
-  | Some tbl -> Itbl.fold (fun _ b acc -> b :: acc) tbl []
+(* The order in which a file's dirty blocks are written back: the order
+   in which [Hashtbl.iter] walked the per-file table that indexed the
+   blocks before, a [Hashtbl.Make] on [Hashtbl.hash] created at 16
+   buckets, doubled whenever it held more than twice as many blocks as
+   buckets, and dropped with the file's last block ([buckets] replays
+   that count).  That is bucket by bucket, and in each bucket newest
+   insert first: OCaml 5.1's table prepends on insert and keeps each
+   bucket's order when it resizes.  Every printed table depends on the
+   order, through the server cache's LRU.  Each block's bucket is
+   computed once, ahead of the sort. *)
+let writeback_order e =
+  let mask = e.buckets - 1 in
+  let keyed = Array.make e.dn (0, none) and d = ref e.d_head in
+  for i = 0 to e.dn - 1 do
+    keyed.(i) <- (Hashtbl.hash !d.b_index land mask, !d);
+    d := !d.d_next
+  done;
+  Array.sort
+    (fun (bucket_a, a) (bucket_b, b) ->
+      if bucket_a <> bucket_b then Int.compare bucket_a bucket_b
+      else Int.compare b.b_seq a.b_seq)
+    keyed;
+  Array.map snd keyed
 
-(* Clean in place: [clean_block] never removes entries from the file's
-   block table, so we can iterate it directly instead of materializing a
-   [blocks_of_file] list.  ([invalidate] still takes the list — dropping
-   blocks mutates the table under iteration.) *)
+let clean_entry t ~now e ~reason =
+  if e.dn > 0 then
+    Array.iter (fun b -> clean_block t ~now b ~reason) (writeback_order e)
+
 let clean_file t ~now ~file ~reason =
-  match Itbl.find_opt t.files (File.to_int file) with
-  | None -> ()
-  | Some tbl -> Itbl.iter (fun _ b -> clean_block t ~now b ~reason) tbl
+  clean_entry t ~now (find_entry t (File.to_int file)) ~reason
 
 let fsync t ~now ~file = clean_file t ~now ~file ~reason:Clean_fsync
 
@@ -477,7 +661,21 @@ let recall t ~now ~file = clean_file t ~now ~file ~reason:Clean_recall
 
 let invalidate t ~now ~file =
   ignore now;
-  List.iter (fun b -> drop_block t b ~discard_dirty:true) (blocks_of_file t file)
+  let e = find_entry t (File.to_int file) in
+  if e.count > 0 then begin
+    Array.iter
+      (fun b ->
+        if b != none then begin
+          t.stats.dirty_bytes_discarded <-
+            t.stats.dirty_bytes_discarded + b.dirty_high;
+          unlink b
+        end)
+      e.slots;
+    t.resident <- t.resident - e.count;
+    t.dirty_count <- t.dirty_count - e.dn;
+    if e.dn > 0 then Itbl.remove t.dirty_files e.e_fid;
+    forget_entry t e
+  end
 
 let flush_and_invalidate t ~now ~file =
   clean_file t ~now ~file ~reason:Clean_recall;
@@ -487,13 +685,13 @@ let delete t ~now ~file = invalidate t ~now ~file
 
 let dirty_bytes t =
   Itbl.fold
-    (fun fid _ acc ->
-      match Itbl.find_opt t.files fid with
-      | None -> acc
-      | Some tbl ->
-        Itbl.fold
-          (fun _ b acc -> if b.dirty then acc + b.dirty_high else acc)
-          tbl acc)
+    (fun _ e acc ->
+      let acc = ref acc and b = ref e.d_head in
+      while !b != none do
+        acc := !acc + !b.dirty_high;
+        b := !b.d_next
+      done;
+      !acc)
     t.dirty_files 0
 
 let dirty_file_ids t =
@@ -505,50 +703,25 @@ let crash t ~now =
   (* Volatile memory is gone: every block leaves, dirty data silently.
      The loss is NOT counted as [dirty_bytes_discarded] — that stat is
      the paper's deleted-before-writeback {e saving}; crash loss is the
-     delayed-write {e cost} and is accounted by the fault injector. *)
-  let all =
-    Itbl.fold
-      (fun _ tbl acc -> Itbl.fold (fun _ b acc -> b :: acc) tbl acc)
-      t.files []
-  in
-  List.iter (fun b -> drop_block t b ~discard_dirty:false) all;
+     delayed-write {e cost} and is accounted by the fault injector.
+     [clear] keeps [dirty_files]' grown bucket array, as removing each
+     file would. *)
+  forget_blocks t;
+  Itbl.clear t.dirty_files;
   lost
 
 let tick t ~now =
   (* Any file with a block dirty for [writeback_delay] has ALL its dirty
-     blocks written back — Sprite's policy.  [dirty_files.earliest] is a
-     lower bound on each file's oldest dirty timestamp, so files whose
-     bound hasn't aged out are skipped without touching their blocks;
-     only plausible candidates get a per-block verify.  A candidate that
-     turns out fresh (its bound was stale) has the bound tightened to
-     the true minimum so it won't re-trip every tick. *)
-  let candidates =
+     blocks written back — Sprite's policy.  The head of a file's dirty
+     list is its oldest dirty block, so one comparison decides. *)
+  let expired =
     Itbl.fold
-      (fun fid info acc ->
-        if now -. info.earliest >= t.cfg.writeback_delay then
-          (fid, info) :: acc
+      (fun _ e acc ->
+        if now -. e.d_head.dirtied_at >= t.cfg.writeback_delay then e :: acc
         else acc)
       t.dirty_files []
   in
-  List.iter
-    (fun (fid, info) ->
-      let file = File.of_int fid in
-      let expired = ref false in
-      let oldest = ref infinity in
-      (match Itbl.find_opt t.files fid with
-      | None -> ()
-      | Some tbl ->
-        Itbl.iter
-          (fun _ b ->
-            if b.dirty then begin
-              if now -. b.dirtied_at >= t.cfg.writeback_delay then
-                expired := true;
-              if b.dirtied_at < !oldest then oldest := b.dirtied_at
-            end)
-          tbl);
-      if !expired then clean_file t ~now ~file ~reason:Clean_delay
-      else if !oldest < infinity then info.earliest <- !oldest)
-    candidates
+  List.iter (fun e -> clean_entry t ~now e ~reason:Clean_delay) expired
 
 let set_capacity t ~now blocks =
   let blocks = max t.cfg.min_capacity_blocks blocks in
@@ -571,41 +744,68 @@ let walk_lru t step f =
   go (step t.lru) 0
 
 let check_invariants t =
-  let indexed = Itbl.fold (fun _ tbl acc -> acc + Itbl.length tbl) t.files 0 in
-  assert (indexed = t.resident);
+  (* The shared sentinels are untouched. *)
+  assert (none.prev == none && none.next == none && none.d_prev == none);
+  assert (none.d_next == none && none.dirty_high = 0);
+  assert (no_entry.count = 0 && no_entry.dn = 0 && no_entry.d_head == none);
+  assert (Array.length no_entry.slots = 1 && no_entry.slots.(0) == none);
   assert (t.resident <= t.capacity);
   (* The LRU list, walked both ways: the links agree, it holds exactly
-     [resident] blocks, and each one is the block its file's table holds. *)
-  let indexed_as b =
-    match find_block t ~fid:(File.to_int b.b_file) ~index:b.b_index with
-    | b' -> b' == b
-    | exception Not_found -> false
-  in
+     [resident] blocks, and a lookup finds each one through its file's
+     entry, which the file index holds. *)
   let forward =
     walk_lru t
       (fun b -> b.next)
-      (fun b -> assert (b.next.prev == b && b.prev.next == b && indexed_as b))
+      (fun b ->
+        assert (b.next.prev == b && b.prev.next == b);
+        assert (find_entry t b.b_entry.e_fid == b.b_entry);
+        assert (find_block b.b_entry b.b_index == b))
   in
   assert (forward = t.resident && walk_lru t (fun b -> b.prev) ignore = t.resident);
-  let dirty = ref 0 in
-  Itbl.iter
-    (fun _ tbl -> Itbl.iter (fun _ b -> if b.dirty then incr dirty) tbl)
+  let pow2 n = n > 0 && n land (n - 1) = 0 in
+  assert (pow2 (Array.length t.files) && 4 * t.n_files <= 3 * Array.length t.files);
+  let entries = ref 0 and blocks = ref 0 and dirty = ref 0 and dirty_files = ref 0 in
+  Array.iter
+    (fun e ->
+      if e != no_entry then begin
+        incr entries;
+        (* Each entry: its count is its blocks; the slots are a
+           power-of-two array at most three quarters full; the old
+           table's bucket count is a power of two, at least 16, that its
+           doublings kept at half the blocks or more. *)
+        let n = ref 0 and dn = ref 0 in
+        Array.iter
+          (fun b ->
+            if b != none then begin
+              assert (b.b_entry == e);
+              incr n;
+              if b.dirty_high > 0 then incr dn
+              else assert (b.d_prev == none && b.d_next == none)
+            end)
+          e.slots;
+        assert (e.count > 0 && !n = e.count);
+        assert (pow2 (Array.length e.slots) && 4 * e.count <= 3 * Array.length e.slots);
+        assert (pow2 e.buckets && e.buckets >= 16 && e.count <= 2 * e.buckets);
+        (* The dirty list: linked both ways, oldest first, exactly the
+           file's dirty blocks. *)
+        let listed = ref 0 and b = ref e.d_head and prev = ref none in
+        while !b != none do
+          let x = !b in
+          assert (x.b_entry == e && x.dirty_high > 0 && x.d_prev == !prev);
+          assert (!prev == none || !prev.dirtied_at <= x.dirtied_at);
+          incr listed;
+          prev := x;
+          b := x.d_next
+        done;
+        assert (e.d_tail == !prev && !listed = !dn && e.dn = !dn);
+        (* In [dirty_files] exactly when dirty. *)
+        (match Itbl.find_opt t.dirty_files e.e_fid with
+        | Some e' -> assert (e' == e && e.dn > 0)
+        | None -> assert (e.dn = 0));
+        if e.dn > 0 then incr dirty_files;
+        blocks := !blocks + e.count;
+        dirty := !dirty + e.dn
+      end)
     t.files;
-  assert (!dirty = t.dirty_count);
-  let per_file_dirty = Itbl.create 16 in
-  Itbl.iter
-    (fun fid tbl ->
-      let n = Itbl.fold (fun _ b acc -> if b.dirty then acc + 1 else acc) tbl 0 in
-      if n > 0 then Itbl.replace per_file_dirty fid n)
-    t.files;
-  assert (Itbl.length per_file_dirty = Itbl.length t.dirty_files);
-  Itbl.iter
-    (fun fid info ->
-      assert (Itbl.find_opt per_file_dirty fid = Some info.dn);
-      (* [earliest] must never overshoot the file's true oldest dirty
-         timestamp — staleness is only allowed in the early direction. *)
-      let tbl = Itbl.find t.files fid in
-      Itbl.iter
-        (fun _ b -> if b.dirty then assert (info.earliest <= b.dirtied_at))
-        tbl)
-    t.dirty_files
+  assert (!entries = t.n_files && !blocks = t.resident);
+  assert (!dirty = t.dirty_count && !dirty_files = Itbl.length t.dirty_files)

@@ -18,7 +18,15 @@
 
     The cache moves no actual data — it tracks byte counts, which is all
     the paper's tables need — but its state machine (residency, dirtiness,
-    ages) is faithful. *)
+    ages) is faithful.
+
+    Each resident file has one entry: its blocks in an open-addressing
+    array keyed by block index, and its dirty blocks in a list ordered
+    by the time they were dirtied, so looking up, inserting, evicting
+    and cleaning a block never hashes through or walks a whole per-file
+    table.  A file's dirty blocks are written
+    back in the order the per-file [Hashtbl] that indexed them before
+    iterated them (DESIGN.md §15), which keeps every output unchanged. *)
 
 type clean_reason =
   | Clean_delay  (** the 30-second delayed-write policy *)
@@ -189,5 +197,9 @@ val drop_contents : t -> unit
 val check_invariants : t -> unit
 (** Internal consistency: size within capacity; the LRU list's links
     agree walked both ways, and it holds exactly the indexed blocks, each
-    the one its file's table holds; dirty counters match.  Raises
-    [Assert_failure] on violation; used by tests. *)
+    found by a lookup through its file's entry; each entry's count is its
+    blocks, its dirty list is ordered by dirtying time and holds exactly
+    its dirty blocks, and it is in the dirty-file table exactly when it
+    has one; the replayed bucket count is a power of two, at least 16,
+    and at least half the entry's blocks.  Raises [Assert_failure] on
+    violation; used by tests. *)

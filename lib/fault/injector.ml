@@ -1,15 +1,11 @@
 module Rng = Dfs_util.Rng
 
 type stats = {
-  mutable crashes : int;
   mutable reboots : int;
-  mutable downtime_s : float;
-  mutable lost_bytes : int;
   mutable partitions : int;
   mutable rpc_retries : int;
   mutable rpc_drops : int;
   mutable backoff_capped : int;
-  mutable rpc_stall_s : float;
   mutable disk_errors : int;
   mutable recovery_rpcs : int;
   mutable offline_queued_bytes : int;
@@ -54,15 +50,11 @@ let create ~profile ~n_servers ?(server_id_base = 0) ?schedule_servers
     queues = Array.init n_servers (fun _ -> Queue.create ());
     st =
       {
-        crashes = 0;
         reboots = 0;
-        downtime_s = 0.0;
-        lost_bytes = 0;
         partitions = 0;
         rpc_retries = 0;
         rpc_drops = 0;
         backoff_capped = 0;
-        rpc_stall_s = 0.0;
         disk_errors = 0;
         recovery_rpcs = 0;
         offline_queued_bytes = 0;
@@ -84,6 +76,15 @@ let outages t = t.outages
 let crash_losses t = t.crash_losses
 
 let stalls t = t.stalls
+
+let crashes t = Dfs_obs.Metrics.Acc.count t.outages
+
+let downtime_s t = Dfs_obs.Metrics.Acc.sum t.outages
+
+(* Exact: every partial sum is an integer below 2^53. *)
+let lost_bytes t = int_of_float (Dfs_obs.Metrics.Acc.sum t.crash_losses)
+
+let rpc_stall_s t = Dfs_obs.Metrics.Acc.sum t.stalls
 
 (* Callers guard with [Profiler.admit], so no attribute list is built
    for a span that is not kept. *)
@@ -158,7 +159,6 @@ let rpc_delay t ~server ~now =
     in
     t.st.rpc_retries <- t.st.rpc_retries + retries;
     t.st.backoff_capped <- t.st.backoff_capped + capped;
-    t.st.rpc_stall_s <- t.st.rpc_stall_s +. stall;
     Dfs_obs.Metrics.Acc.observe t.stalls stall;
     if Dfs_obs.Profiler.admit () then
       span ~now ~name:"rpc-stall" ~dur:stall
@@ -181,10 +181,7 @@ let rpc_delay t ~server ~now =
         else acc
       in
       let stall = go 0.0 0 in
-      if stall > 0.0 then begin
-        t.st.rpc_stall_s <- t.st.rpc_stall_s +. stall;
-        Dfs_obs.Metrics.Acc.observe t.stalls stall
-      end;
+      if stall > 0.0 then Dfs_obs.Metrics.Acc.observe t.stalls stall;
       stall
     end
 
@@ -199,9 +196,6 @@ let disk_penalty t =
 (* -- crash / recovery bookkeeping ------------------------------------------ *)
 
 let note_crash t ~server ~now ~duration ~lost_bytes =
-  t.st.crashes <- t.st.crashes + 1;
-  t.st.downtime_s <- t.st.downtime_s +. duration;
-  t.st.lost_bytes <- t.st.lost_bytes + lost_bytes;
   Dfs_obs.Metrics.Acc.observe t.outages duration;
   Dfs_obs.Metrics.Acc.observe t.crash_losses (float_of_int lost_bytes);
   if Dfs_obs.Profiler.admit () then

@@ -12,17 +12,12 @@
     so runs are deterministic for a fixed profile seed. *)
 
 type stats = {
-  mutable crashes : int;
   mutable reboots : int;
-  mutable downtime_s : float;  (** summed outage durations *)
-  mutable lost_bytes : int;
-      (** dirty delayed-write bytes destroyed by crashes *)
   mutable partitions : int;
   mutable rpc_retries : int;  (** retransmissions, all causes *)
   mutable rpc_drops : int;  (** retransmissions caused by packet loss *)
   mutable backoff_capped : int;
       (** retry waits clipped to the profile's backoff ceiling *)
-  mutable rpc_stall_s : float;  (** client time spent waiting on retries *)
   mutable disk_errors : int;
   mutable recovery_rpcs : int;
       (** re-registrations and state-replay RPCs after reboots *)
@@ -65,6 +60,19 @@ val crash_losses : t -> Dfs_obs.Metrics.Acc.t
 val stalls : t -> Dfs_obs.Metrics.Acc.t
 (** Each crash's outage (s) and lost dirty bytes, and each delayed RPC's
     retry stall (s). *)
+
+val crashes : t -> int
+(** The count of {!outages}. *)
+
+val downtime_s : t -> float
+(** Summed outage durations: the sum of {!outages}. *)
+
+val lost_bytes : t -> int
+(** Dirty delayed-write bytes destroyed by crashes: the sum of
+    {!crash_losses}. *)
+
+val rpc_stall_s : t -> float
+(** Client time spent waiting on retries: the sum of {!stalls}. *)
 
 (** {1 Data-path queries} *)
 

@@ -56,6 +56,8 @@ module Acc = struct
 
   let count a = a.count
 
+  let sum a = a.sum
+
   let merge ~into a =
     Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) a.buckets;
     into.zeros <- into.zeros + a.zeros;

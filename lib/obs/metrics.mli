@@ -68,6 +68,9 @@ module Acc : sig
   val observe : t -> float -> unit
 
   val count : t -> int
+
+  val sum : t -> float
+  (** The sum of the observations, added in the order they came. *)
 end
 
 val observe : histogram -> float -> unit

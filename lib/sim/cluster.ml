@@ -448,9 +448,8 @@ let published_counters =
   let counts l = List.fold_left (fun acc (_, s) -> acc + Dfs_util.Stats.count s) 0 l in
   let disks f = servers (fun s -> f (Server.disk s)) in
   let opens f = servers (fun s -> f (Server.consistency s)) in
-  let fault f t =
-    match t.faults with None -> 0 | Some inj -> f (Dfs_fault.Injector.stats inj)
-  in
+  let fault f t = match t.faults with None -> 0 | Some inj -> f inj in
+  let fault_stat f = fault (fun inj -> f (Dfs_fault.Injector.stats inj)) in
   List.map
     (fun (name, f) -> (Dfs_obs.Metrics.counter name, f))
     [
@@ -479,17 +478,17 @@ let published_counters =
       ("sim.engine.cancelled", fun t -> Engine.cancelled t.engine);
       ("sim.engine.compactions", fun t -> Engine.compactions t.engine);
       ("sim.pdes.remote_reads", fun t -> t.remote_reads);
-      ("sim.fault.crashes", fault (fun s -> s.crashes));
-      ("sim.fault.reboots", fault (fun s -> s.reboots));
-      ("sim.fault.lost_bytes", fault (fun s -> s.lost_bytes));
-      ("sim.fault.partitions", fault (fun s -> s.partitions));
-      ("sim.fault.rpc_retries", fault (fun s -> s.rpc_retries));
-      ("sim.fault.rpc_drops", fault (fun s -> s.rpc_drops));
-      ("sim.fault.backoff_capped", fault (fun s -> s.backoff_capped));
-      ("sim.fault.disk_errors", fault (fun s -> s.disk_errors));
-      ("sim.fault.recovery_rpcs", fault (fun s -> s.recovery_rpcs));
-      ("sim.fault.offline_queued_bytes", fault (fun s -> s.offline_queued_bytes));
-      ("sim.fault.replayed_writeback_bytes", fault (fun s -> s.replayed_bytes));
+      ("sim.fault.crashes", fault Dfs_fault.Injector.crashes);
+      ("sim.fault.reboots", fault_stat (fun s -> s.reboots));
+      ("sim.fault.lost_bytes", fault Dfs_fault.Injector.lost_bytes);
+      ("sim.fault.partitions", fault_stat (fun s -> s.partitions));
+      ("sim.fault.rpc_retries", fault_stat (fun s -> s.rpc_retries));
+      ("sim.fault.rpc_drops", fault_stat (fun s -> s.rpc_drops));
+      ("sim.fault.backoff_capped", fault_stat (fun s -> s.backoff_capped));
+      ("sim.fault.disk_errors", fault_stat (fun s -> s.disk_errors));
+      ("sim.fault.recovery_rpcs", fault_stat (fun s -> s.recovery_rpcs));
+      ("sim.fault.offline_queued_bytes", fault_stat (fun s -> s.offline_queued_bytes));
+      ("sim.fault.replayed_writeback_bytes", fault_stat (fun s -> s.replayed_bytes));
       (* dirty bytes still exposed to the delayed-write loss window when
          the run stops *)
       ("sim.fault.bytes_at_risk", fun t -> if t.faults = None then 0 else caches Bc.dirty_bytes t);

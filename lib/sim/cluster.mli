@@ -54,17 +54,10 @@ type config = {
 
 val default_config : config
 
-val daemon_user : Dfs_trace.Ids.User.t
-(** Reserved identity of the trace-collection daemon. *)
-
-val backup_user : Dfs_trace.Ids.User.t
-(** Reserved identity of the nightly tape backup. *)
-
-val remote_user : Dfs_trace.Ids.User.t
-(** Reserved identity of cross-partition remote reads in sharded
-    simulations; scrubbed like the other infrastructure users. *)
-
 val self_users : Dfs_trace.Ids.User.Set.t
+(** The reserved identities of the trace-collection daemon, the nightly
+    tape backup and cross-partition remote reads in sharded simulations,
+    scrubbed from the merged trace. *)
 
 type t
 
@@ -95,8 +88,9 @@ val remote_access : t -> client:Dfs_trace.Ids.Client.t -> bytes:int -> int
 (** Serve a cross-partition remote read issued by [client] (a client of
     another partition): picks a live local file (rotating cursor), runs
     the read through the owning server's cache, accounts the RPC, and
-    emits scrubbed {!remote_user} open/close records.  Returns the bytes
-    served (0 when no file qualifies). *)
+    emits open/close records under the reserved remote-read identity
+    (one of {!self_users}).  Returns the bytes served (0 when no file
+    qualifies). *)
 
 val counters : t -> Counters.t
 
@@ -110,7 +104,7 @@ val server_chunks : t -> Dfs_trace.Sink.chunks list
 (** Per-server logs in time order (as collected, before merging), as
     chunked streams.  Non-destructive: the cluster can keep running and
     be snapshotted again.
-    @raise Invalid_argument after {!release_traces}. *)
+    @raise Invalid_argument after {!release_sim_state}. *)
 
 val merged_chunks :
   ?chunk_records:int -> ?spill:Dfs_trace.Sink.spill -> t -> Dfs_trace.Sink.chunks
@@ -120,19 +114,16 @@ val merged_chunks :
     cluster's [trace_chunk_records]; pass [spill] to write the merged
     chunks to disk.  Peak memory is one output chunk plus one loaded
     chunk per server.
-    @raise Invalid_argument after {!release_traces}. *)
-
-val release_traces : t -> unit
-(** Drop the per-server logs — in-memory chunks become collectable,
-    spilled segments are deleted — once the merged trace has been
-    produced.  Trace accessors raise afterwards; idempotent. *)
+    @raise Invalid_argument after {!release_sim_state}. *)
 
 val release_sim_state : t -> unit
-(** {!release_traces} plus a full post-simulation release: the event
-    queue, the namespace's per-file table, and every client/server
-    per-file map and cache block store are dropped.  Counters, traffic
-    totals and cache statistics — all the post-run analyses read —
-    survive.  The cluster can no longer run. *)
+(** Release everything a finished simulation no longer needs, once the
+    merged trace has been produced: the per-server logs (in-memory
+    chunks become collectable, spilled segments are deleted; trace
+    accessors raise afterwards), the event queue, the namespace's
+    per-file table, and every client/server per-file map and cache block
+    store.  Counters, traffic totals and cache statistics — all the
+    post-run analyses read — survive.  The cluster can no longer run. *)
 
 val publish : t -> unit
 (** Add the [sim.*] totals and histograms of the cluster's models, and

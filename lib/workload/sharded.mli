@@ -18,11 +18,8 @@
     shards 1 vs N. *)
 
 val set_shards : int option -> unit
-(** CLI override for the worker count ([None]: auto). *)
-
-val shards : unit -> int
-(** Effective requested worker count: the {!set_shards} override, else
-    [DFS_SIM_SHARDS], else {!Dfs_util.Pool.default_jobs}. *)
+(** CLI override for the worker count ([None]: auto, which reads
+    [DFS_SIM_SHARDS], else {!Dfs_util.Pool.default_jobs}). *)
 
 val drive : Dfs_sim.Cluster.t -> until:float -> unit
 (** Run a single (unpartitioned) cluster through the windowed executor:
@@ -66,9 +63,9 @@ val auto_partitions : n_clients:int -> n_servers:int -> int
 
 val run : ?workers:int -> config -> result
 (** Build the partitions, wire deterministic cross-partition read
-    traffic, execute to [duration] on [workers] domains (default
-    {!shards}; clamped to the partition count), and merge the
-    per-partition traces.  Safe to call from inside a {!Dfs_util.Pool}
+    traffic, execute to [duration] on [workers] domains (default: the
+    {!set_shards} worker count; clamped to the partition count), and
+    merge the per-partition traces.  Safe to call from inside a {!Dfs_util.Pool}
     task — the worker team is a first-class entry point that composes
     with the preset-level [--jobs] fan-out.  Partitions publish their
     metrics in partition order, so a snapshot is the same for any worker

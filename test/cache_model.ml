@@ -1,10 +1,27 @@
-(* A reference model of Dfs_cache.Block_cache for the state-machine test
+(* A reference model of Dfs_cache.Block_cache for the state-machine tests
    in test_cache.ml: the LRU is a plain list, residency a list search.
    It records what the real cache must do on each operation: the fetches,
    the eviction victims (file and idle time, as the cache's "evict" trace
-   spans carry them) and the writebacks, each newest first. *)
+   spans carry them) and the writebacks, each newest first.
+
+   The writeback order is the one the cache's per-file [Hashtbl]s gave
+   before they were replaced by open addressing, and it is kept here with
+   the very structure that produced it: each resident file's blocks in a
+   [Hashtbl.Make] table on [Hashtbl.hash], created at 16 buckets, fed the
+   same inserts and removes, and dropped when emptied; a clean walks it
+   with [iter].  [dirty_files] (the files with a dirty block, on the same
+   hash, created at 64 buckets) gives the order in which [tick] visits
+   files, as it does in the cache. *)
 
 module Bc = Dfs_cache.Block_cache
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+end)
 
 type blk = {
   file : int;
@@ -21,6 +38,8 @@ type t = {
   min_capacity : int;
   mutable capacity : int;
   mutable lru : blk list;  (* least recently used first *)
+  tables : blk Itbl.t Itbl.t;  (* file -> block index -> block *)
+  dirty_files : unit Itbl.t;
   stats : Bc.class_stats array;  (* all, file, paging, migrated *)
   mutable writeback_bytes : int;
   mutable discarded : int;
@@ -49,6 +68,8 @@ let create ~bs ~delay ~capacity ~min_capacity =
     min_capacity;
     capacity = max 1 capacity;
     lru = [];
+    tables = Itbl.create 8;
+    dirty_files = Itbl.create 64;
     stats = Array.init 4 (fun _ -> fresh_stats ());
     writeback_bytes = 0;
     discarded = 0;
@@ -66,13 +87,23 @@ let targets m ~paging ~migrated =
   let base = if paging then m.stats.(2) else m.stats.(1) in
   if migrated then [ m.stats.(0); base; m.stats.(3) ] else [ m.stats.(0); base ]
 
+let file_dirty m file = List.exists (fun b -> b.file = file && b.dirty) m.lru
+
 let clean m b reason =
   if b.dirty then begin
     m.writebacks <- (b.file, b.index, b.high, reason) :: m.writebacks;
     m.writeback_bytes <- m.writeback_bytes + b.high;
     b.dirty <- false;
-    b.high <- 0
+    b.high <- 0;
+    if not (file_dirty m b.file) then Itbl.remove m.dirty_files b.file
   end
+
+(* Take [b], already off the LRU list, out of its file's table, and the
+   table with its last block. *)
+let unindex m b =
+  let tbl = Itbl.find m.tables b.file in
+  Itbl.remove tbl b.index;
+  if Itbl.length tbl = 0 then Itbl.remove m.tables b.file
 
 let evict m ~now ~dirty_reason =
   match m.lru with
@@ -80,6 +111,7 @@ let evict m ~now ~dirty_reason =
   | b :: rest ->
     m.lru <- rest;
     clean m b dirty_reason;
+    unindex m b;
     m.victims <- (b.file, now -. b.last_ref) :: m.victims
 
 let touch m b ~now =
@@ -97,6 +129,15 @@ let insert m ~now ~file ~index =
     { file; index; dirty = false; dirtied_at = now; last_ref = now; high = 0 }
   in
   m.lru <- m.lru @ [ b ];
+  let tbl =
+    match Itbl.find_opt m.tables file with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Itbl.create 16 in
+      Itbl.replace m.tables file tbl;
+      tbl
+  in
+  Itbl.replace tbl index b;
   b
 
 let fetch m ~file ~index ~bytes = m.fetches <- (file, index, bytes) :: m.fetches
@@ -152,26 +193,31 @@ let write m ~now ~paging ~migrated ~file ~file_size ~off ~len =
       in
       if not b.dirty then begin
         b.dirty <- true;
-        b.dirtied_at <- now
+        b.dirtied_at <- now;
+        Itbl.replace m.dirty_files file ()
       end;
       b.high <- max b.high hi;
       touch m b ~now)
 
 let clean_file m ~file reason =
-  List.iter (fun b -> if b.file = file then clean m b reason) m.lru
+  Option.iter (Itbl.iter (fun _ b -> clean m b reason)) (Itbl.find_opt m.tables file)
 
 let invalidate m ~file =
   List.iter
     (fun b -> if b.file = file && b.dirty then m.discarded <- m.discarded + b.high)
     m.lru;
-  m.lru <- List.filter (fun b -> b.file <> file) m.lru
+  m.lru <- List.filter (fun b -> b.file <> file) m.lru;
+  Itbl.remove m.tables file;
+  Itbl.remove m.dirty_files file
 
 (* The delayed-write daemon: a file with any block dirty for [delay]
-   seconds has all its dirty blocks written back. *)
+   seconds has all its dirty blocks written back.  The files expired are
+   collected by folding [dirty_files] and cleaned in the list's order. *)
 let tick m ~now =
-  List.filter (fun b -> b.dirty && now -. b.dirtied_at >= m.delay) m.lru
-  |> List.map (fun b -> b.file)
-  |> List.sort_uniq compare
+  let expired file =
+    List.exists (fun b -> b.file = file && b.dirty && now -. b.dirtied_at >= m.delay) m.lru
+  in
+  Itbl.fold (fun file () acc -> if expired file then file :: acc else acc) m.dirty_files []
   |> List.iter (fun file -> clean_file m ~file Bc.Clean_delay)
 
 let set_capacity m ~now n =

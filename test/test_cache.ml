@@ -413,18 +413,18 @@ let show_op op =
   | Tick -> "tick"
   | Set_capacity n -> Printf.sprintf "set_capacity %d" n
 
-(* Four files, I/O starting anywhere in a file's first six blocks and
-   spanning up to four: on a cache of 6 blocks (floor 2) that evicts
-   often, and steps of up to 12 s let the 30 s delayed write fire. *)
-let gen_op =
+(* The ops on [files] files: I/O of 1 byte to [span] blocks starting
+   anywhere in a file's first [extent] blocks, and capacity changes to 1
+   to [max_capacity] blocks. *)
+let gen_op ~files ~extent ~span ~max_capacity =
   let open QCheck.Gen in
-  let file = int_range 1 4 in
+  let file = int_range 1 files in
   let io =
     map
       (fun (file, (off, len), (paging, migrated)) ->
         { file; off; len; paging; migrated })
       (triple file
-         (pair (int_bound (6 * bs)) (int_range 1 (3 * bs)))
+         (pair (int_bound (extent * bs)) (int_range 1 (span * bs)))
          (pair (map (( = ) 0) (int_bound 4)) (map (( = ) 0) (int_bound 3))))
   in
   frequency
@@ -436,10 +436,11 @@ let gen_op =
       (1, map (fun f -> Invalidate f) file);
       (1, map (fun f -> Delete f) file);
       (3, return Tick);
-      (1, map (fun n -> Set_capacity n) (int_range 1 10));
+      (1, map (fun n -> Set_capacity n) (int_range 1 max_capacity));
     ]
 
-let arb_ops =
+(* Steps of up to 12 s let the 30 s delayed write fire. *)
+let arb_ops gen_op =
   QCheck.make
     ~print:
       (QCheck.Print.list (fun (dt, op) -> Printf.sprintf "+%ds %s" dt (show_op op)))
@@ -463,14 +464,16 @@ let traced_victims f =
     (P.simulations ())
 
 (* Each operation runs on the cache and on the model; after it the
-   fetches must match in order, the victims in order, the writebacks as a
-   multiset (within a file they follow the block table's hash order), and
-   the statistics exactly. *)
-let prop_matches_model =
-  QCheck.Test.make ~name:"matches reference model" ~count:300 arb_ops
+   fetches, the victims and the writebacks must match in order, and the
+   statistics exactly.  The model writes a file's blocks back in the
+   order of the per-file hash table the cache kept before, and visits
+   files in [tick] in its [dirty_files] order (cache_model.ml), so the
+   writebacks are compared as a sequence. *)
+let matches_model ~name ~count ~capacity ~min_capacity gen_op =
+  QCheck.Test.make ~name ~count ~long_factor:20 (arb_ops gen_op)
     (fun ops ->
-      let cache, log = make_cache ~capacity:6 ~min_capacity:2 ~delay:30.0 () in
-      let m = Cache_model.create ~bs ~delay:30.0 ~capacity:6 ~min_capacity:2 in
+      let cache, log = make_cache ~capacity ~min_capacity ~delay:30.0 () in
+      let m = Cache_model.create ~bs ~delay:30.0 ~capacity ~min_capacity in
       let sizes = Array.make 5 0 and clock = ref 0.0 in
       let cls_of { paging; _ } =
         if paging then Bc.Class_paging else Bc.Class_file
@@ -521,7 +524,7 @@ let prop_matches_model =
         let st = Bc.stats cache in
         log.fetches = m.fetches
         && victims = List.rev m.victims
-        && List.sort compare log.writebacks = List.sort compare m.writebacks
+        && log.writebacks = m.writebacks
         && [ st.all; st.file; st.paging; st.migrated ] = Array.to_list m.stats
         && st.writeback_bytes = m.writeback_bytes
         && st.dirty_bytes_discarded = m.discarded
@@ -531,6 +534,21 @@ let prop_matches_model =
       in
       Fun.protect ~finally:Dfs_obs.Profiler.disable_sim (fun () -> List.for_all step ops))
 
+(* Four files on a cache of 6 blocks (floor 2) that evicts often. *)
+let prop_matches_model =
+  matches_model ~name:"matches reference model" ~count:300 ~capacity:6
+    ~min_capacity:2
+    (gen_op ~files:4 ~extent:6 ~span:3 ~max_capacity:10)
+
+(* Three files on a cache of 320 blocks (floor 8), with I/O of up to 64
+   blocks: a file's table passes 32, 64 and 128 blocks and doubles its
+   buckets each time, capacity cuts and invalidations shrink and empty
+   it, and its next block starts a table of 16 buckets again. *)
+let prop_matches_model_large =
+  matches_model ~name:"matches reference model, large files" ~count:40
+    ~capacity:320 ~min_capacity:8
+    (gen_op ~files:3 ~extent:192 ~span:64 ~max_capacity:400)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -538,6 +556,7 @@ let qcheck_tests =
       prop_reads_conserve_bytes;
       prop_writeback_bounded_by_written;
       prop_matches_model;
+      prop_matches_model_large;
     ]
 
 let suite =

@@ -153,7 +153,7 @@ let test_rpc_delay_backoff () =
     let st = Injector.stats inj in
     Alcotest.(check int) "retries counted" want_retries st.Injector.rpc_retries;
     Alcotest.(check (float 1e-9)) "stall accumulated" want_stall
-      st.Injector.rpc_stall_s;
+      (Injector.rpc_stall_s inj);
     (* Up and reachable: a zero-drop profile charges nothing. *)
     let quiet =
       Injector.create
@@ -341,22 +341,20 @@ let test_network_rpc_negative_bytes () =
 (* -- recovery-stats table ----------------------------------------------------- *)
 
 let test_recovery_stats_totals () =
+  (* [crashes] one-minute outages that lose [lost] bytes between them,
+     each followed by a reboot, and a recovery storm of 20 RPCs. *)
   let mk crashes lost =
-    {
-      Injector.crashes;
-      reboots = crashes;
-      downtime_s = 60.0 *. float_of_int crashes;
-      lost_bytes = lost;
-      partitions = 1;
-      rpc_retries = 10;
-      rpc_drops = 2;
-      backoff_capped = 1;
-      rpc_stall_s = 3.5;
-      disk_errors = 4;
-      recovery_rpcs = 20;
-      offline_queued_bytes = 2048;
-      replayed_bytes = 2048;
-    }
+    let inj =
+      Injector.create ~profile:Profile.crash_heavy ~n_servers:1 ~horizon:86400.0 ()
+    in
+    for i = 1 to crashes do
+      let now = 3600.0 *. float_of_int i in
+      Injector.note_crash inj ~server:0 ~now ~duration:60.0
+        ~lost_bytes:(if i = 1 then lost else 0);
+      Injector.note_reboot inj ~server:0 ~now:(now +. 60.0)
+    done;
+    Injector.note_recovery_rpcs inj 20;
+    inj
   in
   let t =
     Dfs_analysis.Recovery_stats.analyze
@@ -425,28 +423,28 @@ let crashy_preset () =
     (Presets.scaled (Presets.trace 1) ~factor:0.01)
     Profile.crash_heavy
 
-let run_stats () =
+let run_injector () =
   let cluster, _driver = Presets.run (crashy_preset ()) in
   match Cluster.faults cluster with
   | None -> Alcotest.fail "fault profile did not build an injector"
-  | Some inj -> (cluster, Injector.stats inj)
+  | Some inj -> (cluster, inj)
 
 let test_recovery_storm_e2e () =
-  let cluster, st = run_stats () in
-  Alcotest.(check bool) "at least one crash" true (st.Injector.crashes >= 1);
+  let cluster, inj = run_injector () in
+  let st = Injector.stats inj and crashes = Injector.crashes inj in
+  Alcotest.(check bool) "at least one crash" true (crashes >= 1);
   (* A server that crashes near the end of the run may still be down when
      the run stops: at most one reboot per server can be outstanding. *)
   Alcotest.(check bool) "reboots happened" true (st.Injector.reboots >= 1);
   Alcotest.(check bool) "at most one outstanding reboot per server" true
-    (st.Injector.crashes - st.Injector.reboots >= 0
-    && st.Injector.crashes - st.Injector.reboots <= 4);
-  Alcotest.(check bool) "downtime accrued" true (st.Injector.downtime_s > 0.0);
+    (crashes - st.Injector.reboots >= 0 && crashes - st.Injector.reboots <= 4);
+  Alcotest.(check bool) "downtime accrued" true (Injector.downtime_s inj > 0.0);
   Alcotest.(check bool) "recovery storm happened" true
     (st.Injector.recovery_rpcs > 0);
   Alcotest.(check bool) "clients stalled on retries" true
-    (st.Injector.rpc_retries > 0 && st.Injector.rpc_stall_s > 0.0);
+    (st.Injector.rpc_retries > 0 && Injector.rpc_stall_s inj > 0.0);
   Alcotest.(check bool) "delayed-write bytes were lost" true
-    (st.Injector.lost_bytes > 0);
+    (Injector.lost_bytes inj > 0);
   Alcotest.(check bool) "writebacks were parked while a server was down" true
     (st.Injector.offline_queued_bytes > 0);
   Alcotest.(check bool) "replay never exceeds what was parked" true
@@ -455,9 +453,15 @@ let test_recovery_storm_e2e () =
     (Dfs_trace.Sink.length (Cluster.merged_chunks cluster) > 0)
 
 let test_faulty_run_deterministic () =
-  let _, a = run_stats () in
-  let _, b = run_stats () in
-  Alcotest.(check bool) "identical stats across runs" true (a = b)
+  let stats () =
+    let _, inj = run_injector () in
+    ( Injector.stats inj,
+      Injector.crashes inj,
+      Injector.downtime_s inj,
+      Injector.lost_bytes inj,
+      Injector.rpc_stall_s inj )
+  in
+  Alcotest.(check bool) "identical stats across runs" true (stats () = stats ())
 
 let test_faults_off_by_default () =
   let cluster =

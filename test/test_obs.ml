@@ -383,7 +383,8 @@ let model_totals cluster =
   let disk f = servers (fun s -> f (S.disk s)) in
   let cons f = servers (fun s -> f (S.consistency s)) in
   let net = C.network cluster in
-  let st = Dfs_fault.Injector.stats (Option.get (C.faults cluster)) in
+  let inj = Option.get (C.faults cluster) in
+  let st = Dfs_fault.Injector.stats inj in
   [
     ("sim.net.rpcs", Dfs_sim.Network.total_rpcs net);
     ("sim.net.bytes", Dfs_sim.Network.total_bytes net);
@@ -405,9 +406,9 @@ let model_totals cluster =
     ("sim.server.recalls", cons (fun c -> c.recalls));
     ("sim.server.cache_disables", cons (fun c -> c.cache_disables));
     ("sim.engine.events", Dfs_sim.Engine.events_executed (C.engine cluster));
-    ("sim.fault.crashes", st.crashes);
+    ("sim.fault.crashes", Dfs_fault.Injector.crashes inj);
     ("sim.fault.reboots", st.reboots);
-    ("sim.fault.lost_bytes", st.lost_bytes);
+    ("sim.fault.lost_bytes", Dfs_fault.Injector.lost_bytes inj);
     ("sim.fault.partitions", st.partitions);
     ("sim.fault.rpc_retries", st.rpc_retries);
     ("sim.fault.rpc_drops", st.rpc_drops);
