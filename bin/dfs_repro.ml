@@ -7,7 +7,7 @@ open Cmdliner
 let scale_arg =
   let doc =
     "Trace length as a fraction of 24 hours (1.0 = full day). Defaults to \
-     0.05, or 1.0 when DFS_FULL=1 is set."
+     0.05."
   in
   Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"FRACTION" ~doc)
 
@@ -59,8 +59,7 @@ let fault_seed_arg =
 let chunk_records_arg =
   let doc =
     "Records per sealed trace chunk in the streaming trace pipeline. \
-     Defaults to DFS_CHUNK_RECORDS, else 32768. Results are identical \
-     whatever the value."
+     Defaults to 32768. Results are identical whatever the value."
   in
   Arg.(value & opt (some int) None & info [ "chunk-records" ] ~docv:"N" ~doc)
 
@@ -68,8 +67,7 @@ let spill_dir_arg =
   let doc =
     "Spill sealed trace chunks to this directory as columnar trace \
      segments instead of keeping them in memory, bounding peak heap. \
-     Defaults to DFS_SPILL_DIR, else in-memory chunks. Results are \
-     identical either way."
+     Defaults to in-memory chunks. Results are identical either way."
   in
   Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR" ~doc)
 
@@ -231,10 +229,6 @@ let with_obs ~metrics_out ~trace_out ?(profile_out = None) f =
     profile_out;
   result
 
-let make_dataset ?faults ?chunk_records ?spill_dir scale traces jobs =
-  Dfs_core.Dataset.generate ?scale ~traces ?jobs ?faults ?chunk_records
-    ?spill_dir ()
-
 let replay_arg =
   let doc =
     "Build the dataset by replaying this canonical trace file (e.g. the \
@@ -245,23 +239,42 @@ let replay_arg =
   in
   Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
-(* Dataset for the table/figure commands: synthetic presets by default,
-   or a replayed foreign trace under [--replay]. *)
-let dataset_for ?faults ?chunk_records ?spill_dir ~replay scale traces jobs =
-  match replay with
-  | None -> make_dataset ?faults ?chunk_records ?spill_dir scale traces jobs
-  | Some path -> (
-    match Dfs_core.Dataset.of_replay ?jobs path with
-    | Ok (ds, stats) ->
-      Dfs_obs.Log.info
-        "replayed %s: %d records, %d applied, %d skipped, %d clients, %d \
-         files"
-        path stats.Dfs_workload.Replay.records stats.applied stats.skipped
-        stats.clients stats.files;
-      ds
-    | Error e ->
-      Dfs_obs.Log.error "%s" e;
-      exit 2)
+(* The flags and prelude of the table/figure commands ([experiment],
+   [all], [facts]).  Evaluating the term checks the flags, before
+   anything is built; it yields a runner that builds the dataset
+   (synthetic presets by default, or a replayed foreign trace under
+   [--replay]) with the requested observability on, and hands it over. *)
+let dataset_term =
+  let prepare () scale traces jobs faults fault_seed sim_shards chunk_records
+      spill_dir replay metrics_out trace_out profile_out =
+    Dfs_workload.Sharded.set_shards sim_shards;
+    check_dataset_flags scale traces chunk_records;
+    fun f ->
+      with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
+          let faults = fault_profile faults fault_seed in
+          f
+            (match replay with
+            | None ->
+              Dfs_core.Dataset.generate ?scale ~traces ?jobs ?faults
+                ?chunk_records ?spill_dir ()
+            | Some path -> (
+              match Dfs_core.Dataset.of_replay ?jobs path with
+              | Ok (ds, stats) ->
+                Dfs_obs.Log.info
+                  "replayed %s: %d records, %d applied, %d skipped, %d \
+                   clients, %d files"
+                  path stats.Dfs_workload.Replay.records stats.applied
+                  stats.skipped stats.clients stats.files;
+                ds
+              | Error e ->
+                Dfs_obs.Log.error "%s" e;
+                exit 2)))
+  in
+  Term.(
+    const prepare $ verbosity_term $ scale_arg $ traces_arg $ jobs_arg
+    $ faults_arg $ fault_seed_arg $ sim_shards_arg $ chunk_records_arg
+    $ spill_dir_arg $ replay_arg $ metrics_out_arg $ trace_out_arg
+    $ profile_out_arg)
 
 (* -- list ------------------------------------------------------------------ *)
 
@@ -282,10 +295,7 @@ let experiment_cmd =
     let doc = "Experiment ids (table1..table12, fig1..fig4)." in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run () ids scale traces jobs faults fault_seed sim_shards chunk_records
-      spill_dir replay metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
-    check_dataset_flags scale traces chunk_records;
+  let run ids with_dataset =
     let unknown =
       List.filter (fun id -> Dfs_core.Experiment.find id = None) ids
     in
@@ -295,11 +305,7 @@ let experiment_cmd =
         (String.concat ", " Dfs_core.Experiment.ids);
       exit 1
     end;
-    with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
-        let ds =
-          dataset_for ?faults:(fault_profile faults fault_seed)
-            ?chunk_records ?spill_dir ~replay scale traces jobs
-        in
+    with_dataset (fun ds ->
         List.iter
           (fun id ->
             match Dfs_core.Experiment.find id with
@@ -311,24 +317,13 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce specific tables/figures")
-    Term.(
-      const run $ verbosity_term $ ids_arg $ scale_arg $ traces_arg $ jobs_arg
-      $ faults_arg $ fault_seed_arg $ sim_shards_arg $ chunk_records_arg
-      $ spill_dir_arg $ replay_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_out_arg)
+    Term.(const run $ ids_arg $ dataset_term)
 
 (* -- all ----------------------------------------------------------------------- *)
 
 let all_cmd =
-  let run () scale traces jobs faults fault_seed sim_shards chunk_records
-      spill_dir replay metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
-    check_dataset_flags scale traces chunk_records;
-    with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
-        let ds =
-          dataset_for ?faults:(fault_profile faults fault_seed)
-            ?chunk_records ?spill_dir ~replay scale traces jobs
-        in
+  let run with_dataset =
+    with_dataset (fun ds ->
         List.iter
           (fun (e : Dfs_core.Experiment.t) ->
             Printf.printf "=== %s: %s ===\n%s\n" e.id e.title (e.run ds))
@@ -337,11 +332,7 @@ let all_cmd =
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every table and figure")
-    Term.(
-      const run $ verbosity_term $ scale_arg $ traces_arg $ jobs_arg
-      $ faults_arg $ fault_seed_arg $ sim_shards_arg $ chunk_records_arg
-      $ spill_dir_arg $ replay_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_out_arg)
+    Term.(const run $ dataset_term)
 
 (* -- facts -------------------------------------------------------------------- *)
 
@@ -350,15 +341,8 @@ let facts_cmd =
     let doc = "Emit the scorecard as a markdown table (for EXPERIMENTS.md)." in
     Arg.(value & flag & info [ "markdown" ] ~doc)
   in
-  let run () scale traces jobs faults fault_seed sim_shards chunk_records
-      spill_dir markdown replay metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
-    check_dataset_flags scale traces chunk_records;
-    with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
-        let ds =
-          dataset_for ?faults:(fault_profile faults fault_seed)
-            ?chunk_records ?spill_dir ~replay scale traces jobs
-        in
+  let run markdown with_dataset =
+    with_dataset (fun ds ->
         if markdown then print_string (Dfs_core.Claims.markdown ds)
         else begin
           print_string (Dfs_core.Claims.scorecard ds);
@@ -369,11 +353,7 @@ let facts_cmd =
     (Cmd.info "facts"
        ~doc:
          "Check the paper's headline findings (the prose claims) against           the simulation")
-    Term.(
-      const run $ verbosity_term $ scale_arg $ traces_arg $ jobs_arg
-      $ faults_arg $ fault_seed_arg $ sim_shards_arg $ chunk_records_arg
-      $ spill_dir_arg $ markdown_arg $ replay_arg $ metrics_out_arg
-      $ trace_out_arg $ profile_out_arg)
+    Term.(const run $ markdown_arg $ dataset_term)
 
 (* -- simulate ------------------------------------------------------------------- *)
 
@@ -382,12 +362,8 @@ let trace_n_arg =
   Arg.(value & opt int 1 & info [ "trace" ] ~docv:"N" ~doc)
 
 let scaled_preset n scale =
-  let preset = Dfs_workload.Presets.trace n in
-  match scale with
-  | Some s -> Dfs_workload.Presets.scaled preset ~factor:s
-  | None ->
-    Dfs_workload.Presets.scaled preset
-      ~factor:(Dfs_core.Dataset.default_scale ())
+  Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace n)
+    ~factor:(Option.value scale ~default:Dfs_core.Dataset.default_scale)
 
 let trace_format_arg =
   let doc =

@@ -24,7 +24,7 @@ let () =
   let accesses = Dfs_analysis.Session.of_batch batch in
 
   (* Overall statistics (the shape of the paper's Table 1). *)
-  let stats = Dfs_analysis.Trace_stats.of_batch ~accesses batch in
+  let stats = Dfs_analysis.Trace_stats.of_batch batch in
   Format.printf "@.%a@.@." Dfs_analysis.Trace_stats.pp stats;
   Printf.printf "simulated users: %d\n" (Dfs_workload.Driver.n_users driver);
 

@@ -55,7 +55,7 @@ let () =
       Printf.printf "3. merged %d records\n" (Dfs_trace.Record_batch.length merged);
       (* 5. analyze *)
       let accesses = Dfs_analysis.Session.of_batch merged in
-      let stats = Dfs_analysis.Trace_stats.of_batch ~accesses merged in
+      let stats = Dfs_analysis.Trace_stats.of_batch merged in
       Format.printf "4. %a@." Dfs_analysis.Trace_stats.pp stats;
       let rl = Dfs_analysis.Run_length.analyze accesses in
       Printf.printf

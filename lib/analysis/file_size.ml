@@ -16,5 +16,3 @@ let analyze accesses =
   let t = create () in
   List.iter (add t) accesses;
   t
-
-let default_xs = Dfs_util.Cdf.log_xs ~lo:100.0 ~hi:10_485_760.0 ~per_decade:4

@@ -13,6 +13,3 @@ val create : unit -> t
 val add : t -> Session.access -> unit
 
 val analyze : Session.access list -> t
-
-val default_xs : float array
-(** 100 bytes to 10 MB, log spaced, as in the paper's axis. *)

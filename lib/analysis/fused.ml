@@ -246,23 +246,15 @@ let assemble shards =
         (merge_by_gidx (List.map (fun s -> s.sh_deaths) shards));
       finish p o ~accesses)
 
-let analyze_sharded ?pool batches =
-  let nshards =
-    match pool with
-    | Some p when Dfs_util.Pool.jobs p > 1 && not (Dfs_util.Pool.in_pool_task ())
-      -> Dfs_util.Pool.jobs p
-    | Some _ | None -> 1
-  in
-  if nshards = 1 then analyze_seq (batches ())
-  else
-    Dfs_obs.Profiler.span ~cat:"analysis" "fused.analyze_sharded" (fun () ->
-        let pool = Option.get pool in
-        let shards =
-          Dfs_util.Pool.map_auto pool
-            (fun shard -> scan_shard (batches ()) ~shard ~nshards)
-            (List.init nshards Fun.id)
-        in
-        assemble shards)
-
 let analyze_chunks ?pool chunks =
-  analyze_sharded ?pool (fun () -> Dfs_trace.Sink.to_seq chunks)
+  let batches () = Dfs_trace.Sink.to_seq chunks in
+  match pool with
+  | Some pool
+    when Dfs_util.Pool.jobs pool > 1 && not (Dfs_util.Pool.in_pool_task ()) ->
+    let nshards = Dfs_util.Pool.jobs pool in
+    Dfs_obs.Profiler.span ~cat:"analysis" "fused.analyze_sharded" (fun () ->
+        assemble
+          (Dfs_util.Pool.map pool
+             (fun shard -> scan_shard (batches ()) ~shard ~nshards)
+             (List.init nshards Fun.id)))
+  | Some _ | None -> analyze_seq (batches ())

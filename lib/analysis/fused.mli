@@ -38,11 +38,10 @@ val analyze_seq : Dfs_trace.Record_batch.t Seq.t -> t
     at a time (plus the accumulators), so peak memory is bounded by the
     chunk size rather than the trace length. *)
 
-val analyze_sharded : ?pool:Dfs_util.Pool.t -> (unit -> Dfs_trace.Record_batch.t Seq.t) -> t
-(** {!analyze_seq} sharded across the pool's domains.  Each of
-    [Pool.jobs pool] shards replays the stream (hence the thunk — the
-    sequence must be replayable, as {!Dfs_trace.Sink.to_seq} is) and
-    processes only the records whose client id falls in the shard;
+val analyze_chunks : ?pool:Dfs_util.Pool.t -> Dfs_trace.Sink.chunks -> t
+(** {!analyze_seq} over a finished sink, sharded across the pool's
+    domains.  Each of [Pool.jobs pool] shards replays the chunk stream
+    and processes only the records whose client id falls in the shard;
     handles are client-keyed, so shards reconstruct disjoint session
     sets.  Per-record accumulators and activity bytes merge
     commutatively and the order-sensitive access/death streams are k-way
@@ -52,7 +51,5 @@ val analyze_sharded : ?pool:Dfs_util.Pool.t -> (unit -> Dfs_trace.Record_batch.t
     record in order.  So the result is {e bit-identical} to
     {!analyze_seq} for any pool size.  Runs sequentially (zero overhead)
     when the pool is absent, has one job, or the caller is already
-    inside a pool task. *)
-
-val analyze_chunks : ?pool:Dfs_util.Pool.t -> Dfs_trace.Sink.chunks -> t
-(** {!analyze_sharded} over a finished sink. *)
+    inside a pool task, where {!Dfs_util.Pool.map} would reject nested
+    use. *)

@@ -111,15 +111,9 @@ let acc_record acc batch i =
 let acc_finish acc =
   of_events ~writes:(List.rev acc.writes_rev) ~deaths:(List.rev acc.deaths_rev)
 
-let analyze ?accesses batch =
+let analyze batch =
   let acc = acc_create () in
-  let accesses =
-    match accesses with Some l -> l | None -> Session.of_batch batch
-  in
-  List.iter (acc_access acc) accesses;
-  for i = 0 to B.length batch - 1 do
-    acc_record acc batch i
-  done;
+  Session.sweep batch ~on_record:(acc_record acc) ~on_access:(acc_access acc);
   acc_finish acc
 
 let default_xs = Dfs_util.Cdf.log_xs ~lo:1.0 ~hi:10_000_000.0 ~per_decade:3

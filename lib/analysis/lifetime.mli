@@ -16,10 +16,9 @@ type t = {
   deaths_unknown : int;  (** deletions of files never written in-trace *)
 }
 
-val analyze : ?accesses:Session.access list -> Dfs_trace.Record_batch.t -> t
+val analyze : Dfs_trace.Record_batch.t -> t
 (** The sequential pass: the fused analysis computes the same result
-    through the accumulator below.  [accesses] reuses an existing access
-    reconstruction of the same batch. *)
+    through the accumulator below. *)
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} (collects deletes/truncates in record

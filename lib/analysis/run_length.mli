@@ -17,7 +17,3 @@ val add : t -> Session.access -> unit
 
 val analyze : Session.access list -> t
 (** Directory accesses are excluded, as in Section 4. *)
-
-val default_xs : float array
-(** The log-spaced run-length axis used in the paper's figure
-    (100 bytes to 10 MB). *)

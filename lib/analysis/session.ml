@@ -203,10 +203,7 @@ let sweep_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_access =
 let sweep batch ~on_record ~on_access =
   sweep_seq (Seq.return batch) ~on_record ~on_boundary:no_boundary ~on_access
 
-let of_seq batches =
+let of_batch batch =
   let acc = ref [] in
-  sweep_seq batches ~on_record:no_record ~on_boundary:no_boundary
-    ~on_access:(fun a -> acc := a :: !acc);
+  sweep batch ~on_record:no_record ~on_access:(fun a -> acc := a :: !acc);
   List.rev !acc
-
-let of_batch batch = of_seq (Seq.return batch)

@@ -46,11 +46,6 @@ val of_batch : Dfs_trace.Record_batch.t -> access list
     Opens with no matching close (trace cut off) are dropped, as are
     closes with no matching open. *)
 
-val of_seq : Dfs_trace.Record_batch.t Seq.t -> access list
-(** {!of_batch} over a chunked trace.  The open-handle table persists
-    across batch boundaries, so a trace split into chunks yields exactly
-    the accesses of the same records in one batch. *)
-
 val sweep :
   Dfs_trace.Record_batch.t ->
   on_record:(Dfs_trace.Record_batch.t -> int -> unit) ->

@@ -124,18 +124,9 @@ let acc_finish acc =
     shared_write_events = acc.swrites;
   }
 
-let of_batch ?accesses batch =
+let of_batch batch =
   let acc = acc_create () in
-  (match accesses with
-  | Some l ->
-    List.iter (acc_access acc) l;
-    for i = 0 to B.length batch - 1 do
-      acc_record acc batch i
-    done
-  | None ->
-    Session.sweep batch
-      ~on_record:(fun batch i -> acc_record acc batch i)
-      ~on_access:(acc_access acc));
+  Session.sweep batch ~on_record:(acc_record acc) ~on_access:(acc_access acc);
   acc_finish acc
 
 let pp ppf t =

@@ -16,12 +16,12 @@ type t = {
   shared_write_events : int;
 }
 
-val of_batch : ?accesses:Session.access list -> Dfs_trace.Record_batch.t -> t
+val of_batch : Dfs_trace.Record_batch.t -> t
 (** Event counts straight off the records; megabytes read/written come
     from the per-access totals carried on closes of regular files
     (directory data is counted separately, from directory-read records).
-    Pass [accesses] to reuse an already-computed access reconstruction
-    (e.g. {!Dfs_core.Dataset.sessions}) instead of rebuilding it. *)
+    The fused analysis computes the same result through the accumulator
+    below. *)
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} and every completed access with

@@ -323,8 +323,6 @@ let create ?(config = default_config) ?(dirty_ages = Dfs_obs.Metrics.Acc.create 
     dirty_ages;
   }
 
-let config t = t.cfg
-
 let capacity t = t.capacity
 
 let size t = t.resident

@@ -76,8 +76,6 @@ val create : ?config:config -> ?dirty_ages:Dfs_obs.Metrics.Acc.t -> backend -> t
 (** Each writeback adds its block's dirty age to [dirty_ages], which a
     cluster shares among its caches. *)
 
-val config : t -> config
-
 (** {1 Data path}
 
     All operations take [now], the current simulation time, and

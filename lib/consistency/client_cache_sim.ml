@@ -65,10 +65,4 @@ let flush_dirty t ~client ?older_than ~now () =
       tbl;
     (!cleaned, !bytes)
 
-let dirty_count t ~client =
-  match Hashtbl.find_opt t client with
-  | None -> 0
-  | Some tbl ->
-    Hashtbl.fold (fun _ b acc -> if b.dirty then acc + 1 else acc) tbl 0
-
 let clients t = Hashtbl.fold (fun c _ acc -> c :: acc) t []

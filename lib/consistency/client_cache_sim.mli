@@ -26,6 +26,4 @@ val flush_dirty :
     bytes are the accumulated dirty extents, like Sprite's writebacks.
     Cleaned blocks stay resident. *)
 
-val dirty_count : t -> client:int -> int
-
 val clients : t -> int list

@@ -21,38 +21,18 @@ type claim = {
 
 (* -- measurement helpers --------------------------------------------------- *)
 
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let per_trace (ds : Dataset.t) f = List.map (fun r -> f r) ds.runs
-
 (* Per-trace results of the fused pass, which carries Tables 2, 10 and
    11's folds. *)
-let fused (ds : Dataset.t) get = per_trace ds (fun r -> get (Dataset.fused r))
+let fused ds get = Dataset.per_trace ds (fun r -> get (Dataset.fused r))
 
 let avg_tput get ds =
-  mean
+  Dataset.mean
     (List.map
        (fun (r : A.Activity.report) -> r.avg_user_throughput)
        (fused ds get))
 
-let all_cache_stats ds = List.concat_map Dataset.client_cache_stats ds.Dataset.runs
-
 let effectiveness ?(migrated = false) ds =
-  A.Cache_stats.effectiveness (all_cache_stats ds) ~migrated
-
-let raw_traffic (ds : Dataset.t) =
-  List.fold_left
-    (fun acc (r : Dataset.run) ->
-      Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_traffic r.cluster))
-    (Dfs_sim.Traffic.create ()) ds.runs
-
-let server_traffic (ds : Dataset.t) =
-  List.fold_left
-    (fun acc (r : Dataset.run) ->
-      Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_server_traffic r.cluster))
-    (Dfs_sim.Traffic.create ()) ds.runs
+  A.Cache_stats.effectiveness (Dataset.all_cache_stats ds) ~migrated
 
 (* -- the claims ------------------------------------------------------------- *)
 
@@ -96,8 +76,11 @@ let all =
       c_hi = 100.0;
       c_measure =
         (fun ds ->
-          let pats = per_trace ds (fun r -> (Dataset.fused r).A.Fused.access_patterns) in
-          mean
+          let pats =
+            Dataset.per_trace ds (fun r ->
+                (Dataset.fused r).A.Fused.access_patterns)
+          in
+          Dataset.mean
             (List.map
                (fun (p : A.Access_patterns.t) ->
                  let random_bytes =
@@ -118,8 +101,8 @@ let all =
       c_hi = 95.0;
       c_measure =
         (fun ds ->
-          mean
-            (per_trace ds (fun r ->
+          Dataset.mean
+            (Dataset.per_trace ds (fun r ->
                  let f = (Dataset.fused r).A.Fused.run_length in
                  100.0 *. Dfs_util.Cdf.fraction_below f.by_runs 10240.0)));
     };
@@ -135,8 +118,8 @@ let all =
       c_hi = 90.0;
       c_measure =
         (fun ds ->
-          mean
-            (per_trace ds (fun r ->
+          Dataset.mean
+            (Dataset.per_trace ds (fun r ->
                  let f = (Dataset.fused r).A.Fused.run_length in
                  100.0 *. (1.0 -. Dfs_util.Cdf.fraction_below f.by_bytes 1048576.0))));
     };
@@ -150,8 +133,8 @@ let all =
       c_hi = 90.0;
       c_measure =
         (fun ds ->
-          mean
-            (per_trace ds (fun r ->
+          Dataset.mean
+            (Dataset.per_trace ds (fun r ->
                  100.0
                  *. A.Open_time.fraction_under (Dataset.fused r).A.Fused.open_time 0.25)));
     };
@@ -165,8 +148,8 @@ let all =
       c_hi = 92.0;
       c_measure =
         (fun ds ->
-          mean
-            (per_trace ds (fun r ->
+          Dataset.mean
+            (Dataset.per_trace ds (fun r ->
                  100.0
                  *. A.Lifetime.fraction_files_under (Dataset.fused r).A.Fused.lifetime 30.0)));
     };
@@ -182,8 +165,8 @@ let all =
       c_hi = 40.0;
       c_measure =
         (fun ds ->
-          mean
-            (per_trace ds (fun r ->
+          Dataset.mean
+            (Dataset.per_trace ds (fun r ->
                  100.0
                  *. A.Lifetime.fraction_bytes_under (Dataset.fused r).A.Fused.lifetime 30.0)));
     };
@@ -213,8 +196,8 @@ let all =
       c_measure =
         (fun ds ->
           100.0
-          *. A.Cache_stats.filter_ratio ~raw:(raw_traffic ds)
-               ~server:(server_traffic ds));
+          *. A.Cache_stats.filter_ratio ~raw:(Dataset.raw_traffic ds)
+               ~server:(Dataset.server_traffic ds));
     };
     {
       c_id = "read-miss-ratio";
@@ -276,7 +259,7 @@ let all =
       c_hi = 50.0;
       c_measure =
         (fun ds ->
-          let t = server_traffic ds in
+          let t = Dataset.server_traffic ds in
           let paging =
             Dfs_sim.Traffic.read_bytes t Dfs_sim.Traffic.Paging_cached
             + Dfs_sim.Traffic.write_bytes t Dfs_sim.Traffic.Paging_cached
@@ -297,7 +280,7 @@ let all =
       c_hi = 99.0;
       c_measure =
         (fun ds ->
-          let rows = A.Cache_stats.cleanings (all_cache_stats ds) in
+          let rows = A.Cache_stats.cleanings (Dataset.all_cache_stats ds) in
           match
             List.find_opt
               (fun (r : A.Cache_stats.reason_row) -> r.r_label = "30-second delay")
@@ -318,7 +301,7 @@ let all =
       c_hi = 1.0;
       c_measure =
         (fun ds ->
-          mean
+          Dataset.mean
             (List.map A.Consistency_stats.sharing_pct
                (fused ds (fun f -> f.A.Fused.consistency))));
     };
@@ -334,7 +317,7 @@ let all =
       c_hi = 6.0;
       c_measure =
         (fun ds ->
-          mean
+          Dataset.mean
             (List.map A.Consistency_stats.recall_pct
                (fused ds (fun f -> f.A.Fused.consistency))));
     };
@@ -350,7 +333,7 @@ let all =
       c_hi = 70.0;
       c_measure =
         (fun ds ->
-          mean
+          Dataset.mean
             (List.map C.Polling.pct_users_affected
                (fused ds (fun f -> f.A.Fused.polling_60s))));
     };
@@ -367,12 +350,16 @@ let all =
       c_measure =
         (fun ds ->
           let e60 =
-            mean (List.map (fun (r : C.Polling.report) -> r.errors_per_hour)
-                    (fused ds (fun f -> f.A.Fused.polling_60s)))
+            Dataset.mean
+              (List.map
+                 (fun (r : C.Polling.report) -> r.errors_per_hour)
+                 (fused ds (fun f -> f.A.Fused.polling_60s)))
           in
           let e3 =
-            mean (List.map (fun (r : C.Polling.report) -> r.errors_per_hour)
-                    (fused ds (fun f -> f.A.Fused.polling_3s)))
+            Dataset.mean
+              (List.map
+                 (fun (r : C.Polling.report) -> r.errors_per_hour)
+                 (fused ds (fun f -> f.A.Fused.polling_3s)))
           in
           if e3 <= 0.0 then 500.0 else e60 /. e3);
     };
@@ -401,7 +388,7 @@ let all =
                     /. float_of_int d))
               ds.runs
           in
-          mean ratios);
+          Dataset.mean ratios);
     };
     {
       c_id = "raw-reads-dominate";
@@ -413,7 +400,7 @@ let all =
       c_hi = 6.0;
       c_measure =
         (fun ds ->
-          let t = raw_traffic ds in
+          let t = Dataset.raw_traffic ds in
           let r = Dfs_sim.Traffic.read_bytes t Dfs_sim.Traffic.File_data in
           let w = Dfs_sim.Traffic.write_bytes t Dfs_sim.Traffic.File_data in
           if w = 0 then 0.0 else float_of_int r /. float_of_int w);

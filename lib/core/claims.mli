@@ -8,8 +8,6 @@
 
 type verdict = Reproduced | Near | Off
 
-val verdict_name : verdict -> string
-
 type claim = {
   c_id : string;  (** e.g. "throughput-per-user" *)
   c_section : string;  (** paper section *)
@@ -20,8 +18,6 @@ type claim = {
   c_hi : float;
   c_measure : Dataset.t -> float;
 }
-
-val all : claim list
 
 type result = { claim : claim; measured : float; verdict : verdict }
 

@@ -24,19 +24,7 @@ type run = {
 
 type t = { scale : float; jobs : int; runs : run list }
 
-let default_scale () =
-  match Sys.getenv_opt "DFS_FULL" with
-  | Some ("1" | "true" | "yes") -> 1.0
-  | Some _ | None -> 0.05
-
-let default_chunk_records () =
-  match Sys.getenv_opt "DFS_CHUNK_RECORDS" with
-  | Some s -> (
-    match int_of_string_opt s with Some n when n >= 1 -> n | Some _ | None ->
-      Sink.default_chunk_records)
-  | None -> Sink.default_chunk_records
-
-let default_spill_dir () = Sys.getenv_opt "DFS_SPILL_DIR"
+let default_scale = 0.05
 
 let simulate_preset ~scale ~faults ~chunk_records ~spill_dir ~jobs n =
   let preset = Presets.scaled (Presets.trace n) ~factor:scale in
@@ -94,15 +82,8 @@ let simulate_preset ~scale ~faults ~chunk_records ~spill_dir ~jobs n =
     memo = { lock = Mutex.create (); fused = None };
   }
 
-let generate ?scale ?(traces = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ?jobs ?faults
-    ?chunk_records ?spill_dir () =
-  let scale = match scale with Some s -> s | None -> default_scale () in
-  let chunk_records =
-    match chunk_records with Some n -> n | None -> default_chunk_records ()
-  in
-  let spill_dir =
-    match spill_dir with Some _ as s -> s | None -> default_spill_dir ()
-  in
+let generate ?(scale = default_scale) ?(traces = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    ?jobs ?faults ?(chunk_records = Sink.default_chunk_records) ?spill_dir () =
   let pool = Dfs_util.Pool.create ?jobs () in
   let t_start = Unix.gettimeofday () in
   (* Each preset seeds its own RNG and builds its own cluster (and, with
@@ -171,8 +152,6 @@ let of_replay ?jobs ?on_corruption path =
 
 let trace_seq run = Sink.to_seq run.trace
 
-let batch run = Sink.to_batch run.trace
-
 let fused run =
   match run.memo.fused with
   | Some f -> f
@@ -215,6 +194,19 @@ let merged_counters t =
     t.runs;
   merged
 
-let traces t = List.map (fun r -> r.trace) t.runs
+let per_trace t f = List.map f t.runs
 
-let discard t = List.iter (fun r -> Sink.discard r.trace) t.runs
+let mean = function
+  | [] -> 0.0
+  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+let all_cache_stats t = List.concat_map client_cache_stats t.runs
+
+let sum_traffic t total =
+  List.fold_left
+    (fun acc run -> Dfs_sim.Traffic.merge acc (total run.cluster))
+    (Dfs_sim.Traffic.create ()) t.runs
+
+let raw_traffic t = sum_traffic t Dfs_sim.Cluster.total_traffic
+
+let server_traffic t = sum_traffic t Dfs_sim.Cluster.total_server_traffic

@@ -39,10 +39,10 @@ val generate :
     (default: {!Dfs_util.Pool.default_jobs}, i.e. [DFS_JOBS] or the
     machine's core count).  [faults] enables fault injection on every
     preset (default: none).  [chunk_records] bounds the records per trace
-    chunk (default: [DFS_CHUNK_RECORDS] when set to a positive integer,
-    else {!Dfs_trace.Sink.default_chunk_records}); [spill_dir] (default:
-    [DFS_SPILL_DIR] when set) makes sealed chunks spill to disk as
-    columnar segments, so peak memory no longer grows with trace length.
+    chunk (default: {!Dfs_trace.Sink.default_chunk_records}); [spill_dir]
+    (default: none, chunks stay in memory) makes sealed chunks spill to
+    disk as columnar segments, so peak memory no longer grows with trace
+    length.
     Progress is reported through {!Dfs_obs.Log} (so [DFS_LOG=quiet]
     silences it), and per-preset wall times land in the default metrics
     registry as [phase.sim.<name>.wall_s] gauges. *)
@@ -61,17 +61,13 @@ val of_replay :
     its results byte-identical.  Errors are one-line diagnostics
     (unreadable/invalid trace, id ranges beyond the replay ceilings). *)
 
-val default_scale : unit -> float
-(** 1.0 when the environment variable [DFS_FULL] is set, else 0.05 —
-    enough for stable shapes while keeping the whole suite fast. *)
+val default_scale : float
+(** 0.05 — enough for stable shapes while keeping the whole suite
+    fast. *)
 
 val trace_seq : run -> Dfs_trace.Record_batch.t Seq.t
 (** The run's merged trace as a replayable chunk stream (at most one
     chunk forced at a time). *)
-
-val batch : run -> Dfs_trace.Record_batch.t
-(** The merged trace materialized as one contiguous batch.  Allocates
-    the whole trace; prefer {!trace_seq} for large runs. *)
 
 val fused : run -> Dfs_analysis.Fused.t
 (** The run's fused single-pass analysis (trace stats, size/open-time/
@@ -86,15 +82,22 @@ val fused : run -> Dfs_analysis.Fused.t
 val sessions : run -> Dfs_analysis.Session.access list
 (** The access reconstruction from {!fused}. *)
 
-val client_cache_stats : run -> Dfs_cache.Block_cache.stats list
-
 val merged_counters : t -> Dfs_sim.Counters.t
 (** All runs' counter samples concatenated (Table 4 uses every machine
     and day). *)
 
-val traces : t -> Dfs_trace.Sink.chunks list
-(** Each run's merged trace as a chunk stream. *)
+val per_trace : t -> (run -> 'a) -> 'a list
+(** One result per run, in run order. *)
 
-val discard : t -> unit
-(** Delete any spilled trace segments (no-op for in-memory datasets).
-    The runs' traces must not be read afterwards. *)
+val mean : float list -> float
+(** The mean of per-trace values; 0 for none. *)
+
+val all_cache_stats : t -> Dfs_cache.Block_cache.stats list
+(** Every client cache's statistics, run by run (Tables 6, 8 and 9). *)
+
+val raw_traffic : t -> Dfs_sim.Traffic.t
+(** All runs' raw client traffic, summed in run order (Table 5). *)
+
+val server_traffic : t -> Dfs_sim.Traffic.t
+(** All runs' server traffic after the client caches, summed in run
+    order (Table 7). *)

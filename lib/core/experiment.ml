@@ -12,11 +12,6 @@ type t = {
 
 (* -- small rendering helpers ------------------------------------------------- *)
 
-let mean xs =
-  match xs with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let min_l xs = List.fold_left Float.min infinity xs
 
 let max_l xs = List.fold_left Float.max neg_infinity xs
@@ -27,13 +22,11 @@ let across ?(digits = 2) xs =
   | [] -> "n/a"
   | [ x ] -> Printf.sprintf "%.*f" digits x
   | _ ->
-    Printf.sprintf "%.*f (%.*f-%.*f)" digits (mean xs) digits (min_l xs)
+    Printf.sprintf "%.*f (%.*f-%.*f)" digits (Dataset.mean xs) digits (min_l xs)
       digits (max_l xs)
 
 let paper_range ?(digits = 2) (r : Paper.range) =
   Printf.sprintf "%.*f (%.*f-%.*f)" digits r.value digits r.lo digits r.hi
-
-let per_trace (ds : Dataset.t) f = List.map f ds.runs
 
 let scale_note (ds : Dataset.t) =
   if ds.scale >= 0.999 then
@@ -59,7 +52,7 @@ let table1 =
         ()
     in
     let stats =
-      per_trace ds (fun r ->
+      Dataset.per_trace ds (fun r ->
           (Dataset.fused r).A.Fused.stats)
     in
     let row label f fmt =
@@ -110,7 +103,7 @@ let table1 =
 
 let table2 =
   let run (ds : Dataset.t) =
-    let fused = per_trace ds Dataset.fused in
+    let fused = Dataset.per_trace ds Dataset.fused in
     let render ~label ~all ~mig ~(paper_all : Paper.activity_col)
         ~(paper_mig : Paper.activity_col) ~bsd_users ~bsd_tput =
       let all : A.Activity.report list = List.map all fused in
@@ -145,8 +138,10 @@ let table2 =
         ];
       let avg_active rs =
         Printf.sprintf "%.2f (%.2f)"
-          (mean (fcol (fun (r : A.Activity.report) -> r.avg_active_users) rs))
-          (mean (fcol (fun (r : A.Activity.report) -> r.sd_active_users) rs))
+          (Dataset.mean
+             (fcol (fun (r : A.Activity.report) -> r.avg_active_users) rs))
+          (Dataset.mean
+             (fcol (fun (r : A.Activity.report) -> r.sd_active_users) rs))
       in
       Table.add_row tbl
         [
@@ -159,8 +154,10 @@ let table2 =
         ];
       let avg_tput rs =
         Printf.sprintf "%.1f (%.0f)"
-          (mean (fcol (fun (r : A.Activity.report) -> r.avg_user_throughput) rs))
-          (mean (fcol (fun (r : A.Activity.report) -> r.sd_user_throughput) rs))
+          (Dataset.mean
+             (fcol (fun (r : A.Activity.report) -> r.avg_user_throughput) rs))
+          (Dataset.mean
+             (fcol (fun (r : A.Activity.report) -> r.sd_user_throughput) rs))
       in
       Table.add_row tbl
         [
@@ -220,7 +217,7 @@ let table2 =
 let table3 =
   let run (ds : Dataset.t) =
     let reports =
-      per_trace ds (fun r -> (Dataset.fused r).A.Fused.access_patterns)
+      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.access_patterns)
     in
     let tbl =
       Table.create ~caption:"Table 3. File access patterns (percent)."
@@ -313,7 +310,7 @@ let render_cdf_series ~caption ~x_label series_list xs =
 let fig1 =
   let run (ds : Dataset.t) =
     let per =
-      per_trace ds (fun r ->
+      Dataset.per_trace ds (fun r ->
           (r.preset.name, (Dataset.fused r).A.Fused.run_length))
     in
     let pooled f = Cdf.merge (List.map (fun (_, rl) -> f rl) per) in
@@ -359,7 +356,7 @@ let fig1 =
 let fig2 =
   let run (ds : Dataset.t) =
     let per =
-      per_trace ds (fun r -> (Dataset.fused r).A.Fused.file_size)
+      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.file_size)
     in
     let pooled_files = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_files) per)
     and pooled_bytes = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_bytes) per) in
@@ -392,7 +389,7 @@ let fig2 =
 let fig3 =
   let run (ds : Dataset.t) =
     let per =
-      per_trace ds (fun r -> (Dataset.fused r).A.Fused.open_time)
+      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.open_time)
     in
     let pooled = Cdf.merge (List.map (fun (f : A.Open_time.t) -> f.by_opens) per) in
     let tbl =
@@ -436,7 +433,7 @@ let fig3 =
 let fig4 =
   let run (ds : Dataset.t) =
     let per =
-      per_trace ds (fun r ->
+      Dataset.per_trace ds (fun r ->
           (Dataset.fused r).A.Fused.lifetime)
     in
     let pooled_files = Cdf.merge (List.map (fun (f : A.Lifetime.t) -> f.by_files) per)
@@ -592,12 +589,7 @@ let paging_pct rows =
 
 let table5 =
   let run (ds : Dataset.t) =
-    let traffic =
-      List.fold_left
-        (fun acc (r : Dataset.run) ->
-          Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_traffic r.cluster))
-        (Dfs_sim.Traffic.create ()) ds.runs
-    in
+    let traffic = Dataset.raw_traffic ds in
     let tbl, rows =
       traffic_table
         ~caption:
@@ -632,19 +624,8 @@ let table5 =
 
 let table7 =
   let run (ds : Dataset.t) =
-    let traffic =
-      List.fold_left
-        (fun acc (r : Dataset.run) ->
-          Dfs_sim.Traffic.merge acc
-            (Dfs_sim.Cluster.total_server_traffic r.cluster))
-        (Dfs_sim.Traffic.create ()) ds.runs
-    in
-    let raw =
-      List.fold_left
-        (fun acc (r : Dataset.run) ->
-          Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_traffic r.cluster))
-        (Dfs_sim.Traffic.create ()) ds.runs
-    in
+    let traffic = Dataset.server_traffic ds in
+    let raw = Dataset.raw_traffic ds in
     let tbl, rows =
       traffic_table
         ~caption:
@@ -681,7 +662,7 @@ let table7 =
 
 let table6 =
   let run (ds : Dataset.t) =
-    let stats = List.concat_map Dataset.client_cache_stats ds.runs in
+    let stats = Dataset.all_cache_stats ds in
     let all = A.Cache_stats.effectiveness stats ~migrated:false in
     let mig = A.Cache_stats.effectiveness stats ~migrated:true in
     let tbl =
@@ -781,7 +762,7 @@ let reason_table ~caption ~age_unit rows paper_rows =
 
 let table8 =
   let run (ds : Dataset.t) =
-    let stats = List.concat_map Dataset.client_cache_stats ds.runs in
+    let stats = Dataset.all_cache_stats ds in
     let rows = A.Cache_stats.replacements stats in
     reason_table
       ~caption:
@@ -806,7 +787,7 @@ let table8 =
 
 let table9 =
   let run (ds : Dataset.t) =
-    let stats = List.concat_map Dataset.client_cache_stats ds.runs in
+    let stats = Dataset.all_cache_stats ds in
     let rows = A.Cache_stats.cleanings stats in
     reason_table
       ~caption:
@@ -834,7 +815,9 @@ let table9 =
 
 let table10 =
   let run (ds : Dataset.t) =
-    let reports = per_trace ds (fun r -> (Dataset.fused r).A.Fused.consistency) in
+    let reports =
+      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.consistency)
+    in
     let sharing = List.map A.Consistency_stats.sharing_pct reports in
     let recall = List.map A.Consistency_stats.recall_pct reports in
     let tbl =
@@ -878,7 +861,7 @@ let table11 =
   let run (ds : Dataset.t) =
     let render ~interval ~get ~(paper : Paper.t11_col) =
       let reports : C.Polling.report list =
-        per_trace ds (fun r -> get (Dataset.fused r))
+        Dataset.per_trace ds (fun r -> get (Dataset.fused r))
       in
       let all_affected =
         List.fold_left

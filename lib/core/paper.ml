@@ -156,8 +156,6 @@ let t7_paging_pct = 35.0
 
 let t7_shared_pct = 1.0
 
-let t7_read_write_ratio = 2.0
-
 let filter_ratio = 0.50
 
 (* -- Table 6 -------------------------------------------------------------------- *)

@@ -8,8 +8,6 @@
 
 type range = { value : float; lo : float; hi : float }
 
-val range : float -> float -> float -> range
-
 (** {1 Table 2 — user activity} *)
 
 type activity_col = {
@@ -96,9 +94,6 @@ val t7_paging_pct : float
 
 val t7_shared_pct : float
 (** ~1% of server traffic is write-shared file traffic. *)
-
-val t7_read_write_ratio : float
-(** Non-paging server reads outnumber writes about 2:1. *)
 
 val filter_ratio : float
 (** Client caches pass about 50% of raw traffic through to servers. *)

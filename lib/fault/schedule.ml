@@ -45,10 +45,6 @@ let generate ~(profile : Profile.t) ~n_servers ~horizon =
   in
   { profile; horizon; servers; parts }
 
-let profile t = t.profile
-
-let horizon t = t.horizon
-
 let server_outages t i = Array.to_list t.servers.(i)
 
 let partitions t = Array.to_list t.parts

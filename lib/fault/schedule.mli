@@ -13,10 +13,6 @@ type t
 
 val generate : profile:Profile.t -> n_servers:int -> horizon:float -> t
 
-val profile : t -> Profile.t
-
-val horizon : t -> float
-
 val server_outages : t -> int -> window list
 (** Outage windows of one server, in time order, non-overlapping. *)
 

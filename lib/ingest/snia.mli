@@ -32,10 +32,6 @@ type row = {
   size : int;  (** bytes *)
 }
 
-val max_request : int
-(** Largest accepted single-request [size] (1 GiB): anything bigger is
-    corruption or an overflow attempt, not block I/O. *)
-
 val is_header : string -> bool
 (** True for a column-name header line (first cell ["Timestamp"],
     case-insensitive); such lines are skipped, not errors. *)

@@ -9,11 +9,6 @@ let level_of_string s =
   | "verbose" | "v" | "2" | "debug" -> Some Verbose
   | _ -> None
 
-let level_name = function
-  | Quiet -> "quiet"
-  | Normal -> "normal"
-  | Verbose -> "verbose"
-
 let env_level () =
   match Sys.getenv_opt "DFS_LOG" with
   | None -> None
@@ -25,8 +20,6 @@ let set_level l =
   (* DFS_LOG wins over programmatic defaults (CLI flags), so a user can
      always crank verbosity on a quiet script and vice versa. *)
   match env_level () with Some e -> current := e | None -> current := l
-
-let level () = !current
 
 let enabled l = int_of_level l <= int_of_level !current
 

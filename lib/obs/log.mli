@@ -15,15 +15,6 @@ type level = Quiet | Normal | Verbose
 val set_level : level -> unit
 (** Request a level; a valid [DFS_LOG] environment setting wins. *)
 
-val level : unit -> level
-
-val level_of_string : string -> level option
-
-val level_name : level -> string
-
-val enabled : level -> bool
-(** [enabled l] is true when messages at [l] would be printed. *)
-
 val error : ('a, unit, string, unit) format4 -> 'a
 (** Printed at every level. *)
 

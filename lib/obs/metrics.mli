@@ -7,7 +7,7 @@
     metrics), or as aligned text for the [stats] subcommand.
 
     Metrics live in a registry; most callers use the process-wide
-    {!default}.  Registration is idempotent: asking for an existing name
+    default one, which [?registry] selects when omitted.  Registration is idempotent: asking for an existing name
     returns the existing metric (registering the same name as a
     different kind raises [Invalid_argument]).
 
@@ -28,8 +28,6 @@ type t
 (** A registry. *)
 
 val create : unit -> t
-
-val default : t
 
 val counter : ?registry:t -> string -> counter
 

@@ -6,8 +6,3 @@ type t = {
 }
 
 let make ~user ~pid ~client ~migrated = { user; pid; client; migrated }
-
-let pp ppf t =
-  Format.fprintf ppf "%a/%a@%a%s" Dfs_trace.Ids.User.pp t.user
-    Dfs_trace.Ids.Process.pp t.pid Dfs_trace.Ids.Client.pp t.client
-    (if t.migrated then "(m)" else "")

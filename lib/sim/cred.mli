@@ -15,5 +15,3 @@ val make :
   client:Dfs_trace.Ids.Client.t ->
   migrated:bool ->
   t
-
-val pp : Format.formatter -> t -> unit

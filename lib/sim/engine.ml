@@ -189,48 +189,33 @@ let spans t = t.spans
 
 (* -- processes via effects ------------------------------------------------ *)
 
-type _ Effect.t += Sleep : (t * float) -> unit Effect.t
-
-(* [sleep] needs the engine; it is passed through a per-process environment
-   installed by [spawn] in a stack discipline, so nested engines (used by
-   some tests) stay isolated.  The slot is domain-local so engines running
-   concurrently on a pool never see each other's processes. *)
-let current_engine : t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+type _ Effect.t += Sleep : float -> unit Effect.t
 
 let sleep d =
-  match Domain.DLS.get current_engine with
-  | None -> invalid_arg "Engine.sleep: called outside a spawned process"
-  | Some eng -> Effect.perform (Sleep (eng, Float.max 0.0 d))
+  match Effect.perform (Sleep (Float.max 0.0 d)) with
+  | () -> ()
+  | exception Effect.Unhandled (Sleep _) ->
+    invalid_arg "Engine.sleep: called outside a spawned process"
 
+(* The handler belongs to the [spawn] that started the process and
+   schedules its continuation on that engine.  A [sleep] reaches the
+   innermost handler, so processes of an engine run from inside another
+   engine's process stay on their own queue. *)
 let spawn t ?at f =
   let open Effect.Deep in
-  let run () =
-    let saved = Domain.DLS.get current_engine in
-    Domain.DLS.set current_engine (Some t);
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set current_engine saved)
-      (fun () ->
-        match_with f ()
-          {
-            retc = (fun () -> ());
-            exnc = raise;
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Sleep (eng, d) ->
-                  Some
-                    (fun (k : (a, _) continuation) ->
-                      ignore
-                        (schedule_in eng ~delay:d (fun () ->
-                             let saved = Domain.DLS.get current_engine in
-                             Domain.DLS.set current_engine (Some eng);
-                             Fun.protect
-                               ~finally:(fun () ->
-                                 Domain.DLS.set current_engine saved)
-                               (fun () -> continue k ()))))
-                | _ -> None);
-          })
+  let handler =
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Sleep d ->
+            Some
+              (fun (k : (a, _) continuation) ->
+                ignore (schedule_in t ~delay:d (fun () -> continue k ())))
+          | _ -> None);
+    }
   in
   let at = match at with Some a -> a | None -> t.clock in
-  ignore (schedule t ~at run)
+  ignore (schedule t ~at (fun () -> match_with f () handler))

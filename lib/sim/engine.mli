@@ -4,7 +4,10 @@
     cluster.  Besides plain callback scheduling, the engine runs
     {e processes}: ordinary OCaml functions that suspend themselves with
     {!sleep}, implemented with OCaml 5 effect handlers so that workload
-    models read as straight-line code. *)
+    models read as straight-line code.  Each process runs under the
+    handler of the {!spawn} that started it, which schedules its wake-ups
+    on that engine; an engine run from inside another engine's process
+    keeps its processes on its own queue. *)
 
 type t
 
@@ -101,5 +104,5 @@ val spawn : t -> ?at:float -> (unit -> unit) -> unit
 
 val sleep : float -> unit
 (** Suspend the calling process for the given number of simulated seconds.
-    Must be called (transitively) from a {!spawn}ed function.  Negative
-    durations are treated as zero. *)
+    Must be called (transitively) from a {!spawn}ed function, else it
+    raises [Invalid_argument].  Negative durations are treated as zero. *)

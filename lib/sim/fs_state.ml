@@ -50,10 +50,6 @@ let create ~n_servers ?(server_id_base = 0) ?(file_id_base = 0)
     live = 0;
   }
 
-let n_servers t = t.n_servers
-
-let server_id_base t = t.server_id_base
-
 let file_id_base t = t.file_id_base
 
 let pick_server t =

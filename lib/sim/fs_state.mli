@@ -32,10 +32,6 @@ val create :
     [server_id_base, server_id_base + n_servers) and files are numbered
     from [file_id_base]. *)
 
-val n_servers : t -> int
-
-val server_id_base : t -> int
-
 val file_id_base : t -> int
 (** First allocated file id; files span
     [file_id_base, file_id_base + total_files). *)
@@ -54,8 +50,6 @@ val create_file :
     by default the server is drawn from [server_weights]. *)
 
 val find : t -> Dfs_trace.Ids.File.t -> file_info option
-
-val find_exn : t -> Dfs_trace.Ids.File.t -> file_info
 
 val delete : t -> Dfs_trace.Ids.File.t -> unit
 (** Marks the file non-existent; its id is never reused. *)

@@ -32,8 +32,6 @@ val write_bytes : t -> category -> int
 
 val total_read : t -> int
 
-val total_write : t -> int
-
 val total : t -> int
 
 val merge : t -> t -> t

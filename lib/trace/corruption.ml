@@ -15,8 +15,6 @@ let of_string = function
   | "salvage" -> Ok Salvage
   | s -> Error (Printf.sprintf "bad corruption policy %S (expected fail|salvage)" s)
 
-let to_string = function Fail -> "fail" | Salvage -> "salvage"
-
 let m_detected = Dfs_obs.Metrics.counter "trace.corruption.detected"
 
 let m_salvaged = Dfs_obs.Metrics.counter "trace.corruption.salvaged_records"

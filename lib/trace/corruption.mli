@@ -12,8 +12,6 @@ type policy = Fail | Salvage
 val of_string : string -> (policy, string) result
 (** Parses ["fail"] and ["salvage"] (the [--on-corruption] CLI values). *)
 
-val to_string : policy -> string
-
 val note : source:string -> salvaged:int -> string -> unit
 (** Record one corruption event: bump both counters ([salvaged] records
     were recovered ahead of the damage) and log a warning naming the

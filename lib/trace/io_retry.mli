@@ -12,15 +12,6 @@
     hook raising [Unix_error (EIO, ...)] on chosen attempts and assert
     the sealing path still converges deterministically. *)
 
-val default_attempts : int
-(** 5. *)
-
-val default_base_delay : float
-(** 2 ms before the second attempt; doubles per retry. *)
-
-val default_max_delay : float
-(** 250 ms backoff ceiling. *)
-
 val run :
   ?attempts:int ->
   ?base_delay:float ->

@@ -5,18 +5,6 @@
     single ordered list of records", after removing the records caused by
     writing the trace files themselves and by the nightly backup. *)
 
-val merge_iter :
-  ?on_corruption:Corruption.policy ->
-  Sink.chunks list ->
-  emit:(Record_batch.t -> int -> unit) ->
-  unit
-(** Streaming k-way merge over chunked per-server traces.  Each source
-    must be time-sorted; [emit] receives [(batch, index)] cursors in
-    global time order (ties broken by server id, as in
-    {!Record.compare_time}).
-    Only one chunk per source is resident at a time.  [on_corruption]
-    governs spilled-chunk loads (see {!Sink.load_chunk}). *)
-
 val merge_chunks :
   ?on_corruption:Corruption.policy ->
   ?chunk_records:int ->
@@ -24,8 +12,11 @@ val merge_chunks :
   ?scrub:Ids.User.Set.t ->
   Sink.chunks list ->
   Sink.chunks
-(** {!merge_iter} writing through a fresh {!Sink}: merge the sources into
-    one chunked time-ordered trace, dropping records whose user is in
-    [scrub] (infrastructure users) along the way.  Peak memory is one
-    open output chunk plus one loaded chunk per source, regardless of
-    trace length. *)
+(** Streaming k-way merge of chunked per-server traces through a fresh
+    {!Sink}: each source must be time-sorted, and records come out in
+    global time order (ties broken by server id, as in
+    {!Record.compare_time}) as one chunked trace, dropping records whose
+    user is in [scrub] (infrastructure users) along the way.  Peak
+    memory is one open output chunk plus one loaded chunk per source,
+    regardless of trace length.  [on_corruption] governs spilled-chunk
+    loads (see {!Sink.load_chunk}). *)

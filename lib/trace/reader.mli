@@ -4,7 +4,8 @@
     ({!Codec}) or the columnar segment layout ({!Segment}), so callers
     never name the format on the read side.  Every reader returns one
     struct-of-arrays {!Record_batch.t}; columnar files are served
-    straight off [mmap]'d columns when {!Segment.mmap_enabled}.  A file
+    straight off [mmap]'d columns on little-endian hosts unless
+    [DFS_MMAP] is [0].  A file
     in neither format is read as text and fails on its header, whose
     quote is cut to a bounded prefix.
 

@@ -1,10 +1,5 @@
 type open_mode = Read_only | Write_only | Read_write
 
-let pp_open_mode ppf = function
-  | Read_only -> Format.pp_print_string ppf "ro"
-  | Write_only -> Format.pp_print_string ppf "wo"
-  | Read_write -> Format.pp_print_string ppf "rw"
-
 type kind =
   | Open of {
       mode : open_mode;
@@ -50,32 +45,6 @@ let kind_name = function
 let compare_time a b =
   let c = Float.compare a.time b.time in
   if c <> 0 then c else Ids.Server.compare a.server b.server
-
-let pp_kind ppf = function
-  | Open { mode; created; is_dir; size; start_pos } ->
-    Format.fprintf ppf "open(%a%s%s size=%d pos=%d)" pp_open_mode mode
-      (if created then " created" else "")
-      (if is_dir then " dir" else "")
-      size start_pos
-  | Close { size; final_pos; bytes_read; bytes_written } ->
-    Format.fprintf ppf "close(size=%d pos=%d r=%d w=%d)" size final_pos
-      bytes_read bytes_written
-  | Reposition { pos_before; pos_after } ->
-    Format.fprintf ppf "seek(%d->%d)" pos_before pos_after
-  | Delete { size; is_dir } ->
-    Format.fprintf ppf "delete(size=%d%s)" size (if is_dir then " dir" else "")
-  | Truncate { old_size } -> Format.fprintf ppf "truncate(old=%d)" old_size
-  | Dir_read { bytes } -> Format.fprintf ppf "dirread(%d)" bytes
-  | Shared_read { offset; length } ->
-    Format.fprintf ppf "sread(%d+%d)" offset length
-  | Shared_write { offset; length } ->
-    Format.fprintf ppf "swrite(%d+%d)" offset length
-
-let pp ppf t =
-  Format.fprintf ppf "%.6f %a %a %a %a%s %a %a" t.time Ids.Server.pp t.server
-    Ids.Client.pp t.client Ids.User.pp t.user Ids.Process.pp t.pid
-    (if t.migrated then "(m)" else "")
-    Ids.File.pp t.file pp_kind t.kind
 
 (* Shared input validation for every reader and importer: foreign or
    hand-written traces must not be able to smuggle non-finite times

@@ -12,8 +12,6 @@
 
 type open_mode = Read_only | Write_only | Read_write
 
-val pp_open_mode : Format.formatter -> open_mode -> unit
-
 type kind =
   | Open of {
       mode : open_mode;
@@ -76,7 +74,5 @@ val validate_fields :
   (unit, string) result
 (** {!validate} on a record's fields before they are boxed: a negative
     raw id must be reported, and [Ids.*.of_int] asserts on one. *)
-
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -110,8 +110,6 @@ let mode_to_bits = function
 
 let[@inline] open_mode t i = mode_of_bits ((raw_tag t i lsr mode_shift) land 0x03)
 
-let[@inline] created t i = raw_tag t i land bit_created <> 0
-
 let[@inline] is_dir t i = raw_tag t i land bit_is_dir <> 0
 
 let[@inline] a t i = Int32.to_int (A1.get t.col_a i)
@@ -147,8 +145,6 @@ module Unsafe = struct
 
   let[@inline] open_mode t i =
     mode_of_bits ((raw_tag t i lsr mode_shift) land 0x03)
-
-  let[@inline] created t i = raw_tag t i land bit_created <> 0
 
   let[@inline] is_dir t i = raw_tag t i land bit_is_dir <> 0
 

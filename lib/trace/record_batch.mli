@@ -79,15 +79,10 @@ val file_id : t -> int -> Ids.File.t
 val tag : t -> int -> int
 (** Kind index 0-7; compare against the [tag_*] constants. *)
 
-val raw_tag : t -> int -> int
-(** The full tag byte including flag bits, as stored. *)
-
 val migrated : t -> int -> bool
 
 val open_mode : t -> int -> Record.open_mode
 (** Meaningful for [tag_open] records only. *)
-
-val created : t -> int -> bool
 
 val is_dir : t -> int -> bool
 
@@ -130,8 +125,6 @@ module Unsafe : sig
   val migrated : t -> int -> bool
 
   val open_mode : t -> int -> Record.open_mode
-
-  val created : t -> int -> bool
 
   val is_dir : t -> int -> bool
 

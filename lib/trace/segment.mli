@@ -43,20 +43,12 @@ val magic : string
 val header_bytes : int
 (** Fixed segment header size (128). *)
 
-val bytes_per_record : int
-(** Column payload bytes per record (45). *)
-
 val segment_bytes : count:int -> int
 (** Total encoded size of a segment holding [count] records, padding
     included. *)
 
 val is_segment : string -> bool
 (** Does the string start with the segment magic? *)
-
-val mmap_enabled : unit -> bool
-(** Whether reads go through [Unix.map_file]: true on little-endian
-    hosts unless the [DFS_MMAP] environment variable is [0]/[false]/
-    [no]/[off]. Re-read on every call, so tests can toggle it. *)
 
 val encode_batch : Record_batch.t -> string
 (** One whole segment, header, checksums and padding included. *)
@@ -88,7 +80,9 @@ val scan_string : ?verify:bool -> string -> scan
     run. *)
 
 val scan_file : ?verify:bool -> string -> (scan, string) result
-(** Same over a file (zero-copy when {!mmap_enabled}); [Error] only for
+(** Same over a file (zero-copy through [Unix.map_file] on little-endian
+    hosts unless the [DFS_MMAP] environment variable is
+    [0]/[false]/[no]/[off]); [Error] only for
     I/O failures (open/stat/map), never for corruption.  Always hits the
     disk — no verified-file cache — so fsck sees the current bytes. *)
 
@@ -98,8 +92,8 @@ val batch_of_file :
   ?on_corruption:Corruption.policy ->
   string ->
   (Record_batch.t, string) result
-(** Read every segment of a file — zero-copy when {!mmap_enabled}, bulk
-    column copy otherwise — as one batch; a single-segment file returns
+(** Read every segment of a file — zero-copy when mapped (see
+    {!scan_file}), bulk column copy otherwise — as one batch; a single-segment file returns
     its mapped batch without copying.  Validation (magic, checksums,
     extents, alignment, tag bytes) is identical on both paths; checksum
     verification is skipped when the file's (size, mtime) already

@@ -126,8 +126,6 @@ let load_chunk ?on_corruption = function
 
 let length c = c.total
 
-let chunk_count c = List.length c.segments
-
 let spilled_count c =
   List.fold_left
     (fun acc ch -> match ch with Seg _ -> acc + 1 | Mem _ -> acc)

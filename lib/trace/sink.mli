@@ -55,8 +55,6 @@ val close : t -> chunks
 val length : chunks -> int
 (** Total records across all segments. *)
 
-val chunk_count : chunks -> int
-
 val spilled_count : chunks -> int
 (** How many segments live on disk rather than in memory. *)
 
@@ -70,8 +68,6 @@ val load_chunk : ?on_corruption:Corruption.policy -> chunk -> Record_batch.t
 val to_seq : ?on_corruption:Corruption.policy -> chunks -> Record_batch.t Seq.t
 (** Replayable: every traversal re-walks the segment list (re-loading
     spilled segments), so multi-pass analyses can fold it repeatedly. *)
-
-val iter_batches : (Record_batch.t -> unit) -> chunks -> unit
 
 val iter : (Record.t -> unit) -> chunks -> unit
 (** Boxed-record iteration (allocates one record at a time). *)

@@ -30,7 +30,5 @@ val init : int
 val update_string : int -> string -> pos:int -> len:int -> int
 (** Fold more bytes into a running CRC state. *)
 
-val update_bigstring : int -> bigstring -> pos:int -> len:int -> int
-
 val finalize : int -> int
 (** Final xor; turns a running state into the checksum value. *)

@@ -34,19 +34,3 @@ let rec mean = function
     let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 choices in
     List.fold_left (fun acc (d, w) -> acc +. (w /. total *. mean d)) 0.0 choices
   | Clamped (d, _, _) -> mean d
-
-let rec pp ppf = function
-  | Constant c -> Format.fprintf ppf "const(%g)" c
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Exponential m -> Format.fprintf ppf "exp(mean=%g)" m
-  | Lognormal (mu, sigma) -> Format.fprintf ppf "lognormal(%g,%g)" mu sigma
-  | Pareto (alpha, x_min) -> Format.fprintf ppf "pareto(%g,%g)" alpha x_min
-  | Mixture choices ->
-    Format.fprintf ppf "mix[";
-    List.iteri
-      (fun i (d, w) ->
-        if i > 0 then Format.fprintf ppf "; ";
-        Format.fprintf ppf "%g:%a" w pp d)
-      choices;
-    Format.fprintf ppf "]"
-  | Clamped (d, lo, hi) -> Format.fprintf ppf "clamp(%a,%g,%g)" pp d lo hi

@@ -2,7 +2,7 @@
 
     Workload parameters (file sizes, think times, run lengths, ...) are
     expressed as values of type {!t} so that presets can be described as
-    data and printed into reports. *)
+    data. *)
 
 type t =
   | Constant of float
@@ -23,5 +23,3 @@ val mean : t -> float
 (** Analytic mean where it exists; for [Clamped] this is the mean of the
     underlying distribution (an approximation) and for [Pareto] with
     [alpha <= 1] it is [infinity]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,9 +14,9 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-(* True while the current domain is executing a pool task; set in both
-   the parallel and the sequential path so nested use fails the same way
-   regardless of DFS_JOBS. *)
+(* True while the current domain is executing a pool task, whatever the
+   worker count, so nested use fails the same way regardless of
+   DFS_JOBS. *)
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let reject_nested () =
@@ -54,69 +54,16 @@ let publish_gauges ~workers ~wall busy =
   M.set (M.gauge "pool.utilization")
     (if capacity <= 0.0 then 0.0 else total /. capacity)
 
-let map_seq f xs =
-  let t0 = Unix.gettimeofday () in
-  let busy = ref 0.0 in
-  let results = List.map (fun x -> run_task busy f x) xs in
-  publish_gauges ~workers:1
-    ~wall:(Unix.gettimeofday () -. t0)
-    [| !busy |];
-  results
-
-let in_pool_task () = Domain.DLS.get in_task
-
-let map pool f xs =
-  reject_nested ();
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let workers = min pool.jobs n in
-  if n = 0 then []
-  else if workers <= 1 then map_seq f xs
-  else begin
-    let results : _ option array = Array.make n None in
-    let errors : exn option array = Array.make n None in
-    let busy = Array.make workers 0.0 in
-    let next = Atomic.make 0 in
-    let t0 = Unix.gettimeofday () in
-    let worker w () =
-      let my_busy = ref 0.0 in
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          match run_task my_busy f items.(i) with
-          | v -> results.(i) <- Some v
-          | exception e -> errors.(i) <- Some e
-      done;
-      busy.(w) <- !my_busy
-    in
-    let domains = Array.init workers (fun w -> Domain.spawn (worker w)) in
-    Array.iter Domain.join domains;
-    publish_gauges ~workers ~wall:(Unix.gettimeofday () -. t0) busy;
-    Array.iteri (fun _ -> function Some e -> raise e | None -> ()) errors;
-    Array.to_list (Array.map Option.get results)
-  end
-
-(* Opportunistic parallelism: a plain [List.map] when already inside a
-   pool task (where [map] would reject nested use) so callers like the
-   sharded fused analysis can fan out when the pool is free and degrade
-   gracefully when an outer map already owns the domains.  The
-   sequential fallback publishes no gauges and spawns nothing. *)
-let map_auto pool f xs =
-  if in_pool_task () then List.map f xs else map pool f xs
-
 (* -- long-lived worker team ------------------------------------------------ *)
 
 module Team = struct
-  (* [map] spawns and joins domains per call, which is fine for
-     seconds-long tasks but not for a barrier-synchronized loop that
-     re-enters its workers thousands of times per run (the sharded
-     simulation executes one [run] per lookahead window).  A team keeps
-     S-1 spawned domains parked on a condition variable; each [run]
-     bumps a generation counter, every member (the caller is member 0)
-     executes [f member], and the caller waits until all spawned members
-     check back in.
+  (* The only code that spawns domains.  A team keeps S-1 spawned
+     domains parked on a condition variable, so a barrier-synchronized
+     loop (the sharded simulation executes one [run] per lookahead
+     window) re-enters its workers without spawning; [map] creates one
+     for its call.  Each [run] bumps a generation counter, every member
+     (the caller is member 0) executes [f member], and the caller waits
+     until all spawned members check back in.
 
      Unlike [map], a team does not set the pool's [in_task] flag: it is
      a first-class entry point that composes with the preset-level
@@ -224,3 +171,48 @@ module Team = struct
       t.domains <- [||]
     end
 end
+
+let in_pool_task () = Domain.DLS.get in_task
+
+let map pool f xs =
+  reject_nested ();
+  let items = Array.of_list xs in
+  let n = Array.length items in
+  if n = 0 then []
+  else begin
+    let workers = min pool.jobs n in
+    let results : _ option array = Array.make n None in
+    let errors : exn option array = Array.make n None in
+    let busy = Array.make workers 0.0 in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make false in
+    (* Tasks are claimed in input order and a claimed task always runs,
+       so when one fails every earlier input has run: claiming stops
+       there, and the earliest failing input is still the one raised. *)
+    let claim_loop m =
+      let my_busy = ref 0.0 in
+      let rec loop () =
+        if not (Atomic.get failed) then begin
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            (match run_task my_busy f items.(i) with
+            | v -> results.(i) <- Some v
+            | exception e ->
+              errors.(i) <- Some e;
+              Atomic.set failed true);
+            loop ()
+          end
+        end
+      in
+      loop ();
+      busy.(m) <- !my_busy
+    in
+    let t0 = Unix.gettimeofday () in
+    let team = Team.create ~size:workers () in
+    Fun.protect
+      ~finally:(fun () -> Team.shutdown team)
+      (fun () -> Team.run team claim_loop);
+    publish_gauges ~workers ~wall:(Unix.gettimeofday () -. t0) busy;
+    Array.iter (function Some e -> raise e | None -> ()) errors;
+    Array.to_list (Array.map Option.get results)
+  end

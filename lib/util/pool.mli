@@ -8,10 +8,11 @@
     parallel and sequential executions of the same pure tasks return the
     same list.
 
-    Worker domains are spawned per [map] call and joined before it
-    returns; for the seconds-long jobs this pool exists for, domain
-    startup (~30 us) is noise, and never parking idle domains keeps the
-    process single-threaded outside explicit parallel sections. *)
+    Each [map] runs its claim loop on a {!Team} created for the call and
+    shut down before it returns; for the seconds-long jobs this pool
+    exists for, domain startup (~30 us) is noise, and never parking idle
+    domains keeps the process single-threaded outside explicit parallel
+    sections.  {!Team} is the only code that spawns domains. *)
 
 type t
 
@@ -29,38 +30,35 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], using up to
     [jobs pool] domains, and returns the results in input order.
 
-    If one or more applications raise, the exception of the {e earliest}
-    input element is re-raised after all workers have joined (so the
-    choice of exception is deterministic too).
+    If one or more applications raise, no further elements are claimed,
+    and the exception of the {e earliest} failing input element is
+    re-raised after all workers have joined: elements are claimed in
+    input order and a claimed element always runs, so the choice of
+    exception is deterministic too.
 
     Nested use is rejected: calling [map] from inside a task raises
     [Invalid_argument] rather than deadlocking or oversubscribing — the
     pipeline parallelizes at one level at a time.
 
-    With [jobs pool = 1] (or a single task) everything runs in the
-    calling domain, with no domains spawned: [DFS_JOBS=1] gives the
-    exact sequential execution. *)
+    With [jobs pool = 1] (or a single task) the team has one member and
+    everything runs in the calling domain, with no domains spawned:
+    [DFS_JOBS=1] gives the exact sequential execution, which stops at
+    the first failing element. *)
 
 val in_pool_task : unit -> bool
-(** True while the calling domain is executing a pool task (parallel or
-    sequential path). *)
-
-val map_auto : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but when called from inside a pool task — where {!map}
-    would raise on nested use — it degrades to a plain sequential
-    [List.map] in the calling domain (no gauges, no spans). Results are
-    identical either way; only the execution strategy differs. *)
+(** True while the calling domain is executing a pool task, whatever the
+    worker count. *)
 
 (** {1 Long-lived worker teams} *)
 
 module Team : sig
   (** A fixed crew of worker domains for barrier-synchronized loops.
 
-      {!map} spawns and joins domains per call; a sharded simulation
-      re-enters its workers once per lookahead window — thousands of
-      times per run — so the team keeps [size - 1] domains parked on a
-      condition variable between generations.  The calling domain is
-      member 0.
+      A sharded simulation re-enters its workers once per lookahead
+      window — thousands of times per run — so the team keeps
+      [size - 1] domains parked on a condition variable between
+      generations; {!map} creates a team for each call.  The calling
+      domain is member 0.
 
       A team is a first-class entry point, deliberately outside the
       pool's nested-use guard: it never sets the pool task flag, and a

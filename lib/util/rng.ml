@@ -53,8 +53,6 @@ let int t n =
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   x mod n
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p = float t < p
 
 let exponential t mean =
@@ -102,10 +100,6 @@ let zipf t ~n ~s =
      done
    with Exit -> ());
   !rank
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
 
 let pick_weighted t choices =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 choices in

@@ -42,8 +42,6 @@ val uniform : t -> float -> float -> float
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 
@@ -64,9 +62,6 @@ val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] samples a rank in [\[1, n\]] with probability
     proportional to [1 / rank^s], by inversion on a precomputed table-free
     rejection scheme. Requires [n >= 1]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
 
 val pick_weighted : t -> ('a * float) list -> 'a
 (** Choice proportional to the (non-negative, not all zero) weights. *)

@@ -74,29 +74,6 @@ let merge a b =
     }
   end
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
-let summary (t : t) : summary =
-  {
-    n = t.n;
-    mean = mean t;
-    stddev = stddev t;
-    min = t.min;
-    max = t.max;
-    total = t.total;
-  }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g" s.n s.mean
-    s.stddev s.min s.max
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Stats.percentile: empty sample";

@@ -38,19 +38,6 @@ val max : t -> float
 val merge : t -> t -> t
 (** Combine two accumulators (parallel Welford merge). *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
-val summary : t -> summary
-
-val pp_summary : Format.formatter -> summary -> unit
-
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p] in [\[0,1\]], linear interpolation.
     The array must be sorted ascending and non-empty. *)

@@ -75,21 +75,9 @@ let render t =
     (List.rev t.notes);
   Buffer.contents buf
 
-let print t =
-  print_string (render t);
-  print_newline ()
-
-let pct x = Printf.sprintf "%.1f" x
-
 let pct_sd x sd = Printf.sprintf "%.1f (%.1f)" x sd
 
 let pct_range x lo hi = Printf.sprintf "%.0f (%.0f-%.0f)" x lo hi
-
-let f1 x = Printf.sprintf "%.1f" x
-
-let f2 x = Printf.sprintf "%.2f" x
-
-let int_str = string_of_int
 
 let bytes x =
   let abs = Float.abs x in

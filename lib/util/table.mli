@@ -18,27 +18,13 @@ val add_note : t -> string -> unit
 
 val render : t -> string
 
-val print : t -> unit
-(** [render] to stdout followed by a blank line. *)
-
 (** Formatting helpers used throughout the reports. *)
-
-val pct : float -> string
-(** "41.4" style percentage body (no % sign). *)
 
 val pct_sd : float -> float -> string
 (** "41.4 (26.9)" — value with standard deviation, as in the paper. *)
 
 val pct_range : float -> float -> float -> string
 (** "88 (82-94)" — value with min-max range across traces. *)
-
-val f1 : float -> string
-(** One decimal place. *)
-
-val f2 : float -> string
-(** Two decimal places. *)
-
-val int_str : int -> string
 
 val bytes : float -> string
 (** Human-readable byte count ("7.2 MB"). *)

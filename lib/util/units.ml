@@ -13,18 +13,3 @@ let blocks_of_bytes bytes =
 let minutes x = x *. 60.0
 
 let hours x = x *. 3600.0
-
-let pp_bytes ppf b =
-  if b >= 1_073_741_824 then
-    Format.fprintf ppf "%.1f GB" (float_of_int b /. 1_073_741_824.0)
-  else if b >= 1_048_576 then
-    Format.fprintf ppf "%.1f MB" (float_of_int b /. 1_048_576.0)
-  else if b >= 1024 then Format.fprintf ppf "%.1f KB" (float_of_int b /. 1024.0)
-  else Format.fprintf ppf "%d B" b
-
-let pp_duration ppf secs =
-  let total = int_of_float secs in
-  let h = total / 3600 and m = total mod 3600 / 60 and s = total mod 60 in
-  if h > 0 then Format.fprintf ppf "%dh %dm %ds" h m s
-  else if m > 0 then Format.fprintf ppf "%dm %ds" m s
-  else Format.fprintf ppf "%.2fs" secs

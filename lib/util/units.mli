@@ -1,9 +1,8 @@
-(** Byte and time unit constants and formatting.
+(** Byte and time unit constants and conversions.
 
     Sizes are [int] bytes; simulated time is [float] seconds since the
     start of the simulation (the paper's traces also use relative time). *)
 
-val kib : int
 val mib : int
 val block_size : int
 (** 4 KBytes — Sprite's cache block size. *)
@@ -16,8 +15,3 @@ val minutes : float -> float
 (** [minutes x] is [x] minutes in seconds. *)
 
 val hours : float -> float
-
-val pp_bytes : Format.formatter -> int -> unit
-
-val pp_duration : Format.formatter -> float -> unit
-(** "2h 14m 3s" style. *)

@@ -37,8 +37,6 @@ type config = {
           the file cache; Sprite uses 20 minutes *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> io -> t

@@ -10,15 +10,6 @@ module Fs = Dfs_sim.Fs_state
 
 type app = Edit | Compile | Pmake | Mail | Doc | Shell | Big_sim
 
-let app_name = function
-  | Edit -> "edit"
-  | Compile -> "compile"
-  | Pmake -> "pmake"
-  | Mail -> "mail"
-  | Doc -> "doc"
-  | Shell -> "shell"
-  | Big_sim -> "big-sim"
-
 let pick (mix : Params.app_mix) rng =
   Rng.pick_weighted rng
     [

@@ -14,8 +14,6 @@
 
 type app = Edit | Compile | Pmake | Mail | Doc | Shell | Big_sim
 
-val app_name : app -> string
-
 val pick : Params.app_mix -> Dfs_util.Rng.t -> app
 
 type ctx = {
@@ -46,9 +44,5 @@ val compile : ctx -> host:int -> migrated:bool -> unit
 val pmake : ctx -> unit
 
 val mail : ctx -> unit
-
-val doc : ctx -> unit
-
-val shell : ctx -> unit
 
 val big_sim : ctx -> unit

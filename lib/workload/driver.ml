@@ -173,8 +173,4 @@ let setup ~cluster ~params ?(start_hour = 0.0) ?(special_users = []) () =
   List.iter (session t) specs;
   t
 
-let board t = t.board
-
-let namespace t = t.ns
-
 let n_users t = List.length t.specs

@@ -27,8 +27,4 @@ val setup :
 (** Creates the namespace and user population and spawns all session
     processes (they begin with a short random stagger). *)
 
-val board : t -> Migration.t
-
-val namespace : t -> Namespace.t
-
 val n_users : t -> int

@@ -99,8 +99,6 @@ let create ~fs ~rng ~params ~now ~n_users =
   in
   { t with bins; headers; shared_dirs; status_files; group_logs; group_sources }
 
-let fs t = t.fs
-
 let user_files t uid =
   match User.Tbl.find_opt t.users uid with
   | Some u -> u

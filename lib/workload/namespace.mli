@@ -42,8 +42,6 @@ val create :
   n_users:int ->
   t
 
-val fs : t -> Dfs_sim.Fs_state.t
-
 val user_files : t -> Dfs_trace.Ids.User.t -> user_files
 (** Allocates the user's tree on first access. *)
 

@@ -2,12 +2,6 @@ type group = Os_research | Architecture | Vlsi_parallel | Misc
 
 let all_groups = [ Os_research; Architecture; Vlsi_parallel; Misc ]
 
-let group_name = function
-  | Os_research -> "operating systems"
-  | Architecture -> "architecture / I/O simulation"
-  | Vlsi_parallel -> "VLSI / parallel processing"
-  | Misc -> "miscellaneous"
-
 type app_mix = {
   edit : float;
   compile : float;

@@ -16,8 +16,6 @@ type group = Os_research | Architecture | Vlsi_parallel | Misc
 
 val all_groups : group list
 
-val group_name : group -> string
-
 (** Relative invocation weights of the application models. *)
 type app_mix = {
   edit : float;

@@ -41,17 +41,6 @@ type stats = {
   horizon : float;  (** simulated seconds the cluster ran *)
 }
 
-val max_clients : int
-(** Hard ceiling on the client count a trace may demand (4096): a
-    hostile trace with one huge client id must fail with a one-line
-    error, not exhaust memory. *)
-
-val max_servers : int
-(** Ceiling on the server count (64). *)
-
-val max_files : int
-(** Ceiling on distinct file ids (1_000_000). *)
-
 val run :
   ?seed:int ->
   ?config:Dfs_sim.Cluster.config ->

@@ -44,37 +44,50 @@ let test_exception_propagates_earliest () =
   in
   Alcotest.(check (option int)) "earliest failing input" (Some 3) got
 
-let test_nested_use_rejected () =
-  let pool = Pool.create ~jobs:2 () in
-  let nested_failed =
-    Pool.map pool
-      (fun () ->
-        match Pool.map pool (fun x -> x) [ 1 ] with
-        | _ -> false
-        | exception Invalid_argument _ -> true)
-      [ (); () ]
+(* One worker claims tasks in order and stops at the first failure, so
+   the tasks after it never run. *)
+let test_failure_stops_claiming () =
+  let ran = ref [] in
+  let got =
+    try
+      ignore
+        (Pool.map (Pool.create ~jobs:1 ())
+           (fun x ->
+             ran := x :: !ran;
+             if x = 3 then raise (Boom x) else x)
+           [ 1; 2; 3; 4; 5 ]);
+      None
+    with Boom n -> Some n
   in
-  Alcotest.(check (list bool)) "both tasks rejected" [ true; true ] nested_failed
+  Alcotest.(check (option int)) "failing input raised" (Some 3) got;
+  Alcotest.(check (list int)) "later tasks did not run" [ 1; 2; 3 ]
+    (List.rev !ran)
+
+let test_nested_use_rejected () =
+  Alcotest.(check bool) "top level is not a pool task" false
+    (Pool.in_pool_task ());
+  List.iter
+    (fun jobs ->
+      let pool = Pool.create ~jobs () in
+      let nested_failed =
+        Pool.map pool
+          (fun () ->
+            Pool.in_pool_task ()
+            &&
+            match Pool.map pool (fun x -> x) [ 1 ] with
+            | _ -> false
+            | exception Invalid_argument _ -> true)
+          [ (); () ]
+      in
+      Alcotest.(check (list bool))
+        (Printf.sprintf "jobs %d: in a pool task, nested map rejected" jobs)
+        [ true; true ] nested_failed)
+    [ 1; 2 ];
+  Alcotest.(check bool) "top level again after the maps" false
+    (Pool.in_pool_task ())
 
 let test_jobs_clamped () =
   Alcotest.(check int) "jobs >= 1" 1 (Pool.jobs (Pool.create ~jobs:0 ()))
-
-let test_map_auto_degrades_inside_task () =
-  let pool = Pool.create ~jobs:2 () in
-  Alcotest.(check bool) "top level is not a pool task" false
-    (Pool.in_pool_task ());
-  Alcotest.(check (list int)) "top-level map_auto uses the pool" [ 2; 4; 6 ]
-    (Pool.map_auto pool (fun x -> x * 2) [ 1; 2; 3 ]);
-  (* inside a task, [map] raises but [map_auto] falls back to List.map *)
-  let nested =
-    Pool.map pool
-      (fun () ->
-        Pool.in_pool_task ()
-        && Pool.map_auto pool (fun x -> x + 1) [ 1; 2 ] = [ 2; 3 ])
-      [ (); () ]
-  in
-  Alcotest.(check (list bool)) "nested map_auto runs sequentially"
-    [ true; true ] nested
 
 (* -- sharded metrics ---------------------------------------------------------- *)
 
@@ -132,13 +145,15 @@ let test_dataset_deterministic_across_jobs () =
   List.iter2
     (fun (a : Dfs_core.Dataset.run) (b : Dfs_core.Dataset.run) ->
       Alcotest.(check string) "preset order" a.preset.name b.preset.name;
+      let ba = Dfs_trace.Sink.to_batch a.trace
+      and bb = Dfs_trace.Sink.to_batch b.trace in
       Alcotest.(check int) "trace length"
-        (Dfs_trace.Record_batch.length (Dfs_core.Dataset.batch a))
-        (Dfs_trace.Record_batch.length (Dfs_core.Dataset.batch b));
+        (Dfs_trace.Record_batch.length ba)
+        (Dfs_trace.Record_batch.length bb);
       Alcotest.(check bool) "identical merged traces" true
-        (Dfs_trace.Record_batch.equal (Dfs_core.Dataset.batch a) (Dfs_core.Dataset.batch b));
-      let sa = Dfs_analysis.Trace_stats.of_batch (Dfs_core.Dataset.batch a) in
-      let sb = Dfs_analysis.Trace_stats.of_batch (Dfs_core.Dataset.batch b) in
+        (Dfs_trace.Record_batch.equal ba bb);
+      let sa = Dfs_analysis.Trace_stats.of_batch ba in
+      let sb = Dfs_analysis.Trace_stats.of_batch bb in
       Alcotest.(check bool) "identical trace stats" true (sa = sb))
     seq.runs par.runs
 
@@ -251,6 +266,25 @@ let test_fused_sharded_equals_sequential () =
         true (fused_equal seq par))
     ds.runs
 
+(* [Dataset.fused] on a [~jobs:4] dataset takes the sharded pass at the
+   top level and the sequential one inside a pool task, where a nested
+   [Pool.map] would be rejected; the two results are the same. *)
+let test_fused_inside_task_equals_top_level () =
+  let generate () =
+    Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:4 ()
+  in
+  let top = generate () and inner = generate () in
+  let in_task =
+    Pool.map (Pool.create ~jobs:2 ()) Dfs_core.Dataset.fused inner.runs
+  in
+  List.iter2
+    (fun (run : Dfs_core.Dataset.run) f ->
+      Alcotest.(check bool)
+        (run.preset.name ^ ": fused in a task equals fused at top level")
+        true
+        (fused_equal (Dfs_core.Dataset.fused run) f))
+    top.runs in_task
+
 (* Each fold the fused pass carries for Tables 2, 10 and 11 equals its
    standalone batch entry point over the whole trace, from the
    sequential pass and from the sharded one. *)
@@ -259,7 +293,7 @@ let test_fused_folds_equal_standalone () =
   let pool = Pool.create ~jobs:4 () in
   List.iter
     (fun (run : Dfs_core.Dataset.run) ->
-      let batch = Dfs_core.Dataset.batch run in
+      let batch = Dfs_trace.Sink.to_batch run.trace in
       let activity ?migrated_only interval =
         A.Activity.analyze ?migrated_only ~interval batch
       in
@@ -290,7 +324,7 @@ let test_fused_folds_equal_standalone () =
    and an empty trace gives the empty reports. *)
 let test_fused_origin_edge_cases () =
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
-  let batch = Dfs_core.Dataset.batch (List.hd ds.runs) in
+  let batch = Dfs_trace.Sink.to_batch (List.hd ds.runs).trace in
   let empty = Dfs_trace.Record_batch.of_list [] in
   Alcotest.(check bool) "leading empty chunks" true
     (fused_equal (A.Fused.analyze batch)
@@ -321,11 +355,11 @@ let suite =
       test_map_empty_and_singleton;
     Alcotest.test_case "pool: earliest exception wins" `Quick
       test_exception_propagates_earliest;
+    Alcotest.test_case "pool: failure stops claiming at jobs 1" `Quick
+      test_failure_stops_claiming;
     Alcotest.test_case "pool: nested use rejected" `Quick
       test_nested_use_rejected;
     Alcotest.test_case "pool: jobs clamped to 1" `Quick test_jobs_clamped;
-    Alcotest.test_case "pool: map_auto degrades inside a task" `Quick
-      test_map_auto_degrades_inside_task;
     Alcotest.test_case "metrics: counter shards sum" `Quick
       test_counter_shards_sum_across_domains;
     Alcotest.test_case "metrics: histogram shards merge" `Quick
@@ -336,6 +370,8 @@ let suite =
       test_dataset_deterministic_across_jobs;
     Alcotest.test_case "fused: sharded equals sequential" `Slow
       test_fused_sharded_equals_sequential;
+    Alcotest.test_case "fused: inside a pool task equals top level" `Slow
+      test_fused_inside_task_equals_top_level;
     Alcotest.test_case "fused: folds equal standalone analyses" `Slow
       test_fused_folds_equal_standalone;
     Alcotest.test_case "fused: interval origin edge cases" `Quick

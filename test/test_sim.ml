@@ -127,6 +127,41 @@ let test_engine_sleep_outside_process () =
     (Invalid_argument "Engine.sleep: called outside a spawned process")
     (fun () -> Engine.sleep 1.0)
 
+(* A process on engine A runs engine B to its horizon: B's processes
+   sleep on B's clock, and A's process then sleeps on A's. *)
+let test_engine_nested_engines_isolated () =
+  let a = Engine.create () in
+  let seen = ref [] in
+  let note who t = seen := (who, t) :: !seen in
+  Engine.spawn a ~at:1.0 (fun () ->
+      let b = Engine.create () in
+      for i = 1 to 2 do
+        Engine.spawn b (fun () ->
+            note (Printf.sprintf "b%d start" i) (Engine.now b);
+            Engine.sleep (float_of_int (10 * i));
+            note (Printf.sprintf "b%d woke" i) (Engine.now b))
+      done;
+      Engine.run_until b 100.0;
+      note "b horizon" (Engine.now b);
+      note "a after b" (Engine.now a);
+      Engine.sleep 5.0;
+      note "a woke" (Engine.now a));
+  Engine.run_until a 50.0;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "each process on its own clock"
+    [
+      ("b1 start", 0.0);
+      ("b2 start", 0.0);
+      ("b1 woke", 10.0);
+      ("b2 woke", 20.0);
+      ("b horizon", 100.0);
+      ("a after b", 1.0);
+      ("a woke", 6.0);
+    ]
+    (List.rev !seen);
+  Alcotest.(check int) "A ran its process's two events" 2
+    (Engine.events_executed a)
+
 let test_engine_spawn_at () =
   let e = Engine.create () in
   let t = ref (-1.0) in
@@ -583,6 +618,8 @@ let suite =
     ("engine process sleep", `Quick, test_engine_process_sleep);
     ("engine processes interleave", `Quick, test_engine_many_processes_interleave);
     ("engine sleep outside process", `Quick, test_engine_sleep_outside_process);
+    ("engine nested engines stay isolated", `Quick,
+      test_engine_nested_engines_isolated);
     ("engine spawn at", `Quick, test_engine_spawn_at);
     ("network accounting", `Quick, test_network_accounting);
     ("network utilization", `Quick, test_network_utilization);
