@@ -13,21 +13,13 @@ let scale_arg =
 
 let jobs_arg =
   let doc =
-    "Number of domains used to simulate traces in parallel. Defaults to \
-     DFS_JOBS, else the machine's recommended domain count. Results are \
-     identical whatever the value."
-  in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let sim_shards_arg =
-  let doc =
-    "Number of domains executing the sharded simulation's lookahead \
-     windows. Defaults to DFS_SIM_SHARDS, else the machine's recommended \
-     domain count. The partition layout is a pure function of the cluster \
-     configuration — never of this setting — so results are byte-identical \
+    "Number of domains for the parallel phases: simulating the trace \
+     presets, the fused analysis of each trace, and executing the \
+     $(b,scale) run's lookahead windows. Defaults to DFS_JOBS, else the \
+     machine's recommended domain count. Results are byte-identical \
      whatever the value."
   in
-  Arg.(value & opt (some int) None & info [ "sim-shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let traces_arg =
   let doc = "Comma-separated trace numbers (1-8) to simulate." in
@@ -164,7 +156,7 @@ let trace_out_arg =
      $(docv) as Chrome trace-event JSON: one process per simulation, one \
      track per category. Each simulation keeps its first 100000 spans; the \
      rest are counted in the obs.trace.dropped metric. The file is the same \
-     bytes whatever DFS_JOBS or $(b,--sim-shards) is."
+     bytes whatever the worker count is."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -245,9 +237,8 @@ let replay_arg =
    (synthetic presets by default, or a replayed foreign trace under
    [--replay]) with the requested observability on, and hands it over. *)
 let dataset_term =
-  let prepare () scale traces jobs faults fault_seed sim_shards chunk_records
-      spill_dir replay metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
+  let prepare () scale traces jobs faults fault_seed chunk_records spill_dir
+      replay metrics_out trace_out profile_out =
     check_dataset_flags scale traces chunk_records;
     fun f ->
       with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
@@ -272,9 +263,8 @@ let dataset_term =
   in
   Term.(
     const prepare $ verbosity_term $ scale_arg $ traces_arg $ jobs_arg
-    $ faults_arg $ fault_seed_arg $ sim_shards_arg $ chunk_records_arg
-    $ spill_dir_arg $ replay_arg $ metrics_out_arg $ trace_out_arg
-    $ profile_out_arg)
+    $ faults_arg $ fault_seed_arg $ chunk_records_arg $ spill_dir_arg
+    $ replay_arg $ metrics_out_arg $ trace_out_arg $ profile_out_arg)
 
 (* -- list ------------------------------------------------------------------ *)
 
@@ -386,17 +376,18 @@ let simulate_cmd =
     let doc = "Directory to write per-server trace files into." in
     Arg.(value & opt string "traces" & info [ "out" ] ~docv:"DIR" ~doc)
   in
-  let run () n scale out format sim_shards metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
+  let run () n scale out format metrics_out trace_out profile_out =
     check_trace "--trace" n;
     check_scale scale;
     let format = parse_trace_format format in
+    (* Before simulating, so an unusable DIR fails before any work. *)
+    if not (Sys.file_exists out && Sys.is_directory out) then
+      Sys.mkdir out 0o755;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let preset = scaled_preset n scale in
         Dfs_obs.Log.info "simulating %s (%.1f h)" preset.name
           (preset.duration /. 3600.0);
         let cluster, _driver = Dfs_workload.Presets.run preset in
-        if not (Sys.file_exists out) then Sys.mkdir out 0o755;
         List.iteri
           (fun i chunks ->
             let path =
@@ -414,8 +405,7 @@ let simulate_cmd =
        ~doc:"Simulate one trace preset and write per-server trace files")
     Term.(
       const run $ verbosity_term $ trace_n_arg $ scale_arg $ out_arg
-      $ trace_format_arg $ sim_shards_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_out_arg)
+      $ trace_format_arg $ metrics_out_arg $ trace_out_arg $ profile_out_arg)
 
 (* -- analyze --------------------------------------------------------------------- *)
 
@@ -457,9 +447,6 @@ let analyze_cmd =
                 exit 2
               | exception Failure e ->
                 Dfs_obs.Log.error "%s: %s" path e;
-                exit 2
-              | exception Sys_error e ->
-                Dfs_obs.Log.error "%s" e;
                 exit 2)
             files
         in
@@ -584,28 +571,22 @@ let replay_cmd =
     in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
-  let run () trace out format on_corruption sim_shards metrics_out trace_out
-      profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
+  let run () trace out format on_corruption metrics_out trace_out profile_out =
     let on_corruption = parse_on_corruption on_corruption in
     let format = parse_trace_format format in
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
         let batch =
-          let parsed =
+          match
             if trace = "-" then
               Dfs_trace.Reader.batch_of_string ~on_corruption ~source:"<stdin>"
                 (In_channel.input_all In_channel.stdin)
             else Dfs_trace.Reader.batch_of_file ~on_corruption trace
-          in
-          match parsed with
+          with
           | Ok batch -> batch
           | Error e ->
             Dfs_obs.Log.error "%s: %s"
               (if trace = "-" then "<stdin>" else trace)
               e;
-            exit 2
-          | exception Sys_error e ->
-            Dfs_obs.Log.error "%s" e;
             exit 2
         in
         match Dfs_workload.Replay.run batch with
@@ -642,11 +623,10 @@ let replay_cmd =
           a live simulated cluster — block caches, consistency, counters — \
           and print a deterministic summary (applied/skipped counts, \
           replayed-trace record count and CRC-32C). The summary is \
-          byte-identical for any $(b,--sim-shards) and DFS_JOBS value")
+          byte-identical for any DFS_JOBS value")
     Term.(
       const run $ verbosity_term $ trace_arg $ out_arg $ trace_format_arg
-      $ on_corruption_arg $ sim_shards_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_out_arg)
+      $ on_corruption_arg $ metrics_out_arg $ trace_out_arg $ profile_out_arg)
 
 (* -- fsck ------------------------------------------------------------------------- *)
 
@@ -702,9 +682,7 @@ let fsck_cmd =
 (* -- stats ------------------------------------------------------------------------ *)
 
 let stats_cmd =
-  let run () n scale faults fault_seed sim_shards metrics_out trace_out
-      profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
+  let run () n scale faults fault_seed metrics_out trace_out profile_out =
     check_trace "--trace" n;
     check_scale scale;
     with_obs ~metrics_out ~trace_out ~profile_out (fun () ->
@@ -744,8 +722,7 @@ let stats_cmd =
           quantiles)")
     Term.(
       const run $ verbosity_term $ trace_n_arg $ scale_arg $ faults_arg
-      $ fault_seed_arg $ sim_shards_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_out_arg)
+      $ fault_seed_arg $ metrics_out_arg $ trace_out_arg $ profile_out_arg)
 
 (* -- scale --------------------------------------------------------------------- *)
 
@@ -770,14 +747,13 @@ let scale_cmd =
     let doc =
       "Number of logical partitions (default: one per ~64 clients, capped \
        by the server count). Part of the configuration — changing it \
-       changes the workload — unlike $(b,--sim-shards), which only picks \
-       how many domains execute it."
+       changes the workload — unlike $(b,--jobs), which only picks how \
+       many domains execute it."
     in
     Arg.(value & opt (some int) None & info [ "partitions" ] ~docv:"N" ~doc)
   in
-  let run () clients servers days seed partitions faults fault_seed sim_shards
+  let run () clients servers days seed partitions faults fault_seed jobs
       chunk_records spill_dir metrics_out trace_out profile_out =
-    Dfs_workload.Sharded.set_shards sim_shards;
     check_positive "--clients" clients;
     check_positive "--servers" servers;
     check "--days" ~valid:"0 < DAYS, finite" (Float.is_finite days && days > 0.0)
@@ -809,7 +785,7 @@ let scale_cmd =
             spill_dir;
           }
         in
-        let r = Dfs_workload.Sharded.run cfg in
+        let r = Dfs_workload.Sharded.run ?workers:jobs cfg in
         (* Deterministic summary only — no wall-clock values, so CI can
            byte-compare this output across worker counts. *)
         Printf.printf "== scale: %d clients, %d servers, %g days, seed %d, faults %s ==\n"
@@ -832,12 +808,11 @@ let scale_cmd =
           discrete-event simulation and print a deterministic summary \
           (partition count, user count, merged-trace record count and \
           CRC-32C, barrier and cross-partition message counts). The \
-          summary is byte-identical for any $(b,--sim-shards) and \
-          DFS_JOBS value")
+          summary is byte-identical for any $(b,--jobs) or DFS_JOBS value")
     Term.(
       const run $ verbosity_term $ clients_arg $ servers_arg $ days_arg
       $ seed_arg $ partitions_arg $ faults_arg $ fault_seed_arg
-      $ sim_shards_arg $ chunk_records_arg $ spill_dir_arg $ metrics_out_arg
+      $ jobs_arg $ chunk_records_arg $ spill_dir_arg $ metrics_out_arg
       $ trace_out_arg $ profile_out_arg)
 
 (* -- ablate ---------------------------------------------------------------------- *)
@@ -879,4 +854,16 @@ let main =
       ablate_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A path the CLI cannot open, read or write is one [dfs] line and exit
+   2, raised from wherever the I/O happens; any other exception is still
+   an internal error (exit 125). *)
+let () =
+  exit
+    (try Cmd.eval ~catch:false main with
+    | Sys_error e ->
+      Dfs_obs.Log.error "%s" e;
+      2
+    | e ->
+      Printexc.default_uncaught_exception_handler e
+        (Printexc.get_raw_backtrace ());
+      Cmd.Exit.internal_error)

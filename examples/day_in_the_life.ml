@@ -58,7 +58,7 @@ let () =
   let paging =
     Dfs_analysis.Paging_stats.analyze
       ~n_clients:preset.cluster_config.n_clients ~duration:86400.0
-      ~raw:(Cluster.total_traffic cluster) ()
+      ~raw:(Cluster.total_traffic cluster)
   in
   Format.printf "\n%a\n" Dfs_analysis.Paging_stats.pp paging;
   Printf.printf

@@ -28,10 +28,11 @@ let () =
       let paths =
         List.mapi
           (fun i chunks ->
-            let path = Filename.concat dir (Printf.sprintf "server%d.trace" i) in
+            let name = Printf.sprintf "server%d.trace" i in
+            let path = Filename.concat dir name in
             Dfs_trace.Writer.with_file path (fun w ->
                 Sink.iter (Dfs_trace.Writer.write w) chunks);
-            Printf.printf "2. wrote %s (%d records)\n" path (Sink.length chunks);
+            Printf.printf "2. wrote %s (%d records)\n" name (Sink.length chunks);
             path)
           (Cluster.server_chunks cluster)
       in

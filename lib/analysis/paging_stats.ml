@@ -11,9 +11,11 @@ type t = {
 
 let page = float_of_int Dfs_util.Units.block_size
 
-let analyze ~n_clients ~duration ~raw
-    ?(network = Dfs_sim.Network.default_config)
-    ?(disk = Dfs_sim.Disk.default_config) () =
+let network = Dfs_sim.Network.default_config
+
+let disk = Dfs_sim.Disk.default_config
+
+let analyze ~n_clients ~duration ~raw =
   if n_clients <= 0 then
     invalid_arg
       (Printf.sprintf "Paging_stats.analyze: n_clients = %d must be positive"

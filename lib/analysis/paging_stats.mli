@@ -22,14 +22,9 @@ type t = {
       (** backing-file share of paging bytes (paper: ~50%) *)
 }
 
-val analyze :
-  n_clients:int ->
-  duration:float ->
-  raw:Dfs_sim.Traffic.t ->
-  ?network:Dfs_sim.Network.config ->
-  ?disk:Dfs_sim.Disk.config ->
-  unit ->
-  t
-(** [duration] is the simulated seconds the tap covers. *)
+val analyze : n_clients:int -> duration:float -> raw:Dfs_sim.Traffic.t -> t
+(** [duration] is the simulated seconds the tap covers.  The page-fetch
+    and disk-access times are those of {!Dfs_sim.Network.default_config}
+    and {!Dfs_sim.Disk.default_config}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -36,7 +36,6 @@ let footnotes b (run : Dataset.run) =
       ~n_clients:(Array.length (Cluster.clients cluster))
       ~duration:run.preset.duration
       ~raw:(Cluster.total_traffic cluster)
-      ()
   in
   let servers = Array.to_list (Cluster.servers cluster) in
   Printf.bprintf b

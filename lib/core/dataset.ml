@@ -22,7 +22,7 @@ type run = {
   memo : memo;
 }
 
-type t = { scale : float; jobs : int; runs : run list }
+type t = { scale : float; runs : run list }
 
 let default_scale = 0.05
 
@@ -103,15 +103,16 @@ let generate ?(scale = default_scale) ?(traces = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
   Dfs_obs.Metrics.set
     (Dfs_obs.Metrics.gauge "phase.dataset.jobs")
     (float_of_int (Dfs_util.Pool.jobs pool));
-  { scale; jobs = Dfs_util.Pool.jobs pool; runs }
+  { scale; runs }
 
 (* A replayed dataset: one run whose cluster executed a foreign trace
    instead of a synthetic preset.  Every experiment reads it through
    the same [run] record — the trace-only analyses see the replayed
    cluster's merged log, the cache/traffic analyses see its finished
    caches and counters. *)
-let of_replay ?jobs ?on_corruption path =
-  match Dfs_trace.Reader.batch_of_file ?on_corruption path with
+let of_replay ?jobs path =
+  match Dfs_trace.Reader.batch_of_file path with
+  | exception Sys_error e -> Error e
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
   | Ok batch -> (
     let t0 = Unix.gettimeofday () in
@@ -148,7 +149,7 @@ let of_replay ?jobs ?on_corruption path =
           memo = { lock = Mutex.create (); fused = None };
         }
       in
-      Ok ({ scale = 1.0; jobs; runs = [ run ] }, stats))
+      Ok ({ scale = 1.0; runs = [ run ] }, stats))
 
 let trace_seq run = Sink.to_seq run.trace
 

@@ -23,7 +23,7 @@ type run = {
   memo : memo;
 }
 
-type t = { scale : float; jobs : int; runs : run list }
+type t = { scale : float; runs : run list }
 
 val generate :
   ?scale:float ->
@@ -48,18 +48,17 @@ val generate :
     registry as [phase.sim.<name>.wall_s] gauges. *)
 
 val of_replay :
-  ?jobs:int ->
-  ?on_corruption:Dfs_trace.Corruption.policy ->
-  string ->
-  (t * Dfs_workload.Replay.stats, string) result
+  ?jobs:int -> string -> (t * Dfs_workload.Replay.stats, string) result
 (** [of_replay path] reads a canonical trace (text or columnar, every
-    record validated) with {!Dfs_trace.Reader.batch_of_file}, replays
-    the batch through a live cluster ({!Dfs_workload.Replay}) and
-    packages the finished cluster as a single-run dataset on which all
-    experiments — Tables 1–12, figures, facts — run unchanged.  The
-    replay is single-partition, so [--sim-shards] and [DFS_JOBS] leave
-    its results byte-identical.  Errors are one-line diagnostics
-    (unreadable/invalid trace, id ranges beyond the replay ceilings). *)
+    record validated, damage fatal) with
+    {!Dfs_trace.Reader.batch_of_file}, replays the batch through a live
+    cluster ({!Dfs_workload.Replay}) and packages the finished cluster
+    as a single-run dataset on which all experiments — Tables 1–12,
+    figures, facts — run unchanged.  [jobs] sizes the run's fused
+    analysis (default: {!Dfs_util.Pool.default_jobs}); the replay itself
+    is single-partition, so results are byte-identical whatever it is.
+    Errors are one-line diagnostics (a path that cannot be read, an
+    invalid trace, id ranges beyond the replay ceilings). *)
 
 val default_scale : float
 (** 0.05 — enough for stable shapes while keeping the whole suite

@@ -30,7 +30,8 @@ let finish ~ops ~reads ~writes ~read_time ~write_time =
 (* Update in place: an operation is sequential (transfer only) when it hits
    the block right after the disk head's last position within the same
    file; anything else seeks. *)
-let in_place ?(params = default_params) ops =
+let in_place ops =
+  let params = default_params in
   let reads = ref 0 and writes = ref 0 in
   let read_time = ref 0.0 and write_time = ref 0.0 in
   let head = ref None in

@@ -41,8 +41,9 @@ type result = {
   total_time : float;
 }
 
-val in_place : ?params:params -> op list -> result
-(** Service the stream with update-in-place allocation. *)
+val in_place : op list -> result
+(** Service the stream with update-in-place allocation under
+    {!default_params}. *)
 
 val log_structured : ?params:params -> op list -> result
 (** Service the stream with a log: writes are batched into segments. *)

@@ -199,8 +199,8 @@ let sorted registry =
 
 let names ?(registry = default) () = List.map fst (sorted registry)
 
-let find ?(registry = default) name =
-  Mutex.protect registry.lock (fun () -> Hashtbl.find_opt registry.tbl name)
+let find name =
+  Mutex.protect default.lock (fun () -> Hashtbl.find_opt default.tbl name)
 
 let metric_json = function
   | Counter c -> Json.Int (value c)

@@ -107,7 +107,8 @@ val names : ?registry:t -> unit -> string list
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
-val find : ?registry:t -> string -> metric option
+val find : string -> metric option
+(** Look a name up in the default registry. *)
 
 val to_json : ?registry:t -> unit -> Json.t
 (** Object keyed by metric name: counters as ints, gauges as floats,

@@ -396,12 +396,9 @@ let server_chunks t =
   check_live t;
   Array.to_list (Array.map Sink.chunks_now t.logs)
 
-let merged_chunks ?chunk_records ?spill t =
-  let chunk_records =
-    Option.value chunk_records ~default:t.cfg.trace_chunk_records
-  in
-  Dfs_trace.Merge.merge_chunks ~chunk_records ?spill ~scrub:self_users
-    (server_chunks t)
+let merged_chunks ?spill t =
+  Dfs_trace.Merge.merge_chunks ~chunk_records:t.cfg.trace_chunk_records ?spill
+    ~scrub:self_users (server_chunks t)
 
 (* Drop the per-server logs (deleting spilled segments) once the merged
    trace has been produced; the sinks must not be read afterwards. *)

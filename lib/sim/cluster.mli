@@ -106,13 +106,12 @@ val server_chunks : t -> Dfs_trace.Sink.chunks list
     be snapshotted again.
     @raise Invalid_argument after {!release_sim_state}. *)
 
-val merged_chunks :
-  ?chunk_records:int -> ?spill:Dfs_trace.Sink.spill -> t -> Dfs_trace.Sink.chunks
+val merged_chunks : ?spill:Dfs_trace.Sink.spill -> t -> Dfs_trace.Sink.chunks
 (** The merged, scrubbed, time-ordered trace as a chunked stream: a
     streaming k-way merge over the per-server chunk streams, dropping
-    {!self_users} records on the fly.  [chunk_records] defaults to the
-    cluster's [trace_chunk_records]; pass [spill] to write the merged
-    chunks to disk.  Peak memory is one output chunk plus one loaded
+    {!self_users} records on the fly, in chunks of the cluster's
+    [trace_chunk_records]; pass [spill] to write the merged chunks to
+    disk.  Peak memory is one output chunk plus one loaded
     chunk per server.
     @raise Invalid_argument after {!release_sim_state}. *)
 

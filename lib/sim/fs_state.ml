@@ -28,20 +28,12 @@ let default_weights n =
   if n = 1 then [| 1.0 |]
   else Array.init n (fun i -> if i = 0 then 0.7 else 0.3 /. float_of_int (n - 1))
 
-let create ~n_servers ?(server_id_base = 0) ?(file_id_base = 0)
-    ?server_weights ~rng () =
+let create ~n_servers ?(server_id_base = 0) ?(file_id_base = 0) ~rng () =
   assert (n_servers >= 1);
   assert (server_id_base >= 0 && file_id_base >= 0);
-  let server_weights =
-    match server_weights with
-    | Some w ->
-      assert (Array.length w = n_servers);
-      w
-    | None -> default_weights n_servers
-  in
   {
     n_servers;
-    server_weights;
+    server_weights = default_weights n_servers;
     server_id_base;
     file_id_base;
     rng;

@@ -20,15 +20,14 @@ val create :
   n_servers:int ->
   ?server_id_base:int ->
   ?file_id_base:int ->
-  ?server_weights:float array ->
   rng:Dfs_util.Rng.t ->
   unit ->
   t
-(** [server_weights] biases file placement (default: 70% of files on
-    server 0, the rest spread evenly, echoing the measured cluster).
-    [server_id_base] / [file_id_base] (default 0) offset every id this
-    state mints, so the states of a partitioned simulation allocate
-    disjoint global id ranges: [pick_server] returns ids in
+(** File placement is biased as in the measured cluster: 70% of files
+    on server 0, the rest spread evenly.  [server_id_base] /
+    [file_id_base] (default 0) offset every id this state mints, so the
+    states of a partitioned simulation allocate disjoint global id
+    ranges: [pick_server] returns ids in
     [server_id_base, server_id_base + n_servers) and files are numbered
     from [file_id_base]. *)
 
@@ -47,7 +46,7 @@ val create_file :
 (** Allocate a fresh file id, place it on a server, and return its
     info.  [server] pins the placement (trace replay preserving an
     imported file→server mapping) without consuming the placement RNG;
-    by default the server is drawn from [server_weights]. *)
+    by default the server is drawn from the placement bias. *)
 
 val find : t -> Dfs_trace.Ids.File.t -> file_info option
 

@@ -17,7 +17,7 @@ let default_attempts = 5
 
 let default_base_delay = 0.002
 
-let default_max_delay = 0.250
+let max_delay = 0.250
 
 let m_retries = Dfs_obs.Metrics.counter "trace.io.retries"
 
@@ -34,8 +34,8 @@ let is_transient = function
     true
   | _ -> false
 
-let run ?(attempts = default_attempts) ?(base_delay = default_base_delay)
-    ?(max_delay = default_max_delay) ~op ~path f =
+let run ?(attempts = default_attempts) ?(base_delay = default_base_delay) ~op
+    ~path f =
   if attempts < 1 then invalid_arg "Io_retry.run: attempts must be >= 1";
   let rec go attempt delay =
     match

@@ -2,7 +2,7 @@
     real disk I/O (spill sealing, trace fsync).
 
     Transient [Unix_error]s (EINTR, EAGAIN, EIO, EBUSY) are retried up
-    to [attempts] times with a doubling sleep capped at [max_delay];
+    to [attempts] times with a doubling sleep capped at 250 ms;
     every retry bumps [trace.io.retries], and a run that exhausts its
     attempts bumps [trace.io.giveups] before re-raising.  Permanent
     errors (ENOSPC, EACCES, [Sys_error], ...) propagate immediately.
@@ -15,7 +15,6 @@
 val run :
   ?attempts:int ->
   ?base_delay:float ->
-  ?max_delay:float ->
   op:string ->
   path:string ->
   (unit -> 'a) ->

@@ -29,22 +29,22 @@ module Chunk_cursor = struct
 
   (* Position on the first record of the first non-empty chunk; None when
      the source is exhausted. *)
-  let rec start ?on_corruption chunks =
+  let rec start chunks =
     match chunks with
     | [] -> None
     | ch :: rest ->
-      let b = Sink.load_chunk ?on_corruption ch in
-      if Record_batch.length b = 0 then start ?on_corruption rest
+      let b = Sink.load_chunk ch in
+      if Record_batch.length b = 0 then start rest
       else Some { batch = b; i = 0; rest }
 
   (* Advance to the next record; false when exhausted. *)
-  let advance ?on_corruption t =
+  let advance t =
     if t.i + 1 < Record_batch.length t.batch then begin
       t.i <- t.i + 1;
       true
     end
     else
-      match start ?on_corruption t.rest with
+      match start t.rest with
       | None -> false
       | Some fresh ->
         t.batch <- fresh.batch;
@@ -60,11 +60,11 @@ module CH = Dfs_util.Heap.Make (Chunk_cursor)
    logs are appended in simulation order).  Equal (time, server) keys
    resolve by the heap's operation order, which is a pure function of
    the sources, so the output is deterministic. *)
-let merge_iter ?on_corruption sources ~emit =
+let merge_iter sources ~emit =
   let heap = CH.create () in
   List.iter
     (fun (chunks : Sink.chunks) ->
-      match Chunk_cursor.start ?on_corruption chunks.segments with
+      match Chunk_cursor.start chunks.segments with
       | None -> ()
       | Some c -> CH.push heap c)
     sources;
@@ -73,14 +73,13 @@ let merge_iter ?on_corruption sources ~emit =
     | None -> ()
     | Some c ->
       let batch = c.Chunk_cursor.batch and i = c.Chunk_cursor.i in
-      if Chunk_cursor.advance ?on_corruption c then CH.push heap c;
+      if Chunk_cursor.advance c then CH.push heap c;
       emit batch i;
       go ()
   in
   go ()
 
-let merge_chunks ?on_corruption ?chunk_records ?spill
-    ?(scrub = Ids.User.Set.empty) sources =
+let merge_chunks ?chunk_records ?spill ?(scrub = Ids.User.Set.empty) sources =
   Dfs_obs.Profiler.span ~cat:"merge" "trace.kway_merge" (fun () ->
       let sink = Sink.create ?chunk_records ?spill () in
       let keep =
@@ -89,6 +88,6 @@ let merge_chunks ?on_corruption ?chunk_records ?spill
           fun batch i ->
             not (Ids.User.Set.mem (Record_batch.Unsafe.user_id batch i) scrub)
       in
-      merge_iter ?on_corruption sources ~emit:(fun batch i ->
+      merge_iter sources ~emit:(fun batch i ->
           if keep batch i then Sink.emit_from sink batch i);
       Sink.close sink)

@@ -6,7 +6,6 @@
     writing the trace files themselves and by the nightly backup. *)
 
 val merge_chunks :
-  ?on_corruption:Corruption.policy ->
   ?chunk_records:int ->
   ?spill:Sink.spill ->
   ?scrub:Ids.User.Set.t ->
@@ -18,5 +17,5 @@ val merge_chunks :
     {!Record.compare_time}) as one chunked trace, dropping records whose
     user is in [scrub] (infrastructure users) along the way.  Peak
     memory is one open output chunk plus one loaded chunk per source,
-    regardless of trace length.  [on_corruption] governs spilled-chunk
-    loads (see {!Sink.load_chunk}). *)
+    regardless of trace length.  A damaged spilled chunk raises (see
+    {!Sink.load_chunk}). *)

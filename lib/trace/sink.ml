@@ -117,10 +117,10 @@ let close t =
 
 (* -- reading chunk streams ------------------------------------------------ *)
 
-let load_chunk ?on_corruption = function
+let load_chunk = function
   | Mem b -> b
   | Seg { path; _ } -> (
-    match Segment.batch_of_file ?on_corruption path with
+    match Segment.batch_of_file path with
     | Ok b -> b
     | Error e -> failwith (Printf.sprintf "Sink: bad spill segment %s: %s" path e))
 
@@ -134,8 +134,7 @@ let spilled_count c =
 (* Replayable: each traversal walks the segment list afresh, loading
    spilled segments on demand; at most one loaded chunk is live per
    in-flight traversal. *)
-let to_seq ?on_corruption c =
-  Seq.map (fun ch -> load_chunk ?on_corruption ch) (List.to_seq c.segments)
+let to_seq c = Seq.map load_chunk (List.to_seq c.segments)
 
 let iter_batches f c = Seq.iter f (to_seq c)
 

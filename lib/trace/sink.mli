@@ -58,14 +58,13 @@ val length : chunks -> int
 val spilled_count : chunks -> int
 (** How many segments live on disk rather than in memory. *)
 
-val load_chunk : ?on_corruption:Corruption.policy -> chunk -> Record_batch.t
+val load_chunk : chunk -> Record_batch.t
 (** In-memory chunks are returned as-is; spilled segments are decoded
-    from disk.  Under [Fail] (default) corruption raises; under
-    [Salvage] the chunk's valid record prefix is returned and counted.
-    @raise Failure when a segment file is missing/corrupt (policy
-    [Fail]) or unreadable (either policy). *)
+    from disk under {!Corruption.Fail}: our own spill is never salvaged.
+    @raise Failure when a segment file is missing, corrupt or
+    unreadable. *)
 
-val to_seq : ?on_corruption:Corruption.policy -> chunks -> Record_batch.t Seq.t
+val to_seq : chunks -> Record_batch.t Seq.t
 (** Replayable: every traversal re-walks the segment list (re-loading
     spilled segments), so multi-pass analyses can fold it repeatedly. *)
 

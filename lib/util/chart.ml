@@ -18,7 +18,8 @@ let axis_value x =
   else if x >= 1.0 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.2f" x
 
-let render ?(width = 64) ?(height = 16) ~title ~x_label series_list =
+let render ~title ~x_label series_list =
+  let width = 64 and height = 16 in
   let positive_xs =
     List.concat_map
       (fun s ->

@@ -9,16 +9,10 @@ type series = {
       (** (x, y) with y in [0, 100]; x ascending *)
 }
 
-val render :
-  ?width:int ->
-  ?height:int ->
-  title:string ->
-  x_label:string ->
-  series list ->
-  string
-(** Draw the series on a log-x, linear-y (0-100%) grid.  [width] is the
-    plot-area width in columns (default 64), [height] in rows (default
-    16).  Series must contain at least one point with x > 0. *)
+val render : title:string -> x_label:string -> series list -> string
+(** Draw the series on a log-x, linear-y (0-100%) grid with a plot area
+    64 columns wide and 16 rows high.  Series must contain at least one
+    point with x > 0. *)
 
 val of_cdf :
   name:string ->

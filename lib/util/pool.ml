@@ -66,11 +66,9 @@ module Team = struct
      until all spawned members check back in.
 
      Unlike [map], a team does not set the pool's [in_task] flag: it is
-     a first-class entry point that composes with the preset-level
-     [Pool.map] fan-out — a team of size 1 degrades to a plain call in
-     the calling domain, so creating one inside a pool task is legal
-     (and is exactly what a sharded simulation nested under [--jobs]
-     does). *)
+     a first-class entry point, and a team of size 1 degrades to a plain
+     call in the calling domain, so creating one inside a pool task is
+     legal. *)
 
   type t = {
     size : int;
@@ -114,8 +112,8 @@ module Team = struct
       end
     done
 
-  let create ?size () =
-    let size = match size with Some s -> max 1 s | None -> default_jobs () in
+  let create ~size =
+    let size = max 1 size in
     let t =
       {
         size;
@@ -208,7 +206,7 @@ let map pool f xs =
       busy.(m) <- !my_busy
     in
     let t0 = Unix.gettimeofday () in
-    let team = Team.create ~size:workers () in
+    let team = Team.create ~size:workers in
     Fun.protect
       ~finally:(fun () -> Team.shutdown team)
       (fun () -> Team.run team claim_loop);

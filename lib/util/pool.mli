@@ -63,17 +63,15 @@ module Team : sig
       A team is a first-class entry point, deliberately outside the
       pool's nested-use guard: it never sets the pool task flag, and a
       team of [size 1] runs everything in the calling domain with no
-      domains spawned, so creating a team {e inside} a [Pool.map] task
-      (the [--sim-shards] × [--jobs] composition) is legal and cannot
-      deadlock — callers that want the outer pool to keep the domains
-      simply create their inner team with size 1. *)
+      domains spawned.  No production path creates a team inside a
+      [Pool.map] task (the sharded [scale] run is a top-level command),
+      but doing so is legal and cannot deadlock. *)
 
   type t
 
-  val create : ?size:int -> unit -> t
-  (** Spawn a team of [size] members (clamped to at least 1; default
-      {!default_jobs}).  [size - 1] domains are spawned immediately and
-      parked. *)
+  val create : size:int -> t
+  (** Spawn a team of [size] members (clamped to at least 1).
+      [size - 1] domains are spawned immediately and parked. *)
 
   val size : t -> int
 

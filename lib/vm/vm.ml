@@ -37,8 +37,13 @@ type t = {
   retained : retained File.Tbl.t;  (* code pages of exited programs *)
 }
 
-let create ?(config = default_config) io =
-  { cfg = config; io; procs = Process.Tbl.create 64; retained = File.Tbl.create 64 }
+let create io =
+  {
+    cfg = default_config;
+    io;
+    procs = Process.Tbl.create 64;
+    retained = File.Tbl.create 64;
+  }
 
 let config t = t.cfg
 

@@ -39,7 +39,9 @@ type config = {
 
 type t
 
-val create : ?config:config -> io -> t
+val create : io -> t
+(** A model with 4-Kbyte pages, 25 minutes of code retention and
+    Sprite's 20-minute VM trade rule; {!config} reads them back. *)
 
 val config : t -> config
 

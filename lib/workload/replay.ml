@@ -259,7 +259,7 @@ let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth batch stream =
             try apply client r with Exit -> incr skipped)
           stream)
 
-let run ?(seed = 7) ?config batch =
+let run batch =
   let n = B.length batch in
   let* () = if n = 0 then Error "empty trace: nothing to replay" else Ok () in
   let* scan = scan_trace batch in
@@ -281,13 +281,13 @@ let run ?(seed = 7) ?config batch =
         (List.length scan.file_seeds) max_files
     else Ok ()
   in
-  let base = Option.value ~default:Cluster.default_config config in
+  let base = Cluster.default_config in
   let cfg =
     {
       base with
       Cluster.n_clients = max base.Cluster.n_clients scan.n_clients;
       n_servers = max base.Cluster.n_servers scan.n_servers;
-      seed;
+      seed = 7;
       (* The replayed trace must contain exactly the foreign workload:
          no trace-daemon or backup records to scrub. *)
       simulate_infrastructure = false;

@@ -20,7 +20,7 @@
     and writes are performed at close time from its byte totals,
     mirroring the paper's own semantics (positions at open/seek/close,
     totals at close).  Execution uses the single-partition windowed
-    executor, so [--sim-shards] and [DFS_JOBS] leave the replayed trace
+    executor on one domain, so [DFS_JOBS] leaves the replayed trace
     byte-identical.
 
     Replay is tolerant by design — a hostile trace must not crash it:
@@ -42,16 +42,13 @@ type stats = {
 }
 
 val run :
-  ?seed:int ->
-  ?config:Dfs_sim.Cluster.config ->
-  Dfs_trace.Record_batch.t ->
-  (Dfs_sim.Cluster.t * stats, string) result
+  Dfs_trace.Record_batch.t -> (Dfs_sim.Cluster.t * stats, string) result
 (** Replay a time-sorted trace, as {!Dfs_trace.Reader} returns it (every
-    record valid; each is boxed only when its stream reaches it).
-    [config] overrides the
-    cluster template (its [n_clients]/[n_servers] are still raised to
-    cover the trace's id ranges; infrastructure daemons are disabled so
-    the replayed trace contains exactly the foreign workload).  Returns
+    record valid; each is boxed only when its stream reaches it), on a
+    {!Dfs_sim.Cluster.default_config} cluster seeded 7, its
+    [n_clients]/[n_servers] raised to cover the trace's id ranges and
+    its infrastructure daemons disabled so the replayed trace contains
+    exactly the foreign workload.  Returns
     the finished cluster — read {!Dfs_sim.Cluster.merged_chunks},
     counters and caches from it — or a one-line error for an empty
     trace, an unsorted trace, or id ranges beyond the ceilings. *)

@@ -7,29 +7,6 @@ module Pool = Dfs_util.Pool
 module Sink = Dfs_trace.Sink
 module Merge = Dfs_trace.Merge
 
-(* -- worker selection ------------------------------------------------------ *)
-
-(* [--sim-shards] (or DFS_SIM_SHARDS) picks the number of EXECUTION
-   workers only.  The logical partition layout is a pure function of the
-   cluster configuration — never of this setting — which is what makes
-   output byte-identical at shards 1 vs N: the same partitions advance
-   through the same windows and exchange the same messages, only on
-   fewer or more domains. *)
-let requested = ref None
-
-let set_shards n = requested := n
-
-let shards () =
-  match !requested with
-  | Some n -> max 1 n
-  | None -> (
-    match Sys.getenv_opt "DFS_SIM_SHARDS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Pool.default_jobs ())
-    | None -> Pool.default_jobs ())
-
 (* -- single-partition windowed execution (the preset path) ----------------- *)
 
 (* Every simulation now runs through the conservative-PDES executor.
@@ -237,8 +214,14 @@ let run ?workers cfg =
     Array.init parts (fun p -> fst (block ~total:cfg.n_clients ~parts p))
   in
   wire_remote_traffic pdes ~clusters ~client_bases ~seed:cfg.seed ~lookahead;
-  let workers = min parts (match workers with Some w -> max 1 w | None -> shards ()) in
-  let team = Pool.Team.create ~size:workers () in
+  (* The worker count picks only how many domains execute the windows:
+     the partition layout above is a pure function of the configuration,
+     so output is byte-identical at 1 vs N workers. *)
+  let workers =
+    min parts
+      (match workers with Some w -> max 1 w | None -> Pool.default_jobs ())
+  in
+  let team = Pool.Team.create ~size:workers in
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
     (fun () -> Pdes.run pdes ~team ~until:cfg.duration ());
@@ -269,7 +252,7 @@ let run ?workers cfg =
 
 (* Stable content digest of a chunked trace: CRC-32C chained over the
    text encoding of every record, in order.  Pure function of the record
-   stream — the quantity the shards-1-vs-N byte-identity matrix
+   stream — the quantity the 1-vs-N-workers byte-identity matrix
    compares. *)
 let digest chunks =
   let crc = ref Dfs_util.Crc32c.init in

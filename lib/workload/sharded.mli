@@ -13,13 +13,9 @@
     Determinism contract: the partition layout, every per-partition RNG
     stream, and the cross-partition message order are pure functions of
     the run configuration (seed, cluster size) and of stable entity ids
-    — never of the worker count.  [--sim-shards] therefore changes only
-    how many domains execute the windows; output is byte-identical at
-    shards 1 vs N. *)
-
-val set_shards : int option -> unit
-(** CLI override for the worker count ([None]: auto, which reads
-    [DFS_SIM_SHARDS], else {!Dfs_util.Pool.default_jobs}). *)
+    — never of the worker count.  The worker count ([scale --jobs])
+    therefore changes only how many domains execute the windows; output
+    is byte-identical at 1 vs N workers. *)
 
 val drive : Dfs_sim.Cluster.t -> until:float -> unit
 (** Run a single (unpartitioned) cluster through the windowed executor:
@@ -63,17 +59,14 @@ val auto_partitions : n_clients:int -> n_servers:int -> int
 
 val run : ?workers:int -> config -> result
 (** Build the partitions, wire deterministic cross-partition read
-    traffic, execute to [duration] on [workers] domains (default: the
-    {!set_shards} worker count; clamped to the partition count), and
-    merge the per-partition traces.  Safe to call from inside a {!Dfs_util.Pool}
-    task — the worker team is a first-class entry point that composes
-    with the preset-level [--jobs] fan-out.  Partitions publish their
-    metrics in partition order, so a snapshot is the same for any worker
-    count. *)
+    traffic, execute to [duration] on [workers] domains (default:
+    {!Dfs_util.Pool.default_jobs}; clamped to the partition count), and
+    merge the per-partition traces.  Partitions publish their metrics in
+    partition order, so a snapshot is the same for any worker count. *)
 
 val digest : Dfs_trace.Sink.chunks -> int
 (** CRC-32C over the text encoding of every record in stream order —
-    the stable content fingerprint the shards-1-vs-N identity checks
+    the stable content fingerprint the 1-vs-N-workers identity checks
     compare. *)
 
 val release : result -> unit

@@ -468,7 +468,7 @@ let test_paging_stats_arithmetic () =
   (* 40 clients over 100 s; 10 pages cached + 10 pages backing = 20 pages *)
   Dfs_sim.Traffic.add_read raw Dfs_sim.Traffic.Paging_cached (10 * 4096);
   Dfs_sim.Traffic.add_write raw Dfs_sim.Traffic.Paging_backing (10 * 4096);
-  let t = Paging_stats.analyze ~n_clients:40 ~duration:100.0 ~raw () in
+  let t = Paging_stats.analyze ~n_clients:40 ~duration:100.0 ~raw in
   Alcotest.(check (float 1e-6)) "KB/s" (20.0 *. 4.0 /. 100.0)
     t.paging_kb_per_sec_cluster;
   Alcotest.(check (float 1e-6)) "s per page per client"
@@ -483,7 +483,7 @@ let test_paging_stats_arithmetic () =
 
 let test_paging_stats_empty () =
   let raw = Dfs_sim.Traffic.create () in
-  let t = Paging_stats.analyze ~n_clients:4 ~duration:10.0 ~raw () in
+  let t = Paging_stats.analyze ~n_clients:4 ~duration:10.0 ~raw in
   Alcotest.(check (float 1e-9)) "no paging" 0.0 t.paging_kb_per_sec_cluster;
   Alcotest.(check bool) "infinite gap" true
     (t.seconds_per_page_per_client = infinity)

@@ -256,7 +256,7 @@ let test_fault_schedule_split () =
 (* -- the worker team ---------------------------------------------------------- *)
 
 let test_team_runs_every_member () =
-  let team = Team.create ~size:3 () in
+  let team = Team.create ~size:3 in
   Fun.protect
     ~finally:(fun () -> Team.shutdown team)
     (fun () ->
@@ -271,7 +271,7 @@ let test_team_runs_every_member () =
 exception Member_boom of int
 
 let test_team_lowest_member_exception_wins () =
-  let team = Team.create ~size:4 () in
+  let team = Team.create ~size:4 in
   Fun.protect
     ~finally:(fun () -> Team.shutdown team)
     (fun () ->
@@ -290,7 +290,7 @@ let test_team_lowest_member_exception_wins () =
       Alcotest.(check int) "usable after exception" 1 !ok)
 
 let test_team_size_one_inline () =
-  let team = Team.create ~size:1 () in
+  let team = Team.create ~size:1 in
   Fun.protect
     ~finally:(fun () -> Team.shutdown team)
     (fun () ->
@@ -301,13 +301,14 @@ let test_team_size_one_inline () =
       Alcotest.(check bool) "ran inline" true !ran)
 
 let test_team_composes_with_pool () =
-  (* the --sim-shards x --jobs composition: a team created inside a
-     Pool.map task must not trip the pool's nested-use guard *)
+  (* no production path nests a team in a pool task any more, but doing
+     so is legal: a team created inside a Pool.map task must not trip
+     the pool's nested-use guard *)
   let pool = Pool.create ~jobs:2 () in
   let results =
     Pool.map pool
       (fun x ->
-        let team = Team.create ~size:2 () in
+        let team = Team.create ~size:2 in
         Fun.protect
           ~finally:(fun () -> Team.shutdown team)
           (fun () ->

@@ -612,27 +612,45 @@ let retired_v1_segment () =
 let dfs_repro =
   Filename.concat (Filename.concat Filename.parent_dir_name "bin") "dfs_repro.exe"
 
-(* Run the CLI with stdout discarded; returns its exit code and stderr. *)
+(* Run the CLI; returns its exit code, stdout and stderr. *)
 let run_cli args =
+  let out = Filename.temp_file "dfs-cli" ".out" in
   let err = Filename.temp_file "dfs-cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
     (fun () ->
+      let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
       let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
       let pid =
         Unix.create_process dfs_repro
           (Array.of_list (dfs_repro :: args))
-          Unix.stdin null err_fd
+          Unix.stdin out_fd err_fd
       in
+      Unix.close out_fd;
       Unix.close err_fd;
-      Unix.close null;
       let code =
         match snd (Unix.waitpid [] pid) with
         | Unix.WEXITED c -> c
         | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
       in
-      (code, In_channel.with_open_bin err In_channel.input_all))
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      (code, read out, read err))
+
+(* Exactly one stderr line, free of [words]: the shape of every refusal. *)
+let check_one_line label err words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: one stderr line in %S" label err)
+    true
+    (String.length err > 1 && String.index err '\n' = String.length err - 1);
+  List.iter
+    (fun word ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: no %S" label word)
+        false
+        (contains_sub ~sub:word (String.lowercase_ascii err)))
+    words
 
 (* Every hostile trace, through [replay] and [analyze]: exit 2 and one
    short stderr line, never an uncaught exception (exit 125). *)
@@ -657,26 +675,51 @@ let test_cli_hostile_traces () =
           List.iter
             (fun cmd ->
               let label = Printf.sprintf "%s: %s" cmd what in
-              let code, err = run_cli [ cmd; path ] in
+              let code, _, err = run_cli [ cmd; path ] in
               Alcotest.(check int) (label ^ ": exit 2") 2 code;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: one stderr line in %S" label err)
-                true
-                (String.length err > 1
-                && String.index err '\n' = String.length err - 1);
+              check_one_line label err [ "exception"; "backtrace"; "assert" ];
               Alcotest.(check bool)
                 (Printf.sprintf "%s: %d-byte line" label (String.length err))
                 true
-                (String.length err < 200);
-              List.iter
-                (fun word ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: no %S" label word)
-                    false
-                    (contains_sub ~sub:word (String.lowercase_ascii err)))
-                [ "exception"; "backtrace"; "assert" ])
+                (String.length err < 200))
             [ "replay"; "analyze" ]))
     inputs
+
+(* A path the CLI cannot open, read or write — missing, a directory, a
+   file where a directory belongs: exit 2 and one short stderr line,
+   never an uncaught Sys_error (exit 125). *)
+let test_cli_unusable_paths () =
+  if not (Sys.file_exists dfs_repro) then
+    Alcotest.failf "%s not built" dfs_repro;
+  let dir = Filename.temp_dir "dfs-cli" "" in
+  let file name = Filename.concat dir name in
+  let trace = file "ok.trace" and csv = file "ok.csv" in
+  let missing = file "missing" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Writer.with_file trace (fun w -> List.iter (Writer.write w) records_for_io);
+      Out_channel.with_open_bin csv (fun oc ->
+          output_string oc
+            "Timestamp,Hostname,DiskNumber,Type,Offset,Size\n\
+             1,h,0,Read,0,4096\n");
+      List.iter
+        (fun args ->
+          let label = String.concat " " args in
+          let code, _, err = run_cli args in
+          Alcotest.(check int) (label ^ ": exit 2") 2 code;
+          check_one_line label err [ "exception" ])
+        [
+          [ "replay"; missing ];
+          [ "all"; "--replay"; missing ];
+          [ "replay"; dir ];
+          [ "all"; "--replay"; dir ];
+          [ "replay"; trace; "-o"; Filename.concat missing "x.trace" ];
+          [ "import"; csv; "-o"; Filename.concat missing "x.trace" ];
+          [ "simulate"; "--scale"; "0.001"; "--out"; trace ];
+        ])
 
 (* Every out-of-range numeric flag: exit 1 and one stderr line naming the
    flag, refused before any simulation starts. *)
@@ -686,23 +729,12 @@ let test_cli_bad_numeric_flags () =
   List.iter
     (fun (flag, args) ->
       let label = String.concat " " args in
-      let code, err = run_cli args in
+      let code, _, err = run_cli args in
       Alcotest.(check int) (label ^ ": exit 1") 1 code;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: one stderr line in %S" label err)
-        true
-        (String.length err > 1
-        && String.index err '\n' = String.length err - 1);
+      check_one_line label err [ "exception"; "assert" ];
       Alcotest.(check bool)
         (Printf.sprintf "%s: names %s in %S" label flag err)
-        true (contains_sub ~sub:flag err);
-      List.iter
-        (fun word ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: no %S" label word)
-            false
-            (contains_sub ~sub:word (String.lowercase_ascii err)))
-        [ "exception"; "assert" ])
+        true (contains_sub ~sub:flag err))
     [
       ("--trace", [ "stats"; "--trace"; "9" ]);
       ("--trace", [ "simulate"; "--trace"; "0" ]);
@@ -723,6 +755,34 @@ let test_cli_bad_numeric_flags () =
       ("--idle-gap", [ "import"; "--idle-gap"; "nan"; "/dev/null" ]);
       ("--servers", [ "import"; "--servers"; "0"; "/dev/null" ]);
     ]
+
+(* [scale --jobs N] sizes the executor: the summary is the same at 1 and
+   2 workers, and only the 2-worker run publishes worker 1's gauges. *)
+let test_cli_scale_jobs () =
+  if not (Sys.file_exists dfs_repro) then
+    Alcotest.failf "%s not built" dfs_repro;
+  let run jobs =
+    let metrics = Filename.temp_file "dfs-scale" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove metrics)
+      (fun () ->
+        let code, out, err =
+          run_cli
+            [
+              "scale"; "--clients"; "48"; "--servers"; "2"; "--partitions"; "2";
+              "--days"; "0.002"; "--jobs"; jobs; "--metrics-out"; metrics;
+            ]
+        in
+        Alcotest.(check int) (Printf.sprintf "--jobs %s: exit 0 (%s)" jobs err)
+          0 code;
+        (out, In_channel.with_open_bin metrics In_channel.input_all))
+  in
+  let out1, m1 = run "1" and out2, m2 = run "2" in
+  Alcotest.(check string) "same summary at --jobs 1 and 2" out1 out2;
+  Alcotest.(check bool) "summary printed" true (contains_sub ~sub:"trace_crc32c" out1);
+  let shard1 m = contains_sub ~sub:"\"sim.shard1.busy_s\"" m in
+  Alcotest.(check bool) "--jobs 1: no worker 1" false (shard1 m1);
+  Alcotest.(check bool) "--jobs 2: worker 1 ran" true (shard1 m2)
 
 (* -- properties -------------------------------------------------------------------- *)
 
@@ -906,5 +966,7 @@ let suite =
     ("cli hostile traces exit 2 in one line", `Quick, test_cli_hostile_traces);
     ("cli bad numeric flags exit 1 in one line", `Quick,
       test_cli_bad_numeric_flags);
+    ("cli unusable paths exit 2 in one line", `Quick, test_cli_unusable_paths);
+    ("cli scale --jobs sizes the executor", `Quick, test_cli_scale_jobs);
   ]
   @ qcheck_tests
