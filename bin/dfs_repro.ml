@@ -14,10 +14,9 @@ let scale_arg =
 let jobs_arg =
   let doc =
     "Number of domains for the parallel phases: simulating the trace \
-     presets, the fused analysis of each trace, and executing the \
-     $(b,scale) run's lookahead windows. Defaults to DFS_JOBS, else the \
-     machine's recommended domain count. Results are byte-identical \
-     whatever the value."
+     presets, and executing the $(b,scale) run's lookahead windows. \
+     Defaults to DFS_JOBS, else the machine's recommended domain count. \
+     Results are byte-identical whatever the value."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -249,7 +248,7 @@ let dataset_term =
               Dfs_core.Dataset.generate ?scale ~traces ?jobs ?faults
                 ?chunk_records ?spill_dir ()
             | Some path -> (
-              match Dfs_core.Dataset.of_replay ?jobs path with
+              match Dfs_core.Dataset.of_replay path with
               | Ok (ds, stats) ->
                 Dfs_obs.Log.info
                   "replayed %s: %d records, %d applied, %d skipped, %d \
@@ -327,23 +326,17 @@ let all_cmd =
 (* -- facts -------------------------------------------------------------------- *)
 
 let facts_cmd =
-  let markdown_arg =
-    let doc = "Emit the scorecard as a markdown table (for EXPERIMENTS.md)." in
-    Arg.(value & flag & info [ "markdown" ] ~doc)
-  in
-  let run markdown with_dataset =
+  let run with_dataset =
     with_dataset (fun ds ->
-        if markdown then print_string (Dfs_core.Claims.markdown ds)
-        else begin
-          print_string (Dfs_core.Claims.scorecard ds);
-          print_recovery_stats ds
-        end)
+        print_string (Dfs_core.Claims.scorecard ds);
+        print_recovery_stats ds)
   in
   Cmd.v
     (Cmd.info "facts"
        ~doc:
-         "Check the paper's headline findings (the prose claims) against           the simulation")
-    Term.(const run $ markdown_arg $ dataset_term)
+         "Check the paper's headline findings (the prose claims) against the \
+          simulation")
+    Term.(const run $ dataset_term)
 
 (* -- simulate ------------------------------------------------------------------- *)
 

@@ -83,10 +83,6 @@ let acc_boundary acc ~user ~migrated ~is_dir ~time run =
   if ((not acc.migrated_only) || migrated) && not is_dir then
     add_bytes acc (bucket acc time) user run
 
-let acc_merge dst src =
-  if src.t_end > dst.t_end then dst.t_end <- src.t_end;
-  Hashtbl.iter (fun (b, u) r -> add_bytes dst b (Ids.User.of_int u) !r) src.bytes_tbl
-
 let empty_report interval =
   {
     interval;

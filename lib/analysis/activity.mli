@@ -33,9 +33,7 @@ val analyze :
     for every record in trace order, [acc_boundary] at every run
     boundary of the session sweep.  The per-record half keeps the
     active-user sets, whose insertion order the throughput statistics
-    are summed in, so it needs every record in global order; the
-    boundary half only adds whole byte counts, so accumulators fed
-    disjoint sets of boundaries merge in any order. *)
+    are summed in, so it needs every record in trace order. *)
 
 type acc
 
@@ -55,11 +53,6 @@ val acc_boundary :
   int ->
   unit
 (** Shaped as {!Session.sweep_seq}'s [on_boundary]. *)
-
-val acc_merge : acc -> acc -> unit
-(** [acc_merge dst src] adds [src]'s bytes into [dst].  Both must have
-    been created with the same arguments, and [src] fed boundaries
-    only. *)
 
 val acc_finish : acc -> report
 

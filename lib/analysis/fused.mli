@@ -39,17 +39,7 @@ val analyze_seq : Dfs_trace.Record_batch.t Seq.t -> t
     chunk size rather than the trace length. *)
 
 val analyze_chunks : ?pool:Dfs_util.Pool.t -> Dfs_trace.Sink.chunks -> t
-(** {!analyze_seq} over a finished sink, sharded across the pool's
-    domains.  Each of [Pool.jobs pool] shards replays the chunk stream
-    and processes only the records whose client id falls in the shard;
-    handles are client-keyed, so shards reconstruct disjoint session
-    sets.  Per-record accumulators and activity bytes merge
-    commutatively and the order-sensitive access/death streams are k-way
-    merged by global record index and replayed.  The folds that keep
-    per-file state across clients (activity's per-record half,
-    consistency actions, polling) run on shard 0's walk, which sees every
-    record in order.  So the result is {e bit-identical} to
-    {!analyze_seq} for any pool size.  Runs sequentially (zero overhead)
-    when the pool is absent, has one job, or the caller is already
-    inside a pool task, where {!Dfs_util.Pool.map} would reject nested
-    use. *)
+(** {!analyze_seq} over a finished sink's chunks.  [pool] is ignored and
+    nothing in the library passes it; it stays because perfbench calls
+    [analyze_chunks ~pool].  Once the next change to the benchmark stops
+    passing it, the argument goes. *)

@@ -85,11 +85,8 @@ let acc_access acc (a : Session.access) =
   if (not a.a_is_dir) && a.a_bytes_written > 0 then
     acc.writes_rev <- (a.a_close_time, `Write a) :: acc.writes_rev
 
-(* The death a record contributes, if any: deletes of regular files and
-   truncations. Shared with the sharded fused pass, which extracts
-   deaths per shard and feeds them back through [acc_death] in global
-   record order. *)
-let death_of_record batch i =
+(* Deletes of regular files and truncations are deaths. *)
+let acc_record acc batch i =
   (* the tag read is bounds-checked and validates [i]; the remaining
      reads reuse the same index through the unsafe mirror *)
   let tag = B.tag batch i in
@@ -97,16 +94,10 @@ let death_of_record batch i =
     (tag = B.tag_delete && not (B.Unsafe.is_dir batch i))
     || tag = B.tag_truncate
   then
-    Some (B.Unsafe.time batch i, B.Unsafe.file_id batch i, B.Unsafe.a batch i)
-  else None
-
-let acc_death acc ~time ~file ~size =
-  acc.deaths_rev <- (time, `Death (file, size)) :: acc.deaths_rev
-
-let acc_record acc batch i =
-  match death_of_record batch i with
-  | Some (time, file, size) -> acc_death acc ~time ~file ~size
-  | None -> ()
+    acc.deaths_rev <-
+      ( B.Unsafe.time batch i,
+        `Death (B.Unsafe.file_id batch i, B.Unsafe.a batch i) )
+      :: acc.deaths_rev
 
 let acc_finish acc =
   of_events ~writes:(List.rev acc.writes_rev) ~deaths:(List.rev acc.deaths_rev)

@@ -34,18 +34,6 @@ val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
 
 val acc_access : acc -> Session.access -> unit
 
-val death_of_record :
-  Dfs_trace.Record_batch.t -> int -> (float * Dfs_trace.Ids.File.t * int) option
-(** The death record [i] contributes, if any: [(time, file, old size)]
-    for deletes of regular files and for truncations. {!acc_record} is
-    exactly "feed {!death_of_record} into {!acc_death}". *)
-
-val acc_death :
-  acc -> time:float -> file:Dfs_trace.Ids.File.t -> size:int -> unit
-(** Append one death.  Must be called in trace record order (the order
-    {!acc_record} sees them) for tie-breaking to match the sequential
-    pass. *)
-
 val acc_finish : acc -> t
 
 val default_xs : float array

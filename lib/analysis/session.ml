@@ -85,16 +85,8 @@ let finish (p : pending) close_time ~size ~bytes_read ~bytes_written =
    index is bounded by the batch length); the only allocations are one
    [pending] per open and the handle-table bookkeeping.  The handle
    table persists across batches, so a chunked trace scans identically
-   to the same records in one contiguous batch.
-
-   [shard]/[nshards] restrict the scan to records whose client id is
-   congruent to [shard] — handles are keyed by (client, pid, file), so
-   every record of a handle lands in the same shard and the union of the
-   shards' callbacks over a trace is exactly the unsharded scan's,
-   partitioned by client.  [on_record] and [on_close] receive the
-   record's global index across the whole batch sequence so per-shard
-   results can be merged back into trace order. *)
-let scan_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_close =
+   to the same records in one contiguous batch. *)
+let sweep_seq batches ~on_record ~on_boundary ~on_access =
   let open_tbl : (int * int * int, pending list) Hashtbl.t =
     Hashtbl.create 1024
   in
@@ -115,90 +107,68 @@ let scan_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_close =
       Some p
     | Some [] | None -> None
   in
-  let base = ref 0 in
+  (* A run boundary reaches [on_boundary] as the fields of the
+     in-progress access an interval analysis needs, so nothing is
+     allocated for it. *)
+  let boundary p time run =
+    on_boundary ~user:p.p_user ~migrated:p.p_migrated ~is_dir:p.p_is_dir ~time
+      run
+  in
   Seq.iter
     (fun batch ->
       let handle_key i =
         (B.Unsafe.client batch i, B.Unsafe.pid batch i, B.Unsafe.file batch i)
       in
-      let n = B.length batch in
-      for i = 0 to n - 1 do
-        if nshards = 1 || B.Unsafe.client batch i mod nshards = shard then begin
-          let gidx = !base + i in
-          on_record ~gidx batch i;
-          let tag = B.Unsafe.tag batch i in
-          if tag = B.tag_open then
-            push (handle_key i)
-              {
-                p_user = B.Unsafe.user_id batch i;
-                p_client = Ids.Client.of_int (B.Unsafe.client batch i);
-                p_migrated = B.Unsafe.migrated batch i;
-                p_file = B.Unsafe.file_id batch i;
-                p_is_dir = B.Unsafe.is_dir batch i;
-                p_mode = B.Unsafe.open_mode batch i;
-                p_open_time = B.Unsafe.time batch i;
-                p_size_open = B.Unsafe.a batch i;
-                run_start = B.Unsafe.b batch i;
-                runs_rev = [];
-                repositions = 0;
-              }
-          else if tag = B.tag_reposition then begin
-            match top (handle_key i) with
-            | None -> ()
-            | Some p ->
-              let run = B.Unsafe.a batch i - p.run_start in
-              if run > 0 then begin
-                p.runs_rev <- run :: p.runs_rev;
-                on_boundary p (B.Unsafe.time batch i) run
-              end;
-              p.run_start <- B.Unsafe.b batch i;
-              p.repositions <- p.repositions + 1
-          end
-          else if tag = B.tag_close then begin
-            match pop (handle_key i) with
-            | None -> ()
-            | Some p ->
-              let run = B.Unsafe.b batch i - p.run_start in
-              if run > 0 then begin
-                p.runs_rev <- run :: p.runs_rev;
-                on_boundary p (B.Unsafe.time batch i) run
-              end;
-              on_close ~gidx p (B.Unsafe.time batch i)
-                ~size:(B.Unsafe.a batch i)
-                ~bytes_read:(B.Unsafe.c batch i)
-                ~bytes_written:(B.Unsafe.d batch i)
-          end
+      for i = 0 to B.length batch - 1 do
+        on_record batch i;
+        let tag = B.Unsafe.tag batch i in
+        if tag = B.tag_open then
+          push (handle_key i)
+            {
+              p_user = B.Unsafe.user_id batch i;
+              p_client = Ids.Client.of_int (B.Unsafe.client batch i);
+              p_migrated = B.Unsafe.migrated batch i;
+              p_file = B.Unsafe.file_id batch i;
+              p_is_dir = B.Unsafe.is_dir batch i;
+              p_mode = B.Unsafe.open_mode batch i;
+              p_open_time = B.Unsafe.time batch i;
+              p_size_open = B.Unsafe.a batch i;
+              run_start = B.Unsafe.b batch i;
+              runs_rev = [];
+              repositions = 0;
+            }
+        else if tag = B.tag_reposition then begin
+          match top (handle_key i) with
+          | None -> ()
+          | Some p ->
+            let run = B.Unsafe.a batch i - p.run_start in
+            if run > 0 then begin
+              p.runs_rev <- run :: p.runs_rev;
+              boundary p (B.Unsafe.time batch i) run
+            end;
+            p.run_start <- B.Unsafe.b batch i;
+            p.repositions <- p.repositions + 1
         end
-      done;
-      base := !base + n)
+        else if tag = B.tag_close then begin
+          match pop (handle_key i) with
+          | None -> ()
+          | Some p ->
+            let run = B.Unsafe.b batch i - p.run_start in
+            if run > 0 then begin
+              p.runs_rev <- run :: p.runs_rev;
+              boundary p (B.Unsafe.time batch i) run
+            end;
+            on_access
+              (finish p (B.Unsafe.time batch i) ~size:(B.Unsafe.a batch i)
+                 ~bytes_read:(B.Unsafe.c batch i)
+                 ~bytes_written:(B.Unsafe.d batch i))
+        end
+      done)
     batches
-
-let scan_seq batches ~on_record ~on_boundary ~on_close =
-  scan_shard_seq batches ~shard:0 ~nshards:1
-    ~on_record:(fun ~gidx:_ batch i -> on_record batch i)
-    ~on_boundary
-    ~on_close:(fun ~gidx:_ p time ~size ~bytes_read ~bytes_written ->
-      on_close p time ~size ~bytes_read ~bytes_written)
 
 let no_record _ _ = ()
 
 let no_boundary ~user:_ ~migrated:_ ~is_dir:_ ~time:_ _ = ()
-
-(* A run boundary reaches [on_boundary] as the fields of the in-progress
-   access an interval analysis needs, so nothing is allocated for it. *)
-let boundary on_boundary p time run =
-  on_boundary ~user:p.p_user ~migrated:p.p_migrated ~is_dir:p.p_is_dir ~time run
-
-let sweep_seq batches ~on_record ~on_boundary ~on_access =
-  scan_seq batches ~on_record ~on_boundary:(boundary on_boundary)
-    ~on_close:(fun p time ~size ~bytes_read ~bytes_written ->
-      on_access (finish p time ~size ~bytes_read ~bytes_written))
-
-let sweep_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_access =
-  scan_shard_seq batches ~shard ~nshards ~on_record
-    ~on_boundary:(boundary on_boundary)
-    ~on_close:(fun ~gidx p time ~size ~bytes_read ~bytes_written ->
-      on_access ~gidx (finish p time ~size ~bytes_read ~bytes_written))
 
 let sweep batch ~on_record ~on_access =
   sweep_seq (Seq.return batch) ~on_record ~on_boundary:no_boundary ~on_access

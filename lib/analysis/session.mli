@@ -74,26 +74,3 @@ val sweep_seq :
     bytes), with the in-progress access's user, migration flag and
     directory flag: an interval analysis attributes the run's bytes at
     the moment they are known. *)
-
-val sweep_shard_seq :
-  Dfs_trace.Record_batch.t Seq.t ->
-  shard:int ->
-  nshards:int ->
-  on_record:(gidx:int -> Dfs_trace.Record_batch.t -> int -> unit) ->
-  on_boundary:
-    (user:Dfs_trace.Ids.User.t ->
-    migrated:bool ->
-    is_dir:bool ->
-    time:float ->
-    int ->
-    unit) ->
-  on_access:(gidx:int -> access -> unit) ->
-  unit
-(** {!sweep_seq} restricted to records whose client id satisfies
-    [client mod nshards = shard].  Handles are keyed by (client, pid,
-    file), so each handle lives entirely in one shard and the union of
-    all shards' callbacks is exactly the unsharded sweep's, partitioned
-    by client.  [gidx] is the record's index across the whole sequence
-    ([on_access] gets its close record's), so per-shard streams can be
-    k-way merged back into the exact unsharded order.
-    [sweep_shard_seq ~shard:0 ~nshards:1] visits everything. *)

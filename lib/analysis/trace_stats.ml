@@ -79,26 +79,6 @@ let acc_record acc batch i =
   else if tag = B.tag_shared_read then acc.sreads <- acc.sreads + 1
   else acc.swrites <- acc.swrites + 1
 
-(* Fold [src] into [dst]. Every contribution is commutative (set
-   unions, sums, min/max), so merging per-shard accumulators in any
-   order equals accumulating the whole trace sequentially. *)
-let acc_merge dst src =
-  dst.users <- Ids.User.Set.union dst.users src.users;
-  dst.migration_users <-
-    Ids.User.Set.union dst.migration_users src.migration_users;
-  dst.opens <- dst.opens + src.opens;
-  dst.closes <- dst.closes + src.closes;
-  dst.seeks <- dst.seeks + src.seeks;
-  dst.deletes <- dst.deletes + src.deletes;
-  dst.truncates <- dst.truncates + src.truncates;
-  dst.sreads <- dst.sreads + src.sreads;
-  dst.swrites <- dst.swrites + src.swrites;
-  dst.dir_bytes <- dst.dir_bytes + src.dir_bytes;
-  if src.t_min < dst.t_min then dst.t_min <- src.t_min;
-  if src.t_max > dst.t_max then dst.t_max <- src.t_max;
-  dst.read_bytes <- dst.read_bytes + src.read_bytes;
-  dst.written_bytes <- dst.written_bytes + src.written_bytes
-
 let acc_access acc (a : Session.access) =
   if not a.a_is_dir then begin
     acc.read_bytes <- acc.read_bytes + a.a_bytes_read;

@@ -25,7 +25,7 @@ val of_batch : Dfs_trace.Record_batch.t -> t
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} and every completed access with
-    {!acc_access} (all contributions are commutative). *)
+    {!acc_access}. *)
 
 type acc
 
@@ -34,11 +34,6 @@ val acc_create : unit -> acc
 val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
 
 val acc_access : acc -> Session.access -> unit
-
-val acc_merge : acc -> acc -> unit
-(** [acc_merge dst src] folds [src] into [dst].  All contributions are
-    commutative (set unions, sums, min/max), so per-shard accumulators
-    merge to exactly the sequential result. *)
 
 val acc_finish : acc -> t
 

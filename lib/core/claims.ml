@@ -458,18 +458,3 @@ let scorecard ds =
     (Printf.sprintf "%d/%d claims reproduced within their shape bands." ok
        (List.length results));
   Dfs_util.Table.render tbl
-
-let markdown ds =
-  let results = evaluate ds in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "| § | Claim | Paper | Measured | Verdict |\n|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %.2f %s | %.2f | %s |\n"
-           r.claim.c_section r.claim.c_text r.claim.c_paper r.claim.c_unit
-           r.measured
-           (verdict_name r.verdict)))
-    results;
-  Buffer.contents buf

@@ -25,6 +25,3 @@ val evaluate : Dataset.t -> result list
 
 val scorecard : Dataset.t -> string
 (** Plain-text table of every claim: paper value, measured value, verdict. *)
-
-val markdown : Dataset.t -> string
-(** The same scorecard as a markdown table (for EXPERIMENTS.md). *)

@@ -18,7 +18,7 @@ type run = {
   driver : Dfs_workload.Driver.t option;
       (** [None] for replayed runs, which have no synthetic driver *)
   trace : Sink.chunks;
-  jobs : int;  (** domains the sharded fused analysis may use *)
+  jobs : int;  (* read only by perfbench; see the interface *)
   memo : memo;
 }
 
@@ -164,11 +164,7 @@ let fused run =
         match run.memo.fused with
         | Some f -> f
         | None ->
-          (* Sharded across the run's job budget when called from the
-             top level; degrades to the exact sequential pass inside a
-             pool task or at jobs = 1 (results are bit-identical). *)
-          let pool = Dfs_util.Pool.create ~jobs:run.jobs () in
-          let f = Dfs_analysis.Fused.analyze_chunks ~pool run.trace in
+          let f = Dfs_analysis.Fused.analyze_chunks run.trace in
           run.memo.fused <- Some f;
           f)
 

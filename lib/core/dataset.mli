@@ -19,7 +19,10 @@ type run = {
       (** [None] for replayed runs ({!of_replay}), which execute a
           foreign trace instead of a synthetic workload *)
   trace : Dfs_trace.Sink.chunks;  (** merged, scrubbed, time-ordered *)
-  jobs : int;  (** domains the sharded fused analysis may use *)
+  jobs : int;
+      (** the worker count the dataset was built with.  Nothing in the
+          library reads it; it stays because perfbench reads [r.jobs],
+          until the next change to the benchmark drops that read. *)
   memo : memo;
 }
 
@@ -54,9 +57,9 @@ val of_replay :
     {!Dfs_trace.Reader.batch_of_file}, replays the batch through a live
     cluster ({!Dfs_workload.Replay}) and packages the finished cluster
     as a single-run dataset on which all experiments — Tables 1–12,
-    figures, facts — run unchanged.  [jobs] sizes the run's fused
-    analysis (default: {!Dfs_util.Pool.default_jobs}); the replay itself
-    is single-partition, so results are byte-identical whatever it is.
+    figures, facts — run unchanged.  [jobs] only fills the run's
+    [jobs] field (default: {!Dfs_util.Pool.default_jobs}), which nothing
+    in the library reads; it stays because perfbench passes [~jobs:1].
     Errors are one-line diagnostics (a path that cannot be read, an
     invalid trace, id ranges beyond the replay ceilings). *)
 
@@ -71,12 +74,9 @@ val trace_seq : run -> Dfs_trace.Record_batch.t Seq.t
 val fused : run -> Dfs_analysis.Fused.t
 (** The run's fused single-pass analysis (trace stats, size/open-time/
     run-length distributions, access patterns, lifetimes and the access
-    reconstruction), computed on first use and shared by every
-    experiment on this run.  Computed from the top level it shards
-    across the run's [jobs] domains ({!Dfs_analysis.Fused.analyze_chunks});
-    from inside a pool task it runs the exact sequential sweep — the
-    result is bit-identical either way.  Safe to call from several
-    domains. *)
+    reconstruction), computed on first use by one sequential sweep
+    ({!Dfs_analysis.Fused.analyze_chunks}) and shared by every
+    experiment on this run.  Safe to call from several domains. *)
 
 val sessions : run -> Dfs_analysis.Session.access list
 (** The access reconstruction from {!fused}. *)

@@ -176,7 +176,10 @@ let of_csv_string ?config ?(n_servers = 4) ?(on_corruption = Corruption.Fail)
 
 let of_csv_file ?config ?n_servers ?on_corruption path =
   match
-    In_channel.with_open_bin path (fun ic -> In_channel.input_all ic)
+    In_channel.with_open_bin path (fun ic ->
+        (* a failed open names the path, a failed read does not *)
+        try In_channel.input_all ic
+        with Sys_error e -> raise (Sys_error (path ^ ": " ^ e)))
   with
   | text -> of_csv_string ?config ?n_servers ?on_corruption ~source:path text
   | exception Sys_error e -> Error e

@@ -47,4 +47,6 @@ val of_csv_file :
   ?on_corruption:Dfs_trace.Corruption.policy ->
   string ->
   (Dfs_trace.Record.t list * stats, string) result
-(** {!of_csv_string} on a file's contents, with the path as [source]. *)
+(** {!of_csv_string} on a file's contents, with the path as [source].  A
+    path that cannot be opened or read (a directory, say) is an [Error]
+    that starts with the path. *)

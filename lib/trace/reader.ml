@@ -96,8 +96,13 @@ let with_channel path k =
   let ic = open_in_bin path in
   (* [close_in_noerr]: a raising close inside [~finally] would mask the
      real failure (and [Fun.protect] would turn it into [Finally_raised]);
-     the descriptor is released either way. *)
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> k ic)
+     the descriptor is released either way.  A failed open names the
+     path; a failed read (a directory opens, then reads [EISDIR]) does
+     not, so it gains it here. *)
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      try k ic with Sys_error e -> raise (Sys_error (path ^ ": " ^ e)))
 
 (* Peek at the first magic-sized chunk without consuming it. *)
 let starts_with_segment ic =

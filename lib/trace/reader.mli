@@ -36,4 +36,6 @@ val batch_of_file :
   ?on_corruption:Corruption.policy ->
   string ->
   (Record_batch.t, string) result
-(** Read a trace file; text is parsed line by line from the channel. *)
+(** Read a trace file; text is parsed line by line from the channel.  A
+    path that cannot be opened or read (a directory, say) raises
+    [Sys_error] with a message that starts with the path. *)

@@ -170,8 +170,6 @@ module Team = struct
     end
 end
 
-let in_pool_task () = Domain.DLS.get in_task
-
 let map pool f xs =
   reject_nested ();
   let items = Array.of_list xs in

@@ -45,10 +45,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     [DFS_JOBS=1] gives the exact sequential execution, which stops at
     the first failing element. *)
 
-val in_pool_task : unit -> bool
-(** True while the calling domain is executing a pool task, whatever the
-    worker count. *)
-
 (** {1 Long-lived worker teams} *)
 
 module Team : sig

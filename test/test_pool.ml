@@ -64,16 +64,12 @@ let test_failure_stops_claiming () =
     (List.rev !ran)
 
 let test_nested_use_rejected () =
-  Alcotest.(check bool) "top level is not a pool task" false
-    (Pool.in_pool_task ());
   List.iter
     (fun jobs ->
       let pool = Pool.create ~jobs () in
       let nested_failed =
         Pool.map pool
           (fun () ->
-            Pool.in_pool_task ()
-            &&
             match Pool.map pool (fun x -> x) [ 1 ] with
             | _ -> false
             | exception Invalid_argument _ -> true)
@@ -81,10 +77,12 @@ let test_nested_use_rejected () =
       in
       Alcotest.(check (list bool))
         (Printf.sprintf "jobs %d: in a pool task, nested map rejected" jobs)
-        [ true; true ] nested_failed)
-    [ 1; 2 ];
-  Alcotest.(check bool) "top level again after the maps" false
-    (Pool.in_pool_task ())
+        [ true; true ] nested_failed;
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs %d: top level again after the map" jobs)
+        [ 1 ]
+        (Pool.map pool (fun x -> x) [ 1 ]))
+    [ 1; 2 ]
 
 let test_jobs_clamped () =
   Alcotest.(check int) "jobs >= 1" 1 (Pool.jobs (Pool.create ~jobs:0 ()))
@@ -243,32 +241,8 @@ let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
   && polling_equal polling_60s b.polling_60s
   && polling_equal polling_3s b.polling_3s
 
-(* The sharded fused pass must be bit-identical to the sequential sweep:
-   per-record stats merge commutatively, the order-sensitive access/
-   death streams are k-way merged by global record index before replay,
-   and the global-order folds run on shard 0's walk over every record.
-   Equality over every field of the result (CDF samples in insertion
-   order included) is exactly that claim. *)
-let test_fused_sharded_equals_sequential () =
-  let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
-  let pool = Pool.create ~jobs:4 () in
-  List.iter
-    (fun (run : Dfs_core.Dataset.run) ->
-      let seq =
-        Dfs_analysis.Fused.analyze_seq (Dfs_core.Dataset.trace_seq run)
-      in
-      let par = Dfs_analysis.Fused.analyze_chunks ~pool run.trace in
-      Alcotest.(check int)
-        (run.preset.name ^ ": same access count")
-        (List.length seq.accesses) (List.length par.accesses);
-      Alcotest.(check bool)
-        (run.preset.name ^ ": sharded result bit-identical")
-        true (fused_equal seq par))
-    ds.runs
-
-(* [Dataset.fused] on a [~jobs:4] dataset takes the sharded pass at the
-   top level and the sequential one inside a pool task, where a nested
-   [Pool.map] would be rejected; the two results are the same. *)
+(* [Dataset.fused] forced inside a pool task, where a nested [Pool.map]
+   would be rejected, equals the same pass at the top level. *)
 let test_fused_inside_task_equals_top_level () =
   let generate () =
     Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:4 ()
@@ -285,39 +259,76 @@ let test_fused_inside_task_equals_top_level () =
         (fused_equal (Dfs_core.Dataset.fused run) f))
     top.runs in_task
 
-(* Each fold the fused pass carries for Tables 2, 10 and 11 equals its
-   standalone batch entry point over the whole trace, from the
-   sequential pass and from the sharded one. *)
+(* Every field of the fused pass equals its standalone analysis over the
+   whole trace.  The record pattern names every field, so a field added
+   to [Fused.t] fails to compile here until it has an oracle. *)
 let test_fused_folds_equal_standalone () =
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
-  let pool = Pool.create ~jobs:4 () in
+  let aged = ref 0 in
   List.iter
     (fun (run : Dfs_core.Dataset.run) ->
       let batch = Dfs_trace.Sink.to_batch run.trace in
+      let {
+        A.Fused.stats;
+        file_size;
+        open_time;
+        run_length;
+        access_patterns;
+        lifetime;
+        accesses;
+        activity_10min;
+        activity_10min_migrated;
+        activity_10s;
+        activity_10s_migrated;
+        consistency;
+        polling_60s;
+        polling_3s;
+      } =
+        Dfs_core.Dataset.fused run
+      in
+      let check what ok =
+        Alcotest.(check bool) (run.preset.name ^ ": " ^ what) true ok
+      in
+      let cdf = Dfs_util.Cdf.equal in
       let activity ?migrated_only interval =
         A.Activity.analyze ?migrated_only ~interval batch
       in
-      let check_pass pass (f : A.Fused.t) =
-        let label what = Printf.sprintf "%s %s: %s" run.preset.name pass what in
-        let check what ok = Alcotest.(check bool) (label what) true ok in
-        check "activity 600 s" (same f.activity_10min (activity 600.0));
-        check "activity 600 s migrated"
-          (same f.activity_10min_migrated (activity ~migrated_only:true 600.0));
-        check "activity 10 s" (same f.activity_10s (activity 10.0));
-        check "activity 10 s migrated"
-          (same f.activity_10s_migrated (activity ~migrated_only:true 10.0));
-        check "polling 60 s"
-          (polling_equal f.polling_60s (Polling.simulate ~interval:60.0 batch));
-        check "polling 3 s"
-          (polling_equal f.polling_3s (Polling.simulate ~interval:3.0 batch));
-        check "consistency"
-          (same f.consistency (A.Consistency_stats.analyze batch));
-        check "some active users" (f.activity_10min.max_active_users > 0);
-        check "some opens" (f.consistency.file_opens > 0)
-      in
-      check_pass "sequential" (Dfs_core.Dataset.fused run);
-      check_pass "sharded" (A.Fused.analyze_chunks ~pool run.trace))
-    ds.runs
+      let oracle = A.Session.of_batch batch in
+      check "accesses" (same accesses oracle);
+      check "trace stats" (same stats (A.Trace_stats.of_batch batch));
+      let fs = A.File_size.analyze oracle in
+      check "file size by files" (cdf file_size.by_files fs.by_files);
+      check "file size by bytes" (cdf file_size.by_bytes fs.by_bytes);
+      check "open time"
+        (cdf open_time.by_opens (A.Open_time.analyze oracle).by_opens);
+      let rl = A.Run_length.analyze oracle in
+      check "run length by runs" (cdf run_length.by_runs rl.by_runs);
+      check "run length by bytes" (cdf run_length.by_bytes rl.by_bytes);
+      check "access patterns"
+        (same access_patterns (A.Access_patterns.analyze oracle));
+      let lt = A.Lifetime.analyze batch in
+      check "lifetime by files" (cdf lifetime.by_files lt.by_files);
+      check "lifetime by bytes" (cdf lifetime.by_bytes lt.by_bytes);
+      check "lifetime deaths aged" (lifetime.deaths_aged = lt.deaths_aged);
+      check "lifetime deaths unknown"
+        (lifetime.deaths_unknown = lt.deaths_unknown);
+      check "activity 600 s" (same activity_10min (activity 600.0));
+      check "activity 600 s migrated"
+        (same activity_10min_migrated (activity ~migrated_only:true 600.0));
+      check "activity 10 s" (same activity_10s (activity 10.0));
+      check "activity 10 s migrated"
+        (same activity_10s_migrated (activity ~migrated_only:true 10.0));
+      check "polling 60 s"
+        (polling_equal polling_60s (Polling.simulate ~interval:60.0 batch));
+      check "polling 3 s"
+        (polling_equal polling_3s (Polling.simulate ~interval:3.0 batch));
+      check "consistency" (same consistency (A.Consistency_stats.analyze batch));
+      check "some accesses" (accesses <> []);
+      check "some active users" (activity_10min.max_active_users > 0);
+      check "some opens" (consistency.file_opens > 0);
+      aged := !aged + lifetime.deaths_aged)
+    ds.runs;
+  Alcotest.(check bool) "some aged deaths" true (!aged > 0)
 
 (* The fused pass reads the first record's time (Table 2's interval
    origin) off the head of the stream: leading empty chunks are skipped,
@@ -368,8 +379,6 @@ let suite =
       test_counter_visible_from_spawning_domain;
     Alcotest.test_case "dataset: jobs=1 equals jobs=4" `Slow
       test_dataset_deterministic_across_jobs;
-    Alcotest.test_case "fused: sharded equals sequential" `Slow
-      test_fused_sharded_equals_sequential;
     Alcotest.test_case "fused: inside a pool task equals top level" `Slow
       test_fused_inside_task_equals_top_level;
     Alcotest.test_case "fused: folds equal standalone analyses" `Slow

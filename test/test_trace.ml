@@ -314,6 +314,15 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+let occurrences ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i acc =
+    if i + n > m then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
 let encode_trace ~format records =
   let buf = Buffer.create 4096 in
   let w = Writer.to_buffer ~format buf in
@@ -710,12 +719,20 @@ let test_cli_unusable_paths () =
           let label = String.concat " " args in
           let code, _, err = run_cli args in
           Alcotest.(check int) (label ^ ": exit 2") 2 code;
-          check_one_line label err [ "exception" ])
+          check_one_line label err [ "exception" ];
+          (* every path here is under [dir], and the line names the one
+             it could not use exactly once: a directory opens and then
+             fails to read, and that error must still carry the path *)
+          Alcotest.(check int)
+            (Printf.sprintf "%s: names one path under %s in %S" label dir err)
+            1 (occurrences ~sub:dir err))
         [
           [ "replay"; missing ];
           [ "all"; "--replay"; missing ];
           [ "replay"; dir ];
           [ "all"; "--replay"; dir ];
+          [ "analyze"; dir ];
+          [ "import"; dir ];
           [ "replay"; trace; "-o"; Filename.concat missing "x.trace" ];
           [ "import"; csv; "-o"; Filename.concat missing "x.trace" ];
           [ "simulate"; "--scale"; "0.001"; "--out"; trace ];
