@@ -422,7 +422,9 @@ let parse_on_corruption s =
 let analyze_cmd =
   let files_arg =
     let doc = "Per-server trace files to merge and analyze." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
+    (* A plain string: a path the reader cannot open reaches the one
+       [Sys_error] handler, like every other command's input. *)
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
   in
   let run () files on_corruption metrics_out =
     let on_corruption = parse_on_corruption on_corruption in

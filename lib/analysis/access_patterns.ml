@@ -14,35 +14,27 @@ type t = {
   grand_total : cell;
 }
 
-let zero_cell = { accesses = 0; bytes = 0 }
-
-let zero_class =
-  {
-    total = zero_cell;
-    whole_file = zero_cell;
-    other_sequential = zero_cell;
-    random = zero_cell;
-  }
-
-let bump cell ~bytes = { accesses = cell.accesses + 1; bytes = cell.bytes + bytes }
-
-let bump_class cr ~seq ~bytes =
-  let total = bump cr.total ~bytes in
-  match (seq : Session.sequentiality) with
-  | Session.Whole_file -> { cr with total; whole_file = bump cr.whole_file ~bytes }
-  | Session.Other_sequential ->
-    { cr with total; other_sequential = bump cr.other_sequential ~bytes }
-  | Session.Random -> { cr with total; random = bump cr.random ~bytes }
-
+(* The report's cells, counted in place while the accesses stream by:
+   slot [4 * usage + column], with usage read-only, write-only,
+   read-write and column total, whole-file, other-sequential, random. *)
 type acc = {
-  mutable ro : class_report;
-  mutable wo : class_report;
-  mutable rw : class_report;
-  mutable grand : cell;
+  slot_accesses : int array;
+  slot_bytes : int array;
+  mutable grand_accesses : int;
+  mutable grand_bytes : int;
 }
 
 let acc_create () =
-  { ro = zero_class; wo = zero_class; rw = zero_class; grand = zero_cell }
+  {
+    slot_accesses = Array.make 12 0;
+    slot_bytes = Array.make 12 0;
+    grand_accesses = 0;
+    grand_bytes = 0;
+  }
+
+let bump acc slot ~bytes =
+  acc.slot_accesses.(slot) <- acc.slot_accesses.(slot) + 1;
+  acc.slot_bytes.(slot) <- acc.slot_bytes.(slot) + bytes
 
 let acc_add acc (a : Session.access) =
   if not a.a_is_dir then
@@ -50,19 +42,39 @@ let acc_add acc (a : Session.access) =
     | None -> ()
     | Some u ->
       let bytes = Session.bytes a in
-      let seq = Session.sequentiality a in
-      acc.grand <- bump acc.grand ~bytes;
-      (match u with
-      | Session.Read_only -> acc.ro <- bump_class acc.ro ~seq ~bytes
-      | Session.Write_only -> acc.wo <- bump_class acc.wo ~seq ~bytes
-      | Session.Read_write -> acc.rw <- bump_class acc.rw ~seq ~bytes)
+      acc.grand_accesses <- acc.grand_accesses + 1;
+      acc.grand_bytes <- acc.grand_bytes + bytes;
+      let row =
+        match u with
+        | Session.Read_only -> 0
+        | Session.Write_only -> 4
+        | Session.Read_write -> 8
+      in
+      bump acc row ~bytes;
+      bump acc
+        (match Session.sequentiality a with
+        | Session.Whole_file -> row + 1
+        | Session.Other_sequential -> row + 2
+        | Session.Random -> row + 3)
+        ~bytes
 
 let acc_finish acc =
+  let cell slot =
+    { accesses = acc.slot_accesses.(slot); bytes = acc.slot_bytes.(slot) }
+  in
+  let class_report row =
+    {
+      total = cell row;
+      whole_file = cell (row + 1);
+      other_sequential = cell (row + 2);
+      random = cell (row + 3);
+    }
+  in
   {
-    read_only = acc.ro;
-    write_only = acc.wo;
-    read_write = acc.rw;
-    grand_total = acc.grand;
+    read_only = class_report 0;
+    write_only = class_report 4;
+    read_write = class_report 8;
+    grand_total = { accesses = acc.grand_accesses; bytes = acc.grand_bytes };
   }
 
 let analyze accesses =

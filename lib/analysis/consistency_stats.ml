@@ -4,16 +4,29 @@ module B = Dfs_trace.Record_batch
 
 type t = { file_opens : int; sharing_opens : int; recall_opens : int }
 
-type opener = { client : int; mutable count : int; mutable writers : int }
+module Itbl = Dfs_util.Itbl
+
+(* An open handle: only whether it was opened for writing matters at its
+   close. *)
+type handle = { pid : int; writer : bool }
+
+module Handles = Itbl.Handles (struct
+  type t = handle
+
+  let pid h = h.pid
+end)
+
+(* Per file: how many clients have it open, and how many of those
+   clients hold a handle open for writing. *)
+type openers = { mutable clients : int; mutable writing : int }
 
 type acc = {
   mutable file_opens : int;
   mutable sharing : int;
   mutable recalls : int;
-  open_tbl : opener list ref Ids.File.Tbl.t;
-  last_writer : int Ids.File.Tbl.t;
-  (* mode at close is carried by the matching open; track per handle *)
-  handle_modes : (int * int * int, Record.open_mode list ref) Hashtbl.t;
+  handles : Handles.table;  (* keyed by [Itbl.pair client file] *)
+  files : openers Itbl.t;
+  last_writer : int Itbl.t;  (* file -> the client that last wrote it *)
 }
 
 let acc_create () =
@@ -21,92 +34,69 @@ let acc_create () =
     file_opens = 0;
     sharing = 0;
     recalls = 0;
-    open_tbl = Ids.File.Tbl.create 1024;
-    last_writer = Ids.File.Tbl.create 256;
-    handle_modes = Hashtbl.create 1024;
+    handles = Handles.create 1024;
+    files = Itbl.create 1024;
+    last_writer = Itbl.create 256;
   }
 
 let is_writer = function
   | Record.Write_only | Record.Read_write -> true
   | Record.Read_only -> false
 
+let any_writer = List.exists (fun h -> h.writer)
+
+let on_open acc ~client ~pid ~file ~writer =
+  acc.file_opens <- acc.file_opens + 1;
+  (match Itbl.find_opt acc.last_writer file with
+  | Some w when w <> client ->
+    acc.recalls <- acc.recalls + 1;
+    Itbl.remove acc.last_writer file
+  | Some _ | None -> ());
+  let f =
+    match Itbl.find_opt acc.files file with
+    | Some f -> f
+    | None ->
+      let f = { clients = 0; writing = 0 } in
+      Itbl.replace acc.files file f;
+      f
+  in
+  let key = Itbl.pair client file in
+  let before = Handles.open_under acc.handles key in
+  if before = [] then f.clients <- f.clients + 1;
+  if writer && not (any_writer before) then f.writing <- f.writing + 1;
+  Handles.push acc.handles key { pid; writer };
+  if f.clients >= 2 && f.writing > 0 then acc.sharing <- acc.sharing + 1
+
+let on_close acc ~client ~pid ~file ~wrote =
+  let key = Itbl.pair client file in
+  match Handles.pop acc.handles key ~pid with
+  | None -> ()
+  | Some h ->
+    let f = Itbl.find acc.files file in
+    let after = Handles.open_under acc.handles key in
+    if h.writer && not (any_writer after) then f.writing <- f.writing - 1;
+    if after = [] then begin
+      f.clients <- f.clients - 1;
+      if f.clients = 0 then Itbl.remove acc.files file
+    end;
+    if wrote then Itbl.replace acc.last_writer file client
+
 let acc_record acc batch i =
   (* the tag read is bounds-checked and validates [i]; the remaining
      reads reuse the same index through the unsafe mirror *)
-  let handle_key i =
-    (B.Unsafe.client batch i, B.Unsafe.pid batch i, B.Unsafe.file batch i)
-  in
   let tag = B.tag batch i in
   if tag = B.tag_open then begin
-    if not (B.Unsafe.is_dir batch i) then begin
-      let mode = B.Unsafe.open_mode batch i in
-      let file = B.Unsafe.file_id batch i in
-      acc.file_opens <- acc.file_opens + 1;
-      let cl = B.Unsafe.client batch i in
-      (match Ids.File.Tbl.find_opt acc.last_writer file with
-      | Some w when w <> cl ->
-        acc.recalls <- acc.recalls + 1;
-        Ids.File.Tbl.remove acc.last_writer file
-      | Some _ | None -> ());
-      let openers =
-        match Ids.File.Tbl.find_opt acc.open_tbl file with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Ids.File.Tbl.replace acc.open_tbl file l;
-          l
-      in
-      (match List.find_opt (fun o -> o.client = cl) !openers with
-      | Some o ->
-        o.count <- o.count + 1;
-        if is_writer mode then o.writers <- o.writers + 1
-      | None ->
-        openers :=
-          { client = cl; count = 1; writers = (if is_writer mode then 1 else 0) }
-          :: !openers);
-      if
-        List.length !openers >= 2
-        && List.exists (fun o -> o.writers > 0) !openers
-      then acc.sharing <- acc.sharing + 1;
-      let modes =
-        match Hashtbl.find_opt acc.handle_modes (handle_key i) with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.replace acc.handle_modes (handle_key i) l;
-          l
-      in
-      modes := mode :: !modes
-    end
+    if not (B.Unsafe.is_dir batch i) then
+      on_open acc ~client:(B.Unsafe.client batch i) ~pid:(B.Unsafe.pid batch i)
+        ~file:(B.Unsafe.file batch i)
+        ~writer:(is_writer (B.Unsafe.open_mode batch i))
   end
-  else if tag = B.tag_close then begin
-    match Hashtbl.find_opt acc.handle_modes (handle_key i) with
-    | None -> ()
-    | Some modes -> (
-      match !modes with
-      | [] -> ()
-      | mode :: rest ->
-        modes := rest;
-        if rest = [] then Hashtbl.remove acc.handle_modes (handle_key i);
-        let cl = B.Unsafe.client batch i in
-        let file = B.Unsafe.file_id batch i in
-        (match Ids.File.Tbl.find_opt acc.open_tbl file with
-        | Some openers -> (
-          match List.find_opt (fun o -> o.client = cl) !openers with
-          | Some o ->
-            o.count <- o.count - 1;
-            if is_writer mode then o.writers <- max 0 (o.writers - 1);
-            if o.count <= 0 then begin
-              openers := List.filter (fun o' -> o'.client <> cl) !openers;
-              if !openers = [] then Ids.File.Tbl.remove acc.open_tbl file
-            end
-          | None -> ())
-        | None -> ());
-        if B.Unsafe.d batch i > 0 then
-          Ids.File.Tbl.replace acc.last_writer file cl)
-  end
+  else if tag = B.tag_close then
+    on_close acc ~client:(B.Unsafe.client batch i) ~pid:(B.Unsafe.pid batch i)
+      ~file:(B.Unsafe.file batch i)
+      ~wrote:(B.Unsafe.d batch i > 0)
   else if tag = B.tag_delete then
-    Ids.File.Tbl.remove acc.last_writer (B.Unsafe.file_id batch i)
+    Itbl.remove acc.last_writer (B.Unsafe.file batch i)
 
 let acc_finish acc =
   {

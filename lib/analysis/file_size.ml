@@ -9,7 +9,7 @@ let add t (a : Session.access) =
     let transferred = Session.bytes a in
     Dfs_util.Cdf.add t.by_files size;
     if transferred > 0 then
-      Dfs_util.Cdf.add t.by_bytes ~weight:(float_of_int transferred) size
+      Dfs_util.Cdf.add_weighted t.by_bytes ~weight:(float_of_int transferred) size
   end
 
 let analyze accesses =

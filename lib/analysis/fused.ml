@@ -1,5 +1,14 @@
 module B = Dfs_trace.Record_batch
-module Polling = Dfs_consistency.Polling
+module C = Dfs_consistency
+module Polling = C.Polling
+
+type overhead = {
+  demand_bytes : int;
+  demand_requests : int;
+  sprite : C.Overhead.result;
+  sprite_modified : C.Overhead.result;
+  token : C.Overhead.result;
+}
 
 type t = {
   stats : Trace_stats.t;
@@ -8,7 +17,6 @@ type t = {
   run_length : Run_length.t;
   access_patterns : Access_patterns.t;
   lifetime : Lifetime.t;
-  accesses : Session.access list;
   activity_10min : Activity.report;
   activity_10min_migrated : Activity.report;
   activity_10s : Activity.report;
@@ -16,6 +24,7 @@ type t = {
   consistency : Consistency_stats.t;
   polling_60s : Polling.report;
   polling_3s : Polling.report;
+  overhead : overhead;
 }
 
 (* Every fold of the pass.  The per-record folds see the records in
@@ -35,6 +44,7 @@ type folds = {
   consistency : Consistency_stats.acc;
   polling_60s : Polling.acc;
   polling_3s : Polling.acc;
+  shared : C.Shared_events.acc;
 }
 
 let create ~t0 =
@@ -55,6 +65,7 @@ let create ~t0 =
     consistency = Consistency_stats.acc_create ();
     polling_60s = Polling.acc_create ~interval:60.0;
     polling_3s = Polling.acc_create ~interval:3.0;
+    shared = C.Shared_events.acc_create ();
   }
 
 let on_record f batch i =
@@ -66,7 +77,8 @@ let on_record f batch i =
   Activity.acc_record f.mig_10s batch i;
   Consistency_stats.acc_record f.consistency batch i;
   Polling.acc_record f.polling_60s batch i;
-  Polling.acc_record f.polling_3s batch i
+  Polling.acc_record f.polling_3s batch i;
+  C.Shared_events.acc_record f.shared batch i
 
 let on_boundary f ~user ~migrated ~is_dir ~time run =
   Activity.acc_boundary f.all_10min ~user ~migrated ~is_dir ~time run;
@@ -82,7 +94,19 @@ let on_access f a =
   Access_patterns.acc_add f.ap a;
   Lifetime.acc_access f.lt a
 
-let finish f ~accesses =
+(* Table 12: the write-shared files' events, extracted in a second
+   pass over the same stream, and the three mechanisms run over them. *)
+let overhead shared batches =
+  let streams = C.Shared_events.acc_finish shared batches in
+  {
+    demand_bytes = C.Shared_events.total_requested streams;
+    demand_requests = C.Shared_events.total_requests streams;
+    sprite = C.Sprite.simulate streams;
+    sprite_modified = C.Sprite_modified.simulate streams;
+    token = C.Token.simulate streams;
+  }
+
+let finish f batches =
   {
     stats = Trace_stats.acc_finish f.ts;
     file_size = f.fs;
@@ -90,7 +114,6 @@ let finish f ~accesses =
     run_length = f.rl;
     access_patterns = Access_patterns.acc_finish f.ap;
     lifetime = Lifetime.acc_finish f.lt;
-    accesses;
     activity_10min = Activity.acc_finish f.all_10min;
     activity_10min_migrated = Activity.acc_finish f.mig_10min;
     activity_10s = Activity.acc_finish f.all_10s;
@@ -98,6 +121,7 @@ let finish f ~accesses =
     consistency = Consistency_stats.acc_finish f.consistency;
     polling_60s = Polling.acc_finish f.polling_60s;
     polling_3s = Polling.acc_finish f.polling_3s;
+    overhead = overhead f.shared batches;
   }
 
 (* The first record's time, the origin of Table 2's intervals, and the
@@ -112,13 +136,9 @@ let analyze_seq batches =
   Dfs_obs.Profiler.span ~cat:"analysis" "fused.analyze" (fun () ->
       let t0, batches = with_origin batches in
       let f = create ~t0 in
-      let accesses_rev = ref [] in
       Session.sweep_seq batches ~on_record:(on_record f)
-        ~on_boundary:(on_boundary f)
-        ~on_access:(fun a ->
-          accesses_rev := a :: !accesses_rev;
-          on_access f a);
-      finish f ~accesses:(List.rev !accesses_rev))
+        ~on_boundary:(on_boundary f) ~on_access:(on_access f);
+      finish f batches)
 
 let analyze batch = analyze_seq (Seq.return batch)
 

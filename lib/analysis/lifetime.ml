@@ -41,7 +41,7 @@ let of_events ~writes ~deaths =
         for i = 0 to byte_samples - 1 do
           let f = (float_of_int i +. 0.5) /. float_of_int byte_samples in
           let written = st.oldest +. (f *. (st.newest -. st.oldest)) in
-          Dfs_util.Cdf.add by_bytes ~weight:w (now -. written)
+          Dfs_util.Cdf.add_weighted by_bytes ~weight:w (now -. written)
         done
       end;
       Ids.File.Tbl.remove states file

@@ -10,7 +10,7 @@ let add t (a : Session.access) =
         if run > 0 then begin
           let r = float_of_int run in
           Dfs_util.Cdf.add t.by_runs r;
-          Dfs_util.Cdf.add t.by_bytes ~weight:r r
+          Dfs_util.Cdf.add_weighted t.by_bytes ~weight:r r
         end)
       a.a_runs
 

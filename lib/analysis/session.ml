@@ -50,6 +50,7 @@ let duration a = a.a_close_time -. a.a_open_time
 
 (* In-progress open handle. *)
 type pending = {
+  p_pid : int;
   p_user : Ids.User.t;
   p_client : Ids.Client.t;
   p_migrated : bool;
@@ -81,32 +82,20 @@ let finish (p : pending) close_time ~size ~bytes_read ~bytes_written =
     a_repositions = p.repositions;
   }
 
+module Handles = Dfs_util.Itbl.Handles (struct
+  type t = pending
+
+  let pid p = p.p_pid
+end)
+
 (* The scan walks the batch columns directly (unsafe accessors: the loop
    index is bounded by the batch length); the only allocations are one
    [pending] per open and the handle-table bookkeeping.  The handle
-   table persists across batches, so a chunked trace scans identically
-   to the same records in one contiguous batch. *)
+   table (one list per (client, file) pair, each entry with its pid)
+   persists across batches, so a chunked trace scans identically to the
+   same records in one contiguous batch. *)
 let sweep_seq batches ~on_record ~on_boundary ~on_access =
-  let open_tbl : (int * int * int, pending list) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let push key p =
-    let l = Option.value ~default:[] (Hashtbl.find_opt open_tbl key) in
-    Hashtbl.replace open_tbl key (p :: l)
-  in
-  let top key =
-    match Hashtbl.find_opt open_tbl key with
-    | Some (p :: _) -> Some p
-    | Some [] | None -> None
-  in
-  let pop key =
-    match Hashtbl.find_opt open_tbl key with
-    | Some (p :: rest) ->
-      if rest = [] then Hashtbl.remove open_tbl key
-      else Hashtbl.replace open_tbl key rest;
-      Some p
-    | Some [] | None -> None
-  in
+  let open_tbl = Handles.create 1024 in
   (* A run boundary reaches [on_boundary] as the fields of the
      in-progress access an interval analysis needs, so nothing is
      allocated for it. *)
@@ -116,52 +105,56 @@ let sweep_seq batches ~on_record ~on_boundary ~on_access =
   in
   Seq.iter
     (fun batch ->
-      let handle_key i =
-        (B.Unsafe.client batch i, B.Unsafe.pid batch i, B.Unsafe.file batch i)
-      in
       for i = 0 to B.length batch - 1 do
         on_record batch i;
         let tag = B.Unsafe.tag batch i in
-        if tag = B.tag_open then
-          push (handle_key i)
-            {
-              p_user = B.Unsafe.user_id batch i;
-              p_client = Ids.Client.of_int (B.Unsafe.client batch i);
-              p_migrated = B.Unsafe.migrated batch i;
-              p_file = B.Unsafe.file_id batch i;
-              p_is_dir = B.Unsafe.is_dir batch i;
-              p_mode = B.Unsafe.open_mode batch i;
-              p_open_time = B.Unsafe.time batch i;
-              p_size_open = B.Unsafe.a batch i;
-              run_start = B.Unsafe.b batch i;
-              runs_rev = [];
-              repositions = 0;
-            }
-        else if tag = B.tag_reposition then begin
-          match top (handle_key i) with
-          | None -> ()
-          | Some p ->
-            let run = B.Unsafe.a batch i - p.run_start in
-            if run > 0 then begin
-              p.runs_rev <- run :: p.runs_rev;
-              boundary p (B.Unsafe.time batch i) run
-            end;
-            p.run_start <- B.Unsafe.b batch i;
-            p.repositions <- p.repositions + 1
-        end
-        else if tag = B.tag_close then begin
-          match pop (handle_key i) with
-          | None -> ()
-          | Some p ->
-            let run = B.Unsafe.b batch i - p.run_start in
-            if run > 0 then begin
-              p.runs_rev <- run :: p.runs_rev;
-              boundary p (B.Unsafe.time batch i) run
-            end;
-            on_access
-              (finish p (B.Unsafe.time batch i) ~size:(B.Unsafe.a batch i)
-                 ~bytes_read:(B.Unsafe.c batch i)
-                 ~bytes_written:(B.Unsafe.d batch i))
+        if tag = B.tag_open || tag = B.tag_reposition || tag = B.tag_close
+        then begin
+          let key =
+            Dfs_util.Itbl.pair (B.Unsafe.client batch i) (B.Unsafe.file batch i)
+          and pid = B.Unsafe.pid batch i in
+          if tag = B.tag_open then
+            Handles.push open_tbl key
+              {
+                p_pid = pid;
+                p_user = B.Unsafe.user_id batch i;
+                p_client = Ids.Client.of_int (B.Unsafe.client batch i);
+                p_migrated = B.Unsafe.migrated batch i;
+                p_file = B.Unsafe.file_id batch i;
+                p_is_dir = B.Unsafe.is_dir batch i;
+                p_mode = B.Unsafe.open_mode batch i;
+                p_open_time = B.Unsafe.time batch i;
+                p_size_open = B.Unsafe.a batch i;
+                run_start = B.Unsafe.b batch i;
+                runs_rev = [];
+                repositions = 0;
+              }
+          else if tag = B.tag_reposition then begin
+            match Handles.top open_tbl key ~pid with
+            | None -> ()
+            | Some p ->
+              let run = B.Unsafe.a batch i - p.run_start in
+              if run > 0 then begin
+                p.runs_rev <- run :: p.runs_rev;
+                boundary p (B.Unsafe.time batch i) run
+              end;
+              p.run_start <- B.Unsafe.b batch i;
+              p.repositions <- p.repositions + 1
+          end
+          else begin
+            match Handles.pop open_tbl key ~pid with
+            | None -> ()
+            | Some p ->
+              let run = B.Unsafe.b batch i - p.run_start in
+              if run > 0 then begin
+                p.runs_rev <- run :: p.runs_rev;
+                boundary p (B.Unsafe.time batch i) run
+              end;
+              on_access
+                (finish p (B.Unsafe.time batch i) ~size:(B.Unsafe.a batch i)
+                   ~bytes_read:(B.Unsafe.c batch i)
+                   ~bytes_written:(B.Unsafe.d batch i))
+          end
         end
       done)
     batches

@@ -43,8 +43,9 @@ val duration : access -> float
 
 val of_batch : Dfs_trace.Record_batch.t -> access list
 (** Replay the trace and return completed accesses in close-time order.
-    Opens with no matching close (trace cut off) are dropped, as are
-    closes with no matching open. *)
+    A reposition or close applies to the newest open access of its
+    (client, pid, file) handle.  Opens with no matching close (trace cut
+    off) are dropped, as are closes with no matching open. *)
 
 val sweep :
   Dfs_trace.Record_batch.t ->

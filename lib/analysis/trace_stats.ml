@@ -23,6 +23,10 @@ let mb bytes = float_of_int bytes /. 1048576.0
 type acc = {
   mutable users : Ids.User.Set.t;
   mutable migration_users : Ids.User.Set.t;
+  (* the users last added to each set, so a run of records by one user
+     adds it once *)
+  mutable last_user : int;
+  mutable last_migration_user : int;
   mutable opens : int;
   mutable closes : int;
   mutable seeks : int;
@@ -43,6 +47,8 @@ let acc_create () =
   {
     users = Ids.User.Set.empty;
     migration_users = Ids.User.Set.empty;
+    last_user = -1;
+    last_migration_user = -1;
     opens = 0;
     closes = 0;
     seeks = 0;
@@ -61,9 +67,15 @@ let acc_record acc batch i =
   (* the first read is bounds-checked and validates [i]; the rest of the
      reads reuse the same index through the unsafe mirror *)
   let user = B.user_id batch i in
-  acc.users <- Ids.User.Set.add user acc.users;
-  if B.Unsafe.migrated batch i then
-    acc.migration_users <- Ids.User.Set.add user acc.migration_users;
+  let u = Ids.User.to_int user in
+  if u <> acc.last_user then begin
+    acc.last_user <- u;
+    acc.users <- Ids.User.Set.add user acc.users
+  end;
+  if B.Unsafe.migrated batch i && u <> acc.last_migration_user then begin
+    acc.last_migration_user <- u;
+    acc.migration_users <- Ids.User.Set.add user acc.migration_users
+  end;
   let time = B.Unsafe.time batch i in
   if time < acc.t_min then acc.t_min <- time;
   if time > acc.t_max then acc.t_max <- time;

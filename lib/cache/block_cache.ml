@@ -194,15 +194,9 @@ module Entries = Slots (struct
   let empty = no_entry
 end)
 
-(* Int-keyed tables that hash with [Hashtbl.hash], exactly as the generic
-   [Hashtbl] does: [tick] visits [dirty_files] in its bucket order. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash = Hashtbl.hash
-end)
+(* [Itbl] hashes with [Hashtbl.hash], exactly as the generic [Hashtbl]
+   does: [tick] visits [dirty_files] in its bucket order. *)
+module Itbl = Dfs_util.Itbl
 
 type class_stats = {
   mutable read_ops : int;

@@ -21,13 +21,18 @@ type entry = { mutable seen : int; mutable last_check : float }
 
 type file_state = { mutable version : int; mutable last_writer : int }
 
+module Itbl = Dfs_util.Itbl
+
+(* Both tables are keyed by ints: [files] by file id, [cache] by
+   [Itbl.pair client file].  The close record carries no mode, but a
+   close publishes exactly when it wrote bytes, whatever its open was,
+   so no per-handle state is kept. *)
 type acc = {
   interval : float;
-  files : file_state Ids.File.Tbl.t;
-  cache : (int * int, entry) Hashtbl.t;  (* (client, file) -> entry *)
-  (* the close record carries no mode; pair through handles *)
-  handles : (int * int * int, bool list ref) Hashtbl.t;
+  files : file_state Itbl.t;
+  cache : entry Itbl.t;
   mutable users : Ids.User.Set.t;
+  mutable last_user : int;  (* the user last added to [users] *)
   mutable affected : Ids.User.Set.t;
   mutable errors : int;
   mutable file_opens : int;
@@ -41,10 +46,10 @@ type acc = {
 let acc_create ~interval =
   {
     interval;
-    files = Ids.File.Tbl.create 1024;
-    cache = Hashtbl.create 4096;
-    handles = Hashtbl.create 1024;
+    files = Itbl.create 1024;
+    cache = Itbl.create 4096;
     users = Ids.User.Set.empty;
+    last_user = -1;
     affected = Ids.User.Set.empty;
     errors = 0;
     file_opens = 0;
@@ -56,30 +61,29 @@ let acc_create ~interval =
   }
 
 let file_state acc file =
-  match Ids.File.Tbl.find_opt acc.files file with
+  match Itbl.find_opt acc.files file with
   | Some st -> st
   | None ->
     let st = { version = 0; last_writer = -1 } in
-    Ids.File.Tbl.replace acc.files file st;
+    Itbl.replace acc.files file st;
     st
 
-let publish acc ~client file =
+let publish acc ~client ~file =
   let st = file_state acc file in
   st.version <- st.version + 1;
   st.last_writer <- client;
   (* the writer's own cache holds the new data *)
-  let key = (client, Ids.File.to_int file) in
-  match Hashtbl.find_opt acc.cache key with
+  match Itbl.find_opt acc.cache (Itbl.pair client file) with
   | Some e -> e.seen <- st.version
   | None -> ()
 
 (* Returns true when this access read stale data. *)
-let read acc ~now ~client file =
+let read acc ~now ~client ~file =
   let st = file_state acc file in
-  let key = (client, Ids.File.to_int file) in
-  match Hashtbl.find_opt acc.cache key with
+  let key = Itbl.pair client file in
+  match Itbl.find_opt acc.cache key with
   | None ->
-    Hashtbl.replace acc.cache key { seen = st.version; last_check = now };
+    Itbl.replace acc.cache key { seen = st.version; last_check = now };
     false
   | Some e ->
     if now -. e.last_check >= acc.interval then begin
@@ -91,61 +95,47 @@ let read acc ~now ~client file =
     else false
 
 let acc_record acc batch i =
-  let handle_key i = (B.client batch i, B.pid batch i, B.file batch i) in
-  let time = B.time batch i and user = B.user_id batch i in
-  acc.users <- Ids.User.Set.add user acc.users;
+  (* the time read is bounds-checked and validates [i]; the remaining
+     reads reuse the same index through the unsafe mirror *)
+  let time = B.time batch i and user = B.Unsafe.user_id batch i in
+  if Ids.User.to_int user <> acc.last_user then begin
+    acc.last_user <- Ids.User.to_int user;
+    acc.users <- Ids.User.Set.add user acc.users
+  end;
   if time < acc.t_min then acc.t_min <- time;
   if time > acc.t_max then acc.t_max <- time;
-  let client = B.client batch i in
-  let file () = B.file_id batch i in
-  let tag = B.tag batch i in
+  let client = B.Unsafe.client batch i and file = B.Unsafe.file batch i in
+  let tag = B.Unsafe.tag batch i in
   if tag = B.tag_open then begin
-    if not (B.is_dir batch i) then begin
+    if not (B.Unsafe.is_dir batch i) then begin
       acc.file_opens <- acc.file_opens + 1;
-      let migrated = B.migrated batch i in
+      let migrated = B.Unsafe.migrated batch i in
       if migrated then acc.migrated_opens <- acc.migrated_opens + 1;
       let reads =
-        match B.open_mode batch i with
+        match B.Unsafe.open_mode batch i with
         | Record.Read_only | Record.Read_write -> true
         | Record.Write_only -> false
       in
-      let stale = if reads then read acc ~now:time ~client (file ()) else false in
-      if stale then begin
+      if reads && read acc ~now:time ~client ~file then begin
         acc.errors <- acc.errors + 1;
         acc.opens_with_error <- acc.opens_with_error + 1;
         if migrated then
           acc.migrated_opens_with_error <- acc.migrated_opens_with_error + 1;
         acc.affected <- Ids.User.Set.add user acc.affected
-      end;
-      let l =
-        match Hashtbl.find_opt acc.handles (handle_key i) with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.replace acc.handles (handle_key i) l;
-          l
-      in
-      l := reads :: !l
+      end
     end
   end
   else if tag = B.tag_close then begin
-    let bytes_written = B.d batch i in
-    match Hashtbl.find_opt acc.handles (handle_key i) with
-    | Some ({ contents = _ :: rest } as l) ->
-      l := rest;
-      if rest = [] then Hashtbl.remove acc.handles (handle_key i);
-      if bytes_written > 0 then publish acc ~client (file ())
-    | Some { contents = [] } | None ->
-      if bytes_written > 0 then publish acc ~client (file ())
+    if B.Unsafe.d batch i > 0 then publish acc ~client ~file
   end
   else if tag = B.tag_shared_read then begin
-    if read acc ~now:time ~client (file ()) then begin
+    if read acc ~now:time ~client ~file then begin
       acc.errors <- acc.errors + 1;
       acc.affected <- Ids.User.Set.add user acc.affected
     end
   end
-  else if tag = B.tag_shared_write then publish acc ~client (file ())
-  else if tag = B.tag_delete then Ids.File.Tbl.remove acc.files (file ())
+  else if tag = B.tag_shared_write then publish acc ~client ~file
+  else if tag = B.tag_delete then Itbl.remove acc.files file
 
 let acc_finish acc =
   let duration_hours =

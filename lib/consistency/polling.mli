@@ -30,9 +30,12 @@ val simulate : interval:float -> Dfs_trace.Record_batch.t -> report
 (** {1 Accumulator}
 
     {!simulate} as a per-record fold, which the fused analysis pass
-    drives.  Its state is per file and per client, and a stale read
-    depends on other clients' earlier writes, so it must see every
-    record of the trace in order. *)
+    drives.  Its state is per file and per (client, file) pair, both in
+    int-keyed tables ({!Dfs_util.Itbl}, the pair packed by
+    {!Dfs_util.Itbl.pair}), and a stale read depends on other clients'
+    earlier writes, so it must see every record of the trace in order.
+    It keeps no per-handle state: a close publishes new data exactly
+    when it wrote bytes. *)
 
 type acc
 

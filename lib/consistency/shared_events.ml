@@ -1,5 +1,7 @@
 module Record = Dfs_trace.Record
 module Ids = Dfs_trace.Ids
+module B = Dfs_trace.Record_batch
+module Itbl = Dfs_util.Itbl
 
 type event =
   | Open of { client : int; writer : bool }
@@ -20,87 +22,101 @@ let is_writer = function
   | Record.Write_only | Record.Read_write -> true
   | Record.Read_only -> false
 
-(* The close record does not carry the open mode; recover it from the
-   handle's matching open, tracked per (client, pid, file).
-   [batches] must be replayable: one pass collects the write-shared
-   files, a second extracts their events. *)
-let extract_seq batches =
-  let module B = Dfs_trace.Record_batch in
-  let shared_files = ref Ids.File.Set.empty in
-  Seq.iter
-    (fun batch ->
-      for i = 0 to B.length batch - 1 do
-        let tag = B.tag batch i in
-        if tag = B.tag_shared_read || tag = B.tag_shared_write then
-          shared_files := Ids.File.Set.add (B.file_id batch i) !shared_files
-      done)
-    batches;
-  let handle_modes : (int * int * int, Record.open_mode list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let per_file : timed list ref Ids.File.Tbl.t = Ids.File.Tbl.create 64 in
-  Seq.iter (fun batch ->
-  let handle_key i = (B.client batch i, B.pid batch i, B.file batch i) in
-  let emit i ev =
-    let l =
-      match Ids.File.Tbl.find_opt per_file (B.file_id batch i) with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Ids.File.Tbl.replace per_file (B.file_id batch i) l;
-        l
-    in
-    l := { time = B.time batch i; ev } :: !l
-  in
-  for i = 0 to B.length batch - 1 do
-    if Ids.File.Set.mem (B.file_id batch i) !shared_files then begin
-      let client = B.client batch i in
-      let tag = B.tag batch i in
-      if tag = B.tag_open then begin
-        if not (B.is_dir batch i) then begin
-          let mode = B.open_mode batch i in
-          let modes =
-            match Hashtbl.find_opt handle_modes (handle_key i) with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace handle_modes (handle_key i) l;
-              l
-          in
-          modes := mode :: !modes;
-          emit i (Open { client; writer = is_writer mode })
-        end
-      end
-      else if tag = B.tag_close then begin
-        match Hashtbl.find_opt handle_modes (handle_key i) with
-        | Some ({ contents = mode :: rest } as modes) ->
-          modes := rest;
-          if rest = [] then Hashtbl.remove handle_modes (handle_key i);
-          emit i (Close { client; writer = is_writer mode })
-        | Some { contents = [] } | None -> ()
-      end
-      else if tag = B.tag_shared_read then
-        emit i (Read { client; off = B.a batch i; len = B.b batch i })
-      else if tag = B.tag_shared_write then
-        emit i (Write { client; off = B.a batch i; len = B.b batch i })
-    end
-  done) batches;
-  Ids.File.Tbl.fold
-    (fun file events acc ->
-      let events = List.rev !events in
-      let requested_bytes, requests =
-        List.fold_left
-          (fun (b, n) { ev; _ } ->
-            match ev with
-            | Read { len; _ } | Write { len; _ } -> (b + len, n + 1)
-            | Open _ | Close _ -> (b, n))
-          (0, 0) events
-      in
-      { file; events; requested_bytes; requests } :: acc)
-    per_file []
-  |> List.sort (fun a b -> Ids.File.compare a.file b.file)
+type acc = { shared : unit Itbl.t }  (* the write-shared files *)
 
-let extract batch = extract_seq (Seq.return batch)
+let acc_create () = { shared = Itbl.create 64 }
+
+let acc_record acc batch i =
+  let tag = B.tag batch i in
+  if tag = B.tag_shared_read || tag = B.tag_shared_write then
+    Itbl.replace acc.shared (B.Unsafe.file batch i) ()
+
+(* An open handle: only whether it was opened for writing is needed at
+   its close. *)
+type handle = { pid : int; writer : bool }
+
+module Handles = Itbl.Handles (struct
+  type t = handle
+
+  let pid h = h.pid
+end)
+
+(* The second pass, over the write-shared files' records only.  The
+   close record does not carry the open mode; it is recovered from the
+   handle's matching open. *)
+let acc_finish acc batches =
+  if Itbl.length acc.shared = 0 then []
+  else begin
+    let handles = Handles.create 256 in
+    let per_file : timed list ref Itbl.t = Itbl.create 64 in
+    Seq.iter
+      (fun batch ->
+        for i = 0 to B.length batch - 1 do
+          let file = B.file batch i in
+          if Itbl.mem acc.shared file then begin
+            let client = B.Unsafe.client batch i in
+            let emit ev =
+              let l =
+                match Itbl.find_opt per_file file with
+                | Some l -> l
+                | None ->
+                  let l = ref [] in
+                  Itbl.replace per_file file l;
+                  l
+              in
+              l := { time = B.Unsafe.time batch i; ev } :: !l
+            in
+            let tag = B.Unsafe.tag batch i in
+            if tag = B.tag_open then begin
+              if not (B.Unsafe.is_dir batch i) then begin
+                let writer = is_writer (B.Unsafe.open_mode batch i) in
+                Handles.push handles (Itbl.pair client file)
+                  { pid = B.Unsafe.pid batch i; writer };
+                emit (Open { client; writer })
+              end
+            end
+            else if tag = B.tag_close then begin
+              match
+                Handles.pop handles (Itbl.pair client file)
+                  ~pid:(B.Unsafe.pid batch i)
+              with
+              | None -> ()
+              | Some h -> emit (Close { client; writer = h.writer })
+            end
+            else if tag = B.tag_shared_read then
+              emit
+                (Read
+                   { client; off = B.Unsafe.a batch i; len = B.Unsafe.b batch i })
+            else if tag = B.tag_shared_write then
+              emit
+                (Write
+                   { client; off = B.Unsafe.a batch i; len = B.Unsafe.b batch i })
+          end
+        done)
+      batches;
+    Itbl.fold
+      (fun file events acc ->
+        let events = List.rev !events in
+        let requested_bytes, requests =
+          List.fold_left
+            (fun (b, n) { ev; _ } ->
+              match ev with
+              | Read { len; _ } | Write { len; _ } -> (b + len, n + 1)
+              | Open _ | Close _ -> (b, n))
+            (0, 0) events
+        in
+        { file = Ids.File.of_int file; events; requested_bytes; requests }
+        :: acc)
+      per_file []
+    |> List.sort (fun a b -> Ids.File.compare a.file b.file)
+  end
+
+let extract batch =
+  let acc = acc_create () in
+  for i = 0 to B.length batch - 1 do
+    acc_record acc batch i
+  done;
+  acc_finish acc (Seq.return batch)
 
 let total_requested streams =
   List.fold_left (fun acc s -> acc + s.requested_bytes) 0 streams

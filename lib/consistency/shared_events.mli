@@ -24,11 +24,28 @@ type stream = {
 
 val extract : Dfs_trace.Record_batch.t -> stream list
 (** One stream per file that experienced write-sharing (i.e. has at least
-    one shared read/write record). *)
+    one shared read/write record), in file order. *)
 
-val extract_seq : Dfs_trace.Record_batch.t Seq.t -> stream list
-(** {!extract} over a chunked trace.  The sequence must be replayable
-    (e.g. {!Dfs_trace.Sink.to_seq}): extraction traverses it twice. *)
+(** {1 Accumulator}
+
+    {!extract} as a per-record fold that collects the write-shared
+    files, which the fused analysis pass drives, and a second pass that
+    extracts their streams.  A file's events before its first shared
+    record count too, so one pass would have to hold every open of every
+    file until the trace ends; the second pass holds only the shared
+    files' events. *)
+
+type acc
+
+val acc_create : unit -> acc
+
+val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val acc_finish : acc -> Dfs_trace.Record_batch.t Seq.t -> stream list
+(** [acc_finish acc batches] extracts the streams of the files [acc]
+    collected from [batches], which must be the records the fold saw,
+    again: one pass over the stream, skipped when no file was
+    write-shared. *)
 
 val total_requested : stream list -> int
 

@@ -122,7 +122,9 @@ let lfs_crossover b run =
         (Printf.sprintf "%.0f%%" (100.0 *. miss))
         ip lg
         (if lg > 0.0 then ip /. lg else 0.0))
-    (Dfs_lfs.Disk_layout.crossover_table (Dataset.sessions run) ~seed:11);
+    (Dfs_lfs.Disk_layout.crossover_table
+       (Dfs_analysis.Session.of_batch (Dfs_trace.Sink.to_batch run.Dataset.trace))
+       ~seed:11);
   Buffer.add_string b
     "  (as caches absorb more reads, writes dominate and the log wins — the \
      paper's closing argument for LFS)\n\n"

@@ -378,14 +378,12 @@ let all =
           let ratios =
             List.filter_map
               (fun (r : Dataset.run) ->
-                let streams = C.Shared_events.extract_seq (Dataset.trace_seq r) in
-                let d = C.Shared_events.total_requested streams in
-                if d = 0 then None
+                let o = (Dataset.fused r).A.Fused.overhead in
+                if o.demand_bytes = 0 then None
                 else
                   Some
-                    (float_of_int
-                       (C.Token.simulate streams).C.Overhead.bytes_transferred
-                    /. float_of_int d))
+                    (float_of_int o.token.C.Overhead.bytes_transferred
+                    /. float_of_int o.demand_bytes))
               ds.runs
           in
           Dataset.mean ratios);

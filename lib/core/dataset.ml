@@ -1,8 +1,9 @@
 module Presets = Dfs_workload.Presets
 module Sink = Dfs_trace.Sink
 
-(* The fused single-pass analysis (session reconstruction plus the six
-   per-record/per-access folds) is needed by half a dozen experiments;
+(* The fused single-pass analysis (session reconstruction plus its
+   per-record and per-access folds, and Table 12) is needed by a dozen
+   experiments and claims;
    computing it once per run and sharing the result is the point of this
    memo.  Filled on first demand under a double-checked mutex — OCaml's
    [Lazy] is not safe to force from several domains, and analyses of
@@ -167,8 +168,6 @@ let fused run =
           let f = Dfs_analysis.Fused.analyze_chunks run.trace in
           run.memo.fused <- Some f;
           f)
-
-let sessions run = (fused run).Dfs_analysis.Fused.accesses
 
 let client_cache_stats run =
   Array.to_list

@@ -69,17 +69,19 @@ val default_scale : float
 
 val trace_seq : run -> Dfs_trace.Record_batch.t Seq.t
 (** The run's merged trace as a replayable chunk stream (at most one
-    chunk forced at a time). *)
+    chunk forced at a time): [Dfs_trace.Sink.to_seq run.trace].
+    Nothing in the library reads it since Table 12 moved into the fused
+    pass; it stays because perfbench reads every segment through it,
+    until the next change to the benchmark calls [Sink.to_seq]. *)
 
 val fused : run -> Dfs_analysis.Fused.t
-(** The run's fused single-pass analysis (trace stats, size/open-time/
-    run-length distributions, access patterns, lifetimes and the access
-    reconstruction), computed on first use by one sequential sweep
+(** The run's fused analysis (trace stats, size/open-time/run-length
+    distributions, access patterns, lifetimes, Tables 2, 10 and 11, and
+    Table 12's consistency overheads), computed on first use by one
+    sequential sweep and Table 12's filtered pass
     ({!Dfs_analysis.Fused.analyze_chunks}) and shared by every
-    experiment on this run.  Safe to call from several domains. *)
-
-val sessions : run -> Dfs_analysis.Session.access list
-(** The access reconstruction from {!fused}. *)
+    experiment and claim on this run.  Safe to call from several
+    domains. *)
 
 val merged_counters : t -> Dfs_sim.Counters.t
 (** All runs' counter samples concatenated (Table 4 uses every machine

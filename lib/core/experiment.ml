@@ -291,18 +291,19 @@ let render_cdf_series ~caption ~x_label series_list xs =
       Table.add_row tbl
         (Table.bytes x
         :: List.map
-             (fun (_, cdf) ->
-               Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below cdf x))
+             (fun (_, parts) ->
+               Printf.sprintf "%.1f"
+                 (100.0 *. Cdf.fraction_below_pooled parts x))
              series_list))
     xs;
   let glyphs = [| '*'; 'o'; '+'; 'x' |] in
   let chart =
     Dfs_util.Chart.render ~title:("cumulative %: " ^ x_label) ~x_label
       (List.mapi
-         (fun i (name, cdf) ->
+         (fun i (name, parts) ->
            Dfs_util.Chart.of_cdf ~name
              ~glyph:glyphs.(i mod Array.length glyphs)
-             ~xs cdf)
+             ~xs parts)
          series_list)
   in
   Table.render tbl ^ chart
@@ -313,7 +314,7 @@ let fig1 =
       Dataset.per_trace ds (fun r ->
           (r.preset.name, (Dataset.fused r).A.Fused.run_length))
     in
-    let pooled f = Cdf.merge (List.map (fun (_, rl) -> f rl) per) in
+    let pooled f = List.map (fun (_, rl) -> f rl) per in
     let pooled_runs = pooled (fun (f : A.Run_length.t) -> f.by_runs)
     and pooled_bytes = pooled (fun (f : A.Run_length.t) -> f.by_bytes) in
     let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
@@ -358,8 +359,8 @@ let fig2 =
     let per =
       Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.file_size)
     in
-    let pooled_files = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_files) per)
-    and pooled_bytes = Cdf.merge (List.map (fun (f : A.File_size.t) -> f.by_bytes) per) in
+    let pooled_files = List.map (fun (f : A.File_size.t) -> f.by_files) per
+    and pooled_bytes = List.map (fun (f : A.File_size.t) -> f.by_bytes) per in
     let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
     let over1m =
       List.map
@@ -391,7 +392,7 @@ let fig3 =
     let per =
       Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.open_time)
     in
-    let pooled = Cdf.merge (List.map (fun (f : A.Open_time.t) -> f.by_opens) per) in
+    let pooled = List.map (fun (f : A.Open_time.t) -> f.by_opens) per in
     let tbl =
       Table.create
         ~caption:"Figure 3. File open durations, cumulative % (pooled)."
@@ -403,7 +404,7 @@ let fig3 =
         Table.add_row tbl
           [
             Printf.sprintf "%gs" x;
-            Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below pooled x);
+            Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below_pooled pooled x);
           ])
       [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |];
     let under_quarter =
@@ -436,8 +437,8 @@ let fig4 =
       Dataset.per_trace ds (fun r ->
           (Dataset.fused r).A.Fused.lifetime)
     in
-    let pooled_files = Cdf.merge (List.map (fun (f : A.Lifetime.t) -> f.by_files) per)
-    and pooled_bytes = Cdf.merge (List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per) in
+    let pooled_files = List.map (fun (f : A.Lifetime.t) -> f.by_files) per
+    and pooled_bytes = List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per in
     let tbl =
       Table.create ~caption:"Figure 4. File lifetimes, cumulative % (pooled)."
         ~columns:
@@ -453,8 +454,10 @@ let fig4 =
         Table.add_row tbl
           [
             Printf.sprintf "%gs" x;
-            Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below pooled_files x);
-            Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below pooled_bytes x);
+            Printf.sprintf "%.1f"
+              (100.0 *. Cdf.fraction_below_pooled pooled_files x);
+            Printf.sprintf "%.1f"
+              (100.0 *. Cdf.fraction_below_pooled pooled_bytes x);
           ])
       [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |];
     let files30 =
@@ -946,9 +949,9 @@ let table12 =
     let per =
       List.filter_map
         (fun (r : Dataset.run) ->
-          let streams = C.Shared_events.extract_seq (Dataset.trace_seq r) in
-          let demand_bytes = C.Shared_events.total_requested streams in
-          let demand_requests = C.Shared_events.total_requests streams in
+          let { A.Fused.demand_bytes; demand_requests; sprite; sprite_modified; token } =
+            (Dataset.fused r).A.Fused.overhead
+          in
           (* short scaled traces can have no write-sharing at all; they
              carry no information about the mechanisms *)
           if demand_bytes = 0 || demand_requests = 0 then None
@@ -956,10 +959,7 @@ let table12 =
             let ratios res =
               C.Overhead.ratios ~demand_bytes ~demand_requests res
             in
-            Some
-              ( ratios (C.Sprite.simulate streams),
-                ratios (C.Sprite_modified.simulate streams),
-                ratios (C.Token.simulate streams) )
+            Some (ratios sprite, ratios sprite_modified, ratios token)
           end)
         ds.runs
     in

@@ -11,11 +11,15 @@ type view = {
   prefix : float array;  (* cumulative weights over the sorted order *)
 }
 
+(* The running total of the weights, in insertion order.  A record of
+   one float field is stored flat, so adding to it allocates nothing. *)
+type total = { mutable sum : float }
+
 type t = {
   mutable values : float array;
   mutable weights : float array;
   mutable count : int;
-  mutable total_weight : float;
+  total : total;
   view : view option Atomic.t;  (* cleared by [add] *)
 }
 
@@ -24,34 +28,36 @@ let create () =
     values = [||];
     weights = [||];
     count = 0;
-    total_weight = 0.0;
+    total = { sum = 0.0 };
     view = Atomic.make None;
   }
 
-let add t ?(weight = 1.0) v =
+let grow t =
   let n = t.count in
-  if n = Array.length t.values then begin
-    let grow a =
-      let b = Array.make (max 16 (2 * n)) 0.0 in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.values <- grow t.values;
-    t.weights <- grow t.weights
-  end;
-  t.values.(n) <- v;
-  t.weights.(n) <- weight;
+  let grow a =
+    let b = Array.make (max 16 (2 * n)) 0.0 in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.values <- grow t.values;
+  t.weights <- grow t.weights
+
+let add_weighted t ~weight v =
+  if t.count = Array.length t.values then grow t;
+  let n = t.count in
+  Array.unsafe_set t.values n v;
+  Array.unsafe_set t.weights n weight;
   t.count <- n + 1;
-  t.total_weight <- t.total_weight +. weight;
+  t.total.sum <- t.total.sum +. weight;
   if Option.is_some (Atomic.get t.view) then Atomic.set t.view None
+
+let add t v = add_weighted t ~weight:1.0 v
 
 let count t = t.count
 
-let total_weight t = t.total_weight
-
 let equal a b =
   a.count = b.count
-  && Float.equal a.total_weight b.total_weight
+  && Float.equal a.total.sum b.total.sum
   &&
   let rec same i =
     i >= a.count
@@ -150,47 +156,26 @@ let ensure_view t =
     Atomic.set t.view (Some v);
     v
 
-(* The parts' sorted views, concatenated, are consecutive sorted runs:
-   merging them yields the pooled order without sorting again.  The
-   result's samples are that merged order. *)
-let merge parts =
-  let views = List.map ensure_view parts in
-  let n =
-    List.fold_left (fun acc v -> acc + Array.length v.sorted_values) 0 views
-  in
-  let v = Array.make n 0.0 and w = Array.make n 0.0 in
-  let starts, _ =
-    List.fold_left
-      (fun (starts, pos) part ->
-        let len = Array.length part.sorted_values in
-        Array.blit part.sorted_values 0 v pos len;
-        Array.blit part.sorted_weights 0 w pos len;
-        if len = 0 then (starts, pos) else (pos :: starts, pos + len))
-      ([], 0) views
-  in
-  let values, weights =
-    merge_all v w (Array.of_list (List.rev (n :: starts)))
-  in
-  {
-    values;
-    weights;
-    count = n;
-    total_weight = List.fold_left (fun acc p -> acc +. p.total_weight) 0.0 parts;
-    view = Atomic.make (Some (view_of (values, weights)));
-  }
+(* The cumulative weight of the samples [<= x]: a binary search for the
+   last sorted index with value [<= x]. *)
+let weight_below t x =
+  let v = ensure_view t in
+  let lo = ref 0 and hi = ref (Array.length v.sorted_values) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v.sorted_values.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then 0.0 else v.prefix.(!lo - 1)
 
 let fraction_below t x =
-  if t.total_weight = 0.0 then 0.0
-  else begin
-    let v = ensure_view t in
-    (* binary search for the last index with value <= x *)
-    let lo = ref 0 and hi = ref (Array.length v.sorted_values) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if v.sorted_values.(mid) <= x then lo := mid + 1 else hi := mid
-    done;
-    if !lo = 0 then 0.0 else v.prefix.(!lo - 1) /. t.total_weight
-  end
+  if t.total.sum = 0.0 then 0.0 else weight_below t x /. t.total.sum
+
+(* Both sums run in part order; under the exactness condition (see the
+   interface) each is the exact sum, whatever the order. *)
+let fraction_below_pooled parts x =
+  let total = List.fold_left (fun acc p -> acc +. p.total.sum) 0.0 parts in
+  if total = 0.0 then 0.0
+  else List.fold_left (fun acc p -> acc +. weight_below p x) 0.0 parts /. total
 
 (* Guards raise [Invalid_argument] with context instead of bare
    [assert]: on degenerate or hostile imported data an assert is a
@@ -202,7 +187,7 @@ let quantile t p =
   let v = ensure_view t in
   let n = Array.length v.sorted_values in
   if n = 0 then invalid_arg "Cdf.quantile: empty distribution";
-  let target = p *. t.total_weight in
+  let target = p *. t.total.sum in
   (* first index whose cumulative weight reaches the target *)
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do

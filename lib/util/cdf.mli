@@ -11,34 +11,34 @@
     several domains at once.
 
     {b Exactness.}  Values are ordered by [Float.compare]; equal values
-    may come out of a sort or a {!merge} in any order.  That order
-    reaches a result only through the cumulative weights, so results
-    are independent of it whenever every partial sum of the weights is
-    exact: every weight a multiple of a common power of two (1, a byte
-    count, a run length, [size /. 8.]) and the total below 2{^53} of
-    those units.  Then {!fraction_below} and {!quantile} of a {!merge}
-    are bit-identical to those of one CDF fed every sample. *)
+    may come out of the sort in any order.  That order reaches a result
+    only through the cumulative weights, so results are independent of
+    it whenever every partial sum of the weights is exact: every weight
+    a multiple of a common power of two (1, a byte count, a run length,
+    [size /. 8.]) and the total below 2{^53} of those units.  The same
+    condition makes a pooled CDF exact: {!fraction_below_pooled} of
+    several parts sums their prefix weights, and that sum is
+    bit-identical to the prefix weight of one CDF fed every part's
+    samples.  The analyses' weights are multiples of 1/8 and their
+    totals stay far below 2{^50}, so no printed digit depends on how a
+    figure pools its traces. *)
 
 type t
 
 val create : unit -> t
 (** Fresh, empty accumulator. *)
 
-val add : t -> ?weight:float -> float -> unit
-(** [add t ~weight v] records sample [v]; [weight] defaults to 1. *)
+val add : t -> float -> unit
+(** [add t v] records sample [v] with weight 1. *)
+
+val add_weighted : t -> weight:float -> float -> unit
+(** [add_weighted t ~weight v] records sample [v] with [weight].  No
+    option is built for the weight, and the running total is kept in a
+    flat float record, so an add allocates nothing of its own except
+    when the sample arrays double. *)
 
 val count : t -> int
 (** Number of samples added. *)
-
-val total_weight : t -> float
-
-val merge : t list -> t
-(** [merge parts] pools the parts' samples into a new CDF by merging
-    their sorted views (each part is sorted at most once, and only if it
-    has not been queried yet) — no pooled re-sort.  Under the exactness
-    condition above its answers equal those of one CDF fed every part's
-    samples; its total weight is the sum of the parts' totals.  The parts
-    are not modified. *)
 
 val equal : t -> t -> bool
 (** Same count, same total weight, and the same samples in insertion
@@ -49,6 +49,14 @@ val equal : t -> t -> bool
 val fraction_below : t -> float -> float
 (** [fraction_below t x] is the weighted fraction of samples [<= x];
     0 when empty. *)
+
+val fraction_below_pooled : t list -> float -> float
+(** [fraction_below_pooled parts x] is {!fraction_below} of the parts
+    pooled into one distribution, without building it: the parts' weights
+    of samples [<= x], summed in part order, over the sum of their total
+    weights (0 when that is 0).  Each part is sorted at most once, on its
+    first query.  Under the exactness condition above it equals
+    [fraction_below] of one CDF fed every part's samples. *)
 
 val quantile : t -> float -> float
 (** [quantile t p] is the smallest sample value [v] with

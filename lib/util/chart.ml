@@ -4,12 +4,12 @@ type series = {
   s_points : (float * float) array;
 }
 
-let of_cdf ~name ~glyph ~xs cdf =
+let of_cdf ~name ~glyph ~xs parts =
   {
     s_name = name;
     s_glyph = glyph;
     s_points =
-      Array.map (fun x -> (x, 100.0 *. Cdf.fraction_below cdf x)) xs;
+      Array.map (fun x -> (x, 100.0 *. Cdf.fraction_below_pooled parts x)) xs;
   }
 
 let axis_value x =

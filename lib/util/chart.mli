@@ -18,7 +18,8 @@ val of_cdf :
   name:string ->
   glyph:char ->
   xs:float array ->
-  Cdf.t ->
+  Cdf.t list ->
   series
-(** Sample a CDF at the given points into a plottable series
-    (y in percent). *)
+(** Sample the CDF the parts pool into ({!Cdf.fraction_below_pooled}) at
+    the given points into a plottable series (y in percent).  One CDF is
+    the one-part list. *)

@@ -58,6 +58,23 @@ let t7 = tables.(7)
 let[@inline] step_byte crc byte =
   (crc lsr 8) lxor Array.unsafe_get t0 ((crc lxor byte) land 0xFF)
 
+(* One slice-by-8 step over the next eight bytes [b0] .. [b7].  The
+   loops below read their bytes through top-level inlined functions: a
+   local [let b k = ...] would be a closure over the loop's index,
+   allocated on every step. *)
+let[@inline] step8 crc b0 b1 b2 b3 b4 b5 b6 b7 =
+  let lo = crc lxor (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)) in
+  Array.unsafe_get t7 (lo land 0xFF)
+  lxor Array.unsafe_get t6 ((lo lsr 8) land 0xFF)
+  lxor Array.unsafe_get t5 ((lo lsr 16) land 0xFF)
+  lxor Array.unsafe_get t4 ((lo lsr 24) land 0xFF)
+  lxor Array.unsafe_get t3 b4
+  lxor Array.unsafe_get t2 b5
+  lxor Array.unsafe_get t1 b6
+  lxor Array.unsafe_get t0 b7
+
+let[@inline] string_byte s i = Char.code (String.unsafe_get s i)
+
 let update_string crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32c.update_string";
@@ -65,26 +82,25 @@ let update_string crc s ~pos ~len =
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
-    let b k = Char.code (String.unsafe_get s (!i + k)) in
-    let lo =
-      !crc lxor (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
-    in
+    let j = !i in
     crc :=
-      Array.unsafe_get t7 (lo land 0xFF)
-      lxor Array.unsafe_get t6 ((lo lsr 8) land 0xFF)
-      lxor Array.unsafe_get t5 ((lo lsr 16) land 0xFF)
-      lxor Array.unsafe_get t4 ((lo lsr 24) land 0xFF)
-      lxor Array.unsafe_get t3 (b 4)
-      lxor Array.unsafe_get t2 (b 5)
-      lxor Array.unsafe_get t1 (b 6)
-      lxor Array.unsafe_get t0 (b 7);
-    i := !i + 8
+      step8 !crc (string_byte s j)
+        (string_byte s (j + 1))
+        (string_byte s (j + 2))
+        (string_byte s (j + 3))
+        (string_byte s (j + 4))
+        (string_byte s (j + 5))
+        (string_byte s (j + 6))
+        (string_byte s (j + 7));
+    i := j + 8
   done;
   while !i < pos + len do
-    crc := step_byte !crc (Char.code (String.unsafe_get s !i));
+    crc := step_byte !crc (string_byte s !i);
     incr i
   done;
   !crc
+
+let[@inline] bigstring_byte (s : bigstring) i = A1.unsafe_get s i
 
 let update_bigstring crc (s : bigstring) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > A1.dim s then
@@ -93,23 +109,20 @@ let update_bigstring crc (s : bigstring) ~pos ~len =
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
-    let b k = A1.unsafe_get s (!i + k) in
-    let lo =
-      !crc lxor (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
-    in
+    let j = !i in
     crc :=
-      Array.unsafe_get t7 (lo land 0xFF)
-      lxor Array.unsafe_get t6 ((lo lsr 8) land 0xFF)
-      lxor Array.unsafe_get t5 ((lo lsr 16) land 0xFF)
-      lxor Array.unsafe_get t4 ((lo lsr 24) land 0xFF)
-      lxor Array.unsafe_get t3 (b 4)
-      lxor Array.unsafe_get t2 (b 5)
-      lxor Array.unsafe_get t1 (b 6)
-      lxor Array.unsafe_get t0 (b 7);
-    i := !i + 8
+      step8 !crc (bigstring_byte s j)
+        (bigstring_byte s (j + 1))
+        (bigstring_byte s (j + 2))
+        (bigstring_byte s (j + 3))
+        (bigstring_byte s (j + 4))
+        (bigstring_byte s (j + 5))
+        (bigstring_byte s (j + 6))
+        (bigstring_byte s (j + 7));
+    i := j + 8
   done;
   while !i < pos + len do
-    crc := step_byte !crc (A1.unsafe_get s !i);
+    crc := step_byte !crc (bigstring_byte s !i);
     incr i
   done;
   !crc

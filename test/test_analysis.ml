@@ -571,6 +571,89 @@ let test_consistency_replay_matches_server () =
   Alcotest.(check int) "sharing agrees" counters.sharing_opens
     replay.sharing_opens
 
+(* -- the int-keyed folds against their tuple-keyed models ------------------------ *)
+
+(* Random traces over a few ids, so that one (client, file) pair sees
+   several pids, one handle nests opens, and closes, deletes and shared
+   transfers land on open and unopened files alike.  The ids include 0
+   and 2^31 - 1, the extremes of the packed (client, file) key. *)
+let gen_fold_trace =
+  let open QCheck.Gen in
+  let top = Record.max_field in
+  let size = oneof [ return 0; int_bound 20_000 ] in
+  let kind =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun mode is_dir (size, start_pos) ->
+              Record.Open { mode; created = false; is_dir; size; start_pos })
+            (oneofl Record.[ Read_only; Write_only; Read_write ])
+            (frequencyl [ (9, false); (1, true) ])
+            (pair size size) );
+        ( 5,
+          map2
+            (fun (size, final_pos) (bytes_read, bytes_written) ->
+              Record.Close { size; final_pos; bytes_read; bytes_written })
+            (pair size size) (pair size size) );
+        ( 2,
+          map2
+            (fun pos_before pos_after -> Record.Reposition { pos_before; pos_after })
+            size size );
+        (1, map (fun size -> Record.Delete { size; is_dir = false }) size);
+        (1, map (fun old_size -> Record.Truncate { old_size }) size);
+        ( 2,
+          map2 (fun offset length -> Record.Shared_read { offset; length }) size size );
+        ( 2,
+          map2 (fun offset length -> Record.Shared_write { offset; length }) size size );
+      ]
+  in
+  let record =
+    map3
+      (fun (dt, client, pid) (user, file, migrated) kind ->
+        (dt, client, pid, user, file, migrated, kind))
+      (triple
+         (oneofl [ 0.0; 0.5; 1.0; 2.5; 4.0; 30.0; 75.0 ])
+         (oneofl [ 0; 1; top ])
+         (oneofl [ 0; 1; top ]))
+      (triple (oneofl [ 0; 1; top ]) (oneofl [ 0; 1; 2; top ]) bool)
+      kind
+  in
+  list_size (int_range 0 150) record
+  |> map (fun steps ->
+         let now = ref 0.0 in
+         List.map
+           (fun (dt, client, pid, user, file, migrated, kind) ->
+             now := !now +. dt;
+             mk ~time:!now ~client ~pid ~user ~file ~migrated kind)
+           steps)
+
+let polling_report_equal (a : Dfs_consistency.Polling.report)
+    (b : Dfs_consistency.Polling.report) =
+  let Dfs_consistency.Polling.{ affected_user_ids; seen_user_ids; _ } = a in
+  { a with affected_user_ids = b.affected_user_ids; seen_user_ids = b.seen_user_ids }
+  = b
+  && Ids.User.Set.equal affected_user_ids b.affected_user_ids
+  && Ids.User.Set.equal seen_user_ids b.seen_user_ids
+
+let prop_folds_match_model =
+  QCheck.Test.make ~name:"folds match tuple-keyed models" ~count:500
+    ~long_factor:20
+    (QCheck.make
+       ~print:(fun rs -> String.concat "\n" (List.map Dfs_trace.Codec.encode rs))
+       gen_fold_trace)
+    (fun records ->
+      let b = bat records in
+      let polling interval =
+        polling_report_equal
+          (Dfs_consistency.Polling.simulate ~interval b)
+          (Fold_model.polling ~interval b)
+      in
+      polling 60.0 && polling 3.0
+      && Consistency_stats.analyze b = Fold_model.consistency b
+      && Session.of_batch b = Fold_model.sessions b
+      && Dfs_consistency.Shared_events.extract b = Fold_model.shared_events b)
+
 let suite =
   [
     ("session whole-file read", `Quick, test_session_whole_file_read);
@@ -605,4 +688,5 @@ let suite =
     ("paging stats arithmetic", `Quick, test_paging_stats_arithmetic);
     ("paging stats empty", `Quick, test_paging_stats_empty);
     ("server stats roundtrip", `Quick, test_server_stats_roundtrip);
+    QCheck_alcotest.to_alcotest prop_folds_match_model;
   ]

@@ -156,7 +156,8 @@ let test_dataset_deterministic_across_jobs () =
     seq.runs par.runs
 
 module A = Dfs_analysis
-module Polling = Dfs_consistency.Polling
+module C = Dfs_consistency
+module Polling = C.Polling
 
 (* [compare], not [=]: a report's float fields compare equal when both
    are nan. *)
@@ -210,7 +211,6 @@ let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
     run_length = { by_runs; by_bytes = rl_bytes };
     access_patterns;
     lifetime = { by_files = lt_files; by_bytes = lt_bytes; deaths_aged; deaths_unknown };
-    accesses;
     activity_10min;
     activity_10min_migrated;
     activity_10s;
@@ -218,6 +218,7 @@ let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
     consistency;
     polling_60s;
     polling_3s;
+    overhead;
   } =
     a
   in
@@ -232,7 +233,6 @@ let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
   && cdf lt_bytes b.lifetime.by_bytes
   && deaths_aged = b.lifetime.deaths_aged
   && deaths_unknown = b.lifetime.deaths_unknown
-  && same accesses b.accesses
   && same activity_10min b.activity_10min
   && same activity_10min_migrated b.activity_10min_migrated
   && same activity_10s b.activity_10s
@@ -240,6 +240,7 @@ let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
   && same consistency b.consistency
   && polling_equal polling_60s b.polling_60s
   && polling_equal polling_3s b.polling_3s
+  && same overhead b.overhead
 
 (* [Dataset.fused] forced inside a pool task, where a nested [Pool.map]
    would be rejected, equals the same pass at the top level. *)
@@ -263,8 +264,11 @@ let test_fused_inside_task_equals_top_level () =
    whole trace.  The record pattern names every field, so a field added
    to [Fused.t] fails to compile here until it has an oracle. *)
 let test_fused_folds_equal_standalone () =
-  let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
-  let aged = ref 0 in
+  (* trace 8 is the one with write-sharing at this scale (Table 12) *)
+  let ds =
+    Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1; 2; 8 ] ~jobs:1 ()
+  in
+  let aged = ref 0 and shared = ref 0 in
   List.iter
     (fun (run : Dfs_core.Dataset.run) ->
       let batch = Dfs_trace.Sink.to_batch run.trace in
@@ -275,7 +279,6 @@ let test_fused_folds_equal_standalone () =
         run_length;
         access_patterns;
         lifetime;
-        accesses;
         activity_10min;
         activity_10min_migrated;
         activity_10s;
@@ -283,6 +286,7 @@ let test_fused_folds_equal_standalone () =
         consistency;
         polling_60s;
         polling_3s;
+        overhead;
       } =
         Dfs_core.Dataset.fused run
       in
@@ -294,7 +298,6 @@ let test_fused_folds_equal_standalone () =
         A.Activity.analyze ?migrated_only ~interval batch
       in
       let oracle = A.Session.of_batch batch in
-      check "accesses" (same accesses oracle);
       check "trace stats" (same stats (A.Trace_stats.of_batch batch));
       let fs = A.File_size.analyze oracle in
       check "file size by files" (cdf file_size.by_files fs.by_files);
@@ -323,12 +326,24 @@ let test_fused_folds_equal_standalone () =
       check "polling 3 s"
         (polling_equal polling_3s (Polling.simulate ~interval:3.0 batch));
       check "consistency" (same consistency (A.Consistency_stats.analyze batch));
-      check "some accesses" (accesses <> []);
+      let streams = C.Shared_events.extract batch in
+      check "table 12"
+        (same overhead
+           {
+             A.Fused.demand_bytes = C.Shared_events.total_requested streams;
+             demand_requests = C.Shared_events.total_requests streams;
+             sprite = C.Sprite.simulate streams;
+             sprite_modified = C.Sprite_modified.simulate streams;
+             token = C.Token.simulate streams;
+           });
+      check "some accesses" (access_patterns.grand_total.accesses > 0);
       check "some active users" (activity_10min.max_active_users > 0);
       check "some opens" (consistency.file_opens > 0);
-      aged := !aged + lifetime.deaths_aged)
+      aged := !aged + lifetime.deaths_aged;
+      shared := !shared + overhead.demand_requests)
     ds.runs;
-  Alcotest.(check bool) "some aged deaths" true (!aged > 0)
+  Alcotest.(check bool) "some aged deaths" true (!aged > 0);
+  Alcotest.(check bool) "some write-sharing" true (!shared > 0)
 
 (* The fused pass reads the first record's time (Table 2's interval
    origin) off the head of the stream: leading empty chunks are skipped,
@@ -348,13 +363,13 @@ let test_fused_origin_edge_cases () =
     && none.polling_60s.users_seen = 0
     && none.consistency.file_opens = 0)
 
-let test_dataset_sessions_memoized () =
+let test_dataset_fused_memoized () =
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
   let run = List.hd ds.runs in
-  let a = Dfs_core.Dataset.sessions run in
-  let b = Dfs_core.Dataset.sessions run in
-  Alcotest.(check bool) "same (physically shared) reconstruction" true (a == b);
-  Alcotest.(check bool) "non-empty" true (a <> [])
+  let a = Dfs_core.Dataset.fused run in
+  let b = Dfs_core.Dataset.fused run in
+  Alcotest.(check bool) "same (physically shared) analysis" true (a == b);
+  Alcotest.(check bool) "non-empty" true (a.stats.open_events > 0)
 
 let suite =
   [
@@ -385,6 +400,6 @@ let suite =
       test_fused_folds_equal_standalone;
     Alcotest.test_case "fused: interval origin edge cases" `Quick
       test_fused_origin_edge_cases;
-    Alcotest.test_case "dataset: sessions memoized" `Quick
-      test_dataset_sessions_memoized;
+    Alcotest.test_case "dataset: fused memoized" `Quick
+      test_dataset_fused_memoized;
   ]

@@ -732,6 +732,7 @@ let test_cli_unusable_paths () =
           [ "replay"; dir ];
           [ "all"; "--replay"; dir ];
           [ "analyze"; dir ];
+          [ "analyze"; missing ];
           [ "import"; dir ];
           [ "replay"; trace; "-o"; Filename.concat missing "x.trace" ];
           [ "import"; csv; "-o"; Filename.concat missing "x.trace" ];

@@ -227,8 +227,8 @@ let test_cdf_unweighted () =
 
 let test_cdf_weighted () =
   let c = Cdf.create () in
-  Cdf.add c ~weight:1.0 1.0;
-  Cdf.add c ~weight:9.0 10.0;
+  Cdf.add_weighted c ~weight:1.0 1.0;
+  Cdf.add_weighted c ~weight:9.0 10.0;
   check_float "weighted fraction" 0.1 (Cdf.fraction_below c 1.0);
   check_float "q0.05" 1.0 (Cdf.quantile c 0.05);
   check_float "q0.5" 10.0 (Cdf.quantile c 0.5)
@@ -315,28 +315,22 @@ let gen_cdf_parts =
 
 let cdf_of samples =
   let c = Cdf.create () in
-  List.iter (fun (v, weight) -> Cdf.add c ~weight v) samples;
+  List.iter (fun (v, weight) -> Cdf.add_weighted c ~weight v) samples;
   c
 
-let prop_cdf_merge_equals_pooled =
-  QCheck.Test.make ~name:"cdf merge = one cdf fed every sample" ~count:300
-    (QCheck.make
-       QCheck.Gen.(pair gen_cdf_parts (list_size (int_range 1 20) (float_range 0.0 1.0))))
-    (fun (parts, ps) ->
-      let merged = Cdf.merge (List.map cdf_of parts) in
-      let all = List.concat parts in
-      let whole = cdf_of all in
+let prop_cdf_pooled_equals_one =
+  QCheck.Test.make ~name:"cdf pooled = one cdf fed every sample" ~count:300
+    (QCheck.make gen_cdf_parts)
+    (fun parts ->
+      let pooled = List.map cdf_of parts in
+      let whole = cdf_of (List.concat parts) in
       let same_at x =
-        Float.equal (Cdf.fraction_below merged x) (Cdf.fraction_below whole x)
+        Float.equal
+          (Cdf.fraction_below_pooled pooled x)
+          (Cdf.fraction_below whole x)
       in
-      Cdf.count merged = Cdf.count whole
-      && Float.equal (Cdf.total_weight merged) (Cdf.total_weight whole)
-      && List.for_all (fun (v, _) -> same_at v) all
-      && Array.for_all same_at figure_xs
-      && (all = []
-         || List.for_all
-              (fun p -> Float.equal (Cdf.quantile merged p) (Cdf.quantile whole p))
-              (0.0 :: 1.0 :: ps)))
+      List.for_all (fun (v, _) -> same_at v) (List.concat parts)
+      && Array.for_all same_at figure_xs)
 
 (* Two domains query one never-queried CDF at once: each may build and
    publish the sorted view, and both must get the sequential answers. *)
@@ -365,13 +359,14 @@ let test_cdf_concurrent_first_query () =
   Alcotest.(check bool) "first domain" true (r1 = expected);
   Alcotest.(check bool) "second domain" true (r2 = expected)
 
-let test_cdf_merge_then_add () =
+let test_cdf_pooled_then_add () =
   let a = cdf_of [ (1.0, 1.0); (3.0, 1.0) ] and b = cdf_of [ (2.0, 2.0) ] in
-  let m = Cdf.merge [ a; b ] in
-  check_float "merged below 2" 0.75 (Cdf.fraction_below m 2.0);
-  Cdf.add m ~weight:4.0 0.5;
-  check_float "after add" 0.875 (Cdf.fraction_below m 2.0);
-  check_float "parts unchanged" 0.5 (Cdf.fraction_below a 2.0);
+  check_float "pooled below 2" 0.75 (Cdf.fraction_below_pooled [ a; b ] 2.0);
+  Cdf.add_weighted a ~weight:4.0 0.5;
+  check_float "after adding to a part" 0.875
+    (Cdf.fraction_below_pooled [ a; b ] 2.0);
+  check_float "other part unchanged" 1.0 (Cdf.fraction_below b 2.0);
+  check_float "no parts" 0.0 (Cdf.fraction_below_pooled [] 2.0);
   Alcotest.(check bool) "equal by samples" true
     (Cdf.equal (cdf_of [ (1.0, 1.0) ]) (cdf_of [ (1.0, 1.0) ]));
   Alcotest.(check bool) "insertion order matters" false
@@ -541,7 +536,7 @@ let test_chart_renders () =
   let xs = Cdf.log_xs ~lo:100.0 ~hi:100000.0 ~per_decade:2 in
   let s =
     Chart.render ~title:"t" ~x_label:"bytes"
-      [ Chart.of_cdf ~name:"files" ~glyph:'*' ~xs cdf ]
+      [ Chart.of_cdf ~name:"files" ~glyph:'*' ~xs [ cdf ] ]
   in
   Alcotest.(check bool) "has title" true (String.length s > 0 && s.[0] = 't');
   Alcotest.(check bool) "has glyph" true (String.contains s '*');
@@ -555,7 +550,7 @@ let test_chart_renders () =
 let test_chart_of_cdf_percent () =
   let cdf = Cdf.create () in
   Cdf.add cdf 10.0;
-  let s = Chart.of_cdf ~name:"x" ~glyph:'o' ~xs:[| 5.0; 20.0 |] cdf in
+  let s = Chart.of_cdf ~name:"x" ~glyph:'o' ~xs:[| 5.0; 20.0 |] [ cdf ] in
   Alcotest.(check (float 1e-9)) "0% below 5" 0.0 (snd s.Chart.s_points.(0));
   Alcotest.(check (float 1e-9)) "100% below 20" 100.0 (snd s.Chart.s_points.(1))
 
@@ -566,8 +561,8 @@ let test_chart_two_series () =
   let xs = [| 1.0; 10.0; 100.0; 1000.0 |] in
   let s =
     Chart.render ~title:"two" ~x_label:"x"
-      [ Chart.of_cdf ~name:"a" ~glyph:'*' ~xs a;
-        Chart.of_cdf ~name:"b" ~glyph:'o' ~xs b ]
+      [ Chart.of_cdf ~name:"a" ~glyph:'*' ~xs [ a ];
+        Chart.of_cdf ~name:"b" ~glyph:'o' ~xs [ b ] ]
   in
   Alcotest.(check bool) "both glyphs" true
     (String.contains s '*' && String.contains s 'o')
@@ -705,7 +700,7 @@ let qcheck_tests =
       prop_stats_merge_equals_sequential;
       prop_cdf_monotone;
       prop_cdf_quantile_consistent;
-      prop_cdf_merge_equals_pooled;
+      prop_cdf_pooled_equals_one;
       prop_heap_sorts;
       prop_dist_clamp_respected;
     ]
@@ -744,7 +739,7 @@ let suite =
     ("cdf empty", `Quick, test_cdf_empty);
     ("cdf invalid args", `Quick, test_cdf_invalid_args);
     ("cdf concurrent first query", `Quick, test_cdf_concurrent_first_query);
-    ("cdf merge then add", `Quick, test_cdf_merge_then_add);
+    ("cdf pooled then add", `Quick, test_cdf_pooled_then_add);
     ("stats percentile invalid args", `Quick, test_stats_percentile_invalid_args);
     ("units invalid args", `Quick, test_units_invalid_args);
     ("heap order", `Quick, test_heap_order);
