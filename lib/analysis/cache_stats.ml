@@ -83,7 +83,7 @@ let cache_sizes counters =
 (* -- Tables 5 and 7 ----------------------------------------------------------- *)
 
 type traffic_row = {
-  label : string;
+  category : Traffic.category;
   read_pct : float;
   write_pct : float;
   total_pct : float;
@@ -98,7 +98,7 @@ let traffic_rows traffic =
       let r = Traffic.read_bytes traffic cat in
       let w = Traffic.write_bytes traffic cat in
       {
-        label = Traffic.category_name cat;
+        category = cat;
         read_pct = 100.0 *. float_of_int r /. total;
         write_pct = 100.0 *. float_of_int w /. total;
         total_pct = 100.0 *. float_of_int (r + w) /. total;

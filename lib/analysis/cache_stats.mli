@@ -21,7 +21,7 @@ val cache_sizes : Dfs_sim.Counters.t -> size_report
 (** {1 Tables 5 and 7 — traffic breakdowns} *)
 
 type traffic_row = {
-  label : string;
+  category : Dfs_sim.Traffic.category;
   read_pct : float;
   write_pct : float;
   total_pct : float;

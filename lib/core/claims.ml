@@ -1,5 +1,5 @@
 module A = Dfs_analysis
-module C = Dfs_consistency
+module E = Experiment
 
 type verdict = Reproduced | Near | Off
 
@@ -19,20 +19,14 @@ type claim = {
   c_measure : Dataset.t -> float;
 }
 
-(* -- measurement helpers --------------------------------------------------- *)
+(* A per-trace cell as a claim reads it. *)
+let mean cell ds = Dataset.mean (cell ds)
 
-(* Per-trace results of the fused pass, which carries Tables 2, 10 and
-   11's folds. *)
-let fused ds get = Dataset.per_trace ds (fun r -> get (Dataset.fused r))
+(* A Table 6 ratio as a claim reads it: its mean over the client caches. *)
+let t6 ?(migrated = false) ratio ds =
+  (ratio (E.t6_effectiveness ~migrated ds) : A.Cache_stats.ratio).mean_pct
 
-let avg_tput get ds =
-  Dataset.mean
-    (List.map
-       (fun (r : A.Activity.report) -> r.avg_user_throughput)
-       (fused ds get))
-
-let effectiveness ?(migrated = false) ds =
-  A.Cache_stats.effectiveness (Dataset.all_cache_stats ds) ~migrated
+let read_miss (e : A.Cache_stats.effectiveness) = e.read_miss
 
 (* -- the claims ------------------------------------------------------------- *)
 
@@ -44,11 +38,11 @@ let all =
       c_text =
         "Average file throughput is ~8 KB/s per active user over 10-minute \
          intervals (20x the BSD study)";
-      c_paper = 8.0;
+      c_paper = Paper.t2_all_10min.avg_tput;
       c_unit = "KB/s";
       c_lo = 2.5;
       c_hi = 25.0;
-      c_measure = avg_tput (fun f -> f.A.Fused.activity_10min);
+      c_measure = mean E.t2_user_tput;
     };
     {
       c_id = "migration-burst-factor";
@@ -61,10 +55,7 @@ let all =
       c_lo = 1.5;
       c_hi = 20.0;
       c_measure =
-        (fun ds ->
-          let all = avg_tput (fun f -> f.A.Fused.activity_10min) ds in
-          let mig = avg_tput (fun f -> f.A.Fused.activity_10min_migrated) ds in
-          if all <= 0.0 then 0.0 else mig /. all);
+        (fun ds -> mean E.t2_migrated_user_tput ds /. mean E.t2_user_tput ds);
     };
     {
       c_id = "sequential-bytes";
@@ -75,36 +66,27 @@ let all =
       c_lo = 80.0;
       c_hi = 100.0;
       c_measure =
-        (fun ds ->
-          let pats =
+        mean (fun ds ->
             Dataset.per_trace ds (fun r ->
-                (Dataset.fused r).A.Fused.access_patterns)
-          in
-          Dataset.mean
-            (List.map
-               (fun (p : A.Access_patterns.t) ->
-                 let random_bytes =
-                   p.read_only.random.bytes + p.write_only.random.bytes
-                   + p.read_write.random.bytes
-                 in
-                 let total = max 1 p.grand_total.bytes in
-                 100.0 *. (1.0 -. (float_of_int random_bytes /. float_of_int total)))
-               pats));
+                let p = (Dataset.fused r).A.Fused.access_patterns in
+                let random_bytes =
+                  p.read_only.random.bytes + p.write_only.random.bytes
+                  + p.read_write.random.bytes
+                in
+                100.0
+                *. (1.0
+                   -. float_of_int random_bytes
+                      /. float_of_int p.grand_total.bytes)));
     };
     {
       c_id = "short-runs";
       c_section = "4.2";
       c_text = "About 80% of sequential runs transfer less than 10 KB";
-      c_paper = 80.0;
+      c_paper = Paper.fig1_pct_runs_under_10k;
       c_unit = "%";
       c_lo = 60.0;
       c_hi = 95.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (Dataset.per_trace ds (fun r ->
-                 let f = (Dataset.fused r).A.Fused.run_length in
-                 100.0 *. Dfs_util.Cdf.fraction_below f.by_runs 10240.0)));
+      c_measure = mean E.fig1_runs_under_10k;
     };
     {
       c_id = "megabyte-runs";
@@ -112,46 +94,31 @@ let all =
       c_text =
         "At least 10% of all bytes move in sequential runs longer than 1 MB \
          (10x the BSD study's largest runs)";
-      c_paper = 10.0;
+      c_paper = Paper.fig1_pct_bytes_in_runs_over_1m;
       c_unit = "%";
       c_lo = 10.0;
       c_hi = 90.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (Dataset.per_trace ds (fun r ->
-                 let f = (Dataset.fused r).A.Fused.run_length in
-                 100.0 *. (1.0 -. Dfs_util.Cdf.fraction_below f.by_bytes 1048576.0))));
+      c_measure = mean E.fig1_bytes_in_runs_over_1m;
     };
     {
       c_id = "short-opens";
       c_section = "4.3";
       c_text = "About 75% of files are open less than a quarter second";
-      c_paper = 75.0;
+      c_paper = Paper.fig3_pct_opens_under_quarter_s;
       c_unit = "%";
       c_lo = 60.0;
       c_hi = 90.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (Dataset.per_trace ds (fun r ->
-                 100.0
-                 *. A.Open_time.fraction_under (Dataset.fused r).A.Fused.open_time 0.25)));
+      c_measure = mean E.fig3_opens_under_quarter_s;
     };
     {
       c_id = "short-file-lifetimes";
       c_section = "4.3";
       c_text = "65-80% of files live less than 30 seconds";
-      c_paper = 72.5;
+      c_paper = Paper.fig4_pct_files_dead_under_30s.value;
       c_unit = "%";
       c_lo = 55.0;
       c_hi = 92.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (Dataset.per_trace ds (fun r ->
-                 100.0
-                 *. A.Lifetime.fraction_files_under (Dataset.fused r).A.Fused.lifetime 30.0)));
+      c_measure = mean E.fig4_files_dead_under_30s;
     };
     {
       c_id = "byte-lifetimes-longer";
@@ -159,16 +126,11 @@ let all =
       c_text =
         "Only a small fraction (4-27%) of new bytes die within 30 seconds — \
          short-lived files are short";
-      c_paper = 15.0;
+      c_paper = Paper.fig4_pct_bytes_dead_under_30s.value;
       c_unit = "%";
       c_lo = 3.0;
       c_hi = 40.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (Dataset.per_trace ds (fun r ->
-                 100.0
-                 *. A.Lifetime.fraction_bytes_under (Dataset.fused r).A.Fused.lifetime 30.0)));
+      c_measure = mean E.fig4_bytes_dead_under_30s;
     };
     {
       c_id = "cache-size";
@@ -176,28 +138,21 @@ let all =
       c_text =
         "Client caches settle at about 7 MB — a quarter to a third of main \
          memory";
-      c_paper = 7.0;
+      c_paper = Paper.t4_avg_cache_mb;
       c_unit = "MB";
       c_lo = 3.5;
       c_hi = 10.0;
-      c_measure =
-        (fun ds ->
-          (A.Cache_stats.cache_sizes (Dataset.merged_counters ds)).avg_bytes
-          /. 1048576.0);
+      c_measure = E.t4_avg_cache_mb;
     };
     {
       c_id = "cache-filter-ratio";
       c_section = "5.2";
       c_text = "Client caches filter out about half of the raw traffic";
-      c_paper = 50.0;
+      c_paper = 100.0 *. Paper.filter_ratio;
       c_unit = "% passed";
       c_lo = 35.0;
       c_hi = 70.0;
-      c_measure =
-        (fun ds ->
-          100.0
-          *. A.Cache_stats.filter_ratio ~raw:(Dataset.raw_traffic ds)
-               ~server:(Dataset.server_traffic ds));
+      c_measure = E.t7_filter_pct;
     };
     {
       c_id = "read-miss-ratio";
@@ -205,11 +160,11 @@ let all =
       c_text =
         "Read miss ratios are ~40% — four times the BSD study's prediction, \
          because of the new large files";
-      c_paper = 41.4;
+      c_paper = Paper.t6_read_miss.total;
       c_unit = "%";
       c_lo = 20.0;
       c_hi = 55.0;
-      c_measure = (fun ds -> (effectiveness ds).read_miss.mean_pct);
+      c_measure = t6 read_miss;
     };
     {
       c_id = "writeback-traffic";
@@ -217,21 +172,21 @@ let all =
       c_text =
         "About 90% of new bytes eventually get written through to the \
          server (only ~10% die in the cache within the 30-s delay)";
-      c_paper = 88.4;
+      c_paper = Paper.t6_writeback_traffic.total;
       c_unit = "%";
       c_lo = 75.0;
       c_hi = 98.0;
-      c_measure = (fun ds -> (effectiveness ds).writeback_traffic.mean_pct);
+      c_measure = t6 (fun e -> e.writeback_traffic);
     };
     {
       c_id = "write-fetches-rare";
       c_section = "5.2";
       c_text = "Write fetches (partial writes of non-resident blocks) are rare";
-      c_paper = 1.2;
+      c_paper = Paper.t6_write_fetch.total;
       c_unit = "%";
       c_lo = 0.0;
       c_hi = 5.0;
-      c_measure = (fun ds -> (effectiveness ds).write_fetch.mean_pct);
+      c_measure = t6 (fun e -> e.write_fetch);
     };
     {
       c_id = "migrated-cache-locality";
@@ -243,30 +198,17 @@ let all =
       c_unit = "x (mig/all miss)";
       c_lo = 0.0;
       c_hi = 1.3;
-      c_measure =
-        (fun ds ->
-          let all = (effectiveness ds).read_miss.mean_pct in
-          let mig = (effectiveness ~migrated:true ds).read_miss.mean_pct in
-          if all <= 0.0 then 1.0 else mig /. all);
+      c_measure = (fun ds -> t6 ~migrated:true read_miss ds /. t6 read_miss ds);
     };
     {
       c_id = "paging-share";
       c_section = "5.3";
       c_text = "Paging is roughly a third of the bytes moved, raw and at the server";
-      c_paper = 35.0;
+      c_paper = Paper.t7_paging_pct;
       c_unit = "% of server bytes";
       c_lo = 20.0;
       c_hi = 50.0;
-      c_measure =
-        (fun ds ->
-          let t = Dataset.server_traffic ds in
-          let paging =
-            Dfs_sim.Traffic.read_bytes t Dfs_sim.Traffic.Paging_cached
-            + Dfs_sim.Traffic.write_bytes t Dfs_sim.Traffic.Paging_cached
-            + Dfs_sim.Traffic.read_bytes t Dfs_sim.Traffic.Paging_backing
-            + Dfs_sim.Traffic.write_bytes t Dfs_sim.Traffic.Paging_backing
-          in
-          100.0 *. float_of_int paging /. float_of_int (max 1 (Dfs_sim.Traffic.total t)));
+      c_measure = E.t7_paging_pct;
     };
     {
       c_id = "delay-cleanings";
@@ -274,20 +216,11 @@ let all =
       c_text =
         "About three-fourths of dirty-block cleanings happen because the \
          30-second delay elapsed";
-      c_paper = 75.0;
+      c_paper = Paper.t9_delay_pct;
       c_unit = "%";
       c_lo = 60.0;
       c_hi = 99.0;
-      c_measure =
-        (fun ds ->
-          let rows = A.Cache_stats.cleanings (Dataset.all_cache_stats ds) in
-          match
-            List.find_opt
-              (fun (r : A.Cache_stats.reason_row) -> r.r_label = "30-second delay")
-              rows
-          with
-          | Some r -> r.blocks_pct
-          | None -> 0.0);
+      c_measure = E.t9_delay_pct;
     };
     {
       c_id = "write-sharing-rare";
@@ -295,15 +228,11 @@ let all =
       c_text =
         "Concurrent write-sharing happens on ~0.34% of file opens — rare, \
          but common enough to matter daily";
-      c_paper = 0.34;
+      c_paper = Paper.t10_sharing.value;
       c_unit = "% of opens";
       c_lo = 0.05;
       c_hi = 1.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (List.map A.Consistency_stats.sharing_pct
-               (fused ds (fun f -> f.A.Fused.consistency))));
+      c_measure = mean E.t10_sharing;
     };
     {
       c_id = "recall-rate";
@@ -311,15 +240,11 @@ let all =
       c_text =
         "About one open in sixty recalls dirty data from another client \
          (an upper bound; the server cannot tell if it was already flushed)";
-      c_paper = 1.7;
+      c_paper = Paper.t10_recall.value;
       c_unit = "% of opens";
       c_lo = 0.5;
       c_hi = 6.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (List.map A.Consistency_stats.recall_pct
-               (fused ds (fun f -> f.A.Fused.consistency))));
+      c_measure = mean E.t10_recall;
     };
     {
       c_id = "polling-users-affected";
@@ -327,15 +252,11 @@ let all =
       c_text =
         "Under 60-second polling consistency, about half the users would \
          read stale data in a day";
-      c_paper = 48.0;
+      c_paper = Paper.t11_60s.users_affected_per_trace.value;
       c_unit = "% of users";
       c_lo = 15.0;
       c_hi = 70.0;
-      c_measure =
-        (fun ds ->
-          Dataset.mean
-            (List.map C.Polling.pct_users_affected
-               (fused ds (fun f -> f.A.Fused.polling_60s))));
+      c_measure = mean E.t11_users_affected_60s;
     };
     {
       c_id = "polling-interval-contrast";
@@ -349,19 +270,7 @@ let all =
       c_hi = 500.0;
       c_measure =
         (fun ds ->
-          let e60 =
-            Dataset.mean
-              (List.map
-                 (fun (r : C.Polling.report) -> r.errors_per_hour)
-                 (fused ds (fun f -> f.A.Fused.polling_60s)))
-          in
-          let e3 =
-            Dataset.mean
-              (List.map
-                 (fun (r : C.Polling.report) -> r.errors_per_hour)
-                 (fused ds (fun f -> f.A.Fused.polling_3s)))
-          in
-          if e3 <= 0.0 then 500.0 else e60 /. e3);
+          mean E.t11_errors_per_hour_60s ds /. mean E.t11_errors_per_hour_3s ds);
     };
     {
       c_id = "consistency-no-clear-winner";
@@ -369,24 +278,11 @@ let all =
       c_text =
         "The consistency mechanisms have comparable overheads: the token \
          scheme moves roughly as many bytes as Sprite's simple disabling";
-      c_paper = 0.98;
+      c_paper = Paper.t12_token.bytes_ratio;
       c_unit = "x bytes vs Sprite";
       c_lo = 0.5;
       c_hi = 3.0;
-      c_measure =
-        (fun ds ->
-          let ratios =
-            List.filter_map
-              (fun (r : Dataset.run) ->
-                let o = (Dataset.fused r).A.Fused.overhead in
-                if o.demand_bytes = 0 then None
-                else
-                  Some
-                    (float_of_int o.token.C.Overhead.bytes_transferred
-                    /. float_of_int o.demand_bytes))
-              ds.runs
-          in
-          Dataset.mean ratios);
+      c_measure = mean E.t12_token_bytes_ratio;
     };
     {
       c_id = "raw-reads-dominate";
@@ -401,7 +297,7 @@ let all =
           let t = Dataset.raw_traffic ds in
           let r = Dfs_sim.Traffic.read_bytes t Dfs_sim.Traffic.File_data in
           let w = Dfs_sim.Traffic.write_bytes t Dfs_sim.Traffic.File_data in
-          if w = 0 then 0.0 else float_of_int r /. float_of_int w);
+          float_of_int r /. float_of_int w);
     };
   ]
 
@@ -445,7 +341,8 @@ let scorecard ds =
           r.claim.c_section;
           r.claim.c_id;
           Printf.sprintf "%.2f %s" r.claim.c_paper r.claim.c_unit;
-          Printf.sprintf "%.2f" r.measured;
+          (if Float.is_nan r.measured then "n/a"
+           else Printf.sprintf "%.2f" r.measured);
           verdict_name r.verdict;
         ])
     results;

@@ -16,14 +16,12 @@ type memo = {
 type run = {
   preset : Presets.preset;
   cluster : Dfs_sim.Cluster.t;
-  driver : Dfs_workload.Driver.t option;
-      (** [None] for replayed runs, which have no synthetic driver *)
   trace : Sink.chunks;
   jobs : int;  (* read only by perfbench; see the interface *)
   memo : memo;
 }
 
-type t = { scale : float; runs : run list }
+type t = { scale : float option; runs : run list }
 
 let default_scale = 0.05
 
@@ -52,7 +50,7 @@ let simulate_preset ~scale ~faults ~chunk_records ~spill_dir ~jobs n =
   Dfs_obs.Log.info "simulating %s (%.1f h)" preset.name
     (preset.duration /. 3600.0);
   let t0 = Unix.gettimeofday () in
-  let cluster, driver =
+  let cluster, _driver =
     Dfs_obs.Profiler.span ~cat:"sim" ("sim." ^ preset.name) (fun () ->
         Presets.run preset)
   in
@@ -77,7 +75,6 @@ let simulate_preset ~scale ~faults ~chunk_records ~spill_dir ~jobs n =
   {
     preset;
     cluster;
-    driver = Some driver;
     trace;
     jobs;
     memo = { lock = Mutex.create (); fused = None };
@@ -104,7 +101,7 @@ let generate ?(scale = default_scale) ?(traces = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
   Dfs_obs.Metrics.set
     (Dfs_obs.Metrics.gauge "phase.dataset.jobs")
     (float_of_int (Dfs_util.Pool.jobs pool));
-  { scale; runs }
+  { scale = Some scale; runs }
 
 (* A replayed dataset: one run whose cluster executed a foreign trace
    instead of a synthetic preset.  Every experiment reads it through
@@ -144,13 +141,12 @@ let of_replay ?jobs path =
         {
           preset;
           cluster;
-          driver = None;
           trace;
           jobs;
           memo = { lock = Mutex.create (); fused = None };
         }
       in
-      Ok ({ scale = 1.0; runs = [ run ] }, stats))
+      Ok ({ scale = None; runs = [ run ] }, stats))
 
 let trace_seq run = Sink.to_seq run.trace
 
@@ -192,9 +188,7 @@ let merged_counters t =
 
 let per_trace t f = List.map f t.runs
 
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let all_cache_stats t = List.concat_map client_cache_stats t.runs
 

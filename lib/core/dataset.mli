@@ -15,9 +15,6 @@ type memo
 type run = {
   preset : Dfs_workload.Presets.preset;
   cluster : Dfs_sim.Cluster.t;  (** finished run *)
-  driver : Dfs_workload.Driver.t option;
-      (** [None] for replayed runs ({!of_replay}), which execute a
-          foreign trace instead of a synthetic workload *)
   trace : Dfs_trace.Sink.chunks;  (** merged, scrubbed, time-ordered *)
   jobs : int;
       (** the worker count the dataset was built with.  Nothing in the
@@ -26,7 +23,12 @@ type run = {
   memo : memo;
 }
 
-type t = { scale : float; runs : run list }
+type t = {
+  scale : float option;
+      (** the presets' duration as a fraction of 24 hours; [None] for a
+          replayed trace ({!of_replay}), which covers its own span *)
+  runs : run list;
+}
 
 val generate :
   ?scale:float ->
@@ -91,7 +93,7 @@ val per_trace : t -> (run -> 'a) -> 'a list
 (** One result per run, in run order. *)
 
 val mean : float list -> float
-(** The mean of per-trace values; 0 for none. *)
+(** The mean of per-trace values; nan for none. *)
 
 val all_cache_stats : t -> Dfs_cache.Block_cache.stats list
 (** Every client cache's statistics, run by run (Tables 6, 8 and 9). *)

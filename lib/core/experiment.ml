@@ -2,6 +2,8 @@ module Table = Dfs_util.Table
 module Cdf = Dfs_util.Cdf
 module A = Dfs_analysis
 module C = Dfs_consistency
+module Traffic = Dfs_sim.Traffic
+module Bc = Dfs_cache.Block_cache
 
 type t = {
   id : string;
@@ -29,13 +31,19 @@ let paper_range ?(digits = 2) (r : Paper.range) =
   Printf.sprintf "%.*f (%.*f-%.*f)" digits r.value digits r.lo digits r.hi
 
 let scale_note (ds : Dataset.t) =
-  if ds.scale >= 0.999 then
-    "Full-length (24-hour) traces."
-  else
+  match ds.scale with
+  | None -> "Replayed trace: counts cover the replayed span, not 24 hours."
+  | Some scale when scale >= 0.999 -> "Full-length (24-hour) traces."
+  | Some scale ->
     Printf.sprintf
       "Traces scaled to %.0f%% of 24 h (busy daytime window); rates and \
        distributions are comparable, absolute per-day counts are not."
-      (ds.scale *. 100.0)
+      (scale *. 100.0)
+
+let mb = 1048576.0
+
+(* One value per trace, in run order, from each run's fused pass. *)
+let per_fused (ds : Dataset.t) f = Dataset.per_trace ds (fun r -> f (Dataset.fused r))
 
 (* -- Table 1 ------------------------------------------------------------------ *)
 
@@ -51,10 +59,7 @@ let table1 =
               ds.runs)
         ()
     in
-    let stats =
-      Dataset.per_trace ds (fun r ->
-          (Dataset.fused r).A.Fused.stats)
-    in
+    let stats = per_fused ds (fun f -> f.A.Fused.stats) in
     let row label f fmt =
       Table.add_row tbl (label :: List.map (fun s -> fmt (f s)) stats)
     in
@@ -101,13 +106,19 @@ let table1 =
 
 (* -- Table 2 ------------------------------------------------------------------- *)
 
+(* Average KB/s per active user, per trace, from one of the fused pass's
+   activity reports. *)
+let user_tput activity ds =
+  per_fused ds (fun f -> (activity f).A.Activity.avg_user_throughput)
+
+let t2_user_tput = user_tput (fun f -> f.A.Fused.activity_10min)
+
+let t2_migrated_user_tput = user_tput (fun f -> f.A.Fused.activity_10min_migrated)
+
 let table2 =
   let run (ds : Dataset.t) =
-    let fused = Dataset.per_trace ds Dataset.fused in
     let render ~label ~all ~mig ~(paper_all : Paper.activity_col)
         ~(paper_mig : Paper.activity_col) ~bsd_users ~bsd_tput =
-      let all : A.Activity.report list = List.map all fused in
-      let mig : A.Activity.report list = List.map mig fused in
       let tbl =
         Table.create
           ~caption:(Printf.sprintf "Table 2 (%s intervals)." label)
@@ -122,10 +133,11 @@ let table2 =
             ]
           ()
       in
-      let fcol f rs = List.map f rs in
-      let max_active rs =
+      (* one value per trace from the fused pass's report [activity] *)
+      let fcol f activity = per_fused ds (fun x -> f (activity x)) in
+      let max_active activity =
         Printf.sprintf "%.0f"
-          (max_l (fcol (fun (r : A.Activity.report) -> float_of_int r.max_active_users) rs))
+          (max_l (fcol (fun (r : A.Activity.report) -> float_of_int r.max_active_users) activity))
       in
       Table.add_row tbl
         [
@@ -136,12 +148,12 @@ let table2 =
           Printf.sprintf "%.0f" paper_mig.max_active;
           "NA";
         ];
-      let avg_active rs =
+      let avg_active activity =
         Printf.sprintf "%.2f (%.2f)"
           (Dataset.mean
-             (fcol (fun (r : A.Activity.report) -> r.avg_active_users) rs))
+             (fcol (fun (r : A.Activity.report) -> r.avg_active_users) activity))
           (Dataset.mean
-             (fcol (fun (r : A.Activity.report) -> r.sd_active_users) rs))
+             (fcol (fun (r : A.Activity.report) -> r.sd_active_users) activity))
       in
       Table.add_row tbl
         [
@@ -152,12 +164,11 @@ let table2 =
           Printf.sprintf "%.2f (%.2f)" paper_mig.avg_active paper_mig.sd_active;
           Printf.sprintf "%.1f" bsd_users;
         ];
-      let avg_tput rs =
+      let avg_tput activity =
         Printf.sprintf "%.1f (%.0f)"
+          (Dataset.mean (user_tput activity ds))
           (Dataset.mean
-             (fcol (fun (r : A.Activity.report) -> r.avg_user_throughput) rs))
-          (Dataset.mean
-             (fcol (fun (r : A.Activity.report) -> r.sd_user_throughput) rs))
+             (fcol (fun (r : A.Activity.report) -> r.sd_user_throughput) activity))
       in
       Table.add_row tbl
         [
@@ -168,7 +179,7 @@ let table2 =
           Printf.sprintf "%.1f (%.0f)" paper_mig.avg_tput paper_mig.sd_tput;
           Printf.sprintf "%.2f" bsd_tput;
         ];
-      let peak f rs = Printf.sprintf "%.0f" (max_l (fcol f rs)) in
+      let peak f activity = Printf.sprintf "%.0f" (max_l (fcol f activity)) in
       Table.add_row tbl
         [
           "Peak user throughput (KB/s)";
@@ -216,9 +227,7 @@ let table2 =
 
 let table3 =
   let run (ds : Dataset.t) =
-    let reports =
-      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.access_patterns)
-    in
+    let reports = per_fused ds (fun f -> f.A.Fused.access_patterns) in
     let tbl =
       Table.create ~caption:"Table 3. File access patterns (percent)."
         ~columns:
@@ -278,72 +287,73 @@ let table3 =
 
 (* -- figures ----------------------------------------------------------------------- *)
 
-let render_cdf_series ~caption ~x_label series_list xs =
+(* One CDF figure: a table of every series pooled over the traces at
+   [table_xs], then a chart of them at [chart_xs].  Glyphs go by series
+   index. *)
+let render_cdf_figure ~caption ~x_header ~x_fmt ~table_xs ~chart_title
+    ~chart_x_label ~chart_xs series =
   let tbl =
     Table.create ~caption
       ~columns:
-        ((x_label, Table.Left)
-        :: List.map (fun (name, _) -> (name, Table.Right)) series_list)
+        ((x_header, Table.Left)
+        :: List.map (fun (name, _) -> (name, Table.Right)) series)
       ()
   in
   Array.iter
     (fun x ->
       Table.add_row tbl
-        (Table.bytes x
+        (x_fmt x
         :: List.map
              (fun (_, parts) ->
                Printf.sprintf "%.1f"
                  (100.0 *. Cdf.fraction_below_pooled parts x))
-             series_list))
-    xs;
+             series))
+    table_xs;
   let glyphs = [| '*'; 'o'; '+'; 'x' |] in
   let chart =
-    Dfs_util.Chart.render ~title:("cumulative %: " ^ x_label) ~x_label
+    Dfs_util.Chart.render ~title:chart_title ~x_label:chart_x_label
       (List.mapi
          (fun i (name, parts) ->
            Dfs_util.Chart.of_cdf ~name
              ~glyph:glyphs.(i mod Array.length glyphs)
-             ~xs parts)
-         series_list)
+             ~xs:chart_xs parts)
+         series)
   in
   Table.render tbl ^ chart
 
+(* Figures 1 and 2 print and plot the same byte sizes. *)
+let byte_xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2
+
+let seconds x = Printf.sprintf "%gs" x
+
+let pct_over cdf x = 100.0 *. (1.0 -. Cdf.fraction_below cdf x)
+
+let fig1_runs_under_10k ds =
+  per_fused ds (fun f -> 100.0 *. Cdf.fraction_below f.A.Fused.run_length.by_runs 10240.0)
+
+let fig1_bytes_in_runs_over_1m ds =
+  per_fused ds (fun f -> pct_over f.A.Fused.run_length.by_bytes mb)
+
 let fig1 =
   let run (ds : Dataset.t) =
-    let per =
-      Dataset.per_trace ds (fun r ->
-          (r.preset.name, (Dataset.fused r).A.Fused.run_length))
-    in
-    let pooled f = List.map (fun (_, rl) -> f rl) per in
-    let pooled_runs = pooled (fun (f : A.Run_length.t) -> f.by_runs)
-    and pooled_bytes = pooled (fun (f : A.Run_length.t) -> f.by_bytes) in
-    let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
-    let headline =
-      let under10k =
-        List.map
-          (fun (_, (f : A.Run_length.t)) ->
-            100.0 *. Cdf.fraction_below f.by_runs 10240.0)
-          per
-      in
-      let over1m =
-        List.map
-          (fun (_, (f : A.Run_length.t)) ->
-            100.0 *. (1.0 -. Cdf.fraction_below f.by_bytes 1048576.0))
-          per
-      in
-      Printf.sprintf
-        "runs under 10 KB: %s%% (paper ~%.0f%%); bytes in runs over 1 MB: \
-         %s%% (paper: at least %.0f%%)\n"
-        (across ~digits:1 under10k) Paper.fig1_pct_runs_under_10k
-        (across ~digits:1 over1m) Paper.fig1_pct_bytes_in_runs_over_1m
-    in
-    render_cdf_series
+    let per = per_fused ds (fun f -> f.A.Fused.run_length) in
+    render_cdf_figure
       ~caption:
         "Figure 1. Sequential run length, cumulative % (pooled over traces)."
-      ~x_label:"Run length"
-      [ ("% of runs", pooled_runs); ("% of bytes", pooled_bytes) ]
-      xs
-    ^ headline
+      ~x_header:"Run length" ~x_fmt:Table.bytes ~table_xs:byte_xs
+      ~chart_title:"cumulative %: Run length" ~chart_x_label:"Run length"
+      ~chart_xs:byte_xs
+      [
+        ("% of runs", List.map (fun (f : A.Run_length.t) -> f.by_runs) per);
+        ("% of bytes", List.map (fun (f : A.Run_length.t) -> f.by_bytes) per);
+      ]
+    ^ Printf.sprintf
+        "runs under 10 KB: %s%% (paper ~%.0f%%); bytes in runs over 1 MB: \
+         %s%% (paper: at least %.0f%%)\n"
+        (across ~digits:1 (fig1_runs_under_10k ds))
+        Paper.fig1_pct_runs_under_10k
+        (across ~digits:1 (fig1_bytes_in_runs_over_1m ds))
+        Paper.fig1_pct_bytes_in_runs_over_1m
   in
   {
     id = "fig1";
@@ -356,26 +366,21 @@ let fig1 =
 
 let fig2 =
   let run (ds : Dataset.t) =
-    let per =
-      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.file_size)
-    in
-    let pooled_files = List.map (fun (f : A.File_size.t) -> f.by_files) per
-    and pooled_bytes = List.map (fun (f : A.File_size.t) -> f.by_bytes) per in
-    let xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2 in
-    let over1m =
-      List.map
-        (fun (f : A.File_size.t) ->
-          100.0 *. (1.0 -. Cdf.fraction_below f.by_bytes 1048576.0))
-        per
-    in
-    render_cdf_series
+    let per = per_fused ds (fun f -> f.A.Fused.file_size) in
+    render_cdf_figure
       ~caption:"Figure 2. Dynamic file sizes at close, cumulative %."
-      ~x_label:"File size"
-      [ ("% of accesses", pooled_files); ("% of bytes", pooled_bytes) ]
-      xs
+      ~x_header:"File size" ~x_fmt:Table.bytes ~table_xs:byte_xs
+      ~chart_title:"cumulative %: File size" ~chart_x_label:"File size"
+      ~chart_xs:byte_xs
+      [
+        ("% of accesses", List.map (fun (f : A.File_size.t) -> f.by_files) per);
+        ("% of bytes", List.map (fun (f : A.File_size.t) -> f.by_bytes) per);
+      ]
     ^ Printf.sprintf
         "bytes to/from files of 1 MB or more: %s%% (paper trace 1: ~%.0f%%)\n"
-        (across ~digits:1 over1m) Paper.fig2_pct_bytes_from_files_over_1m
+        (across ~digits:1
+           (List.map (fun (f : A.File_size.t) -> pct_over f.by_bytes mb) per))
+        Paper.fig2_pct_bytes_from_files_over_1m
   in
   {
     id = "fig2";
@@ -387,40 +392,22 @@ let fig2 =
     run;
   }
 
+let fig3_opens_under_quarter_s ds =
+  per_fused ds (fun f -> 100.0 *. A.Open_time.fraction_under f.A.Fused.open_time 0.25)
+
 let fig3 =
   let run (ds : Dataset.t) =
-    let per =
-      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.open_time)
-    in
-    let pooled = List.map (fun (f : A.Open_time.t) -> f.by_opens) per in
-    let tbl =
-      Table.create
-        ~caption:"Figure 3. File open durations, cumulative % (pooled)."
-        ~columns:[ ("Open time", Table.Left); ("% of opens", Table.Right) ]
-        ()
-    in
-    Array.iter
-      (fun x ->
-        Table.add_row tbl
-          [
-            Printf.sprintf "%gs" x;
-            Printf.sprintf "%.1f" (100.0 *. Cdf.fraction_below_pooled pooled x);
-          ])
-      [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |];
-    let under_quarter =
-      List.map (fun f -> 100.0 *. A.Open_time.fraction_under f 0.25) per
-    in
-    let chart =
-      Dfs_util.Chart.render ~title:"cumulative %: open time (seconds)"
-        ~x_label:"open time (s)"
-        [
-          Dfs_util.Chart.of_cdf ~name:"% of opens" ~glyph:'*'
-            ~xs:A.Open_time.default_xs pooled;
-        ]
-    in
-    Table.render tbl ^ chart
+    render_cdf_figure
+      ~caption:"Figure 3. File open durations, cumulative % (pooled)."
+      ~x_header:"Open time" ~x_fmt:seconds
+      ~table_xs:
+        [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |]
+      ~chart_title:"cumulative %: open time (seconds)"
+      ~chart_x_label:"open time (s)" ~chart_xs:A.Open_time.default_xs
+      [ ("% of opens", per_fused ds (fun f -> f.A.Fused.open_time.by_opens)) ]
     ^ Printf.sprintf "opens under 0.25 s: %s%% (paper: ~%.0f%%)\n"
-        (across ~digits:1 under_quarter) Paper.fig3_pct_opens_under_quarter_s
+        (across ~digits:1 (fig3_opens_under_quarter_s ds))
+        Paper.fig3_pct_opens_under_quarter_s
   in
   {
     id = "fig3";
@@ -431,58 +418,31 @@ let fig3 =
     run;
   }
 
+let fig4_files_dead_under_30s ds =
+  per_fused ds (fun f -> 100.0 *. A.Lifetime.fraction_files_under f.A.Fused.lifetime 30.0)
+
+let fig4_bytes_dead_under_30s ds =
+  per_fused ds (fun f -> 100.0 *. A.Lifetime.fraction_bytes_under f.A.Fused.lifetime 30.0)
+
 let fig4 =
   let run (ds : Dataset.t) =
-    let per =
-      Dataset.per_trace ds (fun r ->
-          (Dataset.fused r).A.Fused.lifetime)
-    in
-    let pooled_files = List.map (fun (f : A.Lifetime.t) -> f.by_files) per
-    and pooled_bytes = List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per in
-    let tbl =
-      Table.create ~caption:"Figure 4. File lifetimes, cumulative % (pooled)."
-        ~columns:
-          [
-            ("Lifetime", Table.Left);
-            ("% of files", Table.Right);
-            ("% of bytes", Table.Right);
-          ]
-        ()
-    in
-    Array.iter
-      (fun x ->
-        Table.add_row tbl
-          [
-            Printf.sprintf "%gs" x;
-            Printf.sprintf "%.1f"
-              (100.0 *. Cdf.fraction_below_pooled pooled_files x);
-            Printf.sprintf "%.1f"
-              (100.0 *. Cdf.fraction_below_pooled pooled_bytes x);
-          ])
-      [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |];
-    let files30 =
-      List.map (fun f -> 100.0 *. A.Lifetime.fraction_files_under f 30.0) per
-    in
-    let bytes30 =
-      List.map (fun f -> 100.0 *. A.Lifetime.fraction_bytes_under f 30.0) per
-    in
-    let chart =
-      Dfs_util.Chart.render ~title:"cumulative %: lifetime (seconds)"
-        ~x_label:"lifetime (s)"
-        [
-          Dfs_util.Chart.of_cdf ~name:"% of files" ~glyph:'*'
-            ~xs:A.Lifetime.default_xs pooled_files;
-          Dfs_util.Chart.of_cdf ~name:"% of bytes" ~glyph:'o'
-            ~xs:A.Lifetime.default_xs pooled_bytes;
-        ]
-    in
-    Table.render tbl ^ chart
+    let per = per_fused ds (fun f -> f.A.Fused.lifetime) in
+    render_cdf_figure ~caption:"Figure 4. File lifetimes, cumulative % (pooled)."
+      ~x_header:"Lifetime" ~x_fmt:seconds
+      ~table_xs:
+        [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |]
+      ~chart_title:"cumulative %: lifetime (seconds)" ~chart_x_label:"lifetime (s)"
+      ~chart_xs:A.Lifetime.default_xs
+      [
+        ("% of files", List.map (fun (f : A.Lifetime.t) -> f.by_files) per);
+        ("% of bytes", List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per);
+      ]
     ^ Printf.sprintf
         "files dead within 30 s: %s%% (paper: %s); bytes dead within 30 s: \
          %s%% (paper: %s)\n"
-        (across ~digits:1 files30)
+        (across ~digits:1 (fig4_files_dead_under_30s ds))
         (paper_range ~digits:0 Paper.fig4_pct_files_dead_under_30s)
-        (across ~digits:1 bytes30)
+        (across ~digits:1 (fig4_bytes_dead_under_30s ds))
         (paper_range ~digits:0 Paper.fig4_pct_bytes_dead_under_30s)
   in
   {
@@ -496,9 +456,17 @@ let fig4 =
 
 (* -- Table 4 -------------------------------------------------------------------------- *)
 
+let cache_sizes ds = A.Cache_stats.cache_sizes (Dataset.merged_counters ds)
+
+(* Table 4's first cell from its report, which is costly enough to
+   compute once per rendering. *)
+let avg_cache_mb (report : A.Cache_stats.size_report) = report.avg_bytes /. mb
+
+let t4_avg_cache_mb ds = avg_cache_mb (cache_sizes ds)
+
 let table4 =
   let run (ds : Dataset.t) =
-    let report = A.Cache_stats.cache_sizes (Dataset.merged_counters ds) in
+    let report = cache_sizes ds in
     let tbl =
       Table.create ~caption:"Table 4. Client cache sizes."
         ~columns:
@@ -508,9 +476,7 @@ let table4 =
     Table.add_row tbl
       [
         "Average cache size (MB)";
-        Printf.sprintf "%.2f (sd %.2f)"
-          (report.avg_bytes /. 1048576.0)
-          (report.sd_bytes /. 1048576.0);
+        Printf.sprintf "%.2f (sd %.2f)" (avg_cache_mb report) (report.sd_bytes /. mb);
         Printf.sprintf "~%.1f" Paper.t4_avg_cache_mb;
       ];
     Table.add_row tbl
@@ -562,7 +528,7 @@ let traffic_table ~caption traffic =
     (fun (r : A.Cache_stats.traffic_row) ->
       Table.add_row tbl
         [
-          r.label;
+          Traffic.category_name r.category;
           Printf.sprintf "%.1f" r.read_pct;
           Printf.sprintf "%.1f" r.write_pct;
           Printf.sprintf "%.1f" r.total_pct;
@@ -580,15 +546,21 @@ let traffic_table ~caption traffic =
     ];
   (tbl, rows)
 
-let paging_pct rows =
+(* The percent of the tap's bytes in the given categories. *)
+let share categories rows =
   List.fold_left
     (fun acc (r : A.Cache_stats.traffic_row) ->
-      if
-        String.length r.label >= 6
-        && String.equal (String.sub r.label 0 6) "paging"
-      then acc +. r.total_pct
-      else acc)
+      if List.mem r.category categories then acc +. r.total_pct else acc)
     0.0 rows
+
+let paging_pct rows = share [ Traffic.Paging_cached; Traffic.Paging_backing ] rows
+
+let t7_paging_pct ds = paging_pct (A.Cache_stats.traffic_rows (Dataset.server_traffic ds))
+
+let t7_filter_pct ds =
+  100.0
+  *. A.Cache_stats.filter_ratio ~raw:(Dataset.raw_traffic ds)
+       ~server:(Dataset.server_traffic ds)
 
 let table5 =
   let run (ds : Dataset.t) =
@@ -610,8 +582,8 @@ let table5 =
          Paper.t5_uncacheable_pct
          (100.0
          *. Dfs_util.Stats.ratio
-              (float_of_int (Dfs_sim.Traffic.total_read traffic))
-              (float_of_int (Dfs_sim.Traffic.total traffic)))
+              (float_of_int (Traffic.total_read traffic))
+              (float_of_int (Traffic.total traffic)))
          Paper.t5_reads_pct);
     Table.render tbl
   in
@@ -627,28 +599,21 @@ let table5 =
 
 let table7 =
   let run (ds : Dataset.t) =
-    let traffic = Dataset.server_traffic ds in
-    let raw = Dataset.raw_traffic ds in
     let tbl, rows =
       traffic_table
         ~caption:
           "Table 7. Server traffic after filtering by the client caches \
            (percent of bytes)."
-        traffic
+        (Dataset.server_traffic ds)
     in
-    let filter = A.Cache_stats.filter_ratio ~raw ~server:traffic in
     Table.add_note tbl
       (Printf.sprintf
          "paging share: %.1f%% (paper ~%.0f%%); write-shared: %.1f%% (paper \
           ~%.0f%%); cache filter ratio: %.0f%% of raw bytes reach servers \
           (paper ~%.0f%%)"
-         (paging_pct rows) Paper.t7_paging_pct
-         (List.fold_left
-            (fun acc (r : A.Cache_stats.traffic_row) ->
-              if String.equal r.label "write-shared" then acc +. r.total_pct
-              else acc)
-            0.0 rows)
-         Paper.t7_shared_pct (100.0 *. filter)
+         (t7_paging_pct ds) Paper.t7_paging_pct
+         (share [ Traffic.Shared ] rows)
+         Paper.t7_shared_pct (t7_filter_pct ds)
          (100.0 *. Paper.filter_ratio));
     Table.render tbl
   in
@@ -663,11 +628,13 @@ let table7 =
 
 (* -- Table 6 ------------------------------------------------------------------------------ *)
 
+let t6_effectiveness ~migrated ds =
+  A.Cache_stats.effectiveness (Dataset.all_cache_stats ds) ~migrated
+
 let table6 =
   let run (ds : Dataset.t) =
-    let stats = Dataset.all_cache_stats ds in
-    let all = A.Cache_stats.effectiveness stats ~migrated:false in
-    let mig = A.Cache_stats.effectiveness stats ~migrated:true in
+    let all = t6_effectiveness ~migrated:false ds in
+    let mig = t6_effectiveness ~migrated:true ds in
     let tbl =
       Table.create
         ~caption:"Table 6. Client cache effectiveness (percent; smaller is better)."
@@ -788,21 +755,31 @@ let table8 =
     run;
   }
 
+let cleanings ds = A.Cache_stats.cleanings (Dataset.all_cache_stats ds)
+
+let t9_delay_pct ds =
+  let delay = Bc.clean_reason_name Bc.Clean_delay in
+  Option.fold ~none:nan
+    ~some:(fun (r : A.Cache_stats.reason_row) -> r.blocks_pct)
+    (List.find_opt
+       (fun (r : A.Cache_stats.reason_row) -> String.equal r.r_label delay)
+       (cleanings ds))
+
 let table9 =
   let run (ds : Dataset.t) =
-    let stats = Dataset.all_cache_stats ds in
-    let rows = A.Cache_stats.cleanings stats in
     reason_table
       ~caption:
         "Table 9. Dirty block cleaning: why dirty data was written to the \
          server, with time since the block's last write."
-      ~age_unit:"s" rows
-      [
-        ("30-second delay", Paper.t9_delay_pct);
-        ("write-through requested by application", Paper.t9_fsync_pct);
-        ("server recall", Paper.t9_recall_pct);
-        ("virtual memory page", Paper.t9_vm_pct);
-      ]
+      ~age_unit:"s" (cleanings ds)
+      (List.map
+         (fun (reason, pct) -> (Bc.clean_reason_name reason, pct))
+         [
+           (Bc.Clean_delay, Paper.t9_delay_pct);
+           (Bc.Clean_fsync, Paper.t9_fsync_pct);
+           (Bc.Clean_recall, Paper.t9_recall_pct);
+           (Bc.Clean_vm, Paper.t9_vm_pct);
+         ])
   in
   {
     id = "table9";
@@ -816,13 +793,14 @@ let table9 =
 
 (* -- Table 10 ----------------------------------------------------------------------------------- *)
 
+let t10_sharing ds =
+  per_fused ds (fun f -> A.Consistency_stats.sharing_pct f.A.Fused.consistency)
+
+let t10_recall ds =
+  per_fused ds (fun f -> A.Consistency_stats.recall_pct f.A.Fused.consistency)
+
 let table10 =
   let run (ds : Dataset.t) =
-    let reports =
-      Dataset.per_trace ds (fun r -> (Dataset.fused r).A.Fused.consistency)
-    in
-    let sharing = List.map A.Consistency_stats.sharing_pct reports in
-    let recall = List.map A.Consistency_stats.recall_pct reports in
     let tbl =
       Table.create
         ~caption:
@@ -835,13 +813,13 @@ let table10 =
     Table.add_row tbl
       [
         "Concurrent write-sharing";
-        across ~digits:2 sharing;
+        across ~digits:2 (t10_sharing ds);
         paper_range ~digits:2 Paper.t10_sharing;
       ];
     Table.add_row tbl
       [
         "Server recall";
-        across ~digits:2 recall;
+        across ~digits:2 (t10_recall ds);
         paper_range ~digits:2 Paper.t10_recall;
       ];
     Table.add_note tbl
@@ -860,12 +838,26 @@ let table10 =
 
 (* -- Table 11 ------------------------------------------------------------------------------------ *)
 
+let errors_per_hour polling ds =
+  per_fused ds (fun f -> (polling f).C.Polling.errors_per_hour)
+
+let users_affected polling ds =
+  per_fused ds (fun f -> C.Polling.pct_users_affected (polling f))
+
+let polling_60s f = f.A.Fused.polling_60s
+
+let polling_3s f = f.A.Fused.polling_3s
+
+let t11_errors_per_hour_60s = errors_per_hour polling_60s
+
+let t11_errors_per_hour_3s = errors_per_hour polling_3s
+
+let t11_users_affected_60s = users_affected polling_60s
+
 let table11 =
   let run (ds : Dataset.t) =
-    let render ~interval ~get ~(paper : Paper.t11_col) =
-      let reports : C.Polling.report list =
-        Dataset.per_trace ds (fun r -> get (Dataset.fused r))
-      in
+    let render ~interval ~polling ~(paper : Paper.t11_col) =
+      let reports : C.Polling.report list = per_fused ds polling in
       let all_affected =
         List.fold_left
           (fun acc (r : C.Polling.report) ->
@@ -892,14 +884,13 @@ let table11 =
       Table.add_row tbl
         [
           "Average errors per hour";
-          across ~digits:2
-            (List.map (fun (r : C.Polling.report) -> r.errors_per_hour) reports);
+          across ~digits:2 (errors_per_hour polling ds);
           paper_range ~digits:2 paper.errors_per_hour;
         ];
       Table.add_row tbl
         [
           "% users affected per trace";
-          across ~digits:1 (List.map C.Polling.pct_users_affected reports);
+          across ~digits:1 (users_affected polling ds);
           paper_range ~digits:1 paper.users_affected_per_trace;
         ];
       Table.add_row tbl
@@ -928,9 +919,9 @@ let table11 =
         ];
       Table.render tbl
     in
-    render ~interval:60.0 ~get:(fun f -> f.A.Fused.polling_60s) ~paper:Paper.t11_60s
+    render ~interval:60.0 ~polling:polling_60s ~paper:Paper.t11_60s
     ^ "\n"
-    ^ render ~interval:3.0 ~get:(fun f -> f.A.Fused.polling_3s) ~paper:Paper.t11_3s
+    ^ render ~interval:3.0 ~polling:polling_3s ~paper:Paper.t11_3s
   in
   {
     id = "table11";
@@ -944,25 +935,27 @@ let table11 =
 
 (* -- Table 12 ------------------------------------------------------------------------------------- *)
 
+(* One mechanism's ratios to demand, per trace with write-sharing:
+   short scaled traces can have none at all, and they carry no
+   information about the mechanisms. *)
+let t12_ratios mechanism (ds : Dataset.t) =
+  List.filter_map
+    (fun r ->
+      let o = (Dataset.fused r).A.Fused.overhead in
+      if o.demand_bytes = 0 || o.demand_requests = 0 then None
+      else
+        Some
+          (C.Overhead.ratios ~demand_bytes:o.demand_bytes
+             ~demand_requests:o.demand_requests (mechanism o)))
+    ds.runs
+
+let t12_token_bytes_ratio ds =
+  List.map
+    (fun (r : C.Overhead.ratios) -> r.bytes_ratio)
+    (t12_ratios (fun o -> o.A.Fused.token) ds)
+
 let table12 =
   let run (ds : Dataset.t) =
-    let per =
-      List.filter_map
-        (fun (r : Dataset.run) ->
-          let { A.Fused.demand_bytes; demand_requests; sprite; sprite_modified; token } =
-            (Dataset.fused r).A.Fused.overhead
-          in
-          (* short scaled traces can have no write-sharing at all; they
-             carry no information about the mechanisms *)
-          if demand_bytes = 0 || demand_requests = 0 then None
-          else begin
-            let ratios res =
-              C.Overhead.ratios ~demand_bytes ~demand_requests res
-            in
-            Some (ratios sprite, ratios sprite_modified, ratios token)
-          end)
-        ds.runs
-    in
     let tbl =
       Table.create
         ~caption:
@@ -978,9 +971,10 @@ let table12 =
           ]
         ()
     in
-    let row name get (paper : Paper.t12_row) =
-      let b = List.map (fun r -> (get r : C.Overhead.ratios).bytes_ratio) per in
-      let c = List.map (fun r -> (get r : C.Overhead.ratios).rpc_ratio) per in
+    let row name mechanism (paper : Paper.t12_row) =
+      let per = t12_ratios mechanism ds in
+      let b = List.map (fun (r : C.Overhead.ratios) -> r.bytes_ratio) per in
+      let c = List.map (fun (r : C.Overhead.ratios) -> r.rpc_ratio) per in
       Table.add_row tbl
         [
           name;
@@ -990,9 +984,10 @@ let table12 =
           Printf.sprintf "%.2f" paper.rpc_ratio;
         ]
     in
-    row "Sprite (disable caching)" (fun (s, _, _) -> s) Paper.t12_sprite;
-    row "Sprite modified (re-enable)" (fun (_, m, _) -> m) Paper.t12_modified;
-    row "Token-based" (fun (_, _, t) -> t) Paper.t12_token;
+    row "Sprite (disable caching)" (fun o -> o.A.Fused.sprite) Paper.t12_sprite;
+    row "Sprite modified (re-enable)" (fun o -> o.A.Fused.sprite_modified)
+      Paper.t12_modified;
+    row "Token-based" (fun o -> o.A.Fused.token) Paper.t12_token;
     Table.add_note tbl
       "Demand = bytes/requests applications made to write-shared files; \
        Sprite passes them through exactly, so its ratios are 1.00 by \

@@ -75,10 +75,6 @@ let render t =
     (List.rev t.notes);
   Buffer.contents buf
 
-let pct_sd x sd = Printf.sprintf "%.1f (%.1f)" x sd
-
-let pct_range x lo hi = Printf.sprintf "%.0f (%.0f-%.0f)" x lo hi
-
 let bytes x =
   let abs = Float.abs x in
   if abs >= 1_073_741_824.0 then Printf.sprintf "%.1f GB" (x /. 1_073_741_824.0)

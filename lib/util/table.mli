@@ -18,13 +18,5 @@ val add_note : t -> string -> unit
 
 val render : t -> string
 
-(** Formatting helpers used throughout the reports. *)
-
-val pct_sd : float -> float -> string
-(** "41.4 (26.9)" — value with standard deviation, as in the paper. *)
-
-val pct_range : float -> float -> float -> string
-(** "88 (82-94)" — value with min-max range across traces. *)
-
 val bytes : float -> string
 (** Human-readable byte count ("7.2 MB"). *)

@@ -415,7 +415,11 @@ let test_traffic_rows_percentages () =
   Dfs_sim.Traffic.add_write t Dfs_sim.Traffic.File_data 20;
   Dfs_sim.Traffic.add_read t Dfs_sim.Traffic.Paging_backing 20;
   let rows = Cache_stats.traffic_rows t in
-  let file = List.find (fun (r : Cache_stats.traffic_row) -> r.label = "file data") rows in
+  let file =
+    List.find
+      (fun (r : Cache_stats.traffic_row) -> r.category = Dfs_sim.Traffic.File_data)
+      rows
+  in
   Alcotest.(check (float 1e-6)) "file read pct" 60.0 file.read_pct;
   Alcotest.(check (float 1e-6)) "file total pct" 80.0 file.total_pct;
   Alcotest.(check (float 1e-6)) "cacheable fraction" 0.8

@@ -442,6 +442,26 @@ let test_replay_rejects_bad_traces () =
   | Ok _ -> Alcotest.fail "oversized client id accepted"
   | Error e -> Alcotest.(check bool) "one line" false (String.contains e '\n')
 
+let test_replayed_table1_not_full_length () =
+  (* A replayed trace covers its own span: Table 1 must not call it a
+     full-length 24-hour trace. *)
+  let records, _ = import_exn sample_csv in
+  let path = Filename.temp_file "dfs-replay" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file path (fun w -> List.iter (Writer.write w) records);
+      match Dfs_core.Dataset.of_replay path with
+      | Error e -> Alcotest.failf "replay failed: %s" e
+      | Ok (ds, _) ->
+        let out =
+          match Dfs_core.Experiment.find "table1" with
+          | Some e -> e.run ds
+          | None -> Alcotest.fail "no table1"
+        in
+        Alcotest.(check bool) "no full-length note" false
+          (contains_sub out "Full-length"))
+
 let suite =
   [
     ("snia parse ok", `Quick, test_snia_parse_ok);
@@ -465,4 +485,5 @@ let suite =
     ("replay orphan close", `Quick, test_replay_orphan_close);
     ("replay duplicate close", `Quick, test_replay_duplicate_close);
     ("replay rejects bad traces", `Quick, test_replay_rejects_bad_traces);
+    ("replayed table 1 not full-length", `Quick, test_replayed_table1_not_full_length);
   ]

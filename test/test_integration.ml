@@ -146,15 +146,30 @@ let test_experiments_render_on_tiny_dataset () =
     Dfs_core.Experiment.all
 
 let test_claims_evaluate () =
+  (* This tiny trace has no stale read at either polling interval and no
+     write-shared file, so those two claims have nothing to measure. *)
   let ds = Dfs_core.Dataset.generate ~scale:0.004 ~traces:[ 1 ] () in
   let results = Dfs_core.Claims.evaluate ds in
   Alcotest.(check bool) "claims defined" true (List.length results >= 20);
+  let undefined = [ "polling-interval-contrast"; "consistency-no-clear-winner" ] in
   List.iter
     (fun (r : Dfs_core.Claims.result) ->
+      let c = r.claim in
       Alcotest.(check bool)
-        (r.claim.c_id ^ " measured is finite")
+        (c.c_id ^ " paper value inside its band")
         true
-        (Float.is_finite r.measured))
+        (c.c_lo <= c.c_paper && c.c_paper <= c.c_hi);
+      if List.mem c.c_id undefined then begin
+        Alcotest.(check bool) (c.c_id ^ " measured is nan") true
+          (Float.is_nan r.measured);
+        Alcotest.(check bool) (c.c_id ^ " is OFF") true
+          (r.verdict = Dfs_core.Claims.Off)
+      end
+      else
+        Alcotest.(check bool)
+          (c.c_id ^ " measured is finite")
+          true
+          (Float.is_finite r.measured))
     results
 
 let ablation_headers =

@@ -515,8 +515,6 @@ let test_table_wrong_arity () =
       Table.add_row t [ "x"; "y" ])
 
 let test_table_formatters () =
-  Alcotest.(check string) "pct_sd" "41.4 (26.9)" (Table.pct_sd 41.4 26.9);
-  Alcotest.(check string) "pct_range" "88 (82-94)" (Table.pct_range 88.0 82.0 94.0);
   Alcotest.(check string) "bytes" "4.0 KB" (Table.bytes 4096.0)
 
 let test_units () =
