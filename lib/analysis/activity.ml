@@ -13,11 +13,12 @@ type report = {
   peak_total_throughput : float;
 }
 
-(* Interval [b] covers [t0 + b * interval, t0 + (b + 1) * interval).
-   Every bucketed time is a record's time, so it is at most [t_end] and
-   its bucket at most the last one: no clamp is needed while the trace
-   is being read, and the interval count is settled at the end. *)
-type acc = {
+(* One (interval, migrated-only) setting.  Interval [b] covers
+   [t0 + b * interval, t0 + (b + 1) * interval).  Every bucketed time is
+   a record's time, so it is at most [t_end] and its bucket at most the
+   last one: no clamp is needed while the trace is being read, and the
+   interval count is settled at the end. *)
+type lane = {
   interval : float;
   migrated_only : bool;
   t0 : float;  (* the first record's time; nan for an empty trace *)
@@ -41,20 +42,26 @@ type acc = {
   mutable bytes_cell : int ref;
 }
 
-let acc_create ?(migrated_only = false) ~interval ~t0 () =
-  {
-    interval;
-    migrated_only;
-    t0;
-    t_end = neg_infinity;
-    active_tbl = Hashtbl.create 1024;
-    bytes_tbl = Hashtbl.create 4096;
-    last_bucket = -1;
-    last_user = -1;
-    bytes_bucket = -1;
-    bytes_user = -1;
-    bytes_cell = ref 0;
-  }
+type acc = lane array
+
+let acc_create ~t0 settings =
+  Array.of_list
+    (List.map
+       (fun (interval, migrated_only) ->
+         {
+           interval;
+           migrated_only;
+           t0;
+           t_end = neg_infinity;
+           active_tbl = Hashtbl.create 1024;
+           bytes_tbl = Hashtbl.create 4096;
+           last_bucket = -1;
+           last_user = -1;
+           bytes_bucket = -1;
+           bytes_user = -1;
+           bytes_cell = ref 0;
+         })
+       settings)
 
 let bucket acc time = int_of_float ((time -. acc.t0) /. acc.interval)
 
@@ -86,24 +93,35 @@ let mark_active acc b user =
     | None -> Hashtbl.replace acc.active_tbl b (ref (Ids.User.Set.singleton user))
   end
 
-let acc_record acc batch i =
+(* A record's time, user, migrated flag and tag are read once for every
+   lane. *)
+let acc_record lanes batch i =
   let time = B.time batch i in
-  if time > acc.t_end then acc.t_end <- time;
-  if (not acc.migrated_only) || B.Unsafe.migrated batch i then begin
-    let b = bucket acc time and user = B.Unsafe.user_id batch i in
-    mark_active acc b user;
-    (* shared (pass-through) transfers carry their size directly: the
-       length for shared reads/writes (payload column b), the byte count
-       for directory reads (column a) *)
-    let tag = B.Unsafe.tag batch i in
-    if tag = B.tag_shared_read || tag = B.tag_shared_write then
-      add_bytes acc b user (B.Unsafe.b batch i)
-    else if tag = B.tag_dir_read then add_bytes acc b user (B.Unsafe.a batch i)
-  end
+  let user = B.Unsafe.user_id batch i and migrated = B.Unsafe.migrated batch i in
+  (* shared (pass-through) transfers carry their size directly: the
+     length for shared reads/writes (payload column b), the byte count
+     for directory reads (column a) *)
+  let tag = B.Unsafe.tag batch i in
+  let shared = tag = B.tag_shared_read || tag = B.tag_shared_write in
+  let transfers = shared || tag = B.tag_dir_read in
+  let n = if shared then B.Unsafe.b batch i else B.Unsafe.a batch i in
+  for k = 0 to Array.length lanes - 1 do
+    let acc = lanes.(k) in
+    if time > acc.t_end then acc.t_end <- time;
+    if (not acc.migrated_only) || migrated then begin
+      let b = bucket acc time in
+      mark_active acc b user;
+      if transfers then add_bytes acc b user n
+    end
+  done
 
-let acc_boundary acc ~user ~migrated ~is_dir ~time run =
-  if ((not acc.migrated_only) || migrated) && not is_dir then
-    add_bytes acc (bucket acc time) user run
+let acc_boundary lanes ~user ~migrated ~is_dir ~time run =
+  if not is_dir then
+    for k = 0 to Array.length lanes - 1 do
+      let acc = lanes.(k) in
+      if (not acc.migrated_only) || migrated then
+        add_bytes acc (bucket acc time) user run
+    done
 
 let empty_report interval =
   {
@@ -117,7 +135,7 @@ let empty_report interval =
     peak_total_throughput = 0.0;
   }
 
-let acc_finish acc =
+let report acc =
   if Float.is_nan acc.t0 then empty_report acc.interval
   else begin
     let interval = acc.interval in
@@ -177,12 +195,14 @@ let acc_finish acc =
     }
   end
 
-let analyze ?migrated_only ~interval batch =
+let acc_finish lanes = List.map report (Array.to_list lanes)
+
+let analyze ?(migrated_only = false) ~interval batch =
   let t0 = if B.length batch = 0 then Float.nan else B.time batch 0 in
-  let acc = acc_create ?migrated_only ~interval ~t0 () in
+  let acc = acc_create ~t0 [ (interval, migrated_only) ] in
   Session.sweep_seq (Seq.return batch) ~on_record:(acc_record acc)
     ~on_boundary:(acc_boundary acc) ~on_access:ignore;
-  acc_finish acc
+  List.hd (acc_finish acc)
 
 let pp ppf (r : report) =
   Format.fprintf ppf

@@ -25,22 +25,26 @@ val analyze :
 (** With [migrated_only] (Table 2's second column), a user is active only
     when a migrated process acted for them, and only migrated processes'
     bytes count.  The experiments read Table 2's four reports from
-    {!Fused}; this is the same fold over one batch. *)
+    {!Fused}; this is the same fold with the one setting. *)
 
 (** {1 Accumulator}
 
-    The analysis in one pass, as a fold {!Fused} drives: [acc_record]
-    for every record in trace order, [acc_boundary] at every run
-    boundary of the session sweep.  The per-record half keeps the
-    active-user sets, whose insertion order the throughput statistics
-    are summed in, so it needs every record in trace order. *)
+    The analysis in one pass over any number of
+    [(interval, migrated_only)] settings, as a fold {!Fused} drives with
+    Table 2's four: [acc_record] for every record in trace order,
+    [acc_boundary] at every run boundary of the session sweep.  A
+    record's time, user, migrated flag and tag are read once for every
+    setting.  Each setting keeps its own active-user sets, whose hash
+    order the throughput statistics are summed in, so the fold needs
+    every record in trace order. *)
 
 type acc
 
-val acc_create :
-  ?migrated_only:bool -> interval:float -> t0:float -> unit -> acc
-(** [t0] is the trace's first record's time (the intervals' origin), or
-    [nan] for an empty trace. *)
+val acc_create : t0:float -> (float * bool) list -> acc
+(** [acc_create ~t0 settings]: each setting is an
+    [(interval, migrated_only)] pair.  [t0] is the trace's first
+    record's time (the intervals' origin), or [nan] for an empty
+    trace. *)
 
 val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
 
@@ -54,6 +58,7 @@ val acc_boundary :
   unit
 (** Shaped as {!Session.sweep_seq}'s [on_boundary]. *)
 
-val acc_finish : acc -> report
+val acc_finish : acc -> report list
+(** One report per setting, in the order given to {!acc_create}. *)
 
 val pp : Format.formatter -> report -> unit

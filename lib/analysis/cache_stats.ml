@@ -15,40 +15,33 @@ type size_report = {
   samples_used : int;
 }
 
-(* Group one client's chronological samples into windows of [window]
-   seconds and compute max-min size within each active, reboot-free
-   window. *)
-let window_changes samples ~window =
-  let changes = ref [] in
-  let rec go = function
-    | [] -> ()
-    | (first : Counters.sample) :: _ as batch ->
-      let in_window, rest =
-        List.partition
-          (fun (s : Counters.sample) -> s.time < first.time +. window)
-          batch
-      in
-      let active =
-        List.exists (fun (s : Counters.sample) -> s.active) in_window
-      in
-      let rebooted =
-        List.exists (fun (s : Counters.sample) -> s.rebooted) in_window
-      in
-      if active && not rebooted then begin
-        let sizes =
-          List.map
-            (fun (s : Counters.sample) -> float_of_int s.cache_bytes)
-            in_window
-        in
-        let mx = List.fold_left Float.max neg_infinity sizes in
-        let mn = List.fold_left Float.min infinity sizes in
-        changes := (mx -. mn) :: !changes
-      end;
-      (* partition keeps order; [rest] starts the next window *)
-      go rest
+(* The max-min size change of each active, reboot-free window of one
+   client's samples, consed onto [changes] in window order.  A window
+   holds the samples less than [window] seconds after its first one; as
+   the samples are in time order, it ends at the first sample past
+   that, which opens the next window. *)
+let window_changes ~window (samples : Counters.sample array) changes =
+  let n = Array.length samples in
+  let rec go i changes =
+    if i >= n then changes
+    else begin
+      let limit = samples.(i).time +. window in
+      let j = ref i and active = ref false and rebooted = ref false in
+      let mx = ref neg_infinity and mn = ref infinity in
+      while !j < n && samples.(!j).time < limit do
+        let s = samples.(!j) in
+        active := !active || s.active;
+        rebooted := !rebooted || s.rebooted;
+        let size = float_of_int s.cache_bytes in
+        mx := Float.max !mx size;
+        mn := Float.min !mn size;
+        incr j
+      done;
+      go !j
+        (if !active && not !rebooted then (!mx -. !mn) :: changes else changes)
+    end
   in
-  go samples;
-  !changes
+  go 0 changes
 
 let change_report changes =
   let st = Stats.create () in
@@ -62,15 +55,28 @@ let change_report changes =
       sd_kb = kb (Stats.stddev st);
     }
 
-let cache_sizes counters =
+let cache_sizes runs =
   let size_stats = Stats.create () in
   List.iter
-    (fun (s : Counters.sample) ->
-      Stats.add size_stats (float_of_int s.cache_bytes))
-    (Counters.samples counters);
-  let per_client = Counters.by_client counters in
+    (fun (s : Counters.sample) -> Stats.add size_stats (float_of_int s.cache_bytes))
+    (List.concat_map Counters.samples runs);
+  (* Each run's samples per client, clients in descending id order and a
+     client's runs in run order: consing every window's change in that
+     order lists the clients in id order, and a client's windows newest
+     first across runs. *)
+  let per_client =
+    List.concat_map
+      (fun counters ->
+        List.map
+          (fun (client, samples) -> (client, Array.of_list samples))
+          (Counters.by_client counters))
+      runs
+    |> List.stable_sort (fun (a, _) (b, _) -> Dfs_trace.Ids.Client.compare b a)
+  in
   let all_changes window =
-    List.concat_map (fun (_, samples) -> window_changes samples ~window) per_client
+    List.fold_left
+      (fun changes (_, samples) -> window_changes ~window samples changes)
+      [] per_client
   in
   {
     avg_bytes = Stats.mean size_stats;
@@ -225,13 +231,7 @@ let replacements stats_list =
     (List.map
        (fun (s : Bc.stats) ->
          List.map
-           (fun (reason, st) ->
-             let label =
-               match (reason : Bc.replace_reason) with
-               | Bc.Replace_for_block -> "another file block"
-               | Bc.Replace_to_vm -> "virtual memory page"
-             in
-             (label, st))
+           (fun (reason, st) -> (Bc.replace_reason_name reason, st))
            s.replacements)
        stats_list)
 

@@ -14,9 +14,19 @@ type size_report = {
   samples_used : int;
 }
 
-val cache_sizes : Dfs_sim.Counters.t -> size_report
-(** Size-change statistics use only intervals with user/CPU activity and
-    screen out reboots, as the paper's Table 4 caption describes. *)
+val cache_sizes : Dfs_sim.Counters.t list -> size_report
+(** Table 4 over every machine and day: one counter set per run, in run
+    order.  Size-change statistics use only intervals with user/CPU
+    activity and screen out reboots, as the paper's Table 4 caption
+    describes.  A window opens at a client's first sample not in an
+    earlier window and holds the samples less than 15 (or 60) minutes
+    after it; windows never straddle two runs.  Each client's samples
+    are grouped once and each window is closed by index, which requires
+    what the cluster's sampler gives: each client's samples in time
+    order, recorded on one 60 s clock.  The changes are summed clients
+    in id order and, within a client, newest window first across runs;
+    the sums are order-sensitive floats, so that order is part of the
+    printed digits. *)
 
 (** {1 Tables 5 and 7 — traffic breakdowns} *)
 

@@ -6,80 +6,64 @@ type t = { file_opens : int; sharing_opens : int; recall_opens : int }
 
 module Itbl = Dfs_util.Itbl
 
-(* An open handle: only whether it was opened for writing matters at its
-   close. *)
-type handle = { pid : int; writer : bool }
+(* An open handle: its client and pid match it at its close; whether it
+   was opened for writing decides write-sharing. *)
+type handle = { client : int; pid : int; writer : bool }
 
-module Handles = Itbl.Handles (struct
-  type t = handle
-
-  let pid h = h.pid
-end)
-
-(* Per file: how many clients have it open, and how many of those
-   clients hold a handle open for writing. *)
-type openers = { mutable clients : int; mutable writing : int }
+(* Per file, in one record: every open handle, newest first (the first
+   one with a close's client and pid is the top of that handle's
+   stack), and the client that last wrote the file, or -1. *)
+type file_state = { mutable handles : handle list; mutable last_writer : int }
 
 type acc = {
   mutable file_opens : int;
   mutable sharing : int;
   mutable recalls : int;
-  handles : Handles.table;  (* keyed by [Itbl.pair client file] *)
-  files : openers Itbl.t;
-  last_writer : int Itbl.t;  (* file -> the client that last wrote it *)
+  files : file_state Itbl.t;
 }
 
 let acc_create () =
-  {
-    file_opens = 0;
-    sharing = 0;
-    recalls = 0;
-    handles = Handles.create 1024;
-    files = Itbl.create 1024;
-    last_writer = Itbl.create 256;
-  }
+  { file_opens = 0; sharing = 0; recalls = 0; files = Itbl.create 1024 }
 
 let is_writer = function
   | Record.Write_only | Record.Read_write -> true
   | Record.Read_only -> false
 
-let any_writer = List.exists (fun h -> h.writer)
+let rec without client pid = function
+  | [] -> raise Not_found
+  | h :: rest ->
+    if h.client = client && h.pid = pid then rest else h :: without client pid rest
 
 let on_open acc ~client ~pid ~file ~writer =
   acc.file_opens <- acc.file_opens + 1;
-  (match Itbl.find_opt acc.last_writer file with
-  | Some w when w <> client ->
-    acc.recalls <- acc.recalls + 1;
-    Itbl.remove acc.last_writer file
-  | Some _ | None -> ());
   let f =
     match Itbl.find_opt acc.files file with
     | Some f -> f
     | None ->
-      let f = { clients = 0; writing = 0 } in
+      let f = { handles = []; last_writer = -1 } in
       Itbl.replace acc.files file f;
       f
   in
-  let key = Itbl.pair client file in
-  let before = Handles.open_under acc.handles key in
-  if before = [] then f.clients <- f.clients + 1;
-  if writer && not (any_writer before) then f.writing <- f.writing + 1;
-  Handles.push acc.handles key { pid; writer };
-  if f.clients >= 2 && f.writing > 0 then acc.sharing <- acc.sharing + 1
+  if f.last_writer >= 0 && f.last_writer <> client then begin
+    acc.recalls <- acc.recalls + 1;
+    f.last_writer <- -1
+  end;
+  f.handles <- { client; pid; writer } :: f.handles;
+  (* open on two clients or more, at least one of them writing *)
+  if
+    List.exists (fun h -> h.client <> client) f.handles
+    && List.exists (fun h -> h.writer) f.handles
+  then acc.sharing <- acc.sharing + 1
 
 let on_close acc ~client ~pid ~file ~wrote =
-  let key = Itbl.pair client file in
-  match Handles.pop acc.handles key ~pid with
+  match Itbl.find_opt acc.files file with
   | None -> ()
-  | Some h ->
-    let f = Itbl.find acc.files file in
-    let after = Handles.open_under acc.handles key in
-    if h.writer && not (any_writer after) then f.writing <- f.writing - 1;
-    if after = [] then begin
-      f.clients <- f.clients - 1;
-      if f.clients = 0 then Itbl.remove acc.files file
-    end;
-    if wrote then Itbl.replace acc.last_writer file client
+  | Some f -> (
+    match without client pid f.handles with
+    | handles ->
+      f.handles <- handles;
+      if wrote then f.last_writer <- client
+    | exception Not_found -> ())
 
 let acc_record acc batch i =
   (* the tag read is bounds-checked and validates [i]; the remaining
@@ -96,7 +80,9 @@ let acc_record acc batch i =
       ~file:(B.Unsafe.file batch i)
       ~wrote:(B.Unsafe.d batch i > 0)
   else if tag = B.tag_delete then
-    Itbl.remove acc.last_writer (B.Unsafe.file batch i)
+    match Itbl.find_opt acc.files (B.Unsafe.file batch i) with
+    | Some f -> f.last_writer <- -1
+    | None -> ()
 
 let acc_finish acc =
   {

@@ -18,9 +18,15 @@ val analyze : Dfs_trace.Record_batch.t -> t
 
 (** {1 Accumulator}
 
-    {!analyze} as a per-record fold, which {!Fused} drives.  The open
-    table and last-writer state are per file across clients, so it must
-    see every record of the trace in order. *)
+    {!analyze} as a per-record fold, which {!Fused} drives.  One record
+    per file, in an int-keyed table ({!Dfs_util.Itbl}), holds the file's
+    open handles (client, pid and write mode, newest first, so a close
+    takes the newest handle with its client and pid, last in first out
+    per handle) and the client that last wrote it: a non-directory open
+    or a close looks one key up.  An open is write-shared when, with it,
+    a second client holds the file open and some handle is open for
+    writing.  The state is per file across clients, so the fold must see
+    every record of the trace in order. *)
 
 type acc
 

@@ -29,7 +29,7 @@ type t = {
 
 (* Every fold of the pass.  The per-record folds see the records in
    trace order, the per-access ones see accesses in close order, and
-   Table 2's four activity folds also see each run boundary. *)
+   Table 2's activity fold also sees each run boundary. *)
 type folds = {
   ts : Trace_stats.acc;
   lt : Lifetime.acc;
@@ -37,20 +37,13 @@ type folds = {
   ot : Open_time.t;
   rl : Run_length.t;
   ap : Access_patterns.acc;
-  all_10min : Activity.acc;
-  mig_10min : Activity.acc;
-  all_10s : Activity.acc;
-  mig_10s : Activity.acc;
+  activity : Activity.acc;
   consistency : Consistency_stats.acc;
-  polling_60s : Polling.acc;
-  polling_3s : Polling.acc;
+  polling : Polling.acc;
   shared : C.Shared_events.acc;
 }
 
 let create ~t0 =
-  let activity ?migrated_only interval =
-    Activity.acc_create ?migrated_only ~interval ~t0 ()
-  in
   {
     ts = Trace_stats.acc_create ();
     lt = Lifetime.acc_create ();
@@ -58,33 +51,21 @@ let create ~t0 =
     ot = Open_time.create ();
     rl = Run_length.create ();
     ap = Access_patterns.acc_create ();
-    all_10min = activity 600.0;
-    mig_10min = activity ~migrated_only:true 600.0;
-    all_10s = activity 10.0;
-    mig_10s = activity ~migrated_only:true 10.0;
+    activity =
+      Activity.acc_create ~t0
+        [ (600.0, false); (600.0, true); (10.0, false); (10.0, true) ];
     consistency = Consistency_stats.acc_create ();
-    polling_60s = Polling.acc_create ~interval:60.0;
-    polling_3s = Polling.acc_create ~interval:3.0;
+    polling = Polling.acc_create ~intervals:[ 60.0; 3.0 ];
     shared = C.Shared_events.acc_create ();
   }
 
 let on_record f batch i =
   Trace_stats.acc_record f.ts batch i;
   Lifetime.acc_record f.lt batch i;
-  Activity.acc_record f.all_10min batch i;
-  Activity.acc_record f.mig_10min batch i;
-  Activity.acc_record f.all_10s batch i;
-  Activity.acc_record f.mig_10s batch i;
+  Activity.acc_record f.activity batch i;
   Consistency_stats.acc_record f.consistency batch i;
-  Polling.acc_record f.polling_60s batch i;
-  Polling.acc_record f.polling_3s batch i;
+  Polling.acc_record f.polling batch i;
   C.Shared_events.acc_record f.shared batch i
-
-let on_boundary f ~user ~migrated ~is_dir ~time run =
-  Activity.acc_boundary f.all_10min ~user ~migrated ~is_dir ~time run;
-  Activity.acc_boundary f.mig_10min ~user ~migrated ~is_dir ~time run;
-  Activity.acc_boundary f.all_10s ~user ~migrated ~is_dir ~time run;
-  Activity.acc_boundary f.mig_10s ~user ~migrated ~is_dir ~time run
 
 let on_access f a =
   Trace_stats.acc_access f.ts a;
@@ -107,22 +88,25 @@ let overhead shared batches =
   }
 
 let finish f batches =
-  {
-    stats = Trace_stats.acc_finish f.ts;
-    file_size = f.fs;
-    open_time = f.ot;
-    run_length = f.rl;
-    access_patterns = Access_patterns.acc_finish f.ap;
-    lifetime = Lifetime.acc_finish f.lt;
-    activity_10min = Activity.acc_finish f.all_10min;
-    activity_10min_migrated = Activity.acc_finish f.mig_10min;
-    activity_10s = Activity.acc_finish f.all_10s;
-    activity_10s_migrated = Activity.acc_finish f.mig_10s;
-    consistency = Consistency_stats.acc_finish f.consistency;
-    polling_60s = Polling.acc_finish f.polling_60s;
-    polling_3s = Polling.acc_finish f.polling_3s;
-    overhead = overhead f.shared batches;
-  }
+  match (Activity.acc_finish f.activity, Polling.acc_finish f.polling) with
+  | [ a600; a600_mig; a10; a10_mig ], [ p60; p3 ] ->
+    {
+      stats = Trace_stats.acc_finish f.ts;
+      file_size = f.fs;
+      open_time = f.ot;
+      run_length = f.rl;
+      access_patterns = Access_patterns.acc_finish f.ap;
+      lifetime = Lifetime.acc_finish f.lt;
+      activity_10min = a600;
+      activity_10min_migrated = a600_mig;
+      activity_10s = a10;
+      activity_10s_migrated = a10_mig;
+      consistency = Consistency_stats.acc_finish f.consistency;
+      polling_60s = p60;
+      polling_3s = p3;
+      overhead = overhead f.shared batches;
+    }
+  | _ -> assert false
 
 (* The first record's time, the origin of Table 2's intervals, and the
    same stream: only the chunks up to that record are forced, and the
@@ -137,7 +121,7 @@ let analyze_seq batches =
       let t0, batches = with_origin batches in
       let f = create ~t0 in
       Session.sweep_seq batches ~on_record:(on_record f)
-        ~on_boundary:(on_boundary f) ~on_access:(on_access f);
+        ~on_boundary:(Activity.acc_boundary f.activity) ~on_access:(on_access f);
       finish f batches)
 
 let analyze batch = analyze_seq (Seq.return batch)

@@ -4,11 +4,12 @@
     a scan each that rebuilds its own state: the per-record and
     per-access folds of {!Trace_stats}, {!File_size}, {!Open_time},
     {!Run_length}, {!Access_patterns} and {!Lifetime}; Table 2's
-    {!Activity} in two halves (per record, and per run boundary of the
-    session sweep) at 10-minute and 10-second intervals, all users and
-    migrated only; Table 10's {!Consistency_stats}; Table 11's
-    {!Dfs_consistency.Polling} simulation at 60 s and 3 s; and the
-    collection of Table 12's write-shared files.  Per-access accumulators
+    {!Activity}, one fold over its four settings (10-minute and
+    10-second intervals, all users and migrated only), in two halves
+    (per record, and per run boundary of the session sweep); Table 10's
+    {!Consistency_stats}; Table 11's {!Dfs_consistency.Polling}
+    simulation, one fold over 60 s and 3 s; and the collection of
+    Table 12's write-shared files.  Per-access accumulators
     are fed at close time — the same order as {!Session.of_batch} returns
     accesses — so every result is identical to running the standalone
     analyses.  No access is kept once its folds have seen it.

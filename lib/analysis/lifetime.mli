@@ -22,9 +22,13 @@ val analyze : Dfs_trace.Record_batch.t -> t
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} (collects deletes/truncates in record
-    order) and every completed access with {!acc_access} (collects
-    write-bearing closes in close order); {!acc_finish} merges the two
-    event lists by time and ages the deaths. *)
+    order) and every completed access with {!acc_access} (keeps a
+    write-bearing close's file, open and close times, and whether it
+    covered the whole file; the access itself is not kept).
+    {!acc_finish} interleaves the two event lists by time, writes first
+    on ties, and ages the deaths: a merge when both lists arrived in time
+    order, as they do from a time-ordered trace, else one stable sort,
+    which gives the same order. *)
 
 type acc
 

@@ -16,6 +16,10 @@ let clean_reason_name = function
 
 type replace_reason = Replace_for_block | Replace_to_vm
 
+let replace_reason_name = function
+  | Replace_for_block -> "another file block"
+  | Replace_to_vm -> "virtual memory page"
+
 type traffic_class = Class_file | Class_paging
 
 type config = {

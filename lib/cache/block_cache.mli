@@ -41,6 +41,8 @@ type replace_reason =
   | Replace_for_block  (** page reused for another file block *)
   | Replace_to_vm  (** page given to the virtual memory system *)
 
+val replace_reason_name : replace_reason -> string
+
 type traffic_class = Class_file | Class_paging
 
 type config = {

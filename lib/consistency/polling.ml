@@ -17,45 +17,55 @@ type report = {
   seen_user_ids : Ids.User.Set.t;
 }
 
-type entry = { mutable seen : int; mutable last_check : float }
-
-type file_state = { mutable version : int; mutable last_writer : int }
-
 module Itbl = Dfs_util.Itbl
 
-(* Both tables are keyed by ints: [files] by file id, [cache] by
-   [Itbl.pair client file].  The close record carries no mode, but a
-   close publishes exactly when it wrote bytes, whatever its open was,
-   so no per-handle state is kept. *)
+(* One client's cached copy of a file: per interval, the version it last
+   saw and when it last checked with the server. *)
+type copy = { client : int; seen : int array; checked : float array }
+
+(* Per file: its version, the client that last wrote it, and every
+   client's copy.  A delete resets the version and the writer to those
+   of a file never written and keeps the copies: it invalidates no
+   client's cache. *)
+type file_state = {
+  mutable version : int;
+  mutable last_writer : int;
+  mutable copies : copy list;
+}
+
+(* [files] is keyed by file id, so an open or a write-close looks one key
+   up whatever the number of intervals; the per-interval counts are
+   arrays indexed like [intervals].  The close record carries no mode,
+   but a close publishes exactly when it wrote bytes, whatever its open
+   was, so no per-handle state is kept. *)
 type acc = {
-  interval : float;
+  intervals : float array;
   files : file_state Itbl.t;
-  cache : entry Itbl.t;
   mutable users : Ids.User.Set.t;
   mutable last_user : int;  (* the user last added to [users] *)
-  mutable affected : Ids.User.Set.t;
-  mutable errors : int;
+  affected : Ids.User.Set.t array;
+  errors : int array;
   mutable file_opens : int;
-  mutable opens_with_error : int;
+  opens_with_error : int array;
   mutable migrated_opens : int;
-  mutable migrated_opens_with_error : int;
+  migrated_opens_with_error : int array;
   mutable t_min : float;
   mutable t_max : float;
 }
 
-let acc_create ~interval =
+let acc_create ~intervals =
+  let n = List.length intervals in
   {
-    interval;
+    intervals = Array.of_list intervals;
     files = Itbl.create 1024;
-    cache = Itbl.create 4096;
     users = Ids.User.Set.empty;
     last_user = -1;
-    affected = Ids.User.Set.empty;
-    errors = 0;
+    affected = Array.make n Ids.User.Set.empty;
+    errors = Array.make n 0;
     file_opens = 0;
-    opens_with_error = 0;
+    opens_with_error = Array.make n 0;
     migrated_opens = 0;
-    migrated_opens_with_error = 0;
+    migrated_opens_with_error = Array.make n 0;
     t_min = infinity;
     t_max = neg_infinity;
   }
@@ -64,35 +74,47 @@ let file_state acc file =
   match Itbl.find_opt acc.files file with
   | Some st -> st
   | None ->
-    let st = { version = 0; last_writer = -1 } in
+    let st = { version = 0; last_writer = -1; copies = [] } in
     Itbl.replace acc.files file st;
     st
+
+let no_copy = { client = -1; seen = [||]; checked = [||] }
+
+let rec copy_of client = function
+  | [] -> no_copy
+  | c :: rest -> if c.client = client then c else copy_of client rest
 
 let publish acc ~client ~file =
   let st = file_state acc file in
   st.version <- st.version + 1;
   st.last_writer <- client;
   (* the writer's own cache holds the new data *)
-  match Itbl.find_opt acc.cache (Itbl.pair client file) with
-  | Some e -> e.seen <- st.version
-  | None -> ()
+  let c = copy_of client st.copies in
+  if c != no_copy then Array.fill c.seen 0 (Array.length c.seen) st.version
 
-(* Returns true when this access read stale data. *)
-let read acc ~now ~client ~file =
+let incr_at a k = a.(k) <- a.(k) + 1
+
+let read acc ~now ~client ~file ~user ~opened ~migrated =
   let st = file_state acc file in
-  let key = Itbl.pair client file in
-  match Itbl.find_opt acc.cache key with
-  | None ->
-    Itbl.replace acc.cache key { seen = st.version; last_check = now };
-    false
-  | Some e ->
-    if now -. e.last_check >= acc.interval then begin
-      e.seen <- st.version;
-      e.last_check <- now;
-      false
-    end
-    else if e.seen < st.version && st.last_writer <> client then true
-    else false
+  let c = copy_of client st.copies in
+  let n = Array.length acc.intervals in
+  if c == no_copy then
+    st.copies <-
+      { client; seen = Array.make n st.version; checked = Array.make n now }
+      :: st.copies
+  else
+    for k = 0 to n - 1 do
+      if now -. c.checked.(k) >= acc.intervals.(k) then begin
+        c.seen.(k) <- st.version;
+        c.checked.(k) <- now
+      end
+      else if c.seen.(k) < st.version && st.last_writer <> client then begin
+        incr_at acc.errors k;
+        if opened then incr_at acc.opens_with_error k;
+        if opened && migrated then incr_at acc.migrated_opens_with_error k;
+        acc.affected.(k) <- Ids.User.Set.add user acc.affected.(k)
+      end
+    done
 
 let acc_record acc batch i =
   (* the time read is bounds-checked and validates [i]; the remaining
@@ -111,59 +133,54 @@ let acc_record acc batch i =
       acc.file_opens <- acc.file_opens + 1;
       let migrated = B.Unsafe.migrated batch i in
       if migrated then acc.migrated_opens <- acc.migrated_opens + 1;
-      let reads =
-        match B.Unsafe.open_mode batch i with
-        | Record.Read_only | Record.Read_write -> true
-        | Record.Write_only -> false
-      in
-      if reads && read acc ~now:time ~client ~file then begin
-        acc.errors <- acc.errors + 1;
-        acc.opens_with_error <- acc.opens_with_error + 1;
-        if migrated then
-          acc.migrated_opens_with_error <- acc.migrated_opens_with_error + 1;
-        acc.affected <- Ids.User.Set.add user acc.affected
-      end
+      match B.Unsafe.open_mode batch i with
+      | Record.Read_only | Record.Read_write ->
+        read acc ~now:time ~client ~file ~user ~opened:true ~migrated
+      | Record.Write_only -> ()
     end
   end
   else if tag = B.tag_close then begin
     if B.Unsafe.d batch i > 0 then publish acc ~client ~file
   end
-  else if tag = B.tag_shared_read then begin
-    if read acc ~now:time ~client ~file then begin
-      acc.errors <- acc.errors + 1;
-      acc.affected <- Ids.User.Set.add user acc.affected
-    end
-  end
+  else if tag = B.tag_shared_read then
+    read acc ~now:time ~client ~file ~user ~opened:false ~migrated:false
   else if tag = B.tag_shared_write then publish acc ~client ~file
-  else if tag = B.tag_delete then Itbl.remove acc.files file
+  else if tag = B.tag_delete then
+    match Itbl.find_opt acc.files file with
+    | Some st ->
+      st.version <- 0;
+      st.last_writer <- -1
+    | None -> ()
 
 let acc_finish acc =
   let duration_hours =
     if acc.t_max > acc.t_min then (acc.t_max -. acc.t_min) /. 3600.0 else 0.0
   in
-  {
-    interval = acc.interval;
-    duration_hours;
-    errors = acc.errors;
-    errors_per_hour =
-      (if duration_hours > 0.0 then float_of_int acc.errors /. duration_hours
-       else 0.0);
-    users_seen = Ids.User.Set.cardinal acc.users;
-    users_affected = Ids.User.Set.cardinal acc.affected;
-    file_opens = acc.file_opens;
-    opens_with_error = acc.opens_with_error;
-    migrated_opens = acc.migrated_opens;
-    migrated_opens_with_error = acc.migrated_opens_with_error;
-    affected_user_ids = acc.affected;
-    seen_user_ids = acc.users;
-  }
+  List.init (Array.length acc.intervals) (fun k ->
+      {
+        interval = acc.intervals.(k);
+        duration_hours;
+        errors = acc.errors.(k);
+        errors_per_hour =
+          (if duration_hours > 0.0 then
+             float_of_int acc.errors.(k) /. duration_hours
+           else 0.0);
+        users_seen = Ids.User.Set.cardinal acc.users;
+        users_affected = Ids.User.Set.cardinal acc.affected.(k);
+        file_opens = acc.file_opens;
+        opens_with_error = acc.opens_with_error.(k);
+        migrated_opens = acc.migrated_opens;
+        migrated_opens_with_error = acc.migrated_opens_with_error.(k);
+        affected_user_ids = acc.affected.(k);
+        seen_user_ids = acc.users;
+      })
 
 let simulate ~interval batch =
-  let acc = acc_create ~interval in
+  let acc = acc_create ~intervals:[ interval ] in
   for i = 0 to B.length batch - 1 do
     acc_record acc batch i
   done;
-  acc_finish acc
+  List.hd (acc_finish acc)
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 

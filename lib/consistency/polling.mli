@@ -26,24 +26,31 @@ type report = {
 }
 
 val simulate : interval:float -> Dfs_trace.Record_batch.t -> report
+(** The fold below with the one interval. *)
 
 (** {1 Accumulator}
 
-    {!simulate} as a per-record fold, which the fused analysis pass
-    drives.  Its state is per file and per (client, file) pair, both in
-    int-keyed tables ({!Dfs_util.Itbl}, the pair packed by
-    {!Dfs_util.Itbl.pair}), and a stale read depends on other clients'
-    earlier writes, so it must see every record of the trace in order.
-    It keeps no per-handle state: a close publishes new data exactly
-    when it wrote bytes. *)
+    {!simulate} as a per-record fold over any number of intervals, which
+    the fused analysis pass drives with Table 11's two.  A file's
+    version and last writer do not depend on the interval, so one
+    record per file holds them and every client's cached copy, with a
+    check time and a seen version per interval: an open or a
+    write-close looks one file id up in an int-keyed table
+    ({!Dfs_util.Itbl}) and scans the file's copies.  A delete resets
+    the version to 0 and the writer to none, the state of a file never
+    written.  A stale read depends on other clients' earlier writes, so
+    the fold must see every record of the trace in order.  It keeps no
+    per-handle state: a close publishes new data exactly when it wrote
+    bytes. *)
 
 type acc
 
-val acc_create : interval:float -> acc
+val acc_create : intervals:float list -> acc
 
 val acc_record : acc -> Dfs_trace.Record_batch.t -> int -> unit
 
-val acc_finish : acc -> report
+val acc_finish : acc -> report list
+(** One report per interval, in the order given to {!acc_create}. *)
 
 val pct_users_affected : report -> float
 

@@ -171,21 +171,6 @@ let client_cache_stats run =
        (fun c -> Dfs_cache.Block_cache.stats (Dfs_sim.Client.cache c))
        (Dfs_sim.Cluster.clients run.cluster))
 
-let merged_counters t =
-  let merged = Dfs_sim.Counters.create () in
-  (* Runs all start at time 0 and reuse client ids; shift each run far
-     apart in time so the windowed size-change analysis never straddles
-     two runs. *)
-  List.iteri
-    (fun i run ->
-      let offset = float_of_int i *. 1.0e7 in
-      List.iter
-        (fun (s : Dfs_sim.Counters.sample) ->
-          Dfs_sim.Counters.record merged { s with time = s.time +. offset })
-        (Dfs_sim.Counters.samples (Dfs_sim.Cluster.counters run.cluster)))
-    t.runs;
-  merged
-
 let per_trace t f = List.map f t.runs
 
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

@@ -85,10 +85,6 @@ val fused : run -> Dfs_analysis.Fused.t
     experiment and claim on this run.  Safe to call from several
     domains. *)
 
-val merged_counters : t -> Dfs_sim.Counters.t
-(** All runs' counter samples concatenated (Table 4 uses every machine
-    and day). *)
-
 val per_trace : t -> (run -> 'a) -> 'a list
 (** One result per run, in run order. *)
 

@@ -456,7 +456,8 @@ let fig4 =
 
 (* -- Table 4 -------------------------------------------------------------------------- *)
 
-let cache_sizes ds = A.Cache_stats.cache_sizes (Dataset.merged_counters ds)
+let cache_sizes ds =
+  A.Cache_stats.cache_sizes (Dataset.per_trace ds (fun r -> Dfs_sim.Cluster.counters r.cluster))
 
 (* Table 4's first cell from its report, which is costly enough to
    compute once per rendering. *)
@@ -740,8 +741,8 @@ let table8 =
          for, and how long the block had been unreferenced."
       ~age_unit:"min" rows
       [
-        ("another file block", Paper.t8_for_block_pct);
-        ("virtual memory page", Paper.t8_to_vm_pct);
+        (Bc.replace_reason_name Bc.Replace_for_block, Paper.t8_for_block_pct);
+        (Bc.replace_reason_name Bc.Replace_to_vm, Paper.t8_to_vm_pct);
       ]
     ^ Printf.sprintf "paper ages: %.0f min (file block), %.0f min (VM page)\n"
         Paper.t8_for_block_age_min Paper.t8_to_vm_age_min

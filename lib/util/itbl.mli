@@ -34,7 +34,4 @@ end) : sig
 
   val pop : table -> int -> pid:int -> H.t option
   (** {!top}, and closes it. *)
-
-  val open_under : table -> int -> H.t list
-  (** Every handle open under [key], newest first. *)
 end

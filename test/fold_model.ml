@@ -1,11 +1,13 @@
 (* Reference models of the trace folds whose tables are keyed by packed
    ints (Polling, Consistency_stats, the session sweep's handle matching
-   and the write-shared event extraction), for the property in
-   test_analysis.ml.  Each keeps the structure the fold had before its
-   keys were packed: polymorphic [Hashtbl]s on [(client, file)] and
-   [(client, pid, file)] tuples, a stack of open modes per handle, and
-   per-file lists of openers.  Polling keeps its handle table, whose
-   contents never decided a result. *)
+   and the write-shared event extraction), and of Lifetime, for the
+   property in test_analysis.ml.  Each keeps the structure the fold had
+   before its keys were packed: polymorphic [Hashtbl]s on
+   [(client, file)] and [(client, pid, file)] tuples, one interval per
+   polling run, a stack of open modes per handle, and per-file lists of
+   openers.  Polling keeps its handle table, whose contents never
+   decided a result.  Lifetime keeps every write-bearing access and
+   sorts writes then deaths by time with one stable sort. *)
 
 module B = Dfs_trace.Record_batch
 module Ids = Dfs_trace.Ids
@@ -265,3 +267,53 @@ let shared_events b : Dfs_consistency.Shared_events.stream list =
       :: acc)
     per_file []
   |> List.sort (fun (a : E.stream) b -> Ids.File.compare a.file b.file)
+
+let lifetime b : Dfs_analysis.Lifetime.t =
+  let module Cdf = Dfs_util.Cdf in
+  let by_files = Cdf.create () and by_bytes = Cdf.create () in
+  let aged = ref 0 and unknown = ref 0 in
+  let states = Hashtbl.create 16 in
+  let writes =
+    List.filter_map
+      (fun (a : Dfs_analysis.Session.access) ->
+        if (not a.a_is_dir) && a.a_bytes_written > 0 then
+          Some (a.a_close_time, `Write a)
+        else None)
+      (sessions b)
+  in
+  let deaths =
+    List.filter_map
+      (fun i ->
+        match B.kind b i with
+        | Record.Delete { is_dir = false; size } | Record.Truncate { old_size = size }
+          ->
+          Some (B.time b i, `Death (B.file b i, size))
+        | _ -> None)
+      (List.init (B.length b) Fun.id)
+  in
+  List.iter
+    (fun (now, ev) ->
+      match ev with
+      | `Write (a : Dfs_analysis.Session.access) -> (
+        let file = Ids.File.to_int a.a_file in
+        match Hashtbl.find_opt states file with
+        | Some (oldest, newest) ->
+          if a.a_bytes_written >= a.a_size_close && a.a_size_close > 0 then
+            oldest := a.a_open_time;
+          newest := a.a_close_time
+        | None -> Hashtbl.replace states file (ref a.a_open_time, ref a.a_close_time))
+      | `Death (file, size) -> (
+        match Hashtbl.find_opt states file with
+        | None -> incr unknown
+        | Some (oldest, newest) ->
+          incr aged;
+          Cdf.add by_files ((now -. !oldest +. (now -. !newest)) /. 2.0);
+          if size > 0 then
+            for i = 0 to 7 do
+              let f = (float_of_int i +. 0.5) /. 8.0 in
+              Cdf.add_weighted by_bytes ~weight:(float_of_int size /. 8.0)
+                (now -. (!oldest +. (f *. (!newest -. !oldest))))
+            done;
+          Hashtbl.remove states file))
+    (List.sort (fun (x, _) (y, _) -> Float.compare x y) (writes @ deaths));
+  { by_files; by_bytes; deaths_aged = !aged; deaths_unknown = !unknown }

@@ -395,7 +395,7 @@ let test_cache_sizes_windows () =
         (mk_sample ~t:(float_of_int i *. 60.0) ~client:0 ~bytes:(b * 1024 * 1024)
            ~active:true))
     [ 1; 2; 3; 4; 5 ];
-  let r = Cache_stats.cache_sizes cs in
+  let r = Cache_stats.cache_sizes [ cs ] in
   Alcotest.(check (float 0.01)) "avg 3MB" 3.0 (r.avg_bytes /. 1048576.0);
   Alcotest.(check (float 0.01)) "change = 4MB" 4096.0 r.change_15min.max_kb
 
@@ -406,8 +406,125 @@ let test_cache_sizes_inactive_screened () =
       Dfs_sim.Counters.record cs
         (mk_sample ~t:(float_of_int i *. 60.0) ~client:0 ~bytes:b ~active:false))
     [ 0; 1000000 ];
-  let r = Cache_stats.cache_sizes cs in
+  let r = Cache_stats.cache_sizes [ cs ] in
   Alcotest.(check (float 1e-9)) "inactive window ignored" 0.0 r.change_15min.max_kb
+
+(* Table 4 as it was windowed before each client's samples were grouped
+   once and each window closed by index: every run's samples merged into
+   one counter set, run [i] shifted by [i * 1e7] s, and each client's
+   remaining samples partitioned once per window.  The oracle of the
+   property below. *)
+let partition_cache_sizes runs : Cache_stats.size_report =
+  let module Counters = Dfs_sim.Counters in
+  let merged = Counters.create () in
+  List.iteri
+    (fun i c ->
+      List.iter
+        (fun (s : Counters.sample) ->
+          Counters.record merged { s with time = s.time +. (float_of_int i *. 1.0e7) })
+        (Counters.samples c))
+    runs;
+  let window_changes samples ~window =
+    let changes = ref [] in
+    let rec go = function
+      | [] -> ()
+      | (first : Counters.sample) :: _ as batch ->
+        let in_window, rest =
+          List.partition
+            (fun (s : Counters.sample) -> s.time < first.time +. window)
+            batch
+        in
+        if
+          List.exists (fun (s : Counters.sample) -> s.active) in_window
+          && not (List.exists (fun (s : Counters.sample) -> s.rebooted) in_window)
+        then begin
+          let sizes =
+            List.map (fun (s : Counters.sample) -> float_of_int s.cache_bytes) in_window
+          in
+          changes :=
+            (List.fold_left Float.max neg_infinity sizes
+            -. List.fold_left Float.min infinity sizes)
+            :: !changes
+        end;
+        go rest
+    in
+    go samples;
+    !changes
+  in
+  let report window : Cache_stats.change_report =
+    let st = Dfs_util.Stats.create () in
+    List.iter
+      (fun (_, samples) -> List.iter (Dfs_util.Stats.add st) (window_changes samples ~window))
+      (Counters.by_client merged);
+    if Dfs_util.Stats.count st = 0 then { max_kb = 0.0; avg_kb = 0.0; sd_kb = 0.0 }
+    else
+      {
+        max_kb = Dfs_util.Stats.max st /. 1024.0;
+        avg_kb = Dfs_util.Stats.mean st /. 1024.0;
+        sd_kb = Dfs_util.Stats.stddev st /. 1024.0;
+      }
+  in
+  let sizes = Dfs_util.Stats.create () in
+  List.iter
+    (fun (s : Counters.sample) -> Dfs_util.Stats.add sizes (float_of_int s.cache_bytes))
+    (Counters.samples merged);
+  {
+    avg_bytes = Dfs_util.Stats.mean sizes;
+    sd_bytes = Dfs_util.Stats.stddev sizes;
+    change_15min = report 900.0;
+    change_60min = report 3600.0;
+    samples_used = Dfs_util.Stats.count sizes;
+  }
+
+(* Runs of up to three clients (ids reused across runs) sampled on one
+   60 s clock for up to 130 ticks, some with gaps, with inactive and
+   rebooted ticks.  Windows start at a sample, and a run without gaps
+   holds samples exactly 900 s and 3600 s after one. *)
+let gen_counter_runs =
+  let open QCheck.Gen in
+  let sample = triple (int_bound 10_000_000) (frequencyl [ (3, true); (1, false) ]) (frequencyl [ (4, false); (1, true) ]) in
+  let run =
+    int_range 1 3 >>= fun clients ->
+    int_range 0 130 >>= fun ticks ->
+    triple (int_bound 5) bool
+      (list_repeat ticks (pair (frequencyl [ (19, false); (1, true) ]) (list_repeat clients sample)))
+    >|= fun (start, gaps, rows) ->
+    let c = Dfs_sim.Counters.create () in
+    List.iteri
+      (fun tick (rebooted, per_client) ->
+        List.iteri
+          (fun client (bytes, active, skip) ->
+            if not (gaps && skip) then
+              Dfs_sim.Counters.record c
+                {
+                  (mk_sample ~t:(float_of_int (start + tick) *. 60.0) ~client ~bytes ~active)
+                  with
+                  rebooted;
+                })
+          per_client)
+      rows;
+    c
+  in
+  list_size (int_range 1 4) run
+
+let change_equal (a : Cache_stats.change_report) (b : Cache_stats.change_report) =
+  Float.equal a.max_kb b.max_kb && Float.equal a.avg_kb b.avg_kb && Float.equal a.sd_kb b.sd_kb
+
+let prop_cache_sizes_match_partition =
+  QCheck.Test.make ~name:"cache sizes match partition windowing" ~count:300
+    ~long_factor:20
+    (QCheck.make
+       ~print:(fun runs ->
+         String.concat "; "
+           (List.map (fun c -> string_of_int (Dfs_sim.Counters.count c)) runs))
+       gen_counter_runs)
+    (fun runs ->
+      let a = Cache_stats.cache_sizes runs and b = partition_cache_sizes runs in
+      Float.equal a.avg_bytes b.avg_bytes
+      && Float.equal a.sd_bytes b.sd_bytes
+      && change_equal a.change_15min b.change_15min
+      && change_equal a.change_60min b.change_60min
+      && a.samples_used = b.samples_used)
 
 let test_traffic_rows_percentages () =
   let t = Dfs_sim.Traffic.create () in
@@ -640,6 +757,21 @@ let polling_report_equal (a : Dfs_consistency.Polling.report)
   && Ids.User.Set.equal affected_user_ids b.affected_user_ids
   && Ids.User.Set.equal seen_user_ids b.seen_user_ids
 
+let lifetime_equal (a : Lifetime.t) (b : Lifetime.t) =
+  Dfs_util.Cdf.equal a.by_files b.by_files
+  && Dfs_util.Cdf.equal a.by_bytes b.by_bytes
+  && a.deaths_aged = b.deaths_aged
+  && a.deaths_unknown = b.deaths_unknown
+
+(* The same records in a seeded random order, for Lifetime's path that
+   sorts an out-of-order trace's events. *)
+let shuffle records =
+  let st = Random.State.make [| List.length records |] in
+  List.map snd
+    (List.sort compare (List.map (fun r -> (Random.State.bits st, r)) records))
+
+(* The merged folds (both polling intervals, Table 10's per-file state)
+   run only inside [Fused], so the fused report is compared too. *)
 let prop_folds_match_model =
   QCheck.Test.make ~name:"folds match tuple-keyed models" ~count:500
     ~long_factor:20
@@ -647,14 +779,23 @@ let prop_folds_match_model =
        ~print:(fun rs -> String.concat "\n" (List.map Dfs_trace.Codec.encode rs))
        gen_fold_trace)
     (fun records ->
-      let b = bat records in
-      let polling interval =
-        polling_report_equal
-          (Dfs_consistency.Polling.simulate ~interval b)
-          (Fold_model.polling ~interval b)
+      let b = bat records and shuffled = bat (shuffle records) in
+      let fused = Fused.analyze b in
+      let polling interval fused =
+        let model = Fold_model.polling ~interval b in
+        polling_report_equal (Dfs_consistency.Polling.simulate ~interval b) model
+        && polling_report_equal fused model
       in
-      polling 60.0 && polling 3.0
+      let lifetime b =
+        let model = Fold_model.lifetime b in
+        lifetime_equal (Lifetime.analyze b) model
+        && lifetime_equal (Fused.analyze b).lifetime model
+      in
+      polling 60.0 fused.polling_60s
+      && polling 3.0 fused.polling_3s
       && Consistency_stats.analyze b = Fold_model.consistency b
+      && fused.consistency = Fold_model.consistency b
+      && lifetime b && lifetime shuffled
       && Session.of_batch b = Fold_model.sessions b
       && Dfs_consistency.Shared_events.extract b = Fold_model.shared_events b)
 
@@ -693,4 +834,5 @@ let suite =
     ("paging stats empty", `Quick, test_paging_stats_empty);
     ("server stats roundtrip", `Quick, test_server_stats_roundtrip);
     QCheck_alcotest.to_alcotest prop_folds_match_model;
+    QCheck_alcotest.to_alcotest prop_cache_sizes_match_partition;
   ]
