@@ -48,6 +48,7 @@ let () =
     (float_of_int (Dfs_sim.Traffic.total raw) /. 1048576.0);
 
   (* And the open-duration CDF point the paper highlights. *)
-  let ot = Dfs_analysis.Open_time.analyze accesses in
+  let module Ot = Dfs_analysis.Open_time in
+  let ot = Ot.analyze accesses in
   Printf.printf "opens under a quarter second: %.1f%%\n"
-    (100.0 *. Dfs_analysis.Open_time.fraction_under ot 0.25)
+    (100.0 *. Ot.fraction_under ot Ot.short_open)

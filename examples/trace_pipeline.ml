@@ -58,10 +58,11 @@ let () =
       let accesses = Dfs_analysis.Session.of_batch merged in
       let stats = Dfs_analysis.Trace_stats.of_batch merged in
       Format.printf "4. %a@." Dfs_analysis.Trace_stats.pp stats;
-      let rl = Dfs_analysis.Run_length.analyze accesses in
+      let module Rl = Dfs_analysis.Run_length in
+      let rl = Rl.analyze accesses in
       Printf.printf
         "5. sequential runs: %d; runs under 10 KB: %.1f%%; bytes in runs \
          over 1 MB: %.1f%%\n"
         (Dfs_util.Cdf.count rl.by_runs)
-        (100.0 *. Dfs_util.Cdf.fraction_below rl.by_runs 10240.0)
-        (100.0 *. (1.0 -. Dfs_util.Cdf.fraction_below rl.by_bytes 1048576.0)))
+        (100.0 *. Dfs_util.Cdf.fraction_below rl.by_runs Rl.short_run)
+        (100.0 *. (1.0 -. Dfs_util.Cdf.fraction_below rl.by_bytes Rl.long_run)))

@@ -1,15 +1,20 @@
-type t = { by_files : Dfs_util.Cdf.t; by_bytes : Dfs_util.Cdf.t }
+module Cdf = Dfs_util.Cdf
 
-let create () =
-  { by_files = Dfs_util.Cdf.create (); by_bytes = Dfs_util.Cdf.create () }
+type t = { by_files : Cdf.t; by_bytes : Cdf.t }
+
+let large_file = float_of_int Dfs_util.Units.mib
+
+let points = Cdf.union [ Run_length.byte_xs; [| large_file |] ]
+
+let create () = { by_files = Cdf.create points; by_bytes = Cdf.create points }
 
 let add t (a : Session.access) =
   if not a.a_is_dir then begin
     let size = float_of_int a.a_size_close in
     let transferred = Session.bytes a in
-    Dfs_util.Cdf.add t.by_files size;
+    Cdf.add t.by_files size;
     if transferred > 0 then
-      Dfs_util.Cdf.add_weighted t.by_bytes ~weight:(float_of_int transferred) size
+      Cdf.add_weighted t.by_bytes ~weight:(float_of_int transferred) size
   end
 
 let analyze accesses =

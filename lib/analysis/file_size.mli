@@ -7,6 +7,14 @@ type t = {
   by_bytes : Dfs_util.Cdf.t;
 }
 
+val large_file : float
+(** 1 MB: the paper's share of bytes to and from files of 1 MB or
+    more. *)
+
+val points : float array
+(** {!Run_length.byte_xs} (Figures 1 and 2 share the byte axis) and
+    {!large_file}: where the CDFs answer. *)
+
 val create : unit -> t
 (** Empty accumulator; feed it with {!add} (the fused pass does). *)
 

@@ -1,13 +1,23 @@
 module Record = Dfs_trace.Record
 module Ids = Dfs_trace.Ids
 module B = Dfs_trace.Record_batch
+module Cdf = Dfs_util.Cdf
 
 type t = {
-  by_files : Dfs_util.Cdf.t;
-  by_bytes : Dfs_util.Cdf.t;
+  by_files : Cdf.t;
+  by_bytes : Cdf.t;
   deaths_aged : int;
   deaths_unknown : int;
 }
+
+let short_life = 30.0
+
+let table_xs =
+  [| 1.0; 3.0; 10.0; short_life; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |]
+
+let chart_xs = Cdf.log_xs ~lo:1.0 ~hi:10_000_000.0 ~per_decade:3
+
+let points = Cdf.union [ table_xs; chart_xs ]
 
 type write_state = { mutable oldest : float; mutable newest : float }
 
@@ -73,8 +83,8 @@ let acc_record acc batch i =
    both lists arrived in time order, else one stable sort, which orders
    them the same. *)
 let acc_finish acc =
-  let by_files = Dfs_util.Cdf.create () in
-  let by_bytes = Dfs_util.Cdf.create () in
+  let by_files = Cdf.create points in
+  let by_bytes = Cdf.create points in
   let aged = ref 0 and unknown = ref 0 in
   let states : write_state Ids.File.Tbl.t = Ids.File.Tbl.create 1024 in
   let apply = function
@@ -92,7 +102,7 @@ let acc_finish acc =
       | Some st ->
         incr aged;
         let age_oldest = now -. st.oldest and age_newest = now -. st.newest in
-        Dfs_util.Cdf.add by_files ((age_oldest +. age_newest) /. 2.0);
+        Cdf.add by_files ((age_oldest +. age_newest) /. 2.0);
         if size > 0 then begin
           (* sequential-write assumption: byte at fractional offset f was
              written at oldest + f * (newest - oldest) *)
@@ -100,7 +110,7 @@ let acc_finish acc =
           for i = 0 to byte_samples - 1 do
             let f = (float_of_int i +. 0.5) /. float_of_int byte_samples in
             let written = st.oldest +. (f *. (st.newest -. st.oldest)) in
-            Dfs_util.Cdf.add_weighted by_bytes ~weight:w (now -. written)
+            Cdf.add_weighted by_bytes ~weight:w (now -. written)
           done
         end;
         Ids.File.Tbl.remove states file)
@@ -115,8 +125,6 @@ let analyze batch =
   Session.sweep batch ~on_record:(acc_record acc) ~on_access:(acc_access acc);
   acc_finish acc
 
-let default_xs = Dfs_util.Cdf.log_xs ~lo:1.0 ~hi:10_000_000.0 ~per_decade:3
+let fraction_files_under t secs = Cdf.fraction_below t.by_files secs
 
-let fraction_files_under t secs = Dfs_util.Cdf.fraction_below t.by_files secs
-
-let fraction_bytes_under t secs = Dfs_util.Cdf.fraction_below t.by_bytes secs
+let fraction_bytes_under t secs = Cdf.fraction_below t.by_bytes secs

@@ -16,6 +16,19 @@ type t = {
   deaths_unknown : int;  (** deletions of files never written in-trace *)
 }
 
+val short_life : float
+(** 30 s: the paper's "files dead within 30 seconds". *)
+
+val table_xs : float array
+(** The lifetimes Figure 4's table prints, {!short_life} among them. *)
+
+val chart_xs : float array
+(** 1 second to 10 M seconds, three a decade: the lifetimes its chart
+    plots. *)
+
+val points : float array
+(** {!table_xs} and {!chart_xs}: where the CDFs answer. *)
+
 val analyze : Dfs_trace.Record_batch.t -> t
 (** The sequential pass: the fused analysis computes the same result
     through the accumulator below. *)
@@ -40,9 +53,9 @@ val acc_access : acc -> Session.access -> unit
 
 val acc_finish : acc -> t
 
-val default_xs : float array
-(** 1 second to 10 M seconds, log spaced. *)
-
 val fraction_files_under : t -> float -> float
+(** [fraction_files_under t secs]: share of aged deaths whose file lived
+    at most [secs], a point of {!points}. *)
 
 val fraction_bytes_under : t -> float -> float
+(** The same share by bytes. *)

@@ -83,7 +83,8 @@ val fused : run -> Dfs_analysis.Fused.t
     sequential sweep and Table 12's filtered pass
     ({!Dfs_analysis.Fused.analyze_chunks}) and shared by every
     experiment and claim on this run.  Safe to call from several
-    domains. *)
+    domains: nothing writes to the result, its CDFs included, once the
+    pass ends, so queries on it need no lock. *)
 
 val per_trace : t -> (run -> 'a) -> 'a list
 (** One result per run, in run order. *)

@@ -40,7 +40,7 @@ let scale_note (ds : Dataset.t) =
        distributions are comparable, absolute per-day counts are not."
       (scale *. 100.0)
 
-let mb = 1048576.0
+let mb = float_of_int Dfs_util.Units.mib
 
 (* One value per trace, in run order, from each run's fused pass. *)
 let per_fused (ds : Dataset.t) f = Dataset.per_trace ds (fun r -> f (Dataset.fused r))
@@ -321,18 +321,16 @@ let render_cdf_figure ~caption ~x_header ~x_fmt ~table_xs ~chart_title
   in
   Table.render tbl ^ chart
 
-(* Figures 1 and 2 print and plot the same byte sizes. *)
-let byte_xs = Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2
-
 let seconds x = Printf.sprintf "%gs" x
 
 let pct_over cdf x = 100.0 *. (1.0 -. Cdf.fraction_below cdf x)
 
 let fig1_runs_under_10k ds =
-  per_fused ds (fun f -> 100.0 *. Cdf.fraction_below f.A.Fused.run_length.by_runs 10240.0)
+  per_fused ds (fun f ->
+      100.0 *. Cdf.fraction_below f.A.Fused.run_length.by_runs A.Run_length.short_run)
 
 let fig1_bytes_in_runs_over_1m ds =
-  per_fused ds (fun f -> pct_over f.A.Fused.run_length.by_bytes mb)
+  per_fused ds (fun f -> pct_over f.A.Fused.run_length.by_bytes A.Run_length.long_run)
 
 let fig1 =
   let run (ds : Dataset.t) =
@@ -340,9 +338,9 @@ let fig1 =
     render_cdf_figure
       ~caption:
         "Figure 1. Sequential run length, cumulative % (pooled over traces)."
-      ~x_header:"Run length" ~x_fmt:Table.bytes ~table_xs:byte_xs
+      ~x_header:"Run length" ~x_fmt:Table.bytes ~table_xs:A.Run_length.byte_xs
       ~chart_title:"cumulative %: Run length" ~chart_x_label:"Run length"
-      ~chart_xs:byte_xs
+      ~chart_xs:A.Run_length.byte_xs
       [
         ("% of runs", List.map (fun (f : A.Run_length.t) -> f.by_runs) per);
         ("% of bytes", List.map (fun (f : A.Run_length.t) -> f.by_bytes) per);
@@ -369,9 +367,9 @@ let fig2 =
     let per = per_fused ds (fun f -> f.A.Fused.file_size) in
     render_cdf_figure
       ~caption:"Figure 2. Dynamic file sizes at close, cumulative %."
-      ~x_header:"File size" ~x_fmt:Table.bytes ~table_xs:byte_xs
+      ~x_header:"File size" ~x_fmt:Table.bytes ~table_xs:A.Run_length.byte_xs
       ~chart_title:"cumulative %: File size" ~chart_x_label:"File size"
-      ~chart_xs:byte_xs
+      ~chart_xs:A.Run_length.byte_xs
       [
         ("% of accesses", List.map (fun (f : A.File_size.t) -> f.by_files) per);
         ("% of bytes", List.map (fun (f : A.File_size.t) -> f.by_bytes) per);
@@ -379,7 +377,7 @@ let fig2 =
     ^ Printf.sprintf
         "bytes to/from files of 1 MB or more: %s%% (paper trace 1: ~%.0f%%)\n"
         (across ~digits:1
-           (List.map (fun (f : A.File_size.t) -> pct_over f.by_bytes mb) per))
+           (List.map (fun (f : A.File_size.t) -> pct_over f.by_bytes A.File_size.large_file) per))
         Paper.fig2_pct_bytes_from_files_over_1m
   in
   {
@@ -393,17 +391,16 @@ let fig2 =
   }
 
 let fig3_opens_under_quarter_s ds =
-  per_fused ds (fun f -> 100.0 *. A.Open_time.fraction_under f.A.Fused.open_time 0.25)
+  per_fused ds (fun f ->
+      100.0 *. A.Open_time.fraction_under f.A.Fused.open_time A.Open_time.short_open)
 
 let fig3 =
   let run (ds : Dataset.t) =
     render_cdf_figure
       ~caption:"Figure 3. File open durations, cumulative % (pooled)."
-      ~x_header:"Open time" ~x_fmt:seconds
-      ~table_xs:
-        [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |]
+      ~x_header:"Open time" ~x_fmt:seconds ~table_xs:A.Open_time.table_xs
       ~chart_title:"cumulative %: open time (seconds)"
-      ~chart_x_label:"open time (s)" ~chart_xs:A.Open_time.default_xs
+      ~chart_x_label:"open time (s)" ~chart_xs:A.Open_time.chart_xs
       [ ("% of opens", per_fused ds (fun f -> f.A.Fused.open_time.by_opens)) ]
     ^ Printf.sprintf "opens under 0.25 s: %s%% (paper: ~%.0f%%)\n"
         (across ~digits:1 (fig3_opens_under_quarter_s ds))
@@ -419,20 +416,20 @@ let fig3 =
   }
 
 let fig4_files_dead_under_30s ds =
-  per_fused ds (fun f -> 100.0 *. A.Lifetime.fraction_files_under f.A.Fused.lifetime 30.0)
+  per_fused ds (fun f ->
+      100.0 *. A.Lifetime.fraction_files_under f.A.Fused.lifetime A.Lifetime.short_life)
 
 let fig4_bytes_dead_under_30s ds =
-  per_fused ds (fun f -> 100.0 *. A.Lifetime.fraction_bytes_under f.A.Fused.lifetime 30.0)
+  per_fused ds (fun f ->
+      100.0 *. A.Lifetime.fraction_bytes_under f.A.Fused.lifetime A.Lifetime.short_life)
 
 let fig4 =
   let run (ds : Dataset.t) =
     let per = per_fused ds (fun f -> f.A.Fused.lifetime) in
     render_cdf_figure ~caption:"Figure 4. File lifetimes, cumulative % (pooled)."
-      ~x_header:"Lifetime" ~x_fmt:seconds
-      ~table_xs:
-        [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |]
+      ~x_header:"Lifetime" ~x_fmt:seconds ~table_xs:A.Lifetime.table_xs
       ~chart_title:"cumulative %: lifetime (seconds)" ~chart_x_label:"lifetime (s)"
-      ~chart_xs:A.Lifetime.default_xs
+      ~chart_xs:A.Lifetime.chart_xs
       [
         ("% of files", List.map (fun (f : A.Lifetime.t) -> f.by_files) per);
         ("% of bytes", List.map (fun (f : A.Lifetime.t) -> f.by_bytes) per);

@@ -21,5 +21,5 @@ val of_cdf :
   Cdf.t list ->
   series
 (** Sample the CDF the parts pool into ({!Cdf.fraction_below_pooled}) at
-    the given points into a plottable series (y in percent).  One CDF is
-    the one-part list. *)
+    the given points, each a declared point of every part, into a
+    plottable series (y in percent).  One CDF is the one-part list. *)

@@ -270,7 +270,8 @@ let shared_events b : Dfs_consistency.Shared_events.stream list =
 
 let lifetime b : Dfs_analysis.Lifetime.t =
   let module Cdf = Dfs_util.Cdf in
-  let by_files = Cdf.create () and by_bytes = Cdf.create () in
+  let by_files = Cdf.create Dfs_analysis.Lifetime.points
+  and by_bytes = Cdf.create Dfs_analysis.Lifetime.points in
   let aged = ref 0 and unknown = ref 0 in
   let states = Hashtbl.create 16 in
   let writes =

@@ -292,28 +292,34 @@ let test_access_patterns_dirs_excluded () =
 
 (* -- figures -------------------------------------------------------------------------- *)
 
+(* Runs of 1 KB and 9 KB: the first sits on Figure 1's first point,
+   the second between it and 10 KB. *)
 let test_run_length_cdfs () =
   let trace =
-    whole_read ~t:0.0 ~pid:1 ~file:1 ~size:100 ()
-    @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:900 ()
+    whole_read ~t:0.0 ~pid:1 ~file:1 ~size:1024 ()
+    @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:9216 ()
   in
   let f = Run_length.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check int) "two runs" 2 (Dfs_util.Cdf.count f.by_runs);
-  Alcotest.(check (float 1e-6)) "half of runs <= 100" 0.5
-    (Dfs_util.Cdf.fraction_below f.by_runs 100.0);
-  Alcotest.(check (float 1e-6)) "10% of bytes in runs <= 100" 0.1
-    (Dfs_util.Cdf.fraction_below f.by_bytes 100.0)
+  Alcotest.(check (float 1e-6)) "half of runs <= 1 KB" 0.5
+    (Dfs_util.Cdf.fraction_below f.by_runs 1024.0);
+  Alcotest.(check (float 1e-6)) "10% of bytes in runs <= 1 KB" 0.1
+    (Dfs_util.Cdf.fraction_below f.by_bytes 1024.0);
+  Alcotest.(check (float 1e-6)) "all runs under 10 KB" 1.0
+    (Dfs_util.Cdf.fraction_below f.by_runs Run_length.short_run)
 
 let test_file_size_cdfs () =
   let trace =
-    whole_read ~t:0.0 ~pid:1 ~file:1 ~size:1000 ()
-    @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:9000 ()
+    whole_read ~t:0.0 ~pid:1 ~file:1 ~size:1024 ()
+    @ whole_read ~t:1.0 ~pid:2 ~file:2 ~size:9216 ()
   in
   let f = File_size.analyze (Session.of_batch (bat trace)) in
   Alcotest.(check (float 1e-6)) "half of accesses small" 0.5
-    (Dfs_util.Cdf.fraction_below f.by_files 1000.0);
+    (Dfs_util.Cdf.fraction_below f.by_files 1024.0);
   Alcotest.(check (float 1e-6)) "10% of bytes from small file" 0.1
-    (Dfs_util.Cdf.fraction_below f.by_bytes 1000.0)
+    (Dfs_util.Cdf.fraction_below f.by_bytes 1024.0);
+  Alcotest.(check (float 1e-6)) "no bytes from files over 1 MB" 1.0
+    (Dfs_util.Cdf.fraction_below f.by_bytes File_size.large_file)
 
 let test_open_time_cdf () =
   let trace =
@@ -326,22 +332,29 @@ let test_open_time_cdf () =
   Alcotest.(check (float 1e-6)) "all under 10s" 1.0 (Open_time.fraction_under f 10.0)
 
 let test_lifetime_whole_file () =
-  (* file written over [0,10], deleted at t=40: oldest byte age 40, newest
-     30 -> per-file lifetime 35 *)
+  (* file written over [0,180], deleted at t=190: oldest byte age 190,
+     newest 10 -> per-file lifetime 100, on a point of Figure 4 and
+     clear of both ages *)
   let trace =
-    whole_write ~t:0.0 ~dt:10.0 ~file:1 ~size:800 ()
-    @ [ mk ~time:40.0 ~file:1 (Record.Delete { size = 800; is_dir = false }) ]
+    whole_write ~t:0.0 ~dt:180.0 ~file:1 ~size:800 ()
+    @ [ mk ~time:190.0 ~file:1 (Record.Delete { size = 800; is_dir = false }) ]
   in
   let f = Lifetime.analyze (bat trace) in
   Alcotest.(check int) "one aged death" 1 f.deaths_aged;
-  Alcotest.(check (float 1e-6)) "lifetime 35" 35.0 (Dfs_util.Cdf.median f.by_files);
-  (* per-byte ages interpolate 30..40 *)
-  Alcotest.(check (float 1e-6)) "no byte younger than 30" 0.0
-    (Lifetime.fraction_bytes_under f 29.9);
-  Alcotest.(check (float 1e-6)) "all bytes within 40" 1.0
-    (Lifetime.fraction_bytes_under f 40.0);
-  Alcotest.(check (float 0.01)) "half the bytes within 35" 0.5
-    (Lifetime.fraction_bytes_under f 35.0)
+  Alcotest.(check (float 1e-6)) "lifetime over 30" 0.0
+    (Lifetime.fraction_files_under f 30.0);
+  Alcotest.(check (float 1e-6)) "lifetime at most 100" 1.0
+    (Lifetime.fraction_files_under f 100.0);
+  (* per-byte ages interpolate 10..190 at the eighths' midpoints:
+     21.25, 43.75, ..., 178.75 *)
+  Alcotest.(check (float 1e-6)) "no byte younger than the last write" 0.0
+    (Lifetime.fraction_bytes_under f 10.0);
+  Alcotest.(check (float 1e-6)) "one eighth of the bytes within 30" 0.125
+    (Lifetime.fraction_bytes_under f 30.0);
+  Alcotest.(check (float 1e-6)) "half the bytes within 100" 0.5
+    (Lifetime.fraction_bytes_under f 100.0);
+  Alcotest.(check (float 1e-6)) "all bytes within 300" 1.0
+    (Lifetime.fraction_bytes_under f 300.0)
 
 let test_lifetime_truncate_counts_as_death () =
   let trace =
@@ -358,20 +371,24 @@ let test_lifetime_unknown_writes_skipped () =
   Alcotest.(check int) "counted as unknown" 1 f.deaths_unknown
 
 let test_lifetime_append_updates_newest () =
-  (* whole write at 0..2, append at 100..101, delete at 131: oldest 131,
-     newest 30 -> per-file (131+30)/2 = 80.5 *)
+  (* whole write at 0..2, append at 110..111, delete at 140: oldest 140,
+     newest 29 -> per-file (140+29)/2 = 84.5, in (30, 100].  An append
+     that left newest alone would give 139; one that moved oldest too,
+     29.5 *)
   let trace =
     whole_write ~t:0.0 ~dt:2.0 ~file:1 ~size:100 ()
     @ [
-        op ~time:100.0 ~file:1 ~mode:Record.Write_only ~size:100 ();
-        seek ~time:100.2 ~file:1 ~before:0 ~after:100 ();
-        cl ~time:101.0 ~file:1 ~size:150 ~final_pos:150 ~bytes_written:50 ();
-        mk ~time:131.0 ~file:1 (Record.Delete { size = 150; is_dir = false });
+        op ~time:110.0 ~file:1 ~mode:Record.Write_only ~size:100 ();
+        seek ~time:110.2 ~file:1 ~before:0 ~after:100 ();
+        cl ~time:111.0 ~file:1 ~size:150 ~final_pos:150 ~bytes_written:50 ();
+        mk ~time:140.0 ~file:1 (Record.Delete { size = 150; is_dir = false });
       ]
   in
   let f = Lifetime.analyze (bat trace) in
-  Alcotest.(check (float 1e-6)) "avg of oldest/newest" 80.5
-    (Dfs_util.Cdf.median f.by_files)
+  Alcotest.(check (float 1e-6)) "avg of oldest/newest over 30" 0.0
+    (Lifetime.fraction_files_under f 30.0);
+  Alcotest.(check (float 1e-6)) "avg of oldest/newest at most 100" 1.0
+    (Lifetime.fraction_files_under f 100.0)
 
 (* -- cache stats ------------------------------------------------------------------------- *)
 

@@ -198,10 +198,10 @@ let polling_equal (a : Polling.report) (b : Polling.report) =
   && Dfs_trace.Ids.User.Set.equal affected_user_ids b.affected_user_ids
   && Dfs_trace.Ids.User.Set.equal seen_user_ids b.seen_user_ids
 
-(* Every field of two fused results.  A CDF's arrays carry spare
-   capacity and a cached sorted view, so CDFs compare by their samples
-   ([Cdf.equal]); the record patterns name every field, so a field added
-   to any of these types fails to compile here until it is compared. *)
+(* Every field of two fused results.  A CDF is abstract, so CDFs
+   compare by their points, count, total and bin weights ([Cdf.equal]);
+   the record patterns name every field, so a field added to any of
+   these types fails to compile here until it is compared. *)
 let fused_equal (a : A.Fused.t) (b : A.Fused.t) =
   let cdf = Dfs_util.Cdf.equal in
   let {

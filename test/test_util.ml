@@ -217,89 +217,120 @@ let test_stats_ratio () =
 
 (* -- Cdf ------------------------------------------------------------------- *)
 
+let cdf_of ?(points = [| 1.0; 2.0; 3.0; 10.0 |]) samples =
+  let c = Cdf.create points in
+  List.iter (fun (v, weight) -> Cdf.add_weighted c ~weight v) samples;
+  c
+
 let test_cdf_unweighted () =
-  let c = Cdf.create () in
-  List.iter (Cdf.add c) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_float "below 0" 0.0 (Cdf.fraction_below c 0.5);
+  let samples = List.map (fun v -> (v, 1.0)) [ 1.0; 2.0; 3.0; 4.0 ] in
+  let c = cdf_of ~points:[| 0.5; 2.0; 10.0 |] samples in
+  check_float "below 0.5" 0.0 (Cdf.fraction_below c 0.5);
   check_float "below 2" 0.5 (Cdf.fraction_below c 2.0);
   check_float "below all" 1.0 (Cdf.fraction_below c 10.0);
-  check_float "median" 2.0 (Cdf.median c)
+  Alcotest.(check int) "count" 4 (Cdf.count c);
+  check_float "oracle median" 2.0 (Cdf_model.median samples)
 
 let test_cdf_weighted () =
-  let c = Cdf.create () in
-  Cdf.add_weighted c ~weight:1.0 1.0;
-  Cdf.add_weighted c ~weight:9.0 10.0;
+  let samples = [ (1.0, 1.0); (10.0, 9.0) ] in
+  let c = cdf_of samples in
   check_float "weighted fraction" 0.1 (Cdf.fraction_below c 1.0);
-  check_float "q0.05" 1.0 (Cdf.quantile c 0.05);
-  check_float "q0.5" 10.0 (Cdf.quantile c 0.5)
+  check_float "between the samples" 0.1 (Cdf.fraction_below c 3.0);
+  check_float "all" 1.0 (Cdf.fraction_below c 10.0);
+  check_float "oracle q0.05" 1.0 (Cdf_model.quantile samples 0.05);
+  check_float "oracle q0.5" 10.0 (Cdf_model.quantile samples 0.5)
 
 let test_cdf_add_after_query () =
-  let c = Cdf.create () in
-  Cdf.add c 1.0;
-  ignore (Cdf.fraction_below c 1.0);
+  let c = cdf_of [ (1.0, 1.0) ] in
+  check_float "one sample" 1.0 (Cdf.fraction_below c 1.0);
   Cdf.add c 2.0;
-  check_float "cache invalidated" 0.5 (Cdf.fraction_below c 1.0)
+  check_float "a later add counts" 0.5 (Cdf.fraction_below c 1.0)
 
+(* The CDF answers at every point of a [log_xs] axis, as the oracle's
+   series does. *)
 let test_cdf_series_and_log_xs () =
   let xs = Cdf.log_xs ~lo:1.0 ~hi:1000.0 ~per_decade:1 in
   Alcotest.(check int) "4 points" 4 (Array.length xs);
-  let c = Cdf.create () in
-  Cdf.add c 5.0;
-  let series = Cdf.series c ~xs in
-  Alcotest.(check int) "series length" 4 (Array.length series);
+  let c = cdf_of ~points:xs [ (5.0, 1.0) ] in
+  let series = Array.map (fun x -> (x, Cdf.fraction_below c x)) xs in
   check_float "first point" 0.0 (snd series.(0));
-  check_float "last point" 1.0 (snd series.(3))
+  check_float "last point" 1.0 (snd series.(3));
+  Alcotest.(check bool) "oracle series" true
+    (series = Cdf_model.series [ (5.0, 1.0) ] ~xs)
 
 let test_cdf_empty () =
-  let c = Cdf.create () in
+  let c = cdf_of [] in
   check_float "empty below" 0.0 (Cdf.fraction_below c 1.0);
+  check_float "empty pooled" 0.0 (Cdf.fraction_below_pooled [ c; c ] 1.0);
   Alcotest.(check int) "count" 0 (Cdf.count c)
 
 (* Degenerate or hostile inputs must raise [Invalid_argument] with
    context, never a bare assert backtrace. *)
 let test_cdf_invalid_args () =
-  let c = Cdf.create () in
-  Alcotest.check_raises "empty quantile"
-    (Invalid_argument "Cdf.quantile: empty distribution") (fun () ->
-      ignore (Cdf.quantile c 0.5));
-  Cdf.add c 1.0;
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Cdf.quantile: p = 2 outside [0, 1]") (fun () ->
-      ignore (Cdf.quantile c 2.0));
-  Alcotest.check_raises "p nan"
-    (Invalid_argument "Cdf.quantile: p = nan outside [0, 1]") (fun () ->
-      ignore (Cdf.quantile c Float.nan));
+  let c = cdf_of [ (1.0, 1.0) ] in
+  let undeclared x =
+    Invalid_argument (Printf.sprintf "Cdf.fraction_below: %s is not a declared point" x)
+  in
+  Alcotest.check_raises "undeclared x" (undeclared "1.5") (fun () ->
+      ignore (Cdf.fraction_below c 1.5));
+  Alcotest.check_raises "undeclared x, empty CDF" (undeclared "0") (fun () ->
+      ignore (Cdf.fraction_below (cdf_of []) 0.0));
+  Alcotest.check_raises "undeclared x, one ulp off" (undeclared "10.000000000000002")
+    (fun () -> ignore (Cdf.fraction_below c (Float.succ 10.0)));
+  Alcotest.check_raises "undeclared pooled x" (undeclared "nan") (fun () ->
+      ignore (Cdf.fraction_below_pooled [ c ] Float.nan));
+  Alcotest.check_raises "unsorted points"
+    (Invalid_argument "Cdf.create: points must be strictly ascending (2 then 1)")
+    (fun () -> ignore (Cdf.create [| 2.0; 1.0 |]));
+  Alcotest.check_raises "duplicated points"
+    (Invalid_argument "Cdf.create: points must be strictly ascending (0 then -0)")
+    (fun () -> ignore (Cdf.create [| 0.0; -0.0 |]));
+  Alcotest.check_raises "non-finite point"
+    (Invalid_argument "Cdf.create: point 1 is inf, not finite") (fun () ->
+      ignore (Cdf.create [| 1.0; Float.infinity |]));
+  Alcotest.check_raises "nan point"
+    (Invalid_argument "Cdf.create: point 0 is nan, not finite") (fun () ->
+      ignore (Cdf.create [| Float.nan |]));
   Alcotest.check_raises "bad log_xs"
     (Invalid_argument
        "Cdf.log_xs: need 0 < lo < hi and per_decade > 0 (lo = 0, hi = 10, \
         per_decade = 1)") (fun () ->
       ignore (Cdf.log_xs ~lo:0.0 ~hi:10.0 ~per_decade:1))
 
-(* The figures' x points: every [log_xs] axis and the fixed columns of
-   Figures 3 and 4. *)
+(* Every point at which a figure's CDFs answer. *)
 let figure_xs =
-  Array.concat
+  Cdf.union
+    Dfs_analysis.
+      [ Run_length.points; File_size.points; Open_time.points; Lifetime.points ]
+
+(* Declared points: the figures' own, whose first is above 0, or 0 and
+   a few small integers, so that 0.0 and -0.0 samples fall both below
+   the first point and on it. *)
+let gen_points =
+  let open QCheck.Gen in
+  oneof
     [
-      Cdf.log_xs ~lo:1024.0 ~hi:10_485_760.0 ~per_decade:2;
-      Cdf.log_xs ~lo:100.0 ~hi:10_485_760.0 ~per_decade:4;
-      Cdf.log_xs ~lo:0.01 ~hi:100.0 ~per_decade:4;
-      Cdf.log_xs ~lo:1.0 ~hi:10_000_000.0 ~per_decade:3;
-      [| 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |];
-      [| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0; 3600.0; 21600.0; 86400.0 |];
+      return figure_xs;
+      map
+        (fun l -> Cdf.union [ [| 0.0 |]; Array.of_list (List.map float_of_int l) ])
+        (list_size (int_range 1 8) (int_range 1 40));
     ]
 
 (* Parts of (value, weight) samples.  Values collide often (small
-   integers, powers of two, figure x points) so ties cross parts; the
-   weights of one case are all of one kind the analyses use: 1, whole
-   numbers below 2^31, or multiples of 1/8. *)
+   integers, powers of two, figure x points) so ties cross parts and
+   samples sit on points; 0.0, -0.0 and -1.0 fall at or below the first
+   point and large powers of two above the last.  The weights of one
+   case are all of one kind the analyses use: 1, whole numbers below
+   2^31, or multiples of 1/8. *)
 let gen_cdf_parts =
   let open QCheck.Gen in
   let value =
     oneof
       [
         map float_of_int (int_range 0 40);
-        map (fun k -> Float.ldexp 1.0 k) (int_range 0 23);
+        map (fun k -> Float.ldexp 1.0 k) (int_range 0 30);
         oneofa figure_xs;
+        oneofl [ 0.0; -0.0; -1.0 ];
         float_range 0.0 1e7;
       ]
   in
@@ -313,39 +344,45 @@ let gen_cdf_parts =
   list_size (int_range 0 6)
     (list_size (int_range 0 60) (pair value (weight kind)))
 
-let cdf_of samples =
-  let c = Cdf.create () in
-  List.iter (fun (v, weight) -> Cdf.add_weighted c ~weight v) samples;
-  c
+let arb_points_and_parts = QCheck.make QCheck.Gen.(pair gen_points gen_cdf_parts)
+
+let prop_cdf_matches_oracle =
+  QCheck.Test.make ~name:"cdf binned = sorted-sample oracle" ~count:300
+    arb_points_and_parts (fun (points, parts) ->
+      let cdfs = List.map (cdf_of ~points) parts in
+      Array.for_all
+        (fun x ->
+          List.for_all2
+            (fun c part ->
+              Float.equal (Cdf.fraction_below c x) (Cdf_model.fraction_below part x))
+            cdfs parts
+          && Float.equal
+               (Cdf.fraction_below_pooled cdfs x)
+               (Cdf_model.fraction_below (List.concat parts) x))
+        points)
 
 let prop_cdf_pooled_equals_one =
   QCheck.Test.make ~name:"cdf pooled = one cdf fed every sample" ~count:300
-    (QCheck.make gen_cdf_parts)
-    (fun parts ->
-      let pooled = List.map cdf_of parts in
-      let whole = cdf_of (List.concat parts) in
-      let same_at x =
-        Float.equal
-          (Cdf.fraction_below_pooled pooled x)
-          (Cdf.fraction_below whole x)
-      in
-      List.for_all (fun (v, _) -> same_at v) (List.concat parts)
-      && Array.for_all same_at figure_xs)
+    arb_points_and_parts (fun (points, parts) ->
+      let pooled = List.map (cdf_of ~points) parts in
+      let whole = cdf_of ~points (List.concat parts) in
+      Array.for_all
+        (fun x ->
+          Float.equal (Cdf.fraction_below_pooled pooled x) (Cdf.fraction_below whole x))
+        points)
 
-(* Two domains query one never-queried CDF at once: each may build and
-   publish the sorted view, and both must get the sequential answers. *)
+(* Two domains query one CDF at once, as experiments on several domains
+   may query the shared per-run memo: both must get the sequential
+   answers. *)
 let test_cdf_concurrent_first_query () =
   let rng = Rng.create 11 in
   let samples =
     List.init 200_000 (fun _ ->
         (Float.round (1000.0 *. Rng.float rng), float_of_int (1 + Rng.int rng 8)))
   in
-  let answers c =
-    ( Array.map (Cdf.fraction_below c) figure_xs,
-      List.map (Cdf.quantile c) [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] )
-  in
-  let expected = answers (cdf_of samples) in
-  let shared = cdf_of samples in
+  let answers c = Array.map (Cdf.fraction_below c) figure_xs in
+  let expected = answers (cdf_of ~points:figure_xs samples) in
+  let shared = cdf_of ~points:figure_xs samples in
   let go = Atomic.make false in
   let query () =
     while not (Atomic.get go) do
@@ -367,10 +404,14 @@ let test_cdf_pooled_then_add () =
     (Cdf.fraction_below_pooled [ a; b ] 2.0);
   check_float "other part unchanged" 1.0 (Cdf.fraction_below b 2.0);
   check_float "no parts" 0.0 (Cdf.fraction_below_pooled [] 2.0);
-  Alcotest.(check bool) "equal by samples" true
-    (Cdf.equal (cdf_of [ (1.0, 1.0) ]) (cdf_of [ (1.0, 1.0) ]));
-  Alcotest.(check bool) "insertion order matters" false
-    (Cdf.equal (cdf_of [ (1.0, 1.0); (2.0, 1.0) ]) (cdf_of [ (2.0, 1.0); (1.0, 1.0) ]))
+  Alcotest.(check bool) "equal by bins, in any order" true
+    (Cdf.equal (cdf_of [ (1.0, 1.0); (2.0, 1.0) ]) (cdf_of [ (2.0, 1.0); (1.0, 1.0) ]));
+  Alcotest.(check bool) "one bin holds different values" true
+    (Cdf.equal (cdf_of [ (1.5, 1.0) ]) (cdf_of [ (2.0, 1.0) ]));
+  Alcotest.(check bool) "different bins" false
+    (Cdf.equal (cdf_of [ (1.0, 1.0) ]) (cdf_of [ (2.0, 1.0) ]));
+  Alcotest.(check bool) "different points" false
+    (Cdf.equal (cdf_of [ (1.0, 1.0) ]) (cdf_of ~points:[| 1.0; 2.0 |] [ (1.0, 1.0) ]))
 
 let test_stats_percentile_invalid_args () =
   Alcotest.check_raises "empty sample"
@@ -529,9 +570,9 @@ let test_units () =
 (* -- Chart ----------------------------------------------------------------- *)
 
 let test_chart_renders () =
-  let cdf = Cdf.create () in
-  List.iter (Cdf.add cdf) [ 100.0; 1000.0; 10000.0; 100000.0 ];
   let xs = Cdf.log_xs ~lo:100.0 ~hi:100000.0 ~per_decade:2 in
+  let cdf = Cdf.create xs in
+  List.iter (Cdf.add cdf) [ 100.0; 1000.0; 10000.0; 100000.0 ];
   let s =
     Chart.render ~title:"t" ~x_label:"bytes"
       [ Chart.of_cdf ~name:"files" ~glyph:'*' ~xs [ cdf ] ]
@@ -546,17 +587,18 @@ let test_chart_renders () =
     (String.split_on_char '\n' s)
 
 let test_chart_of_cdf_percent () =
-  let cdf = Cdf.create () in
+  let xs = [| 5.0; 20.0 |] in
+  let cdf = Cdf.create xs in
   Cdf.add cdf 10.0;
-  let s = Chart.of_cdf ~name:"x" ~glyph:'o' ~xs:[| 5.0; 20.0 |] [ cdf ] in
+  let s = Chart.of_cdf ~name:"x" ~glyph:'o' ~xs [ cdf ] in
   Alcotest.(check (float 1e-9)) "0% below 5" 0.0 (snd s.Chart.s_points.(0));
   Alcotest.(check (float 1e-9)) "100% below 20" 100.0 (snd s.Chart.s_points.(1))
 
 let test_chart_two_series () =
-  let a = Cdf.create () and b = Cdf.create () in
+  let xs = [| 1.0; 10.0; 100.0; 1000.0 |] in
+  let a = Cdf.create xs and b = Cdf.create xs in
   Cdf.add a 10.0;
   Cdf.add b 1000.0;
-  let xs = [| 1.0; 10.0; 100.0; 1000.0 |] in
   let s =
     Chart.render ~title:"two" ~x_label:"x"
       [ Chart.of_cdf ~name:"a" ~glyph:'*' ~xs [ a ];
@@ -601,16 +643,18 @@ let prop_cdf_monotone =
   QCheck.Test.make ~name:"cdf is monotone" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_range 0.0 1000.0))
     (fun xs ->
-      let c = Cdf.create () in
+      let points = [| 0.0; 1.0; 10.0; 100.0; 500.0; 1000.0; 2000.0 |] in
+      let c = Cdf.create points in
       List.iter (Cdf.add c) xs;
-      let points = [ 0.0; 1.0; 10.0; 100.0; 500.0; 1000.0; 2000.0 ] in
-      let fracs = List.map (Cdf.fraction_below c) points in
+      let fracs = List.map (Cdf.fraction_below c) (Array.to_list points) in
       let rec mono = function
         | a :: (b :: _ as rest) -> a <= b +. 1e-12 && mono rest
         | _ -> true
       in
       mono fracs)
 
+(* The oracle's quantile is a sample value, so a CDF declared at every
+   sample value answers there. *)
 let prop_cdf_quantile_consistent =
   QCheck.Test.make ~name:"fraction_below (quantile p) >= p" ~count:200
     QCheck.(
@@ -618,9 +662,9 @@ let prop_cdf_quantile_consistent =
         (list_of_size Gen.(1 -- 50) (float_range 0.0 100.0))
         (float_range 0.01 0.99))
     (fun (xs, p) ->
-      let c = Cdf.create () in
-      List.iter (Cdf.add c) xs;
-      Cdf.fraction_below c (Cdf.quantile c p) >= p -. 1e-9)
+      let samples = List.map (fun x -> (x, 1.0)) xs in
+      let c = cdf_of ~points:(Cdf.union [ Array.of_list xs ]) samples in
+      Cdf.fraction_below c (Cdf_model.quantile samples p) >= p -. 1e-9)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
@@ -698,6 +742,7 @@ let qcheck_tests =
       prop_stats_merge_equals_sequential;
       prop_cdf_monotone;
       prop_cdf_quantile_consistent;
+      prop_cdf_matches_oracle;
       prop_cdf_pooled_equals_one;
       prop_heap_sorts;
       prop_dist_clamp_respected;
